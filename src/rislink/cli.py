@@ -26,7 +26,7 @@ from .experiments import (
     run_config,
 )
 from .geometry import SphericalPose
-from .link import path_loss_db, received_power, watts_to_dbm
+from .link import _channel_sum, _link_budget_db
 from .ris import SupplyBudgetError, encode_control
 
 SEED_ENV_VAR = "RISLINK_SEED"
@@ -45,17 +45,19 @@ def _resolve_seed(args) -> int:
 
 
 def _scenario_from_args(args):
+    """(scenario, RX azimuth in degrees) from --config or the chamber default, with overrides."""
     if args.config:
-        scenario = load_run_plan(args.config).scenario
+        plan = load_run_plan(args.config)
+        scenario, rx_azimuth_deg = plan.scenario, plan.rx_azimuth_deg
     else:
-        scenario = chamber_scenario()
+        scenario, rx_azimuth_deg = chamber_scenario(), 0.0
     if getattr(args, "tx_distance", None) is not None:
         pose = scenario.tx_pose
         scenario = replace(scenario, tx_pose=SphericalPose(args.tx_distance, pose.theta, pose.phi))
     if getattr(args, "rx_distance", None) is not None:
         pose = scenario.rx_pose
         scenario = replace(scenario, rx_pose=SphericalPose(args.rx_distance, pose.theta, pose.phi))
-    return scenario
+    return scenario, rx_azimuth_deg
 
 
 def _write_sweep(result, out_dir: str, name: str) -> str:
@@ -74,7 +76,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep_distance(args) -> int:
-    scenario = _scenario_from_args(args)
+    scenario, _ = _scenario_from_args(args)
     spec = SweepSpec("rx_distance", args.start, args.stop, args.step, args.method)
     res = distance_sweep(scenario, spec, _resolve_seed(args))
     path = _write_sweep(res, args.out, "distance_sweep.csv")
@@ -85,9 +87,9 @@ def _cmd_sweep_distance(args) -> int:
 
 
 def _cmd_sweep_angle(args) -> int:
-    scenario = _scenario_from_args(args)
+    scenario, rx_azimuth_deg = _scenario_from_args(args)
     spec = SweepSpec("rx_zenith", args.start, args.stop, args.step, args.method)
-    res = angle_sweep(scenario, spec, _resolve_seed(args))
+    res = angle_sweep(scenario, spec, _resolve_seed(args), rx_azimuth_deg)
     path = _write_sweep(res, args.out, "angle_sweep.csv")
     pl = res.path_losses_db()
     print(f"wrote {path} ({len(res.rows)} rows), path loss "
@@ -96,7 +98,7 @@ def _cmd_sweep_angle(args) -> int:
 
 
 def _cmd_sweep_gain(args) -> int:
-    scenario = _scenario_from_args(args)
+    scenario, _ = _scenario_from_args(args)
     currents = [float(c) for c in args.currents.split(",") if c.strip()]
     res = gain_sweep(scenario, currents, args.method, _resolve_seed(args))
     path = _write_sweep(res, args.out, "gain_sweep.csv")
@@ -107,9 +109,9 @@ def _cmd_sweep_gain(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
-    scenario = _scenario_from_args(args)
+    scenario, rx_azimuth_deg = _scenario_from_args(args)
     res = radiation_pattern(scenario, args.steering, args.start, args.stop,
-                            args.step, args.method, _resolve_seed(args))
+                            args.step, args.method, _resolve_seed(args), rx_azimuth_deg)
     path = _write_sweep(res, args.out, "pattern.csv")
     print(f"wrote {path} ({len(res.angles_deg)} rows), peak {res.peak_angle_deg:g} deg, "
           f"hpbw {res.hpbw_deg:.2f} deg, pslr {res.pslr_db:.2f} dB")
@@ -117,14 +119,14 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_beamform(args) -> int:
-    scenario = _scenario_from_args(args)
+    scenario, _ = _scenario_from_args(args)
     bf = apply_beamforming(scenario, args.method, _resolve_seed(args),
                            passes=args.passes, max_rounds=args.rounds)
-    p = received_power(scenario, bf.states, bf.phases)
+    p_dbm, pl_db = _link_budget_db(scenario, _channel_sum(scenario, bf.states, bf.phases))
     out = {
         "method": bf.method,
-        "received_power_dbm": watts_to_dbm(p),
-        "path_loss_db": path_loss_db(scenario, bf.states, bf.phases),
+        "received_power_dbm": p_dbm,
+        "path_loss_db": pl_db,
         "feedback_queries": bf.queries,
         "config_digest": bf.digest,
     }

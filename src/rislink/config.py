@@ -91,7 +91,12 @@ _NONNEG = (lambda v: v >= 0, ">= 0")
 _ANGLE_OPEN = (lambda v: -90.0 < v < 90.0, "strictly inside (-90, 90) deg")
 
 
-def build_scenario(sections: dict, path) -> Scenario:
+def build_scenario(sections: dict, path) -> tuple[Scenario, float]:
+    """The [scenario]/[amplifier] link plus the configured RX azimuth in degrees.
+
+    Angle sweeps and pattern cuts turn in that azimuth's plane.  The RX pose
+    cannot give it back: a negative zenith stores it turned by 180 deg.
+    """
     sc = dict(sections.get("scenario", {}))
     amp_raw = dict(sections.get("amplifier", {}))
 
@@ -142,7 +147,7 @@ def build_scenario(sections: dict, path) -> Scenario:
         tx_power=p_t,
         noise_variance=nv,
         jitter=PhaseJitterModel(math.radians(jit), jit_seed) if jit > 0 else None,
-    )
+    ), rx_a
 
 
 _SWEEP_KINDS = ("distance", "angle", "gain", "pattern")
@@ -173,6 +178,7 @@ class SweepJob:
 class RunPlan:
     scenario: Scenario
     jobs: list[SweepJob] = field(default_factory=list)
+    rx_azimuth_deg: float = 0.0
 
 
 def _parse_currents(raw: str) -> tuple[float, ...]:
@@ -223,9 +229,9 @@ def load_run_plan(path) -> RunPlan:
         if name not in known and not name.startswith("sweep"):
             raise _err(path, 0, f"unknown section [{name}]")
     try:
-        scenario = build_scenario(sections, path)
+        scenario, rx_azimuth_deg = build_scenario(sections, path)
     except ConfigError:
         raise
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
-    return RunPlan(scenario, build_jobs(sections, path))
+    return RunPlan(scenario, build_jobs(sections, path), rx_azimuth_deg)

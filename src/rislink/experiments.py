@@ -25,16 +25,16 @@ from .beamforming import (
     uniform_configuration,
 )
 from .channel import AntennaModel
-from .geometry import ArrayLayout, SphericalPose
+from .geometry import ArrayLayout, SphericalPose, spherical_to_cartesian
 from .link import (
     Scenario,
+    _channel_sum,
+    _channel_sums,
+    _link_budget_db,
     continuous_optimal_phases,
     from_db,
-    path_loss_db,
-    received_power,
     states_from_configuration,
     uniform_states,
-    watts_to_dbm,
 )
 from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel, UnitState
 
@@ -245,6 +245,12 @@ def _point_seeds(seed, n: int):
     return np.random.SeedSequence(seed).spawn(n)
 
 
+def _row(value: float, scenario: Scenario, states, phases, digest: str) -> SweepRow:
+    """One CSV row from a single link evaluation at the scenario's RX pose."""
+    p_dbm, pl_db = _link_budget_db(scenario, _channel_sum(scenario, states, phases))
+    return SweepRow(value, p_dbm, pl_db, digest)
+
+
 def distance_sweep(scenario: Scenario, spec: SweepSpec, seed=0) -> SweepResult:
     """Path loss versus RX range; the RX direction is kept, only the range moves.
 
@@ -260,27 +266,27 @@ def distance_sweep(scenario: Scenario, spec: SweepSpec, seed=0) -> SweepResult:
         pose = SphericalPose(float(r), scenario.rx_pose.theta, scenario.rx_pose.phi)
         scn = replace(scenario, rx_pose=pose)
         bf = apply_beamforming(scn, spec.beamforming, s)
-        p = received_power(scn, bf.states, bf.phases)
-        result.rows.append(SweepRow(
-            float(r), watts_to_dbm(p), path_loss_db(scn, bf.states, bf.phases), bf.digest
-        ))
+        result.rows.append(_row(float(r), scn, bf.states, bf.phases, bf.digest))
     return result
 
 
-def angle_sweep(scenario: Scenario, spec: SweepSpec, seed=0) -> SweepResult:
-    """Path loss versus the RX off-normal angle on the transmission side (degrees)."""
+def angle_sweep(scenario: Scenario, spec: SweepSpec, seed=0,
+                rx_azimuth_deg: float = 0.0) -> SweepResult:
+    """Path loss versus the RX off-normal angle on the transmission side (degrees).
+
+    The RX moves in the plane of `rx_azimuth_deg`; negative angles turn the
+    azimuth by 180 deg, as in `transmission_side_pose`.
+    """
     if spec.variable != "rx_zenith":
         raise ValueError("spec.variable must be 'rx_zenith'")
     grid = spec.grid()
     seeds = _point_seeds(seed, len(grid))
     result = SweepResult("rx_zenith")
     for a, s in zip(grid, seeds):
-        scn = replace(scenario, rx_pose=transmission_side_pose(scenario.rx_pose.r, float(a)))
+        pose = transmission_side_pose(scenario.rx_pose.r, float(a), rx_azimuth_deg)
+        scn = replace(scenario, rx_pose=pose)
         bf = apply_beamforming(scn, spec.beamforming, s)
-        p = received_power(scn, bf.states, bf.phases)
-        result.rows.append(SweepRow(
-            float(a), watts_to_dbm(p), path_loss_db(scn, bf.states, bf.phases), bf.digest
-        ))
+        result.rows.append(_row(float(a), scn, bf.states, bf.phases, bf.digest))
     return result
 
 
@@ -302,10 +308,7 @@ def gain_sweep(scenario: Scenario, currents: Sequence[float],
     for c in currents:
         per_unit = float(c) / n
         states = [replace(st, current=per_unit) for st in bf.states]
-        p = received_power(scenario, states, bf.phases)
-        result.rows.append(SweepRow(
-            float(c), watts_to_dbm(p), path_loss_db(scenario, states, bf.phases), bf.digest
-        ))
+        result.rows.append(_row(float(c), scenario, states, bf.phases, bf.digest))
     return result
 
 
@@ -384,21 +387,24 @@ def peak_to_sidelobe(angles_deg, rel_db) -> float:
 
 def radiation_pattern(scenario: Scenario, steering_deg: float,
                       start: float = -85.0, stop: float = 85.0, step: float = 0.5,
-                      method: str = "quantized", seed=0) -> PatternResult:
+                      method: str = "quantized", seed=0,
+                      rx_azimuth_deg: float = 0.0) -> PatternResult:
     """Steer toward `steering_deg`, freeze the configuration, and cut the
-    transmission-side pattern by moving the RX probe along the observation grid."""
-    steer = replace(scenario,
-                    rx_pose=transmission_side_pose(scenario.rx_pose.r, steering_deg))
+    transmission-side pattern by moving the RX probe along the observation grid.
+
+    Steering and cut lie in the plane of `rx_azimuth_deg` (negative angles
+    turn it by 180 deg).  The whole cut is one batched link evaluation.
+    """
+    r = scenario.rx_pose.r
+    steer = replace(scenario, rx_pose=transmission_side_pose(r, steering_deg, rx_azimuth_deg))
     bf = apply_beamforming(steer, method, seed)
     angles = sweep_grid(start, stop, step)
-    powers = np.empty(len(angles))
-    losses = np.empty(len(angles))
-    for i, a in enumerate(angles):
-        scn = replace(scenario,
-                      rx_pose=transmission_side_pose(scenario.rx_pose.r, float(a)))
-        p = received_power(scn, bf.states, bf.phases)
-        powers[i] = watts_to_dbm(p)
-        losses[i] = path_loss_db(scn, bf.states, bf.phases)
+    points = np.array([
+        spherical_to_cartesian(transmission_side_pose(r, float(a), rx_azimuth_deg))
+        for a in angles
+    ])
+    sums = _channel_sums(scenario, points, bf.states, bf.phases)
+    powers, losses = np.array([_link_budget_db(scenario, s) for s in sums]).T
     rel = powers - np.max(powers)
     peak_angle = float(angles[int(np.argmax(powers))])
     return PatternResult(
@@ -454,12 +460,12 @@ def run_config(path, out_dir, seed=0) -> dict:
             res = distance_sweep(plan.scenario, spec, seed)
         elif job.kind == "angle":
             spec = SweepSpec("rx_zenith", job.start, job.stop, job.step, job.method)
-            res = angle_sweep(plan.scenario, spec, seed)
+            res = angle_sweep(plan.scenario, spec, seed, plan.rx_azimuth_deg)
         elif job.kind == "gain":
             res = gain_sweep(plan.scenario, job.currents, job.method, seed)
         elif job.kind == "pattern":
-            res = radiation_pattern(plan.scenario, job.steering_deg,
-                                    job.start, job.stop, job.step, job.method, seed)
+            res = radiation_pattern(plan.scenario, job.steering_deg, job.start, job.stop,
+                                    job.step, job.method, seed, plan.rx_azimuth_deg)
         else:  # pragma: no cover - load_run_plan validates kinds
             raise ValueError(f"unknown sweep kind {job.kind!r}")
         res.write_csv(csv_path)

@@ -8,7 +8,7 @@ form.  They must agree to float precision; tests rely on both existing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -141,7 +141,90 @@ def phase_error_realization(scenario: Scenario):
 def unit_phases(scenario: Scenario, states: Sequence[UnitState]) -> np.ndarray:
     """Programmed per-unit phases: codebook entries plus the jitter realization."""
     idx, _, _ = _state_arrays(scenario, states)
-    return scenario.codebook.phases()[idx] + phase_error_realization(scenario)
+    return _programmed_phases(scenario, idx, None)
+
+
+def _programmed_phases(scenario: Scenario, idx: np.ndarray, phases) -> np.ndarray:
+    """Effective per-unit phases: explicit `phases` bypass codebook and jitter."""
+    if phases is None:
+        return scenario.codebook.phases()[idx] + phase_error_realization(scenario)
+    ph = np.asarray(phases, dtype=float).reshape(-1)
+    if ph.size != scenario.layout.n_units:
+        raise ValueError(f"{ph.size} phases for {scenario.layout.n_units} units")
+    return ph
+
+
+# Element budget (RX points x units) of one kernel chunk.  A whole 4x8 pattern
+# cut (341 points) is one chunk and a 64x64 chunk holds four points, so the
+# (points, units) temporaries stay small at any surface size.
+_CHUNK_ELEMENTS = 2 ** 14
+
+
+def _weight_chunks(scenario: Scenario, rx_points: np.ndarray, cur: np.ndarray,
+                   att: np.ndarray):
+    """Yield (first point, weights) per chunk of RX points, weights shaped (chunk, n_units).
+
+    The weight expression of `element_weights` broadcast over a leading pose
+    axis.  The TX leg and the unit gains are computed once for every chunk;
+    each point must sit on the other side of the plane from the TX, as
+    `Scenario` requires of its own RX pose.
+    """
+    p_t = spherical_to_cartesian(scenario.tx_pose)
+    if not np.all(p_t[2] * rx_points[:, 2] < 0):
+        raise ValueError(
+            "TX and RX must sit strictly on opposite sides of the array plane"
+        )
+    els = element_grid(scenario.layout)
+    r_t, zen_t = ranges_and_zeniths(p_t, els)
+    g_t = scenario.tx_antenna.gain(zen_t)
+    area = scenario.layout.element_area
+    gain_area_t = scenario.amplifier.gain_linear(cur) * effective_area(area, zen_t)
+    step = max(1, _CHUNK_ELEMENTS // scenario.layout.n_units)
+    for lo in range(0, len(rx_points), step):
+        r_r, zen_r = ranges_and_zeniths(rx_points[lo:lo + step, None, :], els)
+        g_r = scenario.rx_antenna.gain(zen_r)
+        sigma = att * np.sqrt(gain_area_t * effective_area(area, zen_r))
+        phi_prop = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
+        yield lo, np.sqrt(g_t * g_r) / (r_t * r_r) * sigma * np.exp(-1j * phi_prop)
+
+
+def _unit_terms(scenario: Scenario, states: Sequence[UnitState] | None, phases):
+    """(currents, attenuations, exp(j phi_n)) from one repacking of the states."""
+    if states is None:
+        states = uniform_states(scenario)
+    idx, cur, att = _state_arrays(scenario, states)
+    return cur, att, np.exp(1j * _programmed_phases(scenario, idx, phases))
+
+
+def _own_rx_point(scenario: Scenario) -> np.ndarray:
+    """The scenario's RX pose as a (1, 3) batch of points."""
+    return spherical_to_cartesian(scenario.rx_pose)[None]
+
+
+def _own_weights(scenario: Scenario, cur: np.ndarray, att: np.ndarray) -> np.ndarray:
+    """The kernel's weight row toward the scenario's own RX pose, shape (n_units,)."""
+    return next(_weight_chunks(scenario, _own_rx_point(scenario), cur, att))[1][0]
+
+
+def _channel_sums(scenario: Scenario, rx_points, states: Sequence[UnitState] | None = None,
+                  phases=None) -> np.ndarray:
+    """Channel sums S[p] = sum_n w[p, n] exp(j phi_n) toward each of (P, 3) RX points, shape (P,).
+
+    One evaluation serves both link figures: P_r = P_t / (16 pi^2) |S|^2 and
+    PL = 16 pi^2 / |S|^2.  States and programmed phases are resolved once
+    per call, whatever P is.
+    """
+    cur, att, rot = _unit_terms(scenario, states, phases)
+    pts = np.asarray(rx_points, dtype=float).reshape(-1, 3)
+    sums = np.empty(len(pts), dtype=complex)
+    for lo, w in _weight_chunks(scenario, pts, cur, att):
+        sums[lo:lo + len(w)] = np.sum(w * rot, axis=-1)
+    return sums
+
+
+def _channel_sum(scenario: Scenario, states, phases) -> complex:
+    """The kernel at the scenario's own RX pose (P = 1)."""
+    return _channel_sums(scenario, _own_rx_point(scenario), states, phases)[0]
 
 
 def element_weights(scenario: Scenario, states: Sequence[UnitState] | None = None) -> np.ndarray:
@@ -155,28 +238,19 @@ def element_weights(scenario: Scenario, states: Sequence[UnitState] | None = Non
     if states is None:
         states = uniform_states(scenario)
     _, cur, att = _state_arrays(scenario, states)
-    r_t, zen_t, r_r, zen_r = _element_paths(scenario)
-    g_t = scenario.tx_antenna.gain(zen_t)
-    g_r = scenario.rx_antenna.gain(zen_r)
-    area = scenario.layout.element_area
-    sigma = att * np.sqrt(
-        scenario.amplifier.gain_linear(cur)
-        * effective_area(area, zen_t)
-        * effective_area(area, zen_r)
-    )
-    phi_prop = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
-    return np.sqrt(g_t * g_r) / (r_t * r_r) * sigma * np.exp(-1j * phi_prop)
+    return _own_weights(scenario, cur, att)
 
 
-def _programmed_phases(scenario: Scenario, states: Sequence[UnitState],
-                       phases) -> np.ndarray:
-    """Effective per-unit phases: explicit `phases` bypass codebook and jitter."""
-    if phases is None:
-        return unit_phases(scenario, states)
-    ph = np.asarray(phases, dtype=float).reshape(-1)
-    if ph.size != scenario.layout.n_units:
-        raise ValueError(f"{ph.size} phases for {scenario.layout.n_units} units")
-    return ph
+def _link_budget_db(scenario: Scenario, channel_sum: complex) -> tuple[float, float]:
+    """(received power in dBm, path loss in dB) from one channel sum's |S|^2.
+
+    An exact null fails in watts_to_dbm, as received_power -> watts_to_dbm does.
+    """
+    ssq = float(np.abs(channel_sum)) ** 2
+    dbm = watts_to_dbm(scenario.tx_power / SIXTEEN_PI_SQ * ssq)
+    if ssq == 0.0:
+        raise InfinitePathLossError("configuration nulls the received field")
+    return dbm, to_db(SIXTEEN_PI_SQ / ssq)
 
 
 def received_power(scenario: Scenario, states: Sequence[UnitState] | None = None,
@@ -186,11 +260,7 @@ def received_power(scenario: Scenario, states: Sequence[UnitState] | None = None
     `phases` (radians, any shape matching the layout) overrides the codebook
     phases exactly — no quantization, no jitter.
     """
-    if states is None:
-        states = uniform_states(scenario)
-    w = element_weights(scenario, states)
-    ph = _programmed_phases(scenario, states, phases)
-    total = np.sum(w * np.exp(1j * ph))
+    total = _channel_sum(scenario, states, phases)
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
 
 
@@ -204,7 +274,7 @@ def received_power_expanded(scenario: Scenario,
     """
     if states is None:
         states = uniform_states(scenario)
-    _, cur, att = _state_arrays(scenario, states)
+    idx, cur, att = _state_arrays(scenario, states)
     r_t, zen_t, r_r, zen_r = _element_paths(scenario)
     area = scenario.layout.element_area
     amp = att * np.sqrt(
@@ -214,7 +284,7 @@ def received_power_expanded(scenario: Scenario,
         * effective_area(area, zen_t)
         * effective_area(area, zen_r)
     ) / (r_t * r_r)
-    ph = _programmed_phases(scenario, states, phases)
+    ph = _programmed_phases(scenario, idx, phases)
     phi_prop = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
     total = np.sum(amp * np.exp(1j * (ph - phi_prop)))
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
@@ -227,17 +297,18 @@ def received_signal(scenario: Scenario, states: Sequence[UnitState] | None = Non
 
     `noise` injects an exact sample; otherwise a circularly symmetric Gaussian
     draw with the scenario's noise_variance is taken from `rng` (no noise when
-    the variance is 0).
+    the variance is 0).  A noisy scenario without `noise` needs an `rng`, so
+    the caller's seed pins every sample.
     """
-    if states is None:
-        states = uniform_states(scenario)
-    w = element_weights(scenario, states)
-    ph = _programmed_phases(scenario, states, phases)
-    total = np.sum(w * np.exp(1j * ph))
+    draw = noise is None and scenario.noise_variance > 0
+    if draw and rng is None:
+        raise ValueError(
+            "received_signal needs an rng (or an explicit noise sample) "
+            "when noise_variance > 0"
+        )
+    total = _channel_sum(scenario, states, phases)
     y = math.sqrt(scenario.tx_power) / FOUR_PI * complex(total) * symbol
-    if noise is None and scenario.noise_variance > 0:
-        if rng is None:
-            rng = np.random.default_rng()
+    if draw:
         scale = math.sqrt(scenario.noise_variance / 2.0)
         noise = complex(rng.normal(0.0, scale), rng.normal(0.0, scale))
     return y + (noise if noise is not None else 0.0)
@@ -250,11 +321,7 @@ def path_loss(scenario: Scenario, states: Sequence[UnitState] | None = None,
     Raises InfinitePathLossError when the configuration nulls the field
     exactly.
     """
-    if states is None:
-        states = uniform_states(scenario)
-    w = element_weights(scenario, states)
-    ph = _programmed_phases(scenario, states, phases)
-    ssq = float(np.abs(np.sum(w * np.exp(1j * ph)))) ** 2
+    ssq = float(np.abs(_channel_sum(scenario, states, phases))) ** 2
     if ssq == 0.0:
         raise InfinitePathLossError("configuration nulls the received field")
     return SIXTEEN_PI_SQ / ssq
@@ -277,15 +344,14 @@ def continuous_optimal_phases(scenario: Scenario, constant: float = 0.0) -> np.n
 def max_received_power(scenario: Scenario,
                        states: Sequence[UnitState] | None = None) -> float:
     """Received power under perfectly aligned (continuous) phases: coherent |w| sum."""
-    w = element_weights(scenario, states if states is not None else uniform_states(scenario))
+    w = element_weights(scenario, states)
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.sum(np.abs(w))) ** 2
 
 
 def min_path_loss(scenario: Scenario,
                   states: Sequence[UnitState] | None = None) -> float:
     """Path loss under perfectly aligned phases; max_received_power * min_path_loss == tx_power."""
-    w = element_weights(scenario, states if states is not None else uniform_states(scenario))
-    total = float(np.sum(np.abs(w))) ** 2
+    total = float(np.sum(np.abs(element_weights(scenario, states)))) ** 2
     if total == 0.0:
         raise InfinitePathLossError("every element weight is zero")
     return SIXTEEN_PI_SQ / total
@@ -303,19 +369,12 @@ class LinkResult:
 def evaluate_link(scenario: Scenario, states: Sequence[UnitState] | None = None,
                   phases=None) -> LinkResult:
     """received_power and path_loss in one pass, sharing the per-element terms."""
-    if states is None:
-        states = uniform_states(scenario)
-    w = element_weights(scenario, states)
-    ph = _programmed_phases(scenario, states, phases)
-    terms = w * np.exp(1j * ph)
+    cur, att, rot = _unit_terms(scenario, states, phases)
+    terms = _own_weights(scenario, cur, att) * rot
     ssq = float(np.abs(np.sum(terms))) ** 2
     if ssq == 0.0:
         raise InfinitePathLossError("configuration nulls the received field")
     return LinkResult(scenario.tx_power / SIXTEEN_PI_SQ * ssq, SIXTEEN_PI_SQ / ssq, terms)
-
-
-def with_rx_pose(scenario: Scenario, pose: SphericalPose) -> Scenario:
-    return replace(scenario, rx_pose=pose)
 
 
 def to_db(x) -> float:
@@ -323,9 +382,10 @@ def to_db(x) -> float:
     return float(10.0 * np.log10(x))
 
 
-def from_db(db) -> float:
-    """dB to linear power ratio."""
-    return float(10.0 ** (np.asarray(db, dtype=float) / 10.0))
+def from_db(db):
+    """dB to linear power ratio: a float for scalar input, an ndarray for array input."""
+    ratio = 10.0 ** (np.asarray(db, dtype=float) / 10.0)
+    return ratio if ratio.ndim else float(ratio)
 
 
 def watts_to_dbm(p: float) -> float:

@@ -164,6 +164,20 @@ def test_cli_sweep_angle_with_overrides(tmp_path):
     assert (tmp_path / "angle_sweep.csv").exists()
 
 
+def test_cli_angle_and_pattern_use_the_config_azimuth(tmp_path):
+    cfg = write(tmp_path, "[scenario]\nn_rows = 2\nn_cols = 8\nrx_azimuth_deg = 90\n")
+    assert load_run_plan(cfg).rx_azimuth_deg == 90.0
+    assert main(["sweep-angle", "--config", str(cfg), "--start", "0", "--stop", "40",
+                 "--step", "20", "--out", str(tmp_path)]) == 0
+    assert main(["pattern", "--config", str(cfg), "--steering", "20", "--step", "5",
+                 "--out", str(tmp_path)]) == 0
+    s = load_run_plan(cfg).scenario
+    sweep = rl.angle_sweep(s, rl.SweepSpec("rx_zenith", 0.0, 40.0, 20.0), rx_azimuth_deg=90.0)
+    cut = rl.radiation_pattern(s, 20.0, step=5.0, rx_azimuth_deg=90.0)
+    assert (tmp_path / "angle_sweep.csv").read_text() == sweep.to_csv()
+    assert (tmp_path / "pattern.csv").read_text() == cut.to_csv()
+
+
 def test_cli_sweep_gain(tmp_path, capsys):
     assert main(["sweep-gain", "--currents", "0.01,1.4", "--out", str(tmp_path)]) == 0
     assert "11.90" in capsys.readouterr().out

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,3 +247,53 @@ def test_run_config_is_deterministic(tmp_path):
     rl.run_config(cfg, b, seed=7)
     assert (a / "search.csv").read_bytes() == (b / "search.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+def _azimuth_90_scenario():
+    s = rl.chamber_scenario(n_rows=2, n_cols=8)
+    return replace(s, rx_pose=rl.transmission_side_pose(4.0, 0.0, 90.0))
+
+
+def _path_loss_at(scenario, angle, azimuth, steering=None):
+    """path_loss_db evaluated directly at one transmission-side pose."""
+    pose = rl.transmission_side_pose(scenario.rx_pose.r, angle, azimuth)
+    scn = replace(scenario, rx_pose=pose)
+    steer = scn if steering is None else replace(
+        scenario, rx_pose=rl.transmission_side_pose(scenario.rx_pose.r, steering, azimuth))
+    bf = rl.apply_beamforming(steer, "quantized")
+    return rl.path_loss_db(scn, bf.states, bf.phases)
+
+
+def test_angle_sweep_keeps_rx_azimuth():
+    s = _azimuth_90_scenario()
+    res = rl.angle_sweep(s, rl.SweepSpec("rx_zenith", 0.0, 60.0, 10.0), rx_azimuth_deg=90.0)
+    for row in res.rows:
+        assert row.path_loss_db == pytest.approx(_path_loss_at(s, row.value, 90.0), rel=1e-12)
+    assert res.rows[2].path_loss_db == pytest.approx(14.0566, abs=1e-4)
+
+
+def test_radiation_pattern_keeps_rx_azimuth():
+    s = _azimuth_90_scenario()
+    res = rl.radiation_pattern(s, 30.0, -60.0, 60.0, 7.5, rx_azimuth_deg=90.0)
+    for a, pl in zip(res.angles_deg, res.path_loss_db):
+        assert pl == pytest.approx(_path_loss_at(s, a, 90.0, steering=30.0), rel=1e-12)
+
+
+def test_run_config_keeps_rx_azimuth(tmp_path):
+    # a negative configured zenith stores phi + 180 deg in rx_pose; the cut
+    # must still run in the configured azimuth plane
+    cfg = tmp_path / "az.cfg"
+    cfg.write_text(
+        "[scenario]\nn_rows = 2\nn_cols = 8\nrx_zenith_deg = -10\nrx_azimuth_deg = 90\n"
+        "[sweep angle]\ntype = angle\nstart = -20\nstop = 40\nstep = 20\n"
+        "[sweep cut]\ntype = pattern\nsteering_deg = 20\nstart = -60\nstop = 60\nstep = 30\n"
+    )
+    rl.run_config(cfg, tmp_path / "out")
+    s = rl.load_run_plan(cfg).scenario
+    assert s.rx_pose.phi == pytest.approx(math.radians(270.0))
+    for name, steering in (("angle", None), ("cut", 20.0)):
+        lines = (tmp_path / "out" / f"{name}.csv").read_text().splitlines()[1:]
+        for line in lines:
+            _, value, _, pl, _ = line.split(",")
+            assert float(pl) == pytest.approx(
+                _path_loss_at(s, float(value), 90.0, steering), rel=1e-12)

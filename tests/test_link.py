@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import rislink as rl
 from helpers import make_random_scenario, random_states
+from rislink.geometry import spherical_to_cartesian
 
 
 def chamber_1x1():
@@ -253,3 +254,127 @@ def test_db_helpers():
     assert rl.watts_to_dbm(0.001) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         rl.watts_to_dbm(0.0)
+
+
+def test_received_signal_noise_needs_an_rng():
+    noisy = replace(chamber_1x1(), noise_variance=1e-6)
+    with pytest.raises(ValueError, match="rng"):
+        rl.received_signal(noisy)
+    # an explicit sample or a zero variance needs no generator
+    y0 = rl.received_signal(chamber_1x1())
+    assert rl.received_signal(noisy, noise=0.5j) == pytest.approx(y0 + 0.5j, rel=1e-14)
+
+
+def test_from_db_arrays_and_scalars():
+    out = rl.from_db(np.array([0.0, 10.0, 20.0]))
+    assert isinstance(out, np.ndarray)
+    assert np.array_equal(out, [1.0, 10.0, 100.0])
+    assert np.array_equal(rl.from_db([[-10.0], [30.0]]), [[0.1], [1000.0]])
+    assert type(rl.from_db(20.0)) is float
+    assert type(rl.from_db(np.float64(3.0))) is float
+
+
+# ---------------------------------------------------------------- batched kernel
+
+def _cut_points(scenario, angles, azimuth=0.0):
+    return np.array([spherical_to_cartesian(rl.transmission_side_pose(scenario.rx_pose.r, a, azimuth))
+                     for a in angles])
+
+
+def _assert_sums_match_per_point(s, angles, states=None, phases=None, azimuth=0.0):
+    """Batched sums give per-point received_power and path_loss_db within 1e-12 relative."""
+    sums = rl.link._channel_sums(s, _cut_points(s, angles, azimuth), states, phases)
+    assert sums.shape == (len(angles),)
+    for a, total in zip(angles, sums):
+        scn = replace(s, rx_pose=rl.transmission_side_pose(s.rx_pose.r, a, azimuth))
+        ssq = abs(total) ** 2
+        assert s.tx_power / (16 * math.pi ** 2) * ssq == pytest.approx(
+            rl.received_power(scn, states, phases), rel=1e-12)
+        assert rl.to_db(16 * math.pi ** 2 / ssq) == pytest.approx(
+            rl.path_loss_db(scn, states, phases), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(4, 8), (16, 16)])
+def test_kernel_matches_per_point_route(n_rows, n_cols):
+    s = rl.chamber_scenario(n_rows=n_rows, n_cols=n_cols)
+    bf = rl.apply_beamforming(replace(s, rx_pose=rl.transmission_side_pose(4.0, 25.0)))
+    _assert_sums_match_per_point(s, np.arange(-80.0, 81.0, 7.5), bf.states)
+
+
+def test_kernel_chunks_a_large_cut():
+    s = rl.chamber_scenario(n_rows=64, n_cols=64, pitch=0.03)
+    per_chunk = max(1, rl.link._CHUNK_ELEMENTS // s.layout.n_units)
+    n_points = 2 * per_chunk + per_chunk // 2 + 1  # three chunks, the last one partial
+    assert n_points > 2 * per_chunk and n_points % per_chunk != 0
+    angles = np.linspace(-50.0, 50.0, n_points)
+    _assert_sums_match_per_point(s, angles, rl.uniform_states(s, phase_index=1),
+                                 azimuth=35.0)
+
+
+def test_kernel_with_mixed_states_phases_and_jitter():
+    rng = np.random.default_rng(61)
+    for _ in range(5):
+        s = make_random_scenario(rng)
+        angles = rng.uniform(-80.0, 80.0, 9)
+        az = float(rng.uniform(0.0, 360.0))
+        _assert_sums_match_per_point(s, angles, random_states(rng, s), azimuth=az)
+        ph = rng.uniform(0.0, 2 * math.pi, s.layout.n_units)
+        _assert_sums_match_per_point(s, angles, random_states(rng, s), ph, azimuth=az)
+    jittered = rl.chamber_scenario(jitter_max_deg=8.0, jitter_seed=4)
+    _assert_sums_match_per_point(jittered, np.arange(-60.0, 61.0, 15.0),
+                                 random_states(rng, jittered))
+
+
+def _raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_kernel_keeps_the_per_point_errors():
+    s = rl.chamber_scenario()
+    cut = _cut_points(s, [-10.0, 0.0, 10.0])
+    above = cut.copy()
+    above[1, 2] = 0.5  # the middle point on the feed's side of the plane
+    assert _raised(rl.link._channel_sums, s, above) == _raised(
+        lambda: replace(s, rx_pose=rl.SphericalPose(0.5, 0.0, 0.0)))
+    for states in ([rl.UnitState(4, 0.01)] * 32,           # outside the codebook
+                   rl.uniform_states(s, current=0.2),      # over the supply budget
+                   rl.uniform_states(s)[:-1]):             # one state short
+        assert _raised(rl.link._channel_sums, s, cut, states) == _raised(
+            rl.received_power, s, states)
+    assert _raised(rl.link._channel_sums, s, cut, None, np.zeros(31)) == _raised(
+        rl.received_power, s, None, np.zeros(31))
+    assert _raised(rl.link._channel_sums, s, cut, rl.uniform_states(s, current=0.2))[0] \
+        is rl.SupplyBudgetError
+
+
+def test_pattern_cut_keeps_the_per_point_errors():
+    s = rl.chamber_scenario()
+    # TX on the transmission side: every cut point shares its half-space
+    flipped = replace(s, tx_pose=s.rx_pose, rx_pose=s.tx_pose)
+    with pytest.raises(ValueError, match="opposite sides"):
+        rl.radiation_pattern(flipped, 0.0, -10.0, 10.0, 5.0, method="none")
+    with pytest.raises(ValueError, match="off-normal angle"):
+        rl.radiation_pattern(s, 0.0, -10.0, 95.0, 35.0)
+
+
+def test_exact_null_inside_a_cut_fails_like_the_per_point_route():
+    # a single cell and an extremely narrow RX horn: the field is exactly zero
+    # once the probe leaves boresight by more than ~15 deg
+    s = replace(rl.chamber_scenario(n_rows=1, n_cols=1),
+                rx_antenna=rl.AntennaModel(1.0, 20000.0))
+    angles = [0.0, 10.0, 20.0, 30.0]
+    sums = rl.link._channel_sums(s, _cut_points(s, angles))
+    assert sums[0] != 0 and sums[1] != 0 and sums[2] == 0 and sums[3] == 0
+    null = replace(s, rx_pose=rl.transmission_side_pose(4.0, 20.0))
+    assert rl.received_power(null) == 0.0
+    with pytest.raises(rl.InfinitePathLossError):
+        rl.path_loss_db(null)
+    with pytest.raises(ValueError, match="power must be positive") as per_point:
+        rl.watts_to_dbm(rl.received_power(null))
+    with pytest.raises(ValueError, match="power must be positive") as batched:
+        rl.radiation_pattern(s, 0.0, 0.0, 30.0, 10.0)
+    assert type(batched.value) is type(per_point.value)
+    with pytest.raises(ValueError, match="power must be positive"):
+        rl.angle_sweep(s, rl.SweepSpec("rx_zenith", 0.0, 30.0, 10.0))
