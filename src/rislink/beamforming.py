@@ -2,6 +2,13 @@
 
 Configurations are integer ndarrays of shape (n_rows, n_cols) holding codebook
 indices, row-major consistent with the element ordering in `geometry`.
+
+The feedback searches never re-evaluate a whole configuration per query.  The
+oracle's (n_units, codebook size) table holds every term T[n, k] the channel
+sum S = sum_n T[n, idx_n] can contain, so a one-element candidate is
+(S - T[n, cur]) + T[n, idx], O(1), and a line shift adds that line's term
+differences, O(line).  S is re-summed from scratch once per round or pass so
+rounding cannot accumulate.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import numpy as np
 from .link import Scenario, element_weights, phase_error_realization, uniform_states
 from .ris import PhaseCodebook, UnitState
 
+_NOISE_BLOCK = 1024  # noise draws taken from the channel's rng at a time
+
 
 @dataclass
 class TraceStep:
@@ -28,16 +37,26 @@ class TraceStep:
 
 @dataclass
 class SearchTrace:
-    """Measurement log of a feedback search; step 0 is the initial configuration."""
+    """Measurement log of a feedback search; step 0 is the initial configuration.
 
-    steps: list[TraceStep] = field(default_factory=list)
+    One reading and one kept/rejected flag per query, in two flat lists.
+    """
+
+    powers: list[float] = field(default_factory=list)
+    accepted: list[bool] = field(default_factory=list)
 
     def record(self, accepted: bool, power: float) -> None:
-        self.steps.append(TraceStep(len(self.steps), accepted, power))
+        self.accepted.append(accepted)
+        self.powers.append(power)
+
+    @property
+    def steps(self) -> list[TraceStep]:
+        """The log as `TraceStep`s, built on each access."""
+        return [TraceStep(i, a, p) for i, (a, p) in enumerate(zip(self.accepted, self.powers))]
 
     def accepted_powers(self) -> list[float]:
         """Powers of the kept configurations, in order; non-decreasing by construction."""
-        return [s.power for s in self.steps if s.accepted]
+        return [p for p, a in zip(self.powers, self.accepted) if a]
 
     @property
     def best_power(self) -> float:
@@ -45,7 +64,14 @@ class SearchTrace:
 
     @property
     def n_queries(self) -> int:
-        return len(self.steps)
+        return len(self.powers)
+
+    def write_csv(self, path) -> None:
+        """One row per query: step,accepted (1/0),power_w."""
+        rows = enumerate(zip(self.accepted, self.powers))
+        with open(path, "w", newline="") as fh:
+            fh.write("step,accepted,power_w\n")
+            fh.writelines(f"{i},{int(a)},{p!r}\n" for i, (a, p) in rows)
 
 
 class FeedbackChannel:
@@ -53,28 +79,64 @@ class FeedbackChannel:
 
     Wraps a noiseless power oracle, adds Gaussian measurement noise with the
     given variance (readings floored at zero), and counts queries.  The
-    standalone rng keeps noisy runs reproducible per seed.
+    standalone rng keeps noisy runs reproducible per seed: noise is drawn from
+    it in blocks and handed out in order, which gives the same readings as
+    one draw per query.  `measure` evaluates a configuration; the searches
+    compute the noiseless power themselves and call `read`, so they need an
+    oracle from `power_oracle`.
     """
 
     def __init__(self, oracle: Callable[[np.ndarray], float],
                  noise_variance: float = 0.0, seed=0):
         if noise_variance < 0:
             raise ValueError("noise_variance must be >= 0")
-        self._oracle = oracle
+        self.oracle = oracle
         self.noise_variance = float(noise_variance)
         self._rng = np.random.default_rng(seed)
+        self._noise: list[float] = []  # next draws, last one first
         self.queries = 0
 
-    def measure(self, configuration) -> float:
+    def read(self, power: float) -> float:
+        """One reading of a configuration whose noiseless power is `power`."""
         self.queries += 1
-        p = float(self._oracle(configuration))
         if self.noise_variance > 0.0:
-            p = max(0.0, p + float(self._rng.normal(0.0, math.sqrt(self.noise_variance))))
-        return p
+            if not self._noise:
+                draws = self._rng.normal(0.0, math.sqrt(self.noise_variance), _NOISE_BLOCK)
+                self._noise = draws[::-1].tolist()
+            power = max(0.0, power + self._noise.pop())
+        return power
+
+    def measure(self, configuration) -> float:
+        return self.read(float(self.oracle(configuration)))
+
+
+def _sum_terms(table: np.ndarray, configuration) -> complex:
+    """Channel sum of a configuration from scratch: sum_n table[n, idx_n]."""
+    idx = np.asarray(configuration, dtype=int).reshape(-1)
+    return complex(table[np.arange(table.shape[0]), idx].sum())
+
+
+class PowerOracle:
+    """Noiseless received power (W) of a phase-index grid.
+
+    prefactor * |sum_n table[n, idx_n]|^2, where `table[n, k]` is unit n's
+    term when it holds codebook index k, with the scenario's jitter
+    realization folded in.
+    """
+
+    def __init__(self, table: np.ndarray, prefactor: float):
+        self.table = table
+        self.prefactor = prefactor
+
+    def __call__(self, configuration) -> float:
+        n = self.table.shape[0]
+        if np.size(configuration) != n:
+            raise ValueError(f"configuration has {np.size(configuration)} entries for {n} units")
+        return self.prefactor * abs(_sum_terms(self.table, configuration)) ** 2
 
 
 def power_oracle(scenario: Scenario,
-                 states: Sequence[UnitState] | None = None) -> Callable[[np.ndarray], float]:
+                 states: Sequence[UnitState] | None = None) -> PowerOracle:
     """Noiseless map phase-index grid -> received power (W), precomputed for speed.
 
     Folds the scenario's per-unit jitter realization into the weights, so the
@@ -83,17 +145,8 @@ def power_oracle(scenario: Scenario,
     if states is None:
         states = uniform_states(scenario)
     w = element_weights(scenario, states) * np.exp(1j * np.asarray(phase_error_realization(scenario)))
-    table = np.exp(1j * scenario.codebook.phases())
-    prefactor = scenario.tx_power / (16.0 * math.pi ** 2)
-    n = scenario.layout.n_units
-
-    def oracle(configuration) -> float:
-        idx = np.asarray(configuration, dtype=int).reshape(-1)
-        if idx.size != n:
-            raise ValueError(f"configuration has {idx.size} entries for {n} units")
-        return prefactor * float(np.abs(np.sum(w * table[idx]))) ** 2
-
-    return oracle
+    table = w[:, None] * np.exp(1j * scenario.codebook.phases())
+    return PowerOracle(table, scenario.tx_power / (16.0 * math.pi ** 2))
 
 
 def uniform_configuration(layout, phase_index: int = 0) -> np.ndarray:
@@ -104,6 +157,19 @@ def _default_feedback(scenario: Scenario, feedback, seed=0) -> FeedbackChannel:
     if feedback is not None:
         return feedback
     return FeedbackChannel(power_oracle(scenario), scenario.noise_variance, seed)
+
+
+def _start(scenario: Scenario, initial, feedback):
+    """(configuration, feedback channel, its oracle's table and prefactor) for a search."""
+    config = (uniform_configuration(scenario.layout) if initial is None
+              else np.array(initial, dtype=int))
+    if config.shape != (scenario.layout.n_rows, scenario.layout.n_cols):
+        raise ValueError("initial configuration does not match the layout")
+    feedback = _default_feedback(scenario, feedback)
+    try:
+        return config, feedback, feedback.oracle.table, feedback.oracle.prefactor
+    except AttributeError:
+        raise TypeError("feedback searches need a FeedbackChannel built on power_oracle") from None
 
 
 def blind_rowcol_search(scenario: Scenario, initial=None,
@@ -118,34 +184,42 @@ def blind_rowcol_search(scenario: Scenario, initial=None,
     """
     if passes < 1:
         raise ValueError("passes must be >= 1")
+    config, feedback, table, prefactor = _start(scenario, initial, feedback)
+    n_rows, n_cols = config.shape
     k = scenario.codebook.size
-    config = (uniform_configuration(scenario.layout) if initial is None
-              else np.array(initial, dtype=int))
-    if config.shape != (scenario.layout.n_rows, scenario.layout.n_cols):
-        raise ValueError("initial configuration does not match the layout")
-    feedback = _default_feedback(scenario, feedback)
+    # step[r, c, i]: how unit (r, c)'s term changes when it moves from index i to i + 1
+    step = (np.roll(table, -1, axis=1) - table).reshape(n_rows, n_cols, k)
+    units = (np.arange(n_rows)[:, None], np.arange(n_cols)[None, :])
+    # In a one-row or one-column layout one line is the whole array: shifting
+    # it turns every term by one codebook step, so its power ties the current
+    # one up to rounding.  There every candidate is summed from scratch, as
+    # that line costs O(N) anyway, so each reading and >= decision is a full
+    # evaluation's.
+    from_scratch = n_rows == 1 or n_cols == 1
     trace = SearchTrace()
     best = feedback.measure(config)
     trace.record(True, best)
     for _ in range(passes):
-        for col in range(scenario.layout.n_cols):
-            cand = config.copy()
-            cand[:, col] = (cand[:, col] + 1) % k
-            p = feedback.measure(cand)
-            if p >= best:
-                config, best = cand, p
-                trace.record(True, p)
-            else:
-                trace.record(False, p)
-        for row in range(scenario.layout.n_rows):
-            cand = config.copy()
-            cand[row, :] = (cand[row, :] + 1) % k
-            p = feedback.measure(cand)
-            if p >= best:
-                config, best = cand, p
-                trace.record(True, p)
-            else:
-                trace.record(False, p)
+        s = _sum_terms(table, config)
+        for axis in (0, 1):  # columns, then rows
+            # a line's shift touches only that line, so every delta of this
+            # sweep can be taken from the configuration at its start
+            deltas = step[units + (config,)].sum(axis=axis).tolist()
+            for i, delta in enumerate(deltas):
+                line = np.s_[:, i] if axis == 0 else np.s_[i, :]
+                if from_scratch:
+                    cand_config = config.copy()
+                    cand_config[line] = (cand_config[line] + 1) % k
+                    cand = _sum_terms(table, cand_config)
+                else:
+                    cand = s + delta
+                p = feedback.read(prefactor * abs(cand) ** 2)
+                if p >= best:
+                    config[line] = (config[line] + 1) % k
+                    s, best = cand, p
+                    trace.record(True, p)
+                else:
+                    trace.record(False, p)
     return config, trace
 
 
@@ -156,38 +230,39 @@ def greedy_element_search(scenario: Scenario, initial=None,
 
     A candidate is kept only on strict improvement, so the result is stable
     under any single-element change; rounds repeat until one makes no change
-    or max_rounds is hit.
+    or max_rounds is hit.  A unit skips the index it holds at that moment, so
+    after a kept change it tries its earlier index again.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    config, feedback, table, prefactor = _start(scenario, initial, feedback)
     k = scenario.codebook.size
-    config = (uniform_configuration(scenario.layout) if initial is None
-              else np.array(initial, dtype=int))
-    if config.shape != (scenario.layout.n_rows, scenario.layout.n_cols):
-        raise ValueError("initial configuration does not match the layout")
-    feedback = _default_feedback(scenario, feedback)
+    terms = table.tolist()
+    held = config.reshape(-1).tolist()
+    read = feedback.read
     trace = SearchTrace()
     best = feedback.measure(config)
     trace.record(True, best)
     for _ in range(max_rounds):
         changed = False
-        for row in range(scenario.layout.n_rows):
-            for col in range(scenario.layout.n_cols):
-                for idx in range(k):
-                    if idx == config[row, col]:
-                        continue
-                    cand = config.copy()
-                    cand[row, col] = idx
-                    p = feedback.measure(cand)
-                    if p > best:
-                        config, best = cand, p
-                        trace.record(True, p)
-                        changed = True
-                    else:
-                        trace.record(False, p)
+        s = _sum_terms(table, held)
+        for n, row in enumerate(terms):
+            cur = held[n]
+            for idx in range(k):
+                if idx == cur:
+                    continue
+                cand = (s - row[cur]) + row[idx]
+                p = read(prefactor * abs(cand) ** 2)
+                if p > best:
+                    s, best, cur = cand, p, idx
+                    changed = True
+                    trace.record(True, p)
+                else:
+                    trace.record(False, p)
+            held[n] = cur
         if not changed:
             break
-    return config, trace
+    return np.array(held, dtype=int).reshape(config.shape), trace
 
 
 def wrap_to_pi(x):

@@ -122,6 +122,11 @@ def _cmd_beamform(args) -> int:
     scenario, _ = _scenario_from_args(args)
     bf = apply_beamforming(scenario, args.method, _resolve_seed(args),
                            passes=args.passes, max_rounds=args.rounds)
+    if args.trace is not None:
+        if bf.trace is None:
+            raise ValueError(
+                f"--trace needs a feedback search (blind or greedy), not {bf.method!r}")
+        bf.trace.write_csv(args.trace)
     p_dbm, pl_db = _link_budget_db(scenario, _channel_sum(scenario, bf.states, bf.phases))
     out = {
         "method": bf.method,
@@ -202,14 +207,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="blind")
     p.add_argument("--passes", type=int, default=4, help="blind search passes")
     p.add_argument("--rounds", type=int, default=8, help="greedy search rounds")
+    p.add_argument("--trace", metavar="FILE", default=None,
+                   help="write the search's readings as CSV: step,accepted,power_w")
     p.set_defaults(func=_cmd_beamform)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, SupplyBudgetError, ValueError, OSError) as e:

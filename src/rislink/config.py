@@ -24,9 +24,17 @@ def _err(path, line, msg) -> ConfigError:
     return ConfigError(f"{path}:{line}: {msg}")
 
 
-def parse_sections(path) -> dict[str, dict[str, tuple[str, int]]]:
-    """Raw sections: {section: {key: (value string, line number)}}."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+class Section(dict):
+    """Raw keys of one section, {key: (value string, line number)}, plus its header's line."""
+
+    def __init__(self, line: int):
+        super().__init__()
+        self.line = line
+
+
+def parse_sections(path) -> dict[str, Section]:
+    """Raw sections by name: {key: (value string, line number)} plus the header's line."""
+    sections: dict[str, Section] = {}
     current = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -41,7 +49,7 @@ def parse_sections(path) -> dict[str, dict[str, tuple[str, int]]]:
                     raise _err(path, lineno, "empty section name")
                 if name in sections:
                     raise _err(path, lineno, f"duplicate section [{name}]")
-                sections[name] = {}
+                sections[name] = Section(lineno)
                 current = name
                 continue
             if "=" not in line:
@@ -132,7 +140,8 @@ def build_scenario(sections: dict, path) -> tuple[Scenario, float]:
         amplifier = (AmplifierModel(max_current=max_cur) if cal is None
                      else AmplifierModel(cal, max_cur))
     except ValueError as e:
-        line = sections["amplifier"]["calibration"][1] if cal is not None else 0
+        section = sections["amplifier"]
+        line = section["calibration"][1] if cal is not None else section.line
         raise _err(path, line, f"amplifier: {e}") from None
 
     return Scenario(
@@ -193,8 +202,7 @@ def build_jobs(sections: dict, path) -> list[SweepJob]:
         job_name = name[len("sweep"):].strip() or "sweep"
         raw = dict(sections[name])
         if "type" not in raw:
-            raise _err(path, min(line for _, line in raw.values()) if raw else 0,
-                       f"[{name}] needs a 'type' key")
+            raise _err(path, sections[name].line, f"[{name}] needs a 'type' key")
         kind = _take(raw, "type", None, str, lambda v: v in _SWEEP_KINDS,
                      f"one of {_SWEEP_KINDS}", path)
         method = _take(raw, "method", "quantized", str, lambda v: v in _METHODS,
@@ -205,7 +213,7 @@ def build_jobs(sections: dict, path) -> list[SweepJob]:
                              lambda v: len(v) > 0 and all(c >= 0 for c in v),
                              "a comma list of currents >= 0", path)
             if currents is None:
-                raise _err(path, 0, f"[{name}] of type gain needs currents_a")
+                raise _err(path, sections[name].line, f"[{name}] of type gain needs currents_a")
             job.currents = currents
         else:
             lo, hi, st = _SWEEP_DEFAULTS[kind]
@@ -227,7 +235,7 @@ def load_run_plan(path) -> RunPlan:
     known = {"scenario", "amplifier"}
     for name in sections:
         if name not in known and not name.startswith("sweep"):
-            raise _err(path, 0, f"unknown section [{name}]")
+            raise _err(path, sections[name].line, f"unknown section [{name}]")
     try:
         scenario, rx_azimuth_deg = build_scenario(sections, path)
     except ConfigError:

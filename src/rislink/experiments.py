@@ -18,6 +18,7 @@ import numpy as np
 
 from .beamforming import (
     FeedbackChannel,
+    SearchTrace,
     blind_rowcol_search,
     greedy_element_search,
     nearest_quantize,
@@ -159,7 +160,7 @@ def _digest(tag: bytes, arr: np.ndarray) -> str:
 class BeamformingOutcome:
     """What a configuration pass produced: states to program, optional
     continuous phase override, the index grid (discrete methods), a digest
-    of whichever applies, and the feedback queries spent."""
+    of whichever applies, and the feedback queries spent (with their trace)."""
 
     method: str
     states: list[UnitState]
@@ -167,6 +168,7 @@ class BeamformingOutcome:
     configuration: np.ndarray | None
     digest: str
     queries: int = 0
+    trace: SearchTrace | None = None
 
 
 def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
@@ -181,7 +183,7 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
             method, uniform_states(scenario, current=current), phases, None,
             _digest(b"phs", phases.astype(np.float64)),
         )
-    queries = 0
+    trace = None
     if method == "none":
         config = uniform_configuration(scenario.layout)
     elif method == "quantized":
@@ -196,10 +198,10 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
             config, trace = blind_rowcol_search(scenario, feedback=feedback, passes=passes)
         else:
             config, trace = greedy_element_search(scenario, feedback=feedback, max_rounds=max_rounds)
-        queries = trace.n_queries
     states = states_from_configuration(scenario, config, current=current)
     return BeamformingOutcome(
-        method, states, None, config, _digest(b"idx", config.astype(np.int64)), queries
+        method, states, None, config, _digest(b"idx", config.astype(np.int64)),
+        0 if trace is None else trace.n_queries, trace,
     )
 
 

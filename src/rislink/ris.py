@@ -154,12 +154,15 @@ def unit_transmission_coefficient(state: UnitState, codebook: PhaseCodebook,
     """Complex through-gain of one unit: attenuation * sqrt(G_u) * exp(j phase).
 
     The phase is the codebook entry at state.phase_index plus an optional
-    jitter draw.
+    jitter draw from `rng`, which must then be given: each unit needs its own
+    draw, and the jitter seed alone would give every unit the same one.
     """
     if not 0 <= state.phase_index < codebook.size:
         raise ValueError(
             f"phase_index {state.phase_index} outside {codebook.size}-entry codebook"
         )
+    if jitter is not None and rng is None:
+        raise ValueError("unit_transmission_coefficient needs an rng to draw the unit's jitter")
     mag = state.attenuation * math.sqrt(amplifier.gain_linear(state.current))
     phase = float(codebook.phases()[state.phase_index])
     if jitter is not None:

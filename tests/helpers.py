@@ -73,3 +73,70 @@ def random_states(rng, scenario):
         )
         for _ in range(scenario.layout.n_units)
     ]
+
+
+def _reference_start(scenario, initial, feedback):
+    config = (rl.uniform_configuration(scenario.layout) if initial is None
+              else np.array(initial, dtype=int))
+    if config.shape != (scenario.layout.n_rows, scenario.layout.n_cols):
+        raise ValueError("initial configuration does not match the layout")
+    if feedback is None:
+        feedback = rl.FeedbackChannel(rl.power_oracle(scenario), scenario.noise_variance, 0)
+    return config, feedback
+
+
+def reference_blind_search(scenario, initial=None, feedback=None, passes=4):
+    """From-scratch blind row/column search: one full `measure` per candidate."""
+    k = scenario.codebook.size
+    config, feedback = _reference_start(scenario, initial, feedback)
+    trace = rl.SearchTrace()
+    best = feedback.measure(config)
+    trace.record(True, best)
+    for _ in range(passes):
+        for col in range(scenario.layout.n_cols):
+            cand = config.copy()
+            cand[:, col] = (cand[:, col] + 1) % k
+            p = feedback.measure(cand)
+            if p >= best:
+                config, best = cand, p
+                trace.record(True, p)
+            else:
+                trace.record(False, p)
+        for row in range(scenario.layout.n_rows):
+            cand = config.copy()
+            cand[row, :] = (cand[row, :] + 1) % k
+            p = feedback.measure(cand)
+            if p >= best:
+                config, best = cand, p
+                trace.record(True, p)
+            else:
+                trace.record(False, p)
+    return config, trace
+
+
+def reference_greedy_search(scenario, initial=None, feedback=None, max_rounds=8):
+    """From-scratch greedy element search: one full `measure` per candidate."""
+    k = scenario.codebook.size
+    config, feedback = _reference_start(scenario, initial, feedback)
+    trace = rl.SearchTrace()
+    best = feedback.measure(config)
+    trace.record(True, best)
+    for _ in range(max_rounds):
+        changed = False
+        for row in range(scenario.layout.n_rows):
+            for col in range(scenario.layout.n_cols):
+                for idx in range(k):
+                    if idx == config[row, col]:
+                        continue
+                    cand = config.copy()
+                    cand[row, col] = idx
+                    p = feedback.measure(cand)
+                    if p > best:
+                        config, best = cand, p
+                        trace.record(True, p)
+                        changed = True
+                    else:
+                        trace.record(False, p)
+        if not changed:
+            break
+    return config, trace

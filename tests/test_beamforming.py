@@ -1,6 +1,7 @@
 """Configuration searches: blind line search, greedy descent, quantization, brute force."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from hypothesis import strategies as st
 
 import rislink as rl
 from rislink.beamforming import wrap_to_pi
-from helpers import make_random_scenario, random_states
+from helpers import (
+    make_random_scenario,
+    random_states,
+    reference_blind_search,
+    reference_greedy_search,
+)
 
 
 def small_scenario(seed, max_rows=2, max_cols=3):
@@ -65,7 +71,6 @@ def test_feedback_channel_noise_is_seeded():
 def test_blind_query_budget(n_rows, n_cols, passes):
     s = make_random_scenario(np.random.default_rng(n_rows * 16 + n_cols * 4 + passes),
                              max_rows=1, max_cols=1)
-    from dataclasses import replace
     s = replace(s, layout=rl.ArrayLayout(n_rows, n_cols, 0.05, 0.05))
     fb = rl.FeedbackChannel(rl.power_oracle(s))
     _, trace = rl.blind_rowcol_search(s, feedback=fb, passes=passes)
@@ -158,6 +163,73 @@ def test_greedy_refines_blind():
         blind_config, blind_trace = rl.blind_rowcol_search(s)
         _, refined = rl.greedy_element_search(s, initial=blind_config)
         assert refined.best_power >= blind_trace.best_power * (1 - 1e-12)
+
+
+def _assert_same_search(fast, reference, rel_floor):
+    (config, trace), (ref_config, ref_trace) = fast, reference
+    assert np.array_equal(config, ref_config)
+    assert trace.accepted == ref_trace.accepted
+    assert trace.n_queries == ref_trace.n_queries
+    assert trace.powers == pytest.approx(ref_trace.powers, rel=1e-12, abs=1e-12 * rel_floor)
+
+
+@given(n_rows=st.integers(1, 6), n_cols=st.integers(1, 6), bits=st.integers(1, 3),
+       noise=st.sampled_from([0.0, 0.02, 0.5]), rounds=st.integers(1, 4),
+       passes=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_incremental_searches_match_full_evaluations(n_rows, n_cols, bits, noise, rounds,
+                                                     passes, seed):
+    rng = np.random.default_rng(seed)
+    s = make_random_scenario(rng, bits=bits, random_offset=True)
+    s = replace(s, layout=rl.ArrayLayout(n_rows, n_cols, s.layout.pitch_x, s.layout.pitch_y))
+    oracle = rl.power_oracle(s)
+    # noise as a share of the uniform configuration's power; 0.5 floors some readings at 0
+    noise_variance = (noise * oracle(rl.uniform_configuration(s.layout))) ** 2
+    initial = rng.integers(0, s.codebook.size, (n_rows, n_cols))
+    # a reading near 0 has no relative precision, so powers also pass within
+    # 1e-12 of the continuous-phase bound
+    bound = oracle.prefactor * float(np.abs(oracle.table[:, 0]).sum()) ** 2
+    fast = rl.FeedbackChannel(oracle, noise_variance, seed)
+    ref = rl.FeedbackChannel(oracle, noise_variance, seed)
+    # one channel per side serves greedy, then blind: the noise stream carries over
+    _assert_same_search(rl.greedy_element_search(s, initial, fast, rounds),
+                        reference_greedy_search(s, initial, ref, rounds), bound)
+    _assert_same_search(rl.blind_rowcol_search(s, initial, fast, passes),
+                        reference_blind_search(s, initial, ref, passes), bound)
+    assert fast.queries == ref.queries
+
+
+def test_multi_round_greedy_retries_the_original_index():
+    # In round 2 one unit moves to a lower index first and then tries its
+    # original index again: k queries instead of k - 1, so 1 + 3 * 3N + 1.
+    s = small_scenario(0)
+    n = s.layout.n_units
+    fast = rl.greedy_element_search(s, max_rounds=4)
+    reference = reference_greedy_search(s, max_rounds=4)
+    assert fast[1].n_queries == 1 + 3 * 3 * n + 1
+    _assert_same_search(fast, reference, 0.0)
+
+
+def test_feedback_channel_reads_like_one_draw_per_query():
+    s = small_scenario(3)
+    oracle = rl.power_oracle(s)
+    config = rl.uniform_configuration(s.layout)
+    fb = rl.FeedbackChannel(oracle, 1e-6, seed=7)
+    rng = np.random.default_rng(7)
+    # past the first noise block, alternating measure and read
+    for i in range(2500):
+        p = fb.measure(config) if i % 2 else fb.read(oracle(config))
+        assert p == max(0.0, oracle(config) + float(rng.normal(0.0, math.sqrt(1e-6))))
+    assert fb.queries == 2500
+
+
+def test_searches_need_a_power_oracle_channel():
+    s = small_scenario(1)
+    fb = rl.FeedbackChannel(lambda config: 1.0)
+    with pytest.raises(TypeError, match="power_oracle"):
+        rl.greedy_element_search(s, feedback=fb)
+    with pytest.raises(TypeError, match="power_oracle"):
+        rl.blind_rowcol_search(s, feedback=fb)
 
 
 def test_nearest_quantize_hits_exact_entries():

@@ -1,5 +1,6 @@
 """Config parsing diagnostics and the command-line surface."""
 
+import csv
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import rislink as rl
-from rislink.cli import main
+from rislink.cli import build_parser, main
 from rislink.config import ConfigError, load_run_plan, parse_sections
 
 
@@ -93,6 +94,11 @@ max_current_a = 0.05
     ("[sweep s]\ntype = magic\n", ":2:"),
     ("[sweep s]\ntype = gain\n", "currents_a"),
     ("[sweep s]\ntype = angle\nstop = 90\n", ":3:"),
+    # section-level errors point at the section's header line
+    ("[scenario]\n\n[bogus]\nx = 1\n", ":3: unknown section [bogus]"),
+    ("[scenario]\n[sweep s]\ntype = gain\n", ":2: [sweep s] of type gain needs currents_a"),
+    ("[scenario]\n[sweep s]\n", ":2: [sweep s] needs a 'type' key"),
+    ("[scenario]\n\n[amplifier]\nmax_current_a = 0.01\n", ":3: amplifier: calibration exceeds"),
 ])
 def test_load_run_plan_diagnostics(tmp_path, text, line_token):
     p = write(tmp_path, text)
@@ -229,3 +235,48 @@ def test_cli_invalid_env_seed(monkeypatch, capsys, tmp_path):
 
 def test_cli_rejects_bad_method(tmp_path, capsys):
     assert main(["sweep-distance", "--method", "magic", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_main_calls_do_not_share_parsed_values(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("RISLINK_SEED", raising=False)
+    cfg = write(tmp_path, "[scenario]\nn_rows = 2\nn_cols = 3\nnoise_variance_w = 1e-8\n")
+    plain = ["beamform", "--config", str(cfg)]
+    assert main(plain) == 0
+    first = capsys.readouterr().out
+    assert main(["sweep-distance", "--start", "1", "--stop", "2", "--step", "0.5",
+                 "--seed", "4", "--rx-distance", "6", "--out", str(tmp_path)]) == 0
+    assert main(plain + ["--method", "greedy", "--rounds", "1", "--seed", "7",
+                         "--tx-distance", "1.0"]) == 0
+    capsys.readouterr()
+    assert main(plain) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(first)["feedback_queries"] == 1 + 4 * (2 + 3)
+    for argv in (plain, ["run", str(cfg)]):
+        assert vars(rl.cli._PARSER.parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("method", ["blind", "greedy"])
+def test_cli_beamform_trace(tmp_path, capsys, method):
+    argv = ["beamform", "--method", method, "--rounds", "3"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    path = tmp_path / "trace.csv"
+    assert main(argv + ["--trace", str(path)]) == 0
+    assert capsys.readouterr().out == plain
+    payload = json.loads(plain)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["step", "accepted", "power_w"]
+    assert [int(r["step"]) for r in rows] == list(range(payload["feedback_queries"]))
+    accepted = [float(r["power_w"]) for r in rows if r["accepted"] == "1"]
+    assert all(b >= a for a, b in zip(accepted, accepted[1:]))
+    best = rl.apply_beamforming(rl.chamber_scenario(), method, max_rounds=3).trace.best_power
+    assert accepted[-1] == best
+    assert 10 * math.log10(best / 1e-3) == pytest.approx(payload["received_power_dbm"], abs=1e-9)
+
+
+def test_cli_beamform_trace_needs_a_feedback_search(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    assert main(["beamform", "--method", "quantized", "--trace", str(path)]) == 2
+    assert "--trace needs a feedback search" in capsys.readouterr().err
+    assert not path.exists()

@@ -157,9 +157,18 @@ def test_unit_transmission_coefficient_jitter():
     cb = PhaseCodebook()
     amp = AmplifierModel()
     jit = PhaseJitterModel(math.radians(8.0), seed=3)
-    gamma = unit_transmission_coefficient(UnitState(0, 1.4 / 32), cb, amp, jit)
+    gamma = unit_transmission_coefficient(UnitState(0, 1.4 / 32), cb, amp, jit,
+                                          np.random.default_rng(3))
     assert abs(cmath.phase(gamma)) <= math.radians(8.0) + 1e-12
     assert abs(gamma) == pytest.approx(math.sqrt(10 ** 1.19), rel=1e-14)
+
+
+def test_unit_transmission_coefficient_jitter_needs_an_rng():
+    # without an rng every unit would get the jitter seed's first draw
+    jit = PhaseJitterModel(math.radians(8.0), seed=3)
+    with pytest.raises(ValueError, match="needs an rng"):
+        unit_transmission_coefficient(UnitState(0, 1.4 / 32), PhaseCodebook(),
+                                      AmplifierModel(), jit)
 
 
 def test_unit_rcs_value():
