@@ -80,11 +80,9 @@ from .ris import (
     PhaseCodebook,
     PhaseJitterModel,
     SupplyBudgetError,
-    UnitState,
+    SurfaceState,
     decode_control,
     encode_control,
-    unit_rcs,
-    unit_transmission_coefficient,
 )
 
 __version__ = "0.1.0"

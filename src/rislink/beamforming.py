@@ -16,12 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .link import Scenario, element_weights, phase_error_realization, uniform_states
-from .ris import PhaseCodebook, UnitState
+from .ris import PhaseCodebook, SurfaceState
 
 _NOISE_BLOCK = 1024  # noise draws taken from the channel's rng at a time
 
@@ -136,7 +136,7 @@ class PowerOracle:
 
 
 def power_oracle(scenario: Scenario,
-                 states: Sequence[UnitState] | None = None) -> PowerOracle:
+                 states: SurfaceState | None = None) -> PowerOracle:
     """Noiseless map phase-index grid -> received power (W), precomputed for speed.
 
     Folds the scenario's per-unit jitter realization into the weights, so the
@@ -280,7 +280,7 @@ def nearest_quantize(phases, codebook: PhaseCodebook) -> np.ndarray:
 
 
 def brute_force_optimum(scenario: Scenario,
-                        states: Sequence[UnitState] | None = None) -> tuple[np.ndarray, float]:
+                        states: SurfaceState | None = None) -> tuple[np.ndarray, float]:
     """Exhaustive search over all codebook configurations.
 
     Refuses above 20 search bits (bits * n_units).  Strict `>` keeps the

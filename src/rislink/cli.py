@@ -31,6 +31,9 @@ from .ris import SupplyBudgetError, encode_control
 
 SEED_ENV_VAR = "RISLINK_SEED"
 
+# SP4T switch word of each 2-bit phase index, as printed by `beamform`
+_CONTROL_WORDS = tuple(str(encode_control(k)) for k in range(4))
+
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
@@ -139,8 +142,7 @@ def _cmd_beamform(args) -> int:
         out["phase_indices"] = bf.configuration.tolist()
         if scenario.codebook.bits == 2:
             out["control_words"] = [
-                [str(encode_control(int(k))) for k in row]
-                for row in bf.configuration
+                [_CONTROL_WORDS[k] for k in row] for row in out["phase_indices"]
             ]
     else:
         out["phases_rad"] = np.asarray(bf.phases).tolist()

@@ -37,7 +37,7 @@ from .link import (
     states_from_configuration,
     uniform_states,
 )
-from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel, UnitState
+from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel, SurfaceState
 
 CSV_HEADER = "variable,value,received_power_dBm,path_loss_dB,config_digest"
 
@@ -163,7 +163,7 @@ class BeamformingOutcome:
     of whichever applies, and the feedback queries spent (with their trace)."""
 
     method: str
-    states: list[UnitState]
+    states: SurfaceState
     phases: np.ndarray | None
     configuration: np.ndarray | None
     digest: str
@@ -308,8 +308,7 @@ def gain_sweep(scenario: Scenario, currents: Sequence[float],
     bf = apply_beamforming(scenario, beamforming, seed)
     result = SweepResult("amplifier_current")
     for c in currents:
-        per_unit = float(c) / n
-        states = [replace(st, current=per_unit) for st in bf.states]
+        states = replace(bf.states, current=np.full(n, float(c) / n))
         result.rows.append(_row(float(c), scenario, states, bf.phases, bf.digest))
     return result
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .geometry import (
     ranges_and_zeniths,
     spherical_to_cartesian,
 )
-from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel, UnitState
+from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel, SurfaceState
 
 FOUR_PI = 4.0 * math.pi
 SIXTEEN_PI_SQ = 16.0 * math.pi ** 2
@@ -74,16 +73,17 @@ class Scenario:
 
 def uniform_states(scenario: Scenario, phase_index: int = 0,
                    current: float | None = None,
-                   attenuation: float = 1.0) -> list[UnitState]:
+                   attenuation: float = 1.0) -> SurfaceState:
     """Identical state for every unit; current defaults to the amplifier's top anchor."""
     if current is None:
         current = scenario.amplifier.top_current
-    return [UnitState(phase_index, current, attenuation)] * scenario.layout.n_units
+    n = scenario.layout.n_units
+    return SurfaceState(np.full(n, phase_index), np.full(n, current), np.full(n, attenuation))
 
 
 def states_from_configuration(scenario: Scenario, configuration,
                               current: float | None = None,
-                              attenuation: float = 1.0) -> list[UnitState]:
+                              attenuation: float = 1.0) -> SurfaceState:
     """Row-major states from an (n_rows, n_cols) or flat phase-index grid."""
     idx = np.asarray(configuration, dtype=int).reshape(-1)
     if idx.size != scenario.layout.n_units:
@@ -92,7 +92,7 @@ def states_from_configuration(scenario: Scenario, configuration,
         )
     if current is None:
         current = scenario.amplifier.top_current
-    return [UnitState(int(k), current, attenuation) for k in idx]
+    return SurfaceState(idx, np.full(idx.size, current), np.full(idx.size, attenuation))
 
 
 def _element_paths(scenario: Scenario):
@@ -103,18 +103,15 @@ def _element_paths(scenario: Scenario):
     return r_t, zen_t, r_r, zen_r
 
 
-def _state_arrays(scenario: Scenario, states: Sequence[UnitState]):
-    """(phase indices, currents, attenuations) as arrays, with bound checks."""
+def _state_arrays(scenario: Scenario, states: SurfaceState):
+    """(phase indices, currents, attenuations) of `states`, checked against the layout and codebook."""
     if len(states) != scenario.layout.n_units:
         raise ValueError(
             f"{len(states)} states for {scenario.layout.n_units} units"
         )
-    idx = np.array([s.phase_index for s in states])
-    if np.any(idx >= scenario.codebook.size):
+    if np.any(states.phase_index >= scenario.codebook.size):
         raise ValueError(f"phase index outside {scenario.codebook.size}-entry codebook")
-    cur = np.array([s.current for s in states])
-    att = np.array([s.attenuation for s in states])
-    return idx, cur, att
+    return states.phase_index, states.current, states.attenuation
 
 
 def propagation_phase(scenario: Scenario, row: int, col: int) -> float:
@@ -138,7 +135,7 @@ def phase_error_realization(scenario: Scenario):
     return scenario.jitter.sample(scenario.layout.n_units)
 
 
-def unit_phases(scenario: Scenario, states: Sequence[UnitState]) -> np.ndarray:
+def unit_phases(scenario: Scenario, states: SurfaceState) -> np.ndarray:
     """Programmed per-unit phases: codebook entries plus the jitter realization."""
     idx, _, _ = _state_arrays(scenario, states)
     return _programmed_phases(scenario, idx, None)
@@ -188,8 +185,8 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray, cur: np.ndarray,
         yield lo, np.sqrt(g_t * g_r) / (r_t * r_r) * sigma * np.exp(-1j * phi_prop)
 
 
-def _unit_terms(scenario: Scenario, states: Sequence[UnitState] | None, phases):
-    """(currents, attenuations, exp(j phi_n)) from one repacking of the states."""
+def _unit_terms(scenario: Scenario, states: SurfaceState | None, phases):
+    """(currents, attenuations, exp(j phi_n)) of the states, checked once."""
     if states is None:
         states = uniform_states(scenario)
     idx, cur, att = _state_arrays(scenario, states)
@@ -206,7 +203,7 @@ def _own_weights(scenario: Scenario, cur: np.ndarray, att: np.ndarray) -> np.nda
     return next(_weight_chunks(scenario, _own_rx_point(scenario), cur, att))[1][0]
 
 
-def _channel_sums(scenario: Scenario, rx_points, states: Sequence[UnitState] | None = None,
+def _channel_sums(scenario: Scenario, rx_points, states: SurfaceState | None = None,
                   phases=None) -> np.ndarray:
     """Channel sums S[p] = sum_n w[p, n] exp(j phi_n) toward each of (P, 3) RX points, shape (P,).
 
@@ -227,7 +224,7 @@ def _channel_sum(scenario: Scenario, states, phases) -> complex:
     return _channel_sums(scenario, _own_rx_point(scenario), states, phases)[0]
 
 
-def element_weights(scenario: Scenario, states: Sequence[UnitState] | None = None) -> np.ndarray:
+def element_weights(scenario: Scenario, states: SurfaceState | None = None) -> np.ndarray:
     """Complex per-element weights of the scattering-area sum, shape (n_units,).
 
     w_n = sqrt(G_t G_r) / (r_t r_r) * sigma_n * exp(-j Phi_n) with Phi_n the
@@ -253,7 +250,7 @@ def _link_budget_db(scenario: Scenario, channel_sum: complex) -> tuple[float, fl
     return dbm, to_db(SIXTEEN_PI_SQ / ssq)
 
 
-def received_power(scenario: Scenario, states: Sequence[UnitState] | None = None,
+def received_power(scenario: Scenario, states: SurfaceState | None = None,
                    phases=None) -> float:
     """Noiseless received power in watts via the scattering-area sum.
 
@@ -265,7 +262,7 @@ def received_power(scenario: Scenario, states: Sequence[UnitState] | None = None
 
 
 def received_power_expanded(scenario: Scenario,
-                            states: Sequence[UnitState] | None = None,
+                            states: SurfaceState | None = None,
                             phases=None) -> float:
     """Received power via the fully expanded product form (no RCS intermediate).
 
@@ -290,7 +287,7 @@ def received_power_expanded(scenario: Scenario,
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
 
 
-def received_signal(scenario: Scenario, states: Sequence[UnitState] | None = None,
+def received_signal(scenario: Scenario, states: SurfaceState | None = None,
                     symbol: complex = 1.0, noise: complex | None = None,
                     rng: np.random.Generator | None = None, phases=None) -> complex:
     """One received sample: sqrt(tx_power)/(4 pi) * (channel sum) * symbol + noise.
@@ -314,7 +311,7 @@ def received_signal(scenario: Scenario, states: Sequence[UnitState] | None = Non
     return y + (noise if noise is not None else 0.0)
 
 
-def path_loss(scenario: Scenario, states: Sequence[UnitState] | None = None,
+def path_loss(scenario: Scenario, states: SurfaceState | None = None,
               phases=None) -> float:
     """Transmit-to-receive power ratio (linear, >= 1 is a loss).
 
@@ -327,7 +324,7 @@ def path_loss(scenario: Scenario, states: Sequence[UnitState] | None = None,
     return SIXTEEN_PI_SQ / ssq
 
 
-def path_loss_db(scenario: Scenario, states: Sequence[UnitState] | None = None,
+def path_loss_db(scenario: Scenario, states: SurfaceState | None = None,
                  phases=None) -> float:
     return to_db(path_loss(scenario, states, phases))
 
@@ -342,14 +339,14 @@ def continuous_optimal_phases(scenario: Scenario, constant: float = 0.0) -> np.n
 
 
 def max_received_power(scenario: Scenario,
-                       states: Sequence[UnitState] | None = None) -> float:
+                       states: SurfaceState | None = None) -> float:
     """Received power under perfectly aligned (continuous) phases: coherent |w| sum."""
     w = element_weights(scenario, states)
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.sum(np.abs(w))) ** 2
 
 
 def min_path_loss(scenario: Scenario,
-                  states: Sequence[UnitState] | None = None) -> float:
+                  states: SurfaceState | None = None) -> float:
     """Path loss under perfectly aligned phases; max_received_power * min_path_loss == tx_power."""
     total = float(np.sum(np.abs(element_weights(scenario, states)))) ** 2
     if total == 0.0:
@@ -366,7 +363,7 @@ class LinkResult:
     terms: np.ndarray = field(repr=False)
 
 
-def evaluate_link(scenario: Scenario, states: Sequence[UnitState] | None = None,
+def evaluate_link(scenario: Scenario, states: SurfaceState | None = None,
                   phases=None) -> LinkResult:
     """received_power and path_loss in one pass, sharing the per-element terms."""
     cur, att, rot = _unit_terms(scenario, states, phases)

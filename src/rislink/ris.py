@@ -1,4 +1,4 @@
-"""Per-unit behavior of the programmable surface: phase codebook, amplifier, control words."""
+"""Surface hardware: phase codebook, amplifier, jitter, programmed unit states, control words."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .channel import effective_area
 
 
 class SupplyBudgetError(ValueError):
@@ -130,57 +128,45 @@ class PhaseJitterModel:
         return rng.uniform(-self.max_error, self.max_error, n)
 
 
-@dataclass(frozen=True)
-class UnitState:
-    """Programmed state of one unit cell: codebook index, control current, extra attenuation."""
+@dataclass(frozen=True, eq=False)
+class SurfaceState:
+    """Programmed state of every unit cell, row-major: one array per quantity.
 
-    phase_index: int
-    current: float
-    attenuation: float = 1.0
+    phase_index holds codebook indices (integers), current the amplifier
+    control currents in amperes, attenuation the extra amplitude factors in
+    [0, 1], one entry per unit each.  The arrays are validated once here and
+    stored as read-only copies, so a built state stays valid.  The codebook
+    size, the unit count and the supply budget depend on the scenario and
+    are checked where the state is evaluated.
+    """
+
+    phase_index: np.ndarray
+    current: np.ndarray
+    attenuation: np.ndarray
 
     def __post_init__(self):
-        if self.phase_index < 0:
+        idx = np.array(self.phase_index)
+        cur = np.array(self.current, dtype=float)
+        att = np.array(self.attenuation, dtype=float)
+        if not (idx.ndim == cur.ndim == att.ndim == 1 and idx.size == cur.size == att.size):
+            raise ValueError(
+                "phase_index, current and attenuation need one entry per unit, got shapes "
+                f"{idx.shape}, {cur.shape} and {att.shape}"
+            )
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"phase_index must hold integers, got dtype {idx.dtype}")
+        if np.any(idx < 0):
             raise ValueError("phase_index must be >= 0")
-        if self.current < 0:
+        if np.any(cur < 0):
             raise ValueError("control current must be >= 0")
-        if not 0.0 <= self.attenuation <= 1.0:
+        if not np.all((att >= 0.0) & (att <= 1.0)):
             raise ValueError("attenuation must lie in [0, 1]")
+        for name, arr in (("phase_index", idx), ("current", cur), ("attenuation", att)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
-
-def unit_transmission_coefficient(state: UnitState, codebook: PhaseCodebook,
-                                  amplifier: AmplifierModel,
-                                  jitter: PhaseJitterModel | None = None,
-                                  rng: np.random.Generator | None = None) -> complex:
-    """Complex through-gain of one unit: attenuation * sqrt(G_u) * exp(j phase).
-
-    The phase is the codebook entry at state.phase_index plus an optional
-    jitter draw from `rng`, which must then be given: each unit needs its own
-    draw, and the jitter seed alone would give every unit the same one.
-    """
-    if not 0 <= state.phase_index < codebook.size:
-        raise ValueError(
-            f"phase_index {state.phase_index} outside {codebook.size}-entry codebook"
-        )
-    if jitter is not None and rng is None:
-        raise ValueError("unit_transmission_coefficient needs an rng to draw the unit's jitter")
-    mag = state.attenuation * math.sqrt(amplifier.gain_linear(state.current))
-    phase = float(codebook.phases()[state.phase_index])
-    if jitter is not None:
-        phase += float(jitter.sample(1, rng)[0])
-    return complex(mag * math.cos(phase), mag * math.sin(phase))
-
-
-def unit_rcs(state: UnitState, amplifier: AmplifierModel, incidence_zenith: float,
-             departure_zenith: float, geometric_area: float) -> float:
-    """Equivalent scattering area of one unit (m^2, phase excluded).
-
-    Folds the programmed attenuation, the amplifier gain, and the projected
-    apertures seen from the incidence and departure directions:
-    attenuation * sqrt(G_u * A(theta_in) * A(theta_out)).
-    """
-    a_in = effective_area(geometric_area, incidence_zenith)
-    a_out = effective_area(geometric_area, departure_zenith)
-    return state.attenuation * math.sqrt(amplifier.gain_linear(state.current) * a_in * a_out)
+    def __len__(self) -> int:
+        return self.phase_index.size
 
 
 class ControlWord(NamedTuple):

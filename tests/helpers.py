@@ -1,6 +1,7 @@
-"""Shared random scenario builders for the test suite."""
+"""Shared random scenario builders, per-unit oracles and reference searches for the test suite."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,14 +66,72 @@ def random_states(rng, scenario):
     """Mixed per-unit states: random index, calibrated current range, partial attenuation."""
     lo = scenario.amplifier.calibration[0][0]
     hi = scenario.amplifier.top_current
-    return [
-        rl.UnitState(
-            int(rng.integers(0, scenario.codebook.size)),
-            float(rng.uniform(lo, hi)),
-            float(rng.uniform(0.2, 1.0)),
-        )
+    # one (index, current, attenuation) draw per unit, in unit order
+    draws = [
+        (int(rng.integers(0, scenario.codebook.size)),
+         float(rng.uniform(lo, hi)),
+         float(rng.uniform(0.2, 1.0)))
         for _ in range(scenario.layout.n_units)
     ]
+    idx, cur, att = zip(*draws)
+    return rl.SurfaceState(np.array(idx), np.array(cur), np.array(att))
+
+
+# ------------------------------------------------- per-unit oracles
+
+@dataclass(frozen=True)
+class UnitState:
+    """Programmed state of one unit cell: codebook index, control current, extra attenuation."""
+
+    phase_index: int
+    current: float
+    attenuation: float = 1.0
+
+    def __post_init__(self):
+        if self.phase_index < 0:
+            raise ValueError("phase_index must be >= 0")
+        if self.current < 0:
+            raise ValueError("control current must be >= 0")
+        if not 0.0 <= self.attenuation <= 1.0:
+            raise ValueError("attenuation must lie in [0, 1]")
+
+
+def unit_state(states, n):
+    """Unit n of a `SurfaceState` as a `UnitState`."""
+    return UnitState(int(states.phase_index[n]), float(states.current[n]),
+                     float(states.attenuation[n]))
+
+
+def unit_transmission_coefficient(state, codebook, amplifier, jitter=None, rng=None):
+    """Complex through-gain of one unit: attenuation * sqrt(G_u) * exp(j phase).
+
+    The phase is the codebook entry at state.phase_index plus an optional
+    jitter draw from `rng`, which must then be given: each unit needs its own
+    draw, and the jitter seed alone would give every unit the same one.
+    """
+    if not 0 <= state.phase_index < codebook.size:
+        raise ValueError(
+            f"phase_index {state.phase_index} outside {codebook.size}-entry codebook"
+        )
+    if jitter is not None and rng is None:
+        raise ValueError("unit_transmission_coefficient needs an rng to draw the unit's jitter")
+    mag = state.attenuation * math.sqrt(amplifier.gain_linear(state.current))
+    phase = float(codebook.phases()[state.phase_index])
+    if jitter is not None:
+        phase += float(jitter.sample(1, rng)[0])
+    return complex(mag * math.cos(phase), mag * math.sin(phase))
+
+
+def unit_rcs(state, amplifier, incidence_zenith, departure_zenith, geometric_area):
+    """Equivalent scattering area of one unit (m^2, phase excluded).
+
+    Folds the programmed attenuation, the amplifier gain, and the projected
+    apertures seen from the incidence and departure directions:
+    attenuation * sqrt(G_u * A(theta_in) * A(theta_out)).
+    """
+    a_in = rl.effective_area(geometric_area, incidence_zenith)
+    a_out = rl.effective_area(geometric_area, departure_zenith)
+    return state.attenuation * math.sqrt(amplifier.gain_linear(state.current) * a_in * a_out)
 
 
 def _reference_start(scenario, initial, feedback):

@@ -67,7 +67,7 @@ def test_criterion_3_quantized_phases_keep_half_the_optimum():
         sc = make_random_scenario(rng, random_offset=True)
         states = random_states(rng, sc)
         idx = rl.nearest_quantize(rl.continuous_optimal_phases(sc), sc.codebook)
-        qstates = [replace(st, phase_index=int(k)) for st, k in zip(states, idx.reshape(-1))]
+        qstates = replace(states, phase_index=idx.reshape(-1))
         ratio = rl.received_power(sc, qstates) / rl.max_received_power(sc, states)
         worst = min(worst, ratio)
     report(3, "2-bit quantization keeps at least half the maximum power",

@@ -134,6 +134,31 @@ def test_gain_sweep_swing_and_held_configuration():
     assert np.allclose(res.values(), [0.01, 0.2, 0.6, 1.0, 1.4])
 
 
+def test_gain_sweep_rows_hold_the_first_configuration(monkeypatch):
+    s = rl.chamber_scenario(n_rows=6, n_cols=6, rx_angle_deg=20.0)
+    currents = [0.01, 0.5, 1.4, 2.0]
+    seen = []
+    row = rl.experiments._row
+
+    def spy(value, scenario, states, phases, digest):
+        seen.append(states)
+        return row(value, scenario, states, phases, digest)
+
+    monkeypatch.setattr(rl.experiments, "_row", spy)
+    res = rl.gain_sweep(s, currents)
+    n = s.layout.n_units
+    bf = rl.apply_beamforming(s)
+    assert len(seen) == len(currents)
+    for c, states, r in zip(currents, seen, res.rows):
+        assert len(states) == n
+        assert np.all(states.current == c / n)
+        assert np.array_equal(states.phase_index, seen[0].phase_index)
+        assert np.all(states.attenuation == 1.0)
+        held = rl.states_from_configuration(s, bf.configuration, current=c / n)
+        assert r.received_power_dbm == rl.watts_to_dbm(rl.received_power(s, held))
+    assert np.array_equal(seen[0].phase_index, bf.configuration.reshape(-1))
+
+
 def test_gain_sweep_budget_and_validation():
     s = rl.chamber_scenario()
     with pytest.raises(rl.SupplyBudgetError):

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rislink as rl
-from helpers import make_random_scenario, random_states
+from helpers import (
+    make_random_scenario,
+    random_states,
+    unit_rcs,
+    unit_state,
+    unit_transmission_coefficient,
+)
 from rislink.geometry import spherical_to_cartesian
 
 
@@ -167,12 +173,17 @@ def test_null_configuration_raises():
         rl.min_path_loss(s, dark)
 
 
+def _state(n, phase_index=0, current=0.01, attenuation=1.0):
+    """A `SurfaceState` of n identical units, built directly."""
+    return rl.SurfaceState(np.full(n, phase_index), np.full(n, current), np.full(n, attenuation))
+
+
 def test_state_validation():
     s = rl.chamber_scenario()
     with pytest.raises(ValueError):
-        rl.received_power(s, rl.uniform_states(s)[:-1])
+        rl.received_power(s, _state(31))  # one state short
     with pytest.raises(ValueError):
-        rl.received_power(s, [rl.UnitState(4, 0.01)] * 32)  # index outside the codebook
+        rl.received_power(s, _state(32, phase_index=4))  # index outside the codebook
     with pytest.raises(ValueError):
         rl.received_power(s, phases=np.zeros(31))
     with pytest.raises(rl.SupplyBudgetError):
@@ -203,8 +214,6 @@ def test_element_weights_match_manual_terms():
     assert w.shape == (32,)
     # spot check one element against the scalar building blocks
     from rislink.geometry import element_position, spherical_to_cartesian, distance, departure_zenith
-    from rislink.channel import effective_area
-    from rislink.ris import unit_rcs
     row, col = 2, 5
     n = (row - 1) * 8 + (col - 1)
     el = element_position(s.layout, row, col)
@@ -212,7 +221,7 @@ def test_element_weights_match_manual_terms():
     p_r = spherical_to_cartesian(s.rx_pose)
     r_t, r_r = distance(p_t, el), distance(p_r, el)
     zen_t, zen_r = departure_zenith(p_t, el), departure_zenith(p_r, el)
-    sigma = unit_rcs(states[n], s.amplifier, zen_t, zen_r, s.layout.element_area)
+    sigma = unit_rcs(unit_state(states, n), s.amplifier, zen_t, zen_r, s.layout.element_area)
     amp = math.sqrt(s.tx_antenna.gain(zen_t) * s.rx_antenna.gain(zen_r)) / (r_t * r_r) * sigma
     assert abs(w[n]) == pytest.approx(amp, rel=1e-12)
     # direction of the weight is the conjugated two-hop propagation phase
@@ -234,15 +243,15 @@ def test_uniform_states_defaults():
     s = rl.chamber_scenario()
     states = rl.uniform_states(s)
     assert len(states) == 32
-    assert all(st_.current == s.amplifier.top_current for st_ in states)
-    assert all(st_.phase_index == 0 for st_ in states)
+    assert np.all(states.current == s.amplifier.top_current)
+    assert np.all(states.phase_index == 0)
 
 
 def test_states_from_configuration_round_trip():
     s = rl.chamber_scenario()
     config = np.arange(32).reshape(4, 8) % 4
     states = rl.states_from_configuration(s, config)
-    assert [st_.phase_index for st_ in states] == list(config.reshape(-1))
+    assert states.phase_index.tolist() == list(config.reshape(-1))
     with pytest.raises(ValueError):
         rl.states_from_configuration(s, config[:, :-1])
 
@@ -338,9 +347,9 @@ def test_kernel_keeps_the_per_point_errors():
     above[1, 2] = 0.5  # the middle point on the feed's side of the plane
     assert _raised(rl.link._channel_sums, s, above) == _raised(
         lambda: replace(s, rx_pose=rl.SphericalPose(0.5, 0.0, 0.0)))
-    for states in ([rl.UnitState(4, 0.01)] * 32,           # outside the codebook
+    for states in (_state(32, phase_index=4),              # outside the codebook
                    rl.uniform_states(s, current=0.2),      # over the supply budget
-                   rl.uniform_states(s)[:-1]):             # one state short
+                   _state(31)):                            # one state short
         assert _raised(rl.link._channel_sums, s, cut, states) == _raised(
             rl.received_power, s, states)
     assert _raised(rl.link._channel_sums, s, cut, None, np.zeros(31)) == _raised(
@@ -378,3 +387,92 @@ def test_exact_null_inside_a_cut_fails_like_the_per_point_route():
     assert type(batched.value) is type(per_point.value)
     with pytest.raises(ValueError, match="power must be positive"):
         rl.angle_sweep(s, rl.SweepSpec("rx_zenith", 0.0, 30.0, 10.0))
+
+
+# ---------------------------------------------------------------- surface state
+
+def test_surface_state_checks_shapes_and_freezes_its_arrays():
+    with pytest.raises(ValueError, match="one entry per unit"):
+        rl.SurfaceState(np.zeros(4, dtype=int), np.zeros(3), np.ones(4))
+    with pytest.raises(ValueError, match="one entry per unit"):
+        rl.SurfaceState(np.zeros((2, 2), dtype=int), np.zeros(4), np.ones(4))
+    with pytest.raises(ValueError, match="must hold integers"):
+        rl.SurfaceState(np.full(4, 1.5), np.zeros(4), np.ones(4))
+    idx = np.array([0, 1, 2, 3])
+    states = rl.SurfaceState(idx, [0.01] * 4, np.ones(4))
+    idx[0] = 3  # the state holds its own copy
+    assert states.phase_index.tolist() == [0, 1, 2, 3]
+    assert states.current.dtype == float and len(states) == 4
+    with pytest.raises(ValueError, match="read-only"):
+        states.current[0] = 0.5
+    # replace() builds a new state, so its checks run again
+    with pytest.raises(ValueError, match="attenuation must lie in"):
+        replace(states, attenuation=np.full(4, -0.1))
+
+
+_STATE_ERRORS = [
+    # (what is wrong, builder, expected exception and message)
+    ("one unit short", lambda: _state(31),
+     (ValueError, "31 states for 32 units")),
+    ("index at the codebook size", lambda: _state(32, phase_index=4),
+     (ValueError, "phase index outside 4-entry codebook")),
+    ("negative index", lambda: _state(32, phase_index=-1),
+     (ValueError, "phase_index must be >= 0")),
+    ("negative current", lambda: _state(32, current=-0.01),
+     (ValueError, "control current must be >= 0")),
+    ("attenuation 1.5", lambda: _state(32, attenuation=1.5),
+     (ValueError, "attenuation must lie in [0, 1]")),
+    ("current over budget", lambda: _state(32, current=0.2),
+     (rl.SupplyBudgetError, "control current exceeds the 0.12 A supply budget")),
+]
+
+
+@pytest.mark.parametrize("build, expected", [case[1:] for case in _STATE_ERRORS],
+                         ids=[case[0] for case in _STATE_ERRORS])
+def test_state_errors_match_between_received_power_and_the_kernel(build, expected):
+    s = rl.chamber_scenario()
+    cut = _cut_points(s, [-10.0, 0.0, 10.0])
+    via_power = _raised(lambda: rl.received_power(s, build()))
+    via_kernel = _raised(lambda: rl.link._channel_sums(s, cut, build()))
+    assert via_power == via_kernel == expected
+
+
+def _per_unit_power(scenario, states):
+    """Received power summed unit by unit from the scalar geometry and the per-unit oracles.
+
+    The jitter realization is drawn one unit at a time from the jitter seed,
+    which gives the same values as the link's one draw for the whole array.
+    """
+    from rislink.geometry import departure_zenith, distance, element_position
+    p_t = spherical_to_cartesian(scenario.tx_pose)
+    p_r = spherical_to_cartesian(scenario.rx_pose)
+    jitter = scenario.jitter
+    rng = None if jitter is None else np.random.default_rng(jitter.seed)
+    n_cols = scenario.layout.n_cols
+    total = 0j
+    for row in range(1, scenario.layout.n_rows + 1):
+        for col in range(1, n_cols + 1):
+            unit = unit_state(states, (row - 1) * n_cols + (col - 1))
+            el = element_position(scenario.layout, row, col)
+            zen_t, zen_r = departure_zenith(p_t, el), departure_zenith(p_r, el)
+            sigma = unit_rcs(unit, scenario.amplifier, zen_t, zen_r, scenario.layout.element_area)
+            gamma = unit_transmission_coefficient(unit, scenario.codebook, scenario.amplifier,
+                                                  jitter, rng)
+            amp = math.sqrt(scenario.tx_antenna.gain(zen_t) * scenario.rx_antenna.gain(zen_r)) \
+                / (distance(p_t, el) * distance(p_r, el)) * sigma
+            total += amp * gamma / abs(gamma) * np.exp(-1j * rl.propagation_phase(scenario, row, col))
+    return scenario.tx_power / (16 * math.pi ** 2) * abs(total) ** 2
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(4, 8), (7, 5), (16, 16)])
+def test_link_routes_match_the_per_unit_oracles(n_rows, n_cols):
+    rng = np.random.default_rng(67 + n_rows)
+    for jitter_seed in range(3):
+        s = make_random_scenario(rng)
+        s = replace(s, layout=rl.ArrayLayout(n_rows, n_cols, s.layout.pitch_x, s.layout.pitch_y),
+                    jitter=rl.PhaseJitterModel(math.radians(8.0), jitter_seed))
+        states = random_states(rng, s)
+        expected = _per_unit_power(s, states)
+        assert rl.received_power(s, states) == pytest.approx(expected, rel=1e-12)
+        assert rl.received_power_expanded(s, states) == pytest.approx(expected, rel=1e-12)
+        assert rl.power_oracle(s, states)(states.phase_index) == pytest.approx(expected, rel=1e-12)

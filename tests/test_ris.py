@@ -1,4 +1,4 @@
-"""Codebook, amplifier, jitter, per-unit coefficients, and control words."""
+"""Codebook, amplifier, jitter, the per-unit oracles in helpers, and control words."""
 
 import cmath
 import math
@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import UnitState, unit_rcs, unit_transmission_coefficient
 from rislink.ris import (
     AmplifierModel,
     ControlWord,
     PhaseCodebook,
     PhaseJitterModel,
     SupplyBudgetError,
-    UnitState,
     decode_control,
     encode_control,
-    unit_rcs,
-    unit_transmission_coefficient,
 )
 
 
