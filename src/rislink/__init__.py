@@ -19,7 +19,6 @@ from .beamforming import (
 from .channel import (
     SPEED_OF_LIGHT,
     AntennaModel,
-    channel_coefficient,
     channel_coefficients,
     effective_area,
     wavelength,
@@ -45,10 +44,7 @@ from .experiments import (
 from .geometry import (
     ArrayLayout,
     SphericalPose,
-    departure_zenith,
-    distance,
     element_grid,
-    element_position,
     spherical_to_cartesian,
 )
 from .link import (
@@ -63,7 +59,6 @@ from .link import (
     min_path_loss,
     path_loss,
     path_loss_db,
-    propagation_phase,
     propagation_phases,
     received_power,
     received_power_expanded,
@@ -71,7 +66,6 @@ from .link import (
     states_from_configuration,
     to_db,
     uniform_states,
-    unit_phases,
     watts_to_dbm,
 )
 from .ris import (

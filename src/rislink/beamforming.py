@@ -27,15 +27,6 @@ _NOISE_BLOCK = 1024  # noise draws taken from the channel's rng at a time
 
 
 @dataclass
-class TraceStep:
-    """One feedback measurement: candidate index, whether it was kept, measured power."""
-
-    step: int
-    accepted: bool
-    power: float
-
-
-@dataclass
 class SearchTrace:
     """Measurement log of a feedback search; step 0 is the initial configuration.
 
@@ -48,11 +39,6 @@ class SearchTrace:
     def record(self, accepted: bool, power: float) -> None:
         self.accepted.append(accepted)
         self.powers.append(power)
-
-    @property
-    def steps(self) -> list[TraceStep]:
-        """The log as `TraceStep`s, built on each access."""
-        return [TraceStep(i, a, p) for i, (a, p) in enumerate(zip(self.accepted, self.powers))]
 
     def accepted_powers(self) -> list[float]:
         """Powers of the kept configurations, in order; non-decreasing by construction."""
@@ -271,12 +257,23 @@ def wrap_to_pi(x):
 
 
 def nearest_quantize(phases, codebook: PhaseCodebook) -> np.ndarray:
-    """Each phase to the circularly nearest codebook index; exact ties go to the lower index."""
+    """Each phase to the circularly nearest codebook index; exact ties go to the lower index.
+
+    Only the two entries around a phase, k0 = floor((phase - offset) /
+    spacing) mod K and k0 + 1 mod K, can be nearest, so only their wrapped
+    distances are compared, with the tolerance-padded rule of an argmin
+    over the whole codebook: an entry within 1e-12 of the nearest distance
+    counts as tied, so float noise at midpoints still breaks low.
+    """
     ph = np.asarray(phases, dtype=float)
-    dist = np.abs(wrap_to_pi(ph[..., None] - codebook.phases()))
-    # tolerance-padded argmin so float noise at midpoints still breaks low
-    dmin = dist.min(axis=-1, keepdims=True)
-    return np.argmax(dist <= dmin + 1e-12, axis=-1).astype(int)
+    k = codebook.size
+    entries = codebook.phases()
+    lo = np.floor((ph - codebook.offset) / codebook.spacing).astype(int) % k
+    hi = (lo + 1) % k
+    d_lo = np.abs(wrap_to_pi(ph - entries[lo]))
+    d_hi = np.abs(wrap_to_pi(ph - entries[hi]))
+    tied = np.minimum(d_lo, d_hi) + 1e-12
+    return np.where((d_lo <= tied) & ((d_hi > tied) | (lo < hi)), lo, hi)
 
 
 def brute_force_optimum(scenario: Scenario,

@@ -7,14 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    ArrayLayout,
-    SphericalPose,
-    element_grid,
-    element_position,
-    ranges_and_zeniths,
-    spherical_to_cartesian,
-)
+from .geometry import ArrayLayout, element_grid, ranges_and_cosines
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -45,14 +38,25 @@ class AntennaModel:
         if self.exponent < 0:
             raise ValueError("pattern exponent must be >= 0")
 
+    def gain_from_cosine(self, cos_zenith):
+        """Linear gain toward a direction with cos(zenith) = `cos_zenith` in [0, 1]: G * c^q."""
+        return self.boresight_gain * cos_zenith ** self.exponent
+
     def gain(self, zenith):
         """Linear gain toward `zenith` (radians).  Scalar or ndarray."""
         z = np.asarray(zenith, dtype=float)
         if np.any(z < 0):
             raise ValueError("zenith must be >= 0")
-        g = self.boresight_gain * np.cos(np.minimum(z, math.pi / 2)) ** self.exponent
+        g = self.gain_from_cosine(np.cos(np.minimum(z, math.pi / 2)))
         out = np.where(z <= math.pi / 2, g, 0.0)
         return out if out.ndim else float(out)
+
+
+def area_from_cosine(geometric_area: float, cos_zenith):
+    """Projected aperture of a unit cell seen at cos(zenith) = `cos_zenith`: A * c."""
+    if geometric_area <= 0:
+        raise ValueError("geometric area must be positive")
+    return geometric_area * cos_zenith
 
 
 def effective_area(geometric_area: float, zenith) -> float:
@@ -61,43 +65,15 @@ def effective_area(geometric_area: float, zenith) -> float:
     Valid for zenith in [0, pi/2]; the fold in the geometry helpers keeps
     callers inside that range.
     """
-    if geometric_area <= 0:
-        raise ValueError("geometric area must be positive")
-    a = geometric_area * np.cos(zenith)
+    a = area_from_cosine(geometric_area, np.cos(zenith))
     return a if isinstance(a, np.ndarray) else float(a)
-
-
-def channel_coefficient(point, antenna: AntennaModel, geometric_area: float,
-                        element, wl: float) -> complex:
-    """Complex channel between an antenna at `point` and one unit cell.
-
-    Amplitude sqrt(G(theta) * A(theta) / 4pi) / r with the spherical
-    propagation phase exp(-j 2 pi r / lambda); theta is the element-relative
-    zenith folded into [0, pi/2].
-    """
-    d = np.asarray(point, dtype=float) - np.asarray(element, dtype=float)
-    r = float(np.linalg.norm(d))
-    if r == 0.0:
-        raise ValueError("antenna coincides with the element")
-    zen = math.acos(min(abs(d[2]) / r, 1.0))
-    amp = math.sqrt(antenna.gain(zen) * effective_area(geometric_area, zen) / (4.0 * math.pi)) / r
-    ph = -2.0 * math.pi * r / wl
-    return complex(amp * math.cos(ph), amp * math.sin(ph))
 
 
 def channel_coefficients(point, antenna: AntennaModel, layout: ArrayLayout,
                          wl: float) -> np.ndarray:
     """Channel coefficients from `point` to every unit cell, shape (n_units,), row-major."""
-    r, zen = ranges_and_zeniths(point, element_grid(layout))
-    amp = np.sqrt(antenna.gain(zen) * effective_area(layout.element_area, zen) / (4.0 * math.pi)) / r
+    r, c = ranges_and_cosines(point, element_grid(layout))
+    g_a = antenna.gain_from_cosine(c) * area_from_cosine(layout.element_area, c)
+    amp = np.sqrt(g_a / (4.0 * math.pi)) / r
     return amp * np.exp(-2j * math.pi * r / wl)
 
-
-def pose_channel_coefficient(pose: SphericalPose, antenna: AntennaModel,
-                             layout: ArrayLayout, row: int, col: int,
-                             wl: float) -> complex:
-    """channel_coefficient for a spherical pose and a 1-based (row, col) element."""
-    return channel_coefficient(
-        spherical_to_cartesian(pose), antenna, layout.element_area,
-        element_position(layout, row, col), wl,
-    )

@@ -14,8 +14,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, load_run_plan
+from .config import SWEEP_DEFAULTS, ConfigError, load_run_plan
 from .experiments import (
+    SWEEP_KINDS,
     SweepSpec,
     angle_sweep,
     apply_beamforming,
@@ -78,22 +79,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_sweep_distance(args) -> int:
-    scenario, _ = _scenario_from_args(args)
-    spec = SweepSpec("rx_distance", args.start, args.stop, args.step, args.method)
-    res = distance_sweep(scenario, spec, _resolve_seed(args))
-    path = _write_sweep(res, args.out, "distance_sweep.csv")
-    pl = res.path_losses_db()
-    print(f"wrote {path} ({len(res.rows)} rows), path loss "
-          f"{pl[0]:.2f} -> {pl[-1]:.2f} dB")
-    return 0
-
-
-def _cmd_sweep_angle(args) -> int:
+def _cmd_pose_sweep(args) -> int:
+    """`sweep-distance` or `sweep-angle`, told apart by the subcommand name."""
+    kind = args.command.removeprefix("sweep-")
     scenario, rx_azimuth_deg = _scenario_from_args(args)
-    spec = SweepSpec("rx_zenith", args.start, args.stop, args.step, args.method)
-    res = angle_sweep(scenario, spec, _resolve_seed(args), rx_azimuth_deg)
-    path = _write_sweep(res, args.out, "angle_sweep.csv")
+    spec = SweepSpec(SWEEP_KINDS[kind], args.start, args.stop, args.step, args.method)
+    seed = _resolve_seed(args)
+    res = (distance_sweep(scenario, spec, seed) if kind == "distance"
+           else angle_sweep(scenario, spec, seed, rx_azimuth_deg))
+    path = _write_sweep(res, args.out, f"{kind}_sweep.csv")
     pl = res.path_losses_db()
     print(f"wrote {path} ({len(res.rows)} rows), path loss "
           f"{pl[0]:.2f} -> {pl[-1]:.2f} dB")
@@ -146,8 +140,34 @@ def _cmd_beamform(args) -> int:
             ]
     else:
         out["phases_rad"] = np.asarray(bf.phases).tolist()
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(_dumps_indented(out))
     return 0
+
+
+def _dumps_indented(out: dict) -> str:
+    """json.dumps(out, indent=2, sort_keys=True), byte for byte.
+
+    `indent` selects json's pure-Python encoder, slow on a large grid, so
+    each list value is dumped by the C encoder and laid out around that.
+    """
+    lists = {k: v for k, v in out.items() if isinstance(v, list)}
+    text = json.dumps({k: f"@{k}@" if k in lists else v for k, v in out.items()},
+                      indent=2, sort_keys=True)
+    for key, value in lists.items():
+        text = text.replace(f'"@{key}@"', _indented_list(value, 1))
+    return text
+
+
+def _indented_list(items: list, depth: int) -> str:
+    """A list of scalars or of such lists as indent=2 lays it out `depth` levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(items[0], list):
+        body = ("," + pad).join(_indented_list(row, depth + 1) for row in items)
+    else:
+        body = json.dumps(items, separators=("," + pad, ": "))[1:-1]
+    return "[" + pad + body + "\n" + "  " * depth + "]"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,21 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config_path", help="experiment config file")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sweep-distance", parents=[common],
-                       help="path loss vs probe distance")
-    p.add_argument("--start", type=float, default=0.5)
-    p.add_argument("--stop", type=float, default=5.0)
-    p.add_argument("--step", type=float, default=0.5)
-    p.add_argument("--method", default="quantized")
-    p.set_defaults(func=_cmd_sweep_distance)
-
-    p = sub.add_parser("sweep-angle", parents=[common],
-                       help="path loss vs probe angle")
-    p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--stop", type=float, default=60.0)
-    p.add_argument("--step", type=float, default=10.0)
-    p.add_argument("--method", default="quantized")
-    p.set_defaults(func=_cmd_sweep_angle)
+    for kind, help_text in (("distance", "path loss vs probe distance"),
+                            ("angle", "path loss vs probe angle")):
+        start, stop, step = SWEEP_DEFAULTS[kind]
+        p = sub.add_parser(f"sweep-{kind}", parents=[common], help=help_text)
+        p.add_argument("--start", type=float, default=start)
+        p.add_argument("--stop", type=float, default=stop)
+        p.add_argument("--step", type=float, default=step)
+        p.add_argument("--method", default="quantized")
+        p.set_defaults(func=_cmd_pose_sweep)
 
     p = sub.add_parser("sweep-gain", parents=[common],
                        help="received power vs array supply current")
@@ -197,10 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pattern", parents=[common],
                        help="radiation cut at a fixed steering angle")
+    start, stop, step = SWEEP_DEFAULTS["pattern"]
     p.add_argument("--steering", type=float, default=0.0)
-    p.add_argument("--start", type=float, default=-85.0)
-    p.add_argument("--stop", type=float, default=85.0)
-    p.add_argument("--step", type=float, default=0.5)
+    p.add_argument("--start", type=float, default=start)
+    p.add_argument("--stop", type=float, default=stop)
+    p.add_argument("--step", type=float, default=step)
     p.add_argument("--method", default="quantized")
     p.set_defaults(func=_cmd_pattern)
 

@@ -10,7 +10,12 @@ import math
 from dataclasses import dataclass, field
 
 from .channel import AntennaModel
-from .experiments import incidence_side_pose, transmission_side_pose
+from .experiments import (
+    BEAMFORMING_METHODS,
+    SWEEP_KINDS,
+    incidence_side_pose,
+    transmission_side_pose,
+)
 from .geometry import ArrayLayout
 from .link import Scenario, from_db
 from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel
@@ -159,10 +164,8 @@ def build_scenario(sections: dict, path) -> tuple[Scenario, float]:
     ), rx_a
 
 
-_SWEEP_KINDS = ("distance", "angle", "gain", "pattern")
-_METHODS = ("none", "continuous", "quantized", "blind", "greedy")
-
-_SWEEP_DEFAULTS = {
+# (start, stop, step) of a kind's grid when the section leaves it out
+SWEEP_DEFAULTS = {
     "distance": (0.5, 5.0, 0.5),
     "angle": (0.0, 60.0, 10.0),
     "pattern": (-85.0, 85.0, 0.5),
@@ -203,10 +206,10 @@ def build_jobs(sections: dict, path) -> list[SweepJob]:
         raw = dict(sections[name])
         if "type" not in raw:
             raise _err(path, sections[name].line, f"[{name}] needs a 'type' key")
-        kind = _take(raw, "type", None, str, lambda v: v in _SWEEP_KINDS,
-                     f"one of {_SWEEP_KINDS}", path)
-        method = _take(raw, "method", "quantized", str, lambda v: v in _METHODS,
-                       f"one of {_METHODS}", path)
+        kind = _take(raw, "type", None, str, lambda v: v in SWEEP_KINDS,
+                     f"one of {tuple(SWEEP_KINDS)}", path)
+        method = _take(raw, "method", "quantized", str, lambda v: v in BEAMFORMING_METHODS,
+                       f"one of {BEAMFORMING_METHODS}", path)
         job = SweepJob(job_name, kind, method)
         if kind == "gain":
             currents = _take(raw, "currents_a", None, _parse_currents,
@@ -216,7 +219,7 @@ def build_jobs(sections: dict, path) -> list[SweepJob]:
                 raise _err(path, sections[name].line, f"[{name}] of type gain needs currents_a")
             job.currents = currents
         else:
-            lo, hi, st = _SWEEP_DEFAULTS[kind]
+            lo, hi, st = SWEEP_DEFAULTS[kind]
             rng = _POSITIVE if kind == "distance" else _ANGLE_OPEN
             job.start = _take(raw, "start", lo, float, *rng, path)
             job.stop = _take(raw, "stop", hi, float, *rng, path)

@@ -23,7 +23,6 @@ from .beamforming import (
     greedy_element_search,
     nearest_quantize,
     power_oracle,
-    uniform_configuration,
 )
 from .channel import AntennaModel
 from .geometry import ArrayLayout, SphericalPose, spherical_to_cartesian
@@ -31,9 +30,12 @@ from .link import (
     Scenario,
     _channel_sum,
     _channel_sums,
+    _check_indices,
     _link_budget_db,
-    continuous_optimal_phases,
+    _programmed_phases,
+    _weight_chunks,
     from_db,
+    propagation_phases,
     states_from_configuration,
     uniform_states,
 )
@@ -41,8 +43,13 @@ from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel, SurfaceState
 
 CSV_HEADER = "variable,value,received_power_dBm,path_loss_dB,config_digest"
 
-SWEEP_VARIABLES = ("rx_distance", "rx_zenith", "amplifier_current", "pattern_angle")
+# config sweep kind -> the variable its CSV rows carry
+SWEEP_KINDS = {"distance": "rx_distance", "angle": "rx_zenith",
+               "gain": "amplifier_current", "pattern": "pattern_angle"}
+SWEEP_VARIABLES = tuple(SWEEP_KINDS.values())
 BEAMFORMING_METHODS = ("none", "continuous", "quantized", "blind", "greedy")
+# methods whose configuration is a closed form of the two-hop phases
+_CLOSED_FORM_METHODS = ("none", "continuous", "quantized")
 
 
 def transmission_side_pose(r: float, angle_deg: float, azimuth_deg: float = 0.0) -> SphericalPose:
@@ -171,25 +178,40 @@ class BeamformingOutcome:
     trace: SearchTrace | None = None
 
 
+def _closed_form(scenario: Scenario, method: str, phi: np.ndarray) -> np.ndarray:
+    """Configuration of a closed-form method for two-hop phases `phi` (..., n_units).
+
+    Continuous phases in [0, 2 pi) for `continuous`, codebook indices for
+    `none` (all zero) and `quantized` (nearest entry to each continuous
+    phase).
+    """
+    if method == "none":
+        return np.zeros(phi.shape, dtype=int)
+    phases = np.mod(phi, 2.0 * math.pi)
+    return phases if method == "continuous" else nearest_quantize(phases, scenario.codebook)
+
+
+def _config_digest(scenario: Scenario, config: np.ndarray) -> str:
+    """Digest of one point's continuous phases (float) or codebook indices (int)."""
+    if config.dtype.kind == "f":
+        return _digest(b"phs", config.astype(np.float64))
+    layout = scenario.layout
+    return _digest(b"idx", config.reshape(layout.n_rows, layout.n_cols).astype(np.int64))
+
+
 def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
                       passes: int = 4, max_rounds: int = 8,
                       current: float | None = None) -> BeamformingOutcome:
     """Run one beamforming method against `scenario` and package the result."""
     if method not in BEAMFORMING_METHODS:
         raise ValueError(f"unknown beamforming method {method!r}")
-    if method == "continuous":
-        phases = continuous_optimal_phases(scenario)
-        return BeamformingOutcome(
-            method, uniform_states(scenario, current=current), phases, None,
-            _digest(b"phs", phases.astype(np.float64)),
-        )
     trace = None
-    if method == "none":
-        config = uniform_configuration(scenario.layout)
-    elif method == "quantized":
-        config = nearest_quantize(
-            continuous_optimal_phases(scenario), scenario.codebook
-        ).reshape(scenario.layout.n_rows, scenario.layout.n_cols)
+    if method in _CLOSED_FORM_METHODS:
+        config = _closed_form(scenario, method, propagation_phases(scenario))
+        if method == "continuous":
+            return BeamformingOutcome(method, uniform_states(scenario, current=current),
+                                      config, None, _config_digest(scenario, config))
+        config = config.reshape(scenario.layout.n_rows, scenario.layout.n_cols)
     else:
         feedback = FeedbackChannel(
             power_oracle(scenario), scenario.noise_variance, seed
@@ -200,7 +222,7 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
             config, trace = greedy_element_search(scenario, feedback=feedback, max_rounds=max_rounds)
     states = states_from_configuration(scenario, config, current=current)
     return BeamformingOutcome(
-        method, states, None, config, _digest(b"idx", config.astype(np.int64)),
+        method, states, None, config, _config_digest(scenario, config),
         0 if trace is None else trace.n_queries, trace,
     )
 
@@ -253,6 +275,39 @@ def _row(value: float, scenario: Scenario, states, phases, digest: str) -> Sweep
     return SweepRow(value, p_dbm, pl_db, digest)
 
 
+def _pose_sweep(scenario: Scenario, spec: SweepSpec, poses, seed) -> SweepResult:
+    """One row per RX pose of `poses` (one per grid value), beamformed afresh at each.
+
+    The closed-form methods need only the two-hop path table: each chunk of
+    points gets it once, and the same arrays give every point's phases or
+    indices, its digest and its channel sum.  `blind` and `greedy` search
+    per point, each with its own seed.
+    """
+    values = [float(v) for v in spec.grid()]
+    result = SweepResult(spec.variable)
+    method = spec.beamforming
+    if method not in _CLOSED_FORM_METHODS:
+        for value, pose, s in zip(values, poses, _point_seeds(seed, len(values))):
+            scn = replace(scenario, rx_pose=pose)
+            bf = apply_beamforming(scn, method, s)
+            result.rows.append(_row(value, scn, bf.states, bf.phases, bf.digest))
+        return result
+    points = np.array([spherical_to_cartesian(pose) for pose in poses])
+    top = uniform_states(scenario)
+    for lo, amp, phi in _weight_chunks(scenario, points, top.current, top.attenuation):
+        config = _closed_form(scenario, method, phi)
+        if method == "continuous":
+            phases = config
+        else:
+            _check_indices(scenario, config)
+            phases = _programmed_phases(scenario, config, None)
+        sums = np.sum(amp * np.exp(-1j * phi) * np.exp(1j * phases), axis=-1)
+        for value, point_config, total in zip(values[lo:], config, sums):
+            result.rows.append(SweepRow(value, *_link_budget_db(scenario, total),
+                                        _config_digest(scenario, point_config)))
+    return result
+
+
 def distance_sweep(scenario: Scenario, spec: SweepSpec, seed=0) -> SweepResult:
     """Path loss versus RX range; the RX direction is kept, only the range moves.
 
@@ -261,15 +316,9 @@ def distance_sweep(scenario: Scenario, spec: SweepSpec, seed=0) -> SweepResult:
     """
     if spec.variable != "rx_distance":
         raise ValueError("spec.variable must be 'rx_distance'")
-    grid = spec.grid()
-    seeds = _point_seeds(seed, len(grid))
-    result = SweepResult("rx_distance")
-    for r, s in zip(grid, seeds):
-        pose = SphericalPose(float(r), scenario.rx_pose.theta, scenario.rx_pose.phi)
-        scn = replace(scenario, rx_pose=pose)
-        bf = apply_beamforming(scn, spec.beamforming, s)
-        result.rows.append(_row(float(r), scn, bf.states, bf.phases, bf.digest))
-    return result
+    rx = scenario.rx_pose
+    poses = [SphericalPose(float(r), rx.theta, rx.phi) for r in spec.grid()]
+    return _pose_sweep(scenario, spec, poses, seed)
 
 
 def angle_sweep(scenario: Scenario, spec: SweepSpec, seed=0,
@@ -281,15 +330,9 @@ def angle_sweep(scenario: Scenario, spec: SweepSpec, seed=0,
     """
     if spec.variable != "rx_zenith":
         raise ValueError("spec.variable must be 'rx_zenith'")
-    grid = spec.grid()
-    seeds = _point_seeds(seed, len(grid))
-    result = SweepResult("rx_zenith")
-    for a, s in zip(grid, seeds):
-        pose = transmission_side_pose(scenario.rx_pose.r, float(a), rx_azimuth_deg)
-        scn = replace(scenario, rx_pose=pose)
-        bf = apply_beamforming(scn, spec.beamforming, s)
-        result.rows.append(_row(float(a), scn, bf.states, bf.phases, bf.digest))
-    return result
+    r = scenario.rx_pose.r
+    poses = [transmission_side_pose(r, float(a), rx_azimuth_deg) for a in spec.grid()]
+    return _pose_sweep(scenario, spec, poses, seed)
 
 
 def gain_sweep(scenario: Scenario, currents: Sequence[float],
@@ -456,12 +499,10 @@ def run_config(path, out_dir, seed=0) -> dict:
         csv_path = os.path.join(out_dir, csv_name)
         entry = {"name": job.name, "kind": job.kind, "csv": csv_name,
                  "beamforming": job.method}
-        if job.kind == "distance":
-            spec = SweepSpec("rx_distance", job.start, job.stop, job.step, job.method)
-            res = distance_sweep(plan.scenario, spec, seed)
-        elif job.kind == "angle":
-            spec = SweepSpec("rx_zenith", job.start, job.stop, job.step, job.method)
-            res = angle_sweep(plan.scenario, spec, seed, plan.rx_azimuth_deg)
+        if job.kind in ("distance", "angle"):
+            spec = SweepSpec(SWEEP_KINDS[job.kind], job.start, job.stop, job.step, job.method)
+            res = (distance_sweep(plan.scenario, spec, seed) if job.kind == "distance"
+                   else angle_sweep(plan.scenario, spec, seed, plan.rx_azimuth_deg))
         elif job.kind == "gain":
             res = gain_sweep(plan.scenario, job.currents, job.method, seed)
         elif job.kind == "pattern":

@@ -71,22 +71,6 @@ def spherical_to_cartesian(pose: SphericalPose) -> np.ndarray:
     )
 
 
-def element_position(layout: ArrayLayout, row: int, col: int) -> np.ndarray:
-    """Center of the unit cell at 1-based (row, col), shape (3,).
-
-    The grid is centered on the origin.  The x offset runs with the column
-    index and the y offset against the row index, so row 1 sits at the top
-    (largest y) when the surface is viewed from +z.
-    """
-    if not (1 <= row <= layout.n_rows and 1 <= col <= layout.n_cols):
-        raise ValueError(
-            f"element ({row}, {col}) outside {layout.n_rows}x{layout.n_cols} layout"
-        )
-    off_x = col - (layout.n_cols + 1) / 2.0
-    off_y = (layout.n_rows + 1) / 2.0 - row
-    return np.array([off_x * layout.pitch_x, off_y * layout.pitch_y, 0.0])
-
-
 def element_grid(layout: ArrayLayout) -> np.ndarray:
     """All unit-cell centers, shape (n_units, 3), row-major (row 1 cols 1..N, then row 2, ...)."""
     off_x = (np.arange(1, layout.n_cols + 1) - (layout.n_cols + 1) / 2.0) * layout.pitch_x
@@ -98,33 +82,23 @@ def element_grid(layout: ArrayLayout) -> np.ndarray:
     return pts
 
 
-def distance(a, b) -> float:
-    """Euclidean distance between two cartesian points."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+def ranges_and_cosines(point, elements) -> tuple[np.ndarray, np.ndarray]:
+    """Range and departure cosine from every row of `elements` to `point`.
 
-
-def departure_zenith(point, element) -> float:
-    """Angle between the unit cell's normal and the direction toward `point`.
-
-    The normal sign follows the point's half-space (+z above the plane, -z
-    below), so the result is always folded into [0, pi/2]; a point exactly in
-    the plane sees pi/2.  Raises ValueError on coincident points.
-    """
-    d = np.asarray(point, dtype=float) - np.asarray(element, dtype=float)
-    r = float(np.linalg.norm(d))
-    if r == 0.0:
-        raise ValueError("point coincides with the element")
-    return float(np.arccos(min(abs(d[2]) / r, 1.0)))
-
-
-def ranges_and_zeniths(point, elements) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized distance/departure_zenith from every row of `elements` to `point`.
-
-    Returns (ranges, zeniths), each shape (n,).
+    The cosine is taken against the unit cell's normal on the point's side
+    of the plane, |dz| / r clipped to 1, so it lies in [0, 1]; a point in
+    the plane sees 0.  Returns (ranges, cosines), shapes broadcast over
+    `point` and `elements` without the last axis.  Raises ValueError on a
+    coincident point.
     """
     d = np.asarray(point, dtype=float) - np.asarray(elements, dtype=float)
     r = np.linalg.norm(d, axis=-1)
     if np.any(r == 0.0):
         raise ValueError("point coincides with an element")
-    zen = np.arccos(np.minimum(np.abs(d[..., 2]) / r, 1.0))
-    return r, zen
+    return r, np.minimum(np.abs(d[..., 2]) / r, 1.0)
+
+
+def ranges_and_zeniths(point, elements) -> tuple[np.ndarray, np.ndarray]:
+    """`ranges_and_cosines` with the cosines as departure zeniths in [0, pi/2]."""
+    r, c = ranges_and_cosines(point, elements)
+    return r, np.arccos(c)

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import AntennaModel, SPEED_OF_LIGHT, effective_area
+from .channel import AntennaModel, SPEED_OF_LIGHT, area_from_cosine, effective_area
 from .geometry import (
     ArrayLayout,
     SphericalPose,
     element_grid,
-    element_position,
+    ranges_and_cosines,
     ranges_and_zeniths,
     spherical_to_cartesian,
 )
@@ -109,17 +109,13 @@ def _state_arrays(scenario: Scenario, states: SurfaceState):
         raise ValueError(
             f"{len(states)} states for {scenario.layout.n_units} units"
         )
-    if np.any(states.phase_index >= scenario.codebook.size):
-        raise ValueError(f"phase index outside {scenario.codebook.size}-entry codebook")
+    _check_indices(scenario, states.phase_index)
     return states.phase_index, states.current, states.attenuation
 
 
-def propagation_phase(scenario: Scenario, row: int, col: int) -> float:
-    """Unwrapped two-hop phase 2 pi (r_t + r_r) / lambda for one element (radians)."""
-    el = element_position(scenario.layout, row, col)
-    r_t = float(np.linalg.norm(spherical_to_cartesian(scenario.tx_pose) - el))
-    r_r = float(np.linalg.norm(spherical_to_cartesian(scenario.rx_pose) - el))
-    return 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
+def _check_indices(scenario: Scenario, idx: np.ndarray) -> None:
+    if np.any(idx >= scenario.codebook.size):
+        raise ValueError(f"phase index outside {scenario.codebook.size}-entry codebook")
 
 
 def propagation_phases(scenario: Scenario) -> np.ndarray:
@@ -133,12 +129,6 @@ def phase_error_realization(scenario: Scenario):
     if scenario.jitter is None:
         return 0.0
     return scenario.jitter.sample(scenario.layout.n_units)
-
-
-def unit_phases(scenario: Scenario, states: SurfaceState) -> np.ndarray:
-    """Programmed per-unit phases: codebook entries plus the jitter realization."""
-    idx, _, _ = _state_arrays(scenario, states)
-    return _programmed_phases(scenario, idx, None)
 
 
 def _programmed_phases(scenario: Scenario, idx: np.ndarray, phases) -> np.ndarray:
@@ -159,12 +149,14 @@ _CHUNK_ELEMENTS = 2 ** 14
 
 def _weight_chunks(scenario: Scenario, rx_points: np.ndarray, cur: np.ndarray,
                    att: np.ndarray):
-    """Yield (first point, weights) per chunk of RX points, weights shaped (chunk, n_units).
+    """Yield (first point, amplitudes, two-hop phases) per chunk of RX points.
 
-    The weight expression of `element_weights` broadcast over a leading pose
-    axis.  The TX leg and the unit gains are computed once for every chunk;
-    each point must sit on the other side of the plane from the TX, as
-    `Scenario` requires of its own RX pose.
+    Both arrays are shaped (chunk, n_units): the `element_weights` expression
+    w[p, n] = amp[p, n] exp(-j phi[p, n]) over a leading pose axis, with
+    gains and apertures taken from departure cosines.  The TX leg and the
+    unit gains are computed once per call, the RX leg once per chunk.  Each
+    point must sit on the other side of the plane from the TX, as `Scenario`
+    requires of its own RX pose.
     """
     p_t = spherical_to_cartesian(scenario.tx_pose)
     if not np.all(p_t[2] * rx_points[:, 2] < 0):
@@ -172,17 +164,17 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray, cur: np.ndarray,
             "TX and RX must sit strictly on opposite sides of the array plane"
         )
     els = element_grid(scenario.layout)
-    r_t, zen_t = ranges_and_zeniths(p_t, els)
-    g_t = scenario.tx_antenna.gain(zen_t)
     area = scenario.layout.element_area
-    gain_area_t = scenario.amplifier.gain_linear(cur) * effective_area(area, zen_t)
+    r_t, c_t = ranges_and_cosines(p_t, els)
+    g_t = scenario.tx_antenna.gain_from_cosine(c_t)
+    gain_area_t = scenario.amplifier.gain_linear(cur) * area_from_cosine(area, c_t)
     step = max(1, _CHUNK_ELEMENTS // scenario.layout.n_units)
     for lo in range(0, len(rx_points), step):
-        r_r, zen_r = ranges_and_zeniths(rx_points[lo:lo + step, None, :], els)
-        g_r = scenario.rx_antenna.gain(zen_r)
-        sigma = att * np.sqrt(gain_area_t * effective_area(area, zen_r))
-        phi_prop = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
-        yield lo, np.sqrt(g_t * g_r) / (r_t * r_r) * sigma * np.exp(-1j * phi_prop)
+        r_r, c_r = ranges_and_cosines(rx_points[lo:lo + step, None, :], els)
+        g_r = scenario.rx_antenna.gain_from_cosine(c_r)
+        sigma = att * np.sqrt(gain_area_t * area_from_cosine(area, c_r))
+        phi = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
+        yield lo, np.sqrt(g_t * g_r) / (r_t * r_r) * sigma, phi
 
 
 def _unit_terms(scenario: Scenario, states: SurfaceState | None, phases):
@@ -200,7 +192,8 @@ def _own_rx_point(scenario: Scenario) -> np.ndarray:
 
 def _own_weights(scenario: Scenario, cur: np.ndarray, att: np.ndarray) -> np.ndarray:
     """The kernel's weight row toward the scenario's own RX pose, shape (n_units,)."""
-    return next(_weight_chunks(scenario, _own_rx_point(scenario), cur, att))[1][0]
+    _, amp, phi = next(_weight_chunks(scenario, _own_rx_point(scenario), cur, att))
+    return amp[0] * np.exp(-1j * phi[0])
 
 
 def _channel_sums(scenario: Scenario, rx_points, states: SurfaceState | None = None,
@@ -214,8 +207,8 @@ def _channel_sums(scenario: Scenario, rx_points, states: SurfaceState | None = N
     cur, att, rot = _unit_terms(scenario, states, phases)
     pts = np.asarray(rx_points, dtype=float).reshape(-1, 3)
     sums = np.empty(len(pts), dtype=complex)
-    for lo, w in _weight_chunks(scenario, pts, cur, att):
-        sums[lo:lo + len(w)] = np.sum(w * rot, axis=-1)
+    for lo, amp, phi in _weight_chunks(scenario, pts, cur, att):
+        sums[lo:lo + len(amp)] = np.sum(amp * np.exp(-1j * phi) * rot, axis=-1)
     return sums
 
 

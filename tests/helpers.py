@@ -1,11 +1,16 @@
-"""Shared random scenario builders, per-unit oracles and reference searches for the test suite."""
+"""Shared random scenario builders, per-unit and scalar oracles, and reference
+searches and sweeps for the test suite."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 import rislink as rl
+from rislink.beamforming import wrap_to_pi
+from rislink.experiments import SweepRow, SweepResult
+from rislink.geometry import spherical_to_cartesian
+from rislink.link import _channel_sum, _link_budget_db
 
 
 def make_random_scenario(rng, max_rows=4, max_cols=8, max_units=32, bits=2,
@@ -199,3 +204,95 @@ def reference_greedy_search(scenario, initial=None, feedback=None, max_rounds=8)
         if not changed:
             break
     return config, trace
+
+
+# ------------------------------------------------- scalar geometry and channel oracles
+
+def element_position(layout, row: int, col: int) -> np.ndarray:
+    """Center of the unit cell at 1-based (row, col), shape (3,).
+
+    The grid is centered on the origin.  The x offset runs with the column
+    index and the y offset against the row index, so row 1 sits at the top
+    (largest y) when the surface is viewed from +z.
+    """
+    if not (1 <= row <= layout.n_rows and 1 <= col <= layout.n_cols):
+        raise ValueError(
+            f"element ({row}, {col}) outside {layout.n_rows}x{layout.n_cols} layout"
+        )
+    off_x = col - (layout.n_cols + 1) / 2.0
+    off_y = (layout.n_rows + 1) / 2.0 - row
+    return np.array([off_x * layout.pitch_x, off_y * layout.pitch_y, 0.0])
+
+
+def distance(a, b) -> float:
+    """Euclidean distance between two cartesian points."""
+    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+
+
+def departure_zenith(point, element) -> float:
+    """Angle between the unit cell's normal and the direction toward `point`.
+
+    The normal sign follows the point's half-space (+z above the plane, -z
+    below), so the result is always folded into [0, pi/2]; a point exactly in
+    the plane sees pi/2.  Raises ValueError on coincident points.
+    """
+    d = np.asarray(point, dtype=float) - np.asarray(element, dtype=float)
+    r = float(np.linalg.norm(d))
+    if r == 0.0:
+        raise ValueError("point coincides with the element")
+    return float(np.arccos(min(abs(d[2]) / r, 1.0)))
+
+
+def channel_coefficient(point, antenna, geometric_area, element, wl) -> complex:
+    """Complex channel between an antenna at `point` and one unit cell.
+
+    Amplitude sqrt(G(theta) * A(theta) / 4pi) / r with the spherical
+    propagation phase exp(-j 2 pi r / lambda); theta is the element-relative
+    zenith folded into [0, pi/2].
+    """
+    d = np.asarray(point, dtype=float) - np.asarray(element, dtype=float)
+    r = float(np.linalg.norm(d))
+    if r == 0.0:
+        raise ValueError("antenna coincides with the element")
+    zen = math.acos(min(abs(d[2]) / r, 1.0))
+    amp = math.sqrt(antenna.gain(zen) * rl.effective_area(geometric_area, zen) / (4.0 * math.pi)) / r
+    ph = -2.0 * math.pi * r / wl
+    return complex(amp * math.cos(ph), amp * math.sin(ph))
+
+
+def pose_channel_coefficient(pose, antenna, layout, row, col, wl) -> complex:
+    """channel_coefficient for a spherical pose and a 1-based (row, col) element."""
+    return channel_coefficient(
+        spherical_to_cartesian(pose), antenna, layout.element_area,
+        element_position(layout, row, col), wl,
+    )
+
+
+def propagation_phase(scenario, row, col) -> float:
+    """Unwrapped two-hop phase 2 pi (r_t + r_r) / lambda for one element (radians)."""
+    el = element_position(scenario.layout, row, col)
+    r_t = float(np.linalg.norm(spherical_to_cartesian(scenario.tx_pose) - el))
+    r_r = float(np.linalg.norm(spherical_to_cartesian(scenario.rx_pose) - el))
+    return 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
+
+
+# ------------------------------------------------- reference quantizer and sweep
+
+def reference_nearest_quantize(phases, codebook):
+    """Argmin over the whole (..., K) table of wrapped distances; ties within 1e-12 go low."""
+    ph = np.asarray(phases, dtype=float)
+    dist = np.abs(wrap_to_pi(ph[..., None] - codebook.phases()))
+    dmin = dist.min(axis=-1, keepdims=True)
+    return np.argmax(dist <= dmin + 1e-12, axis=-1).astype(int)
+
+
+def reference_pose_sweep(scenario, variable, values, poses, method, seed=0):
+    """Per-point sweep: a new scenario, a beamforming pass and one link evaluation per pose."""
+    result = SweepResult(variable)
+    seeds = np.random.SeedSequence(seed).spawn(len(values))
+    for value, pose, s in zip(values, poses, seeds):
+        scn = replace(scenario, rx_pose=pose)
+        bf = rl.apply_beamforming(scn, method, s)
+        p_dbm, pl_db = _link_budget_db(scn, _channel_sum(scn, bf.states, bf.phases))
+        result.rows.append(SweepRow(float(value), p_dbm, pl_db, bf.digest))
+    return result

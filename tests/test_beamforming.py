@@ -15,6 +15,7 @@ from helpers import (
     random_states,
     reference_blind_search,
     reference_greedy_search,
+    reference_nearest_quantize,
 )
 
 
@@ -83,7 +84,7 @@ def test_blind_trace_monotone_and_valid():
         s = small_scenario(seed)
         config, trace = rl.blind_rowcol_search(s)
         acc = trace.accepted_powers()
-        assert trace.steps[0].accepted
+        assert trace.accepted[0]
         assert all(b >= a for a, b in zip(acc, acc[1:]))
         assert trace.best_power == acc[-1]
         assert config.shape == (s.layout.n_rows, s.layout.n_cols)
@@ -97,8 +98,8 @@ def test_blind_symmetric_boresight_keeps_uniform():
     s = rl.chamber_scenario(n_rows=2, n_cols=2)
     config, trace = rl.blind_rowcol_search(s)
     assert np.array_equal(config, rl.uniform_configuration(s.layout))
-    assert [step.accepted for step in trace.steps[1:]] == [False] * (trace.n_queries - 1)
-    assert trace.best_power == trace.steps[0].power
+    assert trace.accepted[1:] == [False] * (trace.n_queries - 1)
+    assert trace.best_power == trace.powers[0]
 
 
 def test_blind_single_element_is_trivially_optimal():
@@ -253,6 +254,39 @@ def test_nearest_quantize_error_bound(phase, bits):
     idx = int(rl.nearest_quantize(phase, cb))
     err = abs(float(wrap_to_pi(cb.phases()[idx] - phase)))
     assert err <= cb.spacing / 2 + 1e-12
+
+
+def _codebook(bits, offset_frac):
+    spacing = math.pi / 2 ** (bits - 1)
+    offset = offset_frac * spacing
+    return rl.PhaseCodebook(bits, offset if offset < spacing else 0.0)
+
+
+def _step_ulps(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4), st.floats(0.0, 1.0, exclude_max=True),
+       st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=64))
+def test_nearest_quantize_matches_the_full_table_argmin(bits, offset_frac, phases):
+    cb = _codebook(bits, offset_frac)
+    assert np.array_equal(rl.nearest_quantize(phases, cb), reference_nearest_quantize(phases, cb))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4), st.floats(0.0, 1.0, exclude_max=True),
+       st.integers(-1600, 1600), st.booleans(), st.integers(-4, 4))
+def test_nearest_quantize_matches_the_argmin_at_entries_and_midpoints(bits, offset_frac, m,
+                                                                      midpoint, ulps):
+    # exact codebook entries and midpoints between them, unwrapped up to ~1e4
+    # rad, each nudged by a few ulps: where the two-entry rule and the full
+    # argmin would part ways if the ties-go-low padding differed
+    cb = _codebook(bits, offset_frac)
+    x = _step_ulps(cb.offset + cb.spacing * (m + (0.5 if midpoint else 0.0)), ulps)
+    assert int(rl.nearest_quantize(x, cb)) == int(reference_nearest_quantize(x, cb))
 
 
 def test_nearest_quantize_shape():

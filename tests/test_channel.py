@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import channel_coefficient, pose_channel_coefficient
 from rislink.channel import (
     SPEED_OF_LIGHT,
     AntennaModel,
-    channel_coefficient,
     channel_coefficients,
     effective_area,
-    pose_channel_coefficient,
     wavelength,
 )
 from rislink.geometry import ArrayLayout, SphericalPose, element_grid

@@ -207,6 +207,19 @@ def test_cli_beamform_json(tmp_path, capsys):
     assert "received_power_dbm" in payload
 
 
+@pytest.mark.parametrize("argv", [
+    ["--method", "greedy"],                       # index grid and control words
+    ["--method", "continuous"],                   # flat list of float phases
+    ["--method", "quantized", "--config", "1bit"],  # index grid, no control words
+])
+def test_cli_beamform_prints_what_json_indent_would(tmp_path, capsys, argv):
+    if "1bit" in argv:
+        argv[-1] = str(write(tmp_path, "[scenario]\ncodebook_bits = 1\nn_rows = 3\nn_cols = 5\n"))
+    assert main(["beamform"] + argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_cli_seed_resolution(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path, "[scenario]\nnoise_variance_w = 1e-4\n\n"
                           "[sweep s]\ntype = angle\nstart = 0\nstop = 10\nstep = 10\nmethod = blind\n")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rislink as rl
+from helpers import reference_pose_sweep
 from rislink.experiments import CSV_HEADER, sweep_grid
 
 
@@ -322,3 +323,84 @@ def test_run_config_keeps_rx_azimuth(tmp_path):
             _, value, _, pl, _ = line.split(",")
             assert float(pl) == pytest.approx(
                 _path_loss_at(s, float(value), 90.0, steering), rel=1e-12)
+
+
+# ------------------------------------------------- batched pose sweep vs per point
+
+def _pose_sweep_scenario(n_rows, n_cols, seed):
+    """A jittered link whose RX sits at a negative zenith in a non-zero azimuth plane."""
+    s = rl.chamber_scenario(tx_distance=0.8, rx_distance=3.5, rx_angle_deg=-15.0,
+                            n_rows=n_rows, n_cols=n_cols, horn_exponent=1.0,
+                            noise_variance=1e-4, jitter_max_deg=15.0, jitter_seed=seed)
+    return replace(s, rx_pose=rl.transmission_side_pose(3.5, -15.0, 35.0),
+                   tx_pose=rl.incidence_side_pose(0.8, 10.0, 200.0))
+
+
+def _distance_poses(s, grid):
+    return [rl.SphericalPose(float(r), s.rx_pose.theta, s.rx_pose.phi) for r in grid]
+
+
+def _angle_poses(s, grid, azimuth):
+    return [rl.transmission_side_pose(s.rx_pose.r, float(a), azimuth) for a in grid]
+
+
+def _assert_rows_match(got, want):
+    assert got.variable == want.variable and len(got.rows) == len(want.rows)
+    for g, w in zip(got.rows, want.rows):
+        assert g.value == w.value and g.config_digest == w.config_digest
+        assert g.received_power_dbm == pytest.approx(w.received_power_dbm, rel=1e-12)
+        assert g.path_loss_db == pytest.approx(w.path_loss_db, rel=1e-12, abs=1e-12)
+
+
+_SWEEP_SIZES = [(4, 8), (7, 5), (64, 64)]
+
+
+@pytest.mark.parametrize("method", rl.experiments.BEAMFORMING_METHODS)
+@pytest.mark.parametrize("n_rows, n_cols", _SWEEP_SIZES)
+def test_pose_sweeps_match_the_per_point_reference(n_rows, n_cols, method):
+    s = _pose_sweep_scenario(n_rows, n_cols, seed=n_rows)
+    # 64x64 chunks hold 4 points, so 6 points cross a chunk boundary
+    dist = rl.SweepSpec("rx_distance", 1.0, 3.5, 0.5, method)
+    got = rl.distance_sweep(s, dist, seed=5)
+    want = reference_pose_sweep(s, "rx_distance", dist.grid(), _distance_poses(s, dist.grid()),
+                                method, seed=5)
+    _assert_rows_match(got, want)
+    ang = rl.SweepSpec("rx_zenith", -35.0, 15.0, 10.0, method)
+    got = rl.angle_sweep(s, ang, seed=5, rx_azimuth_deg=35.0)
+    want = reference_pose_sweep(s, "rx_zenith", ang.grid(), _angle_poses(s, ang.grid(), 35.0),
+                                method, seed=5)
+    _assert_rows_match(got, want)
+
+
+def _sweep_error(sweep):
+    with pytest.raises(ValueError) as info:
+        sweep()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("method", rl.experiments.BEAMFORMING_METHODS)
+def test_pose_sweeps_keep_the_per_point_errors(method, monkeypatch):
+    s = _pose_sweep_scenario(4, 8, seed=1)
+    spec = rl.SweepSpec("rx_zenith", -20.0, 20.0, 20.0, method)
+    poses = _angle_poses(s, spec.grid(), 0.0)
+
+    def both(scenario):
+        return (_sweep_error(lambda: rl.angle_sweep(scenario, spec)),
+                _sweep_error(lambda: reference_pose_sweep(scenario, "rx_zenith", spec.grid(),
+                                                          poses, method)))
+
+    # TX on the transmission side: every swept point shares its half-space
+    got, want = both(replace(s, tx_pose=rl.transmission_side_pose(0.8, 0.0),
+                             rx_pose=rl.incidence_side_pose(3.5, 0.0)))
+    assert got == want and "opposite sides" in got[1]
+    # the calibrated top current over the supply budget
+    over = rl.AmplifierModel()
+    object.__setattr__(over, "max_current", over.top_current / 2)
+    got, want = both(replace(s, amplifier=over))
+    assert got == want and got[0] is rl.SupplyBudgetError
+    if method in ("none", "quantized"):
+        # a closed form that hands out an index past the codebook
+        monkeypatch.setattr(rl.experiments, "_closed_form",
+                            lambda scenario, method, phi: np.full(phi.shape, 4))
+        got, want = both(s)
+        assert got == want == (ValueError, "phase index outside 4-entry codebook")

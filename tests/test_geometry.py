@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import departure_zenith, distance, element_position
 from rislink.geometry import (
     ArrayLayout,
     SphericalPose,
-    departure_zenith,
-    distance,
     element_grid,
-    element_position,
     ranges_and_zeniths,
     spherical_to_cartesian,
 )

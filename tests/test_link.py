@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 import rislink as rl
 from helpers import (
+    departure_zenith,
+    distance,
+    element_position,
     make_random_scenario,
+    propagation_phase,
     random_states,
     unit_rcs,
     unit_state,
@@ -41,7 +45,7 @@ def test_scenario_wavelength():
 
 def test_propagation_phase_example():
     s = chamber_1x1()
-    assert rl.propagation_phase(s, 1, 1) == pytest.approx(250.6630646254211, rel=1e-13)
+    assert propagation_phase(s, 1, 1) == pytest.approx(250.6630646254211, rel=1e-13)
 
 
 def test_propagation_phases_match_scalar():
@@ -50,7 +54,7 @@ def test_propagation_phases_match_scalar():
     for row in range(1, 5):
         for col in range(1, 9):
             n = (row - 1) * 8 + (col - 1)
-            assert phis[n] == pytest.approx(rl.propagation_phase(s, row, col), rel=1e-15)
+            assert phis[n] == pytest.approx(propagation_phase(s, row, col), rel=1e-15)
 
 
 def test_received_power_routes_agree():
@@ -213,7 +217,6 @@ def test_element_weights_match_manual_terms():
     w = rl.element_weights(s, states)
     assert w.shape == (32,)
     # spot check one element against the scalar building blocks
-    from rislink.geometry import element_position, spherical_to_cartesian, distance, departure_zenith
     row, col = 2, 5
     n = (row - 1) * 8 + (col - 1)
     el = element_position(s.layout, row, col)
@@ -225,7 +228,7 @@ def test_element_weights_match_manual_terms():
     amp = math.sqrt(s.tx_antenna.gain(zen_t) * s.rx_antenna.gain(zen_r)) / (r_t * r_r) * sigma
     assert abs(w[n]) == pytest.approx(amp, rel=1e-12)
     # direction of the weight is the conjugated two-hop propagation phase
-    direction = np.exp(-1j * rl.propagation_phase(s, row, col))
+    direction = np.exp(-1j * propagation_phase(s, row, col))
     assert abs(w[n] / abs(w[n]) - direction) < 1e-9
 
 
@@ -443,7 +446,6 @@ def _per_unit_power(scenario, states):
     The jitter realization is drawn one unit at a time from the jitter seed,
     which gives the same values as the link's one draw for the whole array.
     """
-    from rislink.geometry import departure_zenith, distance, element_position
     p_t = spherical_to_cartesian(scenario.tx_pose)
     p_r = spherical_to_cartesian(scenario.rx_pose)
     jitter = scenario.jitter
@@ -460,7 +462,7 @@ def _per_unit_power(scenario, states):
                                                   jitter, rng)
             amp = math.sqrt(scenario.tx_antenna.gain(zen_t) * scenario.rx_antenna.gain(zen_r)) \
                 / (distance(p_t, el) * distance(p_r, el)) * sigma
-            total += amp * gamma / abs(gamma) * np.exp(-1j * rl.propagation_phase(scenario, row, col))
+            total += amp * gamma / abs(gamma) * np.exp(-1j * propagation_phase(scenario, row, col))
     return scenario.tx_power / (16 * math.pi ** 2) * abs(total) ** 2
 
 
