@@ -19,7 +19,6 @@ from .beamforming import (
 from .channel import (
     SPEED_OF_LIGHT,
     AntennaModel,
-    channel_coefficients,
     effective_area,
     wavelength,
 )
@@ -38,6 +37,7 @@ from .experiments import (
     peak_to_sidelobe,
     radiation_pattern,
     run_config,
+    run_sweep,
     sweep_grid,
     transmission_side_pose,
 )
@@ -49,11 +49,8 @@ from .geometry import (
 )
 from .link import (
     InfinitePathLossError,
-    LinkResult,
     Scenario,
-    continuous_optimal_phases,
     element_weights,
-    evaluate_link,
     from_db,
     max_received_power,
     min_path_loss,

@@ -1,4 +1,4 @@
-"""Free-space per-element channel coefficients and the cos^q antenna/aperture model."""
+"""Free-space wavelength and the cos^q antenna/aperture model of the link's legs."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayLayout, element_grid, ranges_and_cosines
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -67,13 +66,4 @@ def effective_area(geometric_area: float, zenith) -> float:
     """
     a = area_from_cosine(geometric_area, np.cos(zenith))
     return a if isinstance(a, np.ndarray) else float(a)
-
-
-def channel_coefficients(point, antenna: AntennaModel, layout: ArrayLayout,
-                         wl: float) -> np.ndarray:
-    """Channel coefficients from `point` to every unit cell, shape (n_units,), row-major."""
-    r, c = ranges_and_cosines(point, element_grid(layout))
-    g_a = antenna.gain_from_cosine(c) * area_from_cosine(layout.element_area, c)
-    amp = np.sqrt(g_a / (4.0 * math.pi)) / r
-    return amp * np.exp(-2j * math.pi * r / wl)
 

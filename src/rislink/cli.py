@@ -14,18 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import SWEEP_DEFAULTS, ConfigError, load_run_plan
-from .experiments import (
-    SWEEP_KINDS,
-    SweepSpec,
-    angle_sweep,
-    apply_beamforming,
-    chamber_scenario,
-    distance_sweep,
-    gain_sweep,
-    radiation_pattern,
-    run_config,
-)
+from .config import SWEEP_DEFAULTS, ConfigError, SweepJob, load_run_plan
+from .experiments import apply_beamforming, chamber_scenario, run_config, run_sweep
 from .geometry import SphericalPose
 from .link import _channel_sum, _link_budget_db
 from .ris import SupplyBudgetError, encode_control
@@ -64,13 +54,6 @@ def _scenario_from_args(args):
     return scenario, rx_azimuth_deg
 
 
-def _write_sweep(result, out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    result.write_csv(path)
-    return path
-
-
 def _cmd_run(args) -> int:
     summary = run_config(args.config_path, args.out, _resolve_seed(args))
     for entry in summary["sweeps"]:
@@ -79,39 +62,30 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_pose_sweep(args) -> int:
-    """`sweep-distance` or `sweep-angle`, told apart by the subcommand name."""
-    kind = args.command.removeprefix("sweep-")
+def _sweep_report(kind: str, res) -> str:
+    """What a sweep command prints about its result after the row count."""
+    if kind == "gain":
+        p = res.received_power_dbm
+        return f"received power swing {p[-1] - p[0]:.2f} dB"
+    if kind == "pattern":
+        return (f"peak {res.peak_angle_deg:g} deg, hpbw {res.hpbw_deg:.2f} deg, "
+                f"pslr {res.pslr_db:.2f} dB")
+    return f"path loss {res.path_loss_db[0]:.2f} -> {res.path_loss_db[-1]:.2f} dB"
+
+
+def _cmd_sweep(args) -> int:
+    """A sweep command: one `SweepJob` from the arguments, run as `run` runs a config's jobs."""
     scenario, rx_azimuth_deg = _scenario_from_args(args)
-    spec = SweepSpec(SWEEP_KINDS[kind], args.start, args.stop, args.step, args.method)
-    seed = _resolve_seed(args)
-    res = (distance_sweep(scenario, spec, seed) if kind == "distance"
-           else angle_sweep(scenario, spec, seed, rx_azimuth_deg))
-    path = _write_sweep(res, args.out, f"{kind}_sweep.csv")
-    pl = res.path_losses_db()
-    print(f"wrote {path} ({len(res.rows)} rows), path loss "
-          f"{pl[0]:.2f} -> {pl[-1]:.2f} dB")
-    return 0
-
-
-def _cmd_sweep_gain(args) -> int:
-    scenario, _ = _scenario_from_args(args)
-    currents = [float(c) for c in args.currents.split(",") if c.strip()]
-    res = gain_sweep(scenario, currents, args.method, _resolve_seed(args))
-    path = _write_sweep(res, args.out, "gain_sweep.csv")
-    p = res.received_powers_dbm()
-    print(f"wrote {path} ({len(res.rows)} rows), received power swing "
-          f"{p[-1] - p[0]:.2f} dB")
-    return 0
-
-
-def _cmd_pattern(args) -> int:
-    scenario, rx_azimuth_deg = _scenario_from_args(args)
-    res = radiation_pattern(scenario, args.steering, args.start, args.stop,
-                            args.step, args.method, _resolve_seed(args), rx_azimuth_deg)
-    path = _write_sweep(res, args.out, "pattern.csv")
-    print(f"wrote {path} ({len(res.angles_deg)} rows), peak {res.peak_angle_deg:g} deg, "
-          f"hpbw {res.hpbw_deg:.2f} deg, pslr {res.pslr_db:.2f} dB")
+    grid = {k: v for k, v in vars(args).items()
+            if k in ("start", "stop", "step", "steering_deg")}
+    if args.kind == "gain":
+        grid["currents"] = tuple(float(c) for c in args.currents.split(",") if c.strip())
+    job = SweepJob(args.csv_stem, args.kind, args.method, **grid)
+    res = run_sweep(scenario, job, _resolve_seed(args), rx_azimuth_deg)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, f"{job.name}.csv")
+    res.write_csv(path)
+    print(f"wrote {path} ({len(res.values)} rows), {_sweep_report(job.kind, res)}")
     return 0
 
 
@@ -192,32 +166,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config_path", help="experiment config file")
     p.set_defaults(func=_cmd_run)
 
-    for kind, help_text in (("distance", "path loss vs probe distance"),
-                            ("angle", "path loss vs probe angle")):
-        start, stop, step = SWEEP_DEFAULTS[kind]
-        p = sub.add_parser(f"sweep-{kind}", parents=[common], help=help_text)
-        p.add_argument("--start", type=float, default=start)
-        p.add_argument("--stop", type=float, default=stop)
-        p.add_argument("--step", type=float, default=step)
+    for kind, command, help_text in (
+            ("distance", "sweep-distance", "path loss vs probe distance"),
+            ("angle", "sweep-angle", "path loss vs probe angle"),
+            ("gain", "sweep-gain", "received power vs array supply current"),
+            ("pattern", "pattern", "radiation cut at a fixed steering angle")):
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        if kind == "gain":
+            p.add_argument("--currents", default="0.01,0.2,0.4,0.6,0.8,1.0,1.2,1.4",
+                           help="comma list of array-level currents in amperes")
+        else:
+            if kind == "pattern":
+                p.add_argument("--steering", type=float, default=0.0, dest="steering_deg",
+                               metavar="STEERING")
+            start, stop, step = SWEEP_DEFAULTS[kind]
+            p.add_argument("--start", type=float, default=start)
+            p.add_argument("--stop", type=float, default=stop)
+            p.add_argument("--step", type=float, default=step)
         p.add_argument("--method", default="quantized")
-        p.set_defaults(func=_cmd_pose_sweep)
-
-    p = sub.add_parser("sweep-gain", parents=[common],
-                       help="received power vs array supply current")
-    p.add_argument("--currents", default="0.01,0.2,0.4,0.6,0.8,1.0,1.2,1.4",
-                   help="comma list of array-level currents in amperes")
-    p.add_argument("--method", default="quantized")
-    p.set_defaults(func=_cmd_sweep_gain)
-
-    p = sub.add_parser("pattern", parents=[common],
-                       help="radiation cut at a fixed steering angle")
-    start, stop, step = SWEEP_DEFAULTS["pattern"]
-    p.add_argument("--steering", type=float, default=0.0)
-    p.add_argument("--start", type=float, default=start)
-    p.add_argument("--stop", type=float, default=stop)
-    p.add_argument("--step", type=float, default=step)
-    p.add_argument("--method", default="quantized")
-    p.set_defaults(func=_cmd_pattern)
+        p.set_defaults(func=_cmd_sweep, kind=kind,
+                       csv_stem="pattern" if kind == "pattern" else f"{kind}_sweep")
 
     p = sub.add_parser("beamform", parents=[common],
                        help="optimize one configuration and print it as JSON")

@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -52,30 +52,28 @@ BEAMFORMING_METHODS = ("none", "continuous", "quantized", "blind", "greedy")
 _CLOSED_FORM_METHODS = ("none", "continuous", "quantized")
 
 
-def transmission_side_pose(r: float, angle_deg: float, azimuth_deg: float = 0.0) -> SphericalPose:
-    """Pose on the transmission side (z < 0) at `angle_deg` off the surface normal.
+def _off_normal(angle_deg: float, azimuth_deg: float) -> tuple[float, float]:
+    """(|angle| in radians, azimuth in [0, 2 pi)) of a direction `angle_deg` off the normal.
 
     Negative angles flip to the opposite azimuth; |angle| must stay below 90
     or the point would graze the array plane.
     """
     if not -90.0 < angle_deg < 90.0:
-        raise ValueError(
-            f"off-normal angle must satisfy |angle| < 90 deg, got {angle_deg!r}"
-        )
-    a = math.radians(abs(angle_deg))
+        raise ValueError(f"off-normal angle must satisfy |angle| < 90 deg, got {angle_deg!r}")
     phi = math.radians(azimuth_deg) + (math.pi if angle_deg < 0 else 0.0)
-    return SphericalPose(r, math.pi - a, phi % (2.0 * math.pi))
+    return math.radians(abs(angle_deg)), phi % (2.0 * math.pi)
+
+
+def transmission_side_pose(r: float, angle_deg: float, azimuth_deg: float = 0.0) -> SphericalPose:
+    """Pose on the transmission side (z < 0) at `angle_deg` off the surface normal."""
+    a, phi = _off_normal(angle_deg, azimuth_deg)
+    return SphericalPose(r, math.pi - a, phi)
 
 
 def incidence_side_pose(r: float, angle_deg: float, azimuth_deg: float = 0.0) -> SphericalPose:
     """Pose on the incidence side (z > 0) at `angle_deg` off the surface normal."""
-    if not -90.0 < angle_deg < 90.0:
-        raise ValueError(
-            f"off-normal angle must satisfy |angle| < 90 deg, got {angle_deg!r}"
-        )
-    a = math.radians(abs(angle_deg))
-    phi = math.radians(azimuth_deg) + (math.pi if angle_deg < 0 else 0.0)
-    return SphericalPose(r, a, phi % (2.0 * math.pi))
+    a, phi = _off_normal(angle_deg, azimuth_deg)
+    return SphericalPose(r, a, phi)
 
 
 def chamber_scenario(tx_distance: float = 0.6, rx_distance: float = 4.0,
@@ -200,8 +198,7 @@ def _config_digest(scenario: Scenario, config: np.ndarray) -> str:
 
 
 def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
-                      passes: int = 4, max_rounds: int = 8,
-                      current: float | None = None) -> BeamformingOutcome:
+                      passes: int = 4, max_rounds: int = 8) -> BeamformingOutcome:
     """Run one beamforming method against `scenario` and package the result."""
     if method not in BEAMFORMING_METHODS:
         raise ValueError(f"unknown beamforming method {method!r}")
@@ -209,8 +206,8 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
     if method in _CLOSED_FORM_METHODS:
         config = _closed_form(scenario, method, propagation_phases(scenario))
         if method == "continuous":
-            return BeamformingOutcome(method, uniform_states(scenario, current=current),
-                                      config, None, _config_digest(scenario, config))
+            return BeamformingOutcome(method, uniform_states(scenario), config, None,
+                                      _config_digest(scenario, config))
         config = config.reshape(scenario.layout.n_rows, scenario.layout.n_cols)
     else:
         feedback = FeedbackChannel(
@@ -220,7 +217,7 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
             config, trace = blind_rowcol_search(scenario, feedback=feedback, passes=passes)
         else:
             config, trace = greedy_element_search(scenario, feedback=feedback, max_rounds=max_rounds)
-    states = states_from_configuration(scenario, config, current=current)
+    states = states_from_configuration(scenario, config)
     return BeamformingOutcome(
         method, states, None, config, _config_digest(scenario, config),
         0 if trace is None else trace.n_queries, trace,
@@ -228,51 +225,47 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
 
 
 @dataclass
-class SweepRow:
-    value: float
-    received_power_dbm: float
-    path_loss_db: float
-    config_digest: str
-
-
-@dataclass
 class SweepResult:
-    """Rows of one sweep plus the variable name, CSV-serializable."""
+    """One sweep as array columns, entry i being CSV row i.
+
+    `from_sums` is the one constructor from the link: each point's channel
+    sum becomes dBm and dB on its own through `_link_budget_db`, so an exact
+    null fails the same way in every sweep.
+    """
 
     variable: str
-    rows: list[SweepRow] = field(default_factory=list)
+    values: np.ndarray
+    received_power_dbm: np.ndarray
+    path_loss_db: np.ndarray
+    config_digests: list[str]
 
-    def values(self) -> np.ndarray:
-        return np.array([r.value for r in self.rows])
+    @classmethod
+    def from_sums(cls, scenario: Scenario, variable: str, values, sums,
+                  digests) -> SweepResult:
+        dbm, db = np.array([_link_budget_db(scenario, s) for s in sums]).T
+        return cls(variable, np.asarray(values, dtype=float), dbm, db, list(digests))
 
-    def path_losses_db(self) -> np.ndarray:
-        return np.array([r.path_loss_db for r in self.rows])
-
-    def received_powers_dbm(self) -> np.ndarray:
-        return np.array([r.received_power_dbm for r in self.rows])
+    @property
+    def metrics(self) -> dict:
+        """The sweep's entry in summary.json."""
+        pl = self.path_loss_db
+        return {
+            "first_path_loss_db": float(pl[0]),
+            "last_path_loss_db": float(pl[-1]),
+            "path_loss_span_db": float(pl[-1] - pl[0]),
+            "best_received_power_dbm": float(np.max(self.received_power_dbm)),
+        }
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{self.variable},{r.value!r},{r.received_power_dbm!r},"
-                f"{r.path_loss_db!r},{r.config_digest}"
-            )
+        for v, p, pl, d in zip(self.values.tolist(), self.received_power_dbm.tolist(),
+                               self.path_loss_db.tolist(), self.config_digests):
+            lines.append(f"{self.variable},{v!r},{p!r},{pl!r},{d}")
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(self.to_csv())
-
-
-def _point_seeds(seed, n: int):
-    return np.random.SeedSequence(seed).spawn(n)
-
-
-def _row(value: float, scenario: Scenario, states, phases, digest: str) -> SweepRow:
-    """One CSV row from a single link evaluation at the scenario's RX pose."""
-    p_dbm, pl_db = _link_budget_db(scenario, _channel_sum(scenario, states, phases))
-    return SweepRow(value, p_dbm, pl_db, digest)
 
 
 def _pose_sweep(scenario: Scenario, spec: SweepSpec, poses, seed) -> SweepResult:
@@ -283,29 +276,28 @@ def _pose_sweep(scenario: Scenario, spec: SweepSpec, poses, seed) -> SweepResult
     indices, its digest and its channel sum.  `blind` and `greedy` search
     per point, each with its own seed.
     """
-    values = [float(v) for v in spec.grid()]
-    result = SweepResult(spec.variable)
+    values = spec.grid()
     method = spec.beamforming
+    sums, digests = [], []
     if method not in _CLOSED_FORM_METHODS:
-        for value, pose, s in zip(values, poses, _point_seeds(seed, len(values))):
+        for pose, s in zip(poses, np.random.SeedSequence(seed).spawn(len(values))):
             scn = replace(scenario, rx_pose=pose)
             bf = apply_beamforming(scn, method, s)
-            result.rows.append(_row(value, scn, bf.states, bf.phases, bf.digest))
-        return result
-    points = np.array([spherical_to_cartesian(pose) for pose in poses])
-    top = uniform_states(scenario)
-    for lo, amp, phi in _weight_chunks(scenario, points, top.current, top.attenuation):
-        config = _closed_form(scenario, method, phi)
-        if method == "continuous":
-            phases = config
-        else:
-            _check_indices(scenario, config)
-            phases = _programmed_phases(scenario, config, None)
-        sums = np.sum(amp * np.exp(-1j * phi) * np.exp(1j * phases), axis=-1)
-        for value, point_config, total in zip(values[lo:], config, sums):
-            result.rows.append(SweepRow(value, *_link_budget_db(scenario, total),
-                                        _config_digest(scenario, point_config)))
-    return result
+            sums.append(_channel_sum(scn, bf.states, bf.phases))
+            digests.append(bf.digest)
+    else:
+        points = np.array([spherical_to_cartesian(pose) for pose in poses])
+        top = uniform_states(scenario)
+        for _, amp, phi in _weight_chunks(scenario, points, top.current, top.attenuation):
+            config = _closed_form(scenario, method, phi)
+            if method == "continuous":
+                phases = config
+            else:
+                _check_indices(scenario, config)
+                phases = _programmed_phases(scenario, config, None)
+            sums.extend(np.sum(amp * np.exp(-1j * phi) * np.exp(1j * phases), axis=-1))
+            digests.extend(_config_digest(scenario, point_config) for point_config in config)
+    return SweepResult.from_sums(scenario, spec.variable, values, sums, digests)
 
 
 def distance_sweep(scenario: Scenario, spec: SweepSpec, seed=0) -> SweepResult:
@@ -349,40 +341,36 @@ def gain_sweep(scenario: Scenario, currents: Sequence[float],
         raise ValueError("currents must be >= 0")
     n = scenario.layout.n_units
     bf = apply_beamforming(scenario, beamforming, seed)
-    result = SweepResult("amplifier_current")
-    for c in currents:
-        states = replace(bf.states, current=np.full(n, float(c) / n))
-        result.rows.append(_row(float(c), scenario, states, bf.phases, bf.digest))
-    return result
+    sums = [_channel_sum(scenario, replace(bf.states, current=np.full(n, float(c) / n)), bf.phases)
+            for c in currents]
+    return SweepResult.from_sums(scenario, "amplifier_current", [float(c) for c in currents],
+                                 sums, [bf.digest] * len(sums))
 
 
 @dataclass
-class PatternResult:
-    """Transmission-side radiation cut: power versus observation angle at one steering."""
+class PatternResult(SweepResult):
+    """Transmission-side radiation cut: a sweep over `pattern_angle` at one
+    frozen steering, plus the cut's metrics."""
 
     steering_deg: float
-    angles_deg: np.ndarray
-    power_dbm: np.ndarray
     relative_db: np.ndarray
     peak_angle_deg: float
     hpbw_deg: float
     pslr_db: float
-    config_digest: str
-    path_loss_db: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def peak_power_dbm(self) -> float:
-        return float(np.max(self.power_dbm))
+        return float(np.max(self.received_power_dbm))
 
-    def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for a, p, pl in zip(self.angles_deg, self.power_dbm, self.path_loss_db):
-            lines.append(f"pattern_angle,{float(a)!r},{float(p)!r},{float(pl)!r},{self.config_digest}")
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
+    @property
+    def metrics(self) -> dict:
+        return {
+            "steering_deg": self.steering_deg,
+            "peak_angle_deg": self.peak_angle_deg,
+            "peak_power_dbm": self.peak_power_dbm,
+            "hpbw_deg": self.hpbw_deg,
+            "pslr_db": self.pslr_db,
+        }
 
 
 def half_power_beamwidth(angles_deg, rel_db) -> float:
@@ -448,20 +436,33 @@ def radiation_pattern(scenario: Scenario, steering_deg: float,
         for a in angles
     ])
     sums = _channel_sums(scenario, points, bf.states, bf.phases)
-    powers, losses = np.array([_link_budget_db(scenario, s) for s in sums]).T
+    cut = SweepResult.from_sums(scenario, "pattern_angle", angles, sums, [bf.digest] * len(sums))
+    powers = cut.received_power_dbm
     rel = powers - np.max(powers)
-    peak_angle = float(angles[int(np.argmax(powers))])
     return PatternResult(
+        **vars(cut),
         steering_deg=float(steering_deg),
-        angles_deg=angles,
-        power_dbm=powers,
         relative_db=rel,
-        peak_angle_deg=peak_angle,
+        peak_angle_deg=float(angles[int(np.argmax(powers))]),
         hpbw_deg=half_power_beamwidth(angles, rel),
         pslr_db=peak_to_sidelobe(angles, rel),
-        config_digest=bf.digest,
-        path_loss_db=losses,
     )
+
+
+def run_sweep(scenario: Scenario, job, seed=0, rx_azimuth_deg: float = 0.0) -> SweepResult:
+    """Run one `config.SweepJob` on `scenario`; `rislink run` and the sweep commands share it.
+
+    Angle sweeps and pattern cuts turn in the plane of `rx_azimuth_deg`.
+    """
+    if job.kind == "gain":
+        return gain_sweep(scenario, job.currents, job.method, seed)
+    if job.kind == "pattern":
+        return radiation_pattern(scenario, job.steering_deg, job.start, job.stop, job.step,
+                                 job.method, seed, rx_azimuth_deg)
+    spec = SweepSpec(SWEEP_KINDS[job.kind], job.start, job.stop, job.step, job.method)
+    if job.kind == "distance":
+        return distance_sweep(scenario, spec, seed)
+    return angle_sweep(scenario, spec, seed, rx_azimuth_deg)
 
 
 def _scenario_summary(s: Scenario) -> dict:
@@ -495,41 +496,12 @@ def run_config(path, out_dir, seed=0) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for job in plan.jobs:
+        res = run_sweep(plan.scenario, job, seed, plan.rx_azimuth_deg)
         csv_name = f"{job.name}.csv"
-        csv_path = os.path.join(out_dir, csv_name)
-        entry = {"name": job.name, "kind": job.kind, "csv": csv_name,
-                 "beamforming": job.method}
-        if job.kind in ("distance", "angle"):
-            spec = SweepSpec(SWEEP_KINDS[job.kind], job.start, job.stop, job.step, job.method)
-            res = (distance_sweep(plan.scenario, spec, seed) if job.kind == "distance"
-                   else angle_sweep(plan.scenario, spec, seed, plan.rx_azimuth_deg))
-        elif job.kind == "gain":
-            res = gain_sweep(plan.scenario, job.currents, job.method, seed)
-        elif job.kind == "pattern":
-            res = radiation_pattern(plan.scenario, job.steering_deg, job.start, job.stop,
-                                    job.step, job.method, seed, plan.rx_azimuth_deg)
-        else:  # pragma: no cover - load_run_plan validates kinds
-            raise ValueError(f"unknown sweep kind {job.kind!r}")
-        res.write_csv(csv_path)
-        if isinstance(res, PatternResult):
-            entry["rows"] = len(res.angles_deg)
-            entry["metrics"] = {
-                "steering_deg": res.steering_deg,
-                "peak_angle_deg": res.peak_angle_deg,
-                "peak_power_dbm": res.peak_power_dbm,
-                "hpbw_deg": res.hpbw_deg,
-                "pslr_db": res.pslr_db,
-            }
-        else:
-            pl = res.path_losses_db()
-            entry["rows"] = len(res.rows)
-            entry["metrics"] = {
-                "first_path_loss_db": float(pl[0]),
-                "last_path_loss_db": float(pl[-1]),
-                "path_loss_span_db": float(pl[-1] - pl[0]),
-                "best_received_power_dbm": float(np.max(res.received_powers_dbm())),
-            }
-        entries.append(entry)
+        res.write_csv(os.path.join(out_dir, csv_name))
+        entries.append({"name": job.name, "kind": job.kind, "csv": csv_name,
+                        "beamforming": job.method, "rows": len(res.values),
+                        "metrics": res.metrics})
     summary = {
         "config": os.path.basename(str(path)),
         "seed": seed if isinstance(seed, int) else str(seed),

@@ -8,7 +8,7 @@ form.  They must agree to float precision; tests rely on both existing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,23 +177,9 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray, cur: np.ndarray,
         yield lo, np.sqrt(g_t * g_r) / (r_t * r_r) * sigma, phi
 
 
-def _unit_terms(scenario: Scenario, states: SurfaceState | None, phases):
-    """(currents, attenuations, exp(j phi_n)) of the states, checked once."""
-    if states is None:
-        states = uniform_states(scenario)
-    idx, cur, att = _state_arrays(scenario, states)
-    return cur, att, np.exp(1j * _programmed_phases(scenario, idx, phases))
-
-
 def _own_rx_point(scenario: Scenario) -> np.ndarray:
     """The scenario's RX pose as a (1, 3) batch of points."""
     return spherical_to_cartesian(scenario.rx_pose)[None]
-
-
-def _own_weights(scenario: Scenario, cur: np.ndarray, att: np.ndarray) -> np.ndarray:
-    """The kernel's weight row toward the scenario's own RX pose, shape (n_units,)."""
-    _, amp, phi = next(_weight_chunks(scenario, _own_rx_point(scenario), cur, att))
-    return amp[0] * np.exp(-1j * phi[0])
 
 
 def _channel_sums(scenario: Scenario, rx_points, states: SurfaceState | None = None,
@@ -204,7 +190,10 @@ def _channel_sums(scenario: Scenario, rx_points, states: SurfaceState | None = N
     PL = 16 pi^2 / |S|^2.  States and programmed phases are resolved once
     per call, whatever P is.
     """
-    cur, att, rot = _unit_terms(scenario, states, phases)
+    if states is None:
+        states = uniform_states(scenario)
+    idx, cur, att = _state_arrays(scenario, states)
+    rot = np.exp(1j * _programmed_phases(scenario, idx, phases))
     pts = np.asarray(rx_points, dtype=float).reshape(-1, 3)
     sums = np.empty(len(pts), dtype=complex)
     for lo, amp, phi in _weight_chunks(scenario, pts, cur, att):
@@ -228,7 +217,8 @@ def element_weights(scenario: Scenario, states: SurfaceState | None = None) -> n
     if states is None:
         states = uniform_states(scenario)
     _, cur, att = _state_arrays(scenario, states)
-    return _own_weights(scenario, cur, att)
+    _, amp, phi = next(_weight_chunks(scenario, _own_rx_point(scenario), cur, att))
+    return amp[0] * np.exp(-1j * phi[0])
 
 
 def _link_budget_db(scenario: Scenario, channel_sum: complex) -> tuple[float, float]:
@@ -322,15 +312,6 @@ def path_loss_db(scenario: Scenario, states: SurfaceState | None = None,
     return to_db(path_loss(scenario, states, phases))
 
 
-def continuous_optimal_phases(scenario: Scenario, constant: float = 0.0) -> np.ndarray:
-    """Per-unit phases that align every element's contribution, in [0, 2 pi).
-
-    Any shared `constant` gives the same power; it only rotates the received
-    sample.
-    """
-    return np.mod(constant + propagation_phases(scenario), 2.0 * math.pi)
-
-
 def max_received_power(scenario: Scenario,
                        states: SurfaceState | None = None) -> float:
     """Received power under perfectly aligned (continuous) phases: coherent |w| sum."""
@@ -345,26 +326,6 @@ def min_path_loss(scenario: Scenario,
     if total == 0.0:
         raise InfinitePathLossError("every element weight is zero")
     return SIXTEEN_PI_SQ / total
-
-
-@dataclass
-class LinkResult:
-    """Evaluated link: power, loss, and the per-element complex terms behind them."""
-
-    received_power: float
-    path_loss: float
-    terms: np.ndarray = field(repr=False)
-
-
-def evaluate_link(scenario: Scenario, states: SurfaceState | None = None,
-                  phases=None) -> LinkResult:
-    """received_power and path_loss in one pass, sharing the per-element terms."""
-    cur, att, rot = _unit_terms(scenario, states, phases)
-    terms = _own_weights(scenario, cur, att) * rot
-    ssq = float(np.abs(np.sum(terms))) ** 2
-    if ssq == 0.0:
-        raise InfinitePathLossError("configuration nulls the received field")
-    return LinkResult(scenario.tx_power / SIXTEEN_PI_SQ * ssq, SIXTEEN_PI_SQ / ssq, terms)
 
 
 def to_db(x) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 
 import rislink as rl
 from rislink.beamforming import wrap_to_pi
-from rislink.experiments import SweepRow, SweepResult
+from rislink.experiments import SweepResult
 from rislink.geometry import spherical_to_cartesian
 from rislink.link import _channel_sum, _link_budget_db
 
@@ -288,11 +288,12 @@ def reference_nearest_quantize(phases, codebook):
 
 def reference_pose_sweep(scenario, variable, values, poses, method, seed=0):
     """Per-point sweep: a new scenario, a beamforming pass and one link evaluation per pose."""
-    result = SweepResult(variable)
+    rows, digests = [], []
     seeds = np.random.SeedSequence(seed).spawn(len(values))
-    for value, pose, s in zip(values, poses, seeds):
+    for pose, s in zip(poses, seeds):
         scn = replace(scenario, rx_pose=pose)
         bf = rl.apply_beamforming(scn, method, s)
-        p_dbm, pl_db = _link_budget_db(scn, _channel_sum(scn, bf.states, bf.phases))
-        result.rows.append(SweepRow(float(value), p_dbm, pl_db, bf.digest))
-    return result
+        rows.append(_link_budget_db(scn, _channel_sum(scn, bf.states, bf.phases)))
+        digests.append(bf.digest)
+    p_dbm, pl_db = np.array(rows).T
+    return SweepResult(variable, np.asarray(values, dtype=float), p_dbm, pl_db, digests)

@@ -49,7 +49,8 @@ def test_criterion_2_continuous_phases_reach_the_power_bound():
     for _ in range(100):
         sc = make_random_scenario(rng)
         states = random_states(rng, sc)
-        phases = rl.continuous_optimal_phases(sc, float(rng.uniform(0.0, 2.0 * math.pi)))
+        phases = (rl.apply_beamforming(sc, "continuous").phases
+                  + float(rng.uniform(0.0, 2.0 * math.pi)))
         p = rl.received_power(sc, states, phases=phases)
         pmax = rl.max_received_power(sc, states)
         worst_opt = max(worst_opt, rel_gap(p, pmax))
@@ -66,7 +67,7 @@ def test_criterion_3_quantized_phases_keep_half_the_optimum():
     for _ in range(1000):
         sc = make_random_scenario(rng, random_offset=True)
         states = random_states(rng, sc)
-        idx = rl.nearest_quantize(rl.continuous_optimal_phases(sc), sc.codebook)
+        idx = rl.nearest_quantize(rl.apply_beamforming(sc, "continuous").phases, sc.codebook)
         qstates = replace(states, phase_index=idx.reshape(-1))
         ratio = rl.received_power(sc, qstates) / rl.max_received_power(sc, states)
         worst = min(worst, ratio)
@@ -134,7 +135,7 @@ def test_criterion_5_control_word_table():
 
 def test_criterion_6_supply_current_sets_the_calibrated_gain_swing():
     res = rl.gain_sweep(rl.chamber_scenario(), [0.01, 1.4])
-    p = res.received_powers_dbm()
+    p = res.received_power_dbm
     swing = float(p[-1] - p[0])
     report(6, "current swing 0.01 A -> 1.4 A moves received power by 11.9 dB",
            abs(swing - 11.9) <= 1e-9, f"swing {swing:.12f} dB")
@@ -147,7 +148,7 @@ def test_criterion_7_path_loss_versus_distance():
     detail = []
     for tx_d in (0.5, 1.0):
         res = rl.distance_sweep(rl.chamber_scenario(tx_distance=tx_d), spec)
-        pl = res.path_losses_db()
+        pl = res.path_loss_db
         losses[tx_d] = pl
         if not (np.diff(pl) > 0).all():
             ok = False
@@ -165,7 +166,7 @@ def test_criterion_7_path_loss_versus_distance():
 def test_criterion_8_path_loss_versus_angle():
     sc = rl.chamber_scenario(rx_distance=4.5)
     spec = rl.SweepSpec("rx_zenith", 0.0, 60.0, 10.0, beamforming="continuous")
-    pl = rl.angle_sweep(sc, spec).path_losses_db()
+    pl = rl.angle_sweep(sc, spec).path_loss_db
     monotone = (np.diff(pl) >= -1e-9).all()
     delta = float(pl[-1] - pl[0])
     predicted = -10.0 * math.log10(

@@ -12,7 +12,6 @@ from helpers import channel_coefficient, pose_channel_coefficient
 from rislink.channel import (
     SPEED_OF_LIGHT,
     AntennaModel,
-    channel_coefficients,
     effective_area,
     wavelength,
 )
@@ -110,24 +109,13 @@ def test_channel_coefficient_grazing_is_null():
     assert abs(f) < 1e-9
 
 
-def test_channel_coefficients_match_scalar():
-    lay = ArrayLayout(2, 3, 0.05, 0.06)
-    ant = AntennaModel(5.0, 1.0)
-    wl = wavelength(3.1e9)
-    point = [0.2, -0.1, 0.9]
-    vec = channel_coefficients(point, ant, lay, wl)
-    assert vec.shape == (6,)
-    for n, el in enumerate(element_grid(lay)):
-        assert vec[n] == pytest.approx(
-            channel_coefficient(point, ant, lay.element_area, el, wl), rel=1e-14)
-
-
 def test_pose_channel_coefficient_matches_cartesian():
     lay = ArrayLayout(4, 8)
     pose = SphericalPose(0.6, 0.2, 1.0)
     wl = wavelength(2.6e9)
     got = pose_channel_coefficient(pose, AntennaModel(), lay, 2, 5, wl)
-    want = channel_coefficients(
-        [0.6 * math.sin(0.2) * math.cos(1.0), 0.6 * math.sin(0.2) * math.sin(1.0),
-         0.6 * math.cos(0.2)], AntennaModel(), lay, wl)[1 * 8 + 4]
+    point = [0.6 * math.sin(0.2) * math.cos(1.0), 0.6 * math.sin(0.2) * math.sin(1.0),
+             0.6 * math.cos(0.2)]
+    want = channel_coefficient(point, AntennaModel(), lay.element_area,
+                               element_grid(lay)[1 * 8 + 4], wl)
     assert got == pytest.approx(want, rel=1e-12)

@@ -195,6 +195,38 @@ def test_cli_pattern(tmp_path, capsys):
     assert "hpbw" in capsys.readouterr().out
 
 
+# a jittered, noisy link whose RX sits at a negative zenith in the 60 deg plane
+_ONE_JOB = ("[scenario]\nn_rows = 3\nn_cols = 5\nrx_zenith_deg = -10\nrx_azimuth_deg = 60\n"
+            "noise_variance_w = 1e-8\nphase_jitter_max_deg = 10\n\n[sweep s]\n")
+
+
+# `line` pins each command's summary line byte for byte
+@pytest.mark.parametrize("command, section, argv, csv_name, line", [
+    ("sweep-distance", "type = distance\nstart = 1\nstop = 2.5\nstep = 0.5\nmethod = continuous\n",
+     ["--start", "1", "--stop", "2.5", "--step", "0.5", "--method", "continuous"],
+     "distance_sweep.csv", "(4 rows), path loss 1.29 -> 9.20 dB"),
+    ("sweep-angle", "type = angle\nstart = -20\nstop = 40\nstep = 20\nmethod = blind\n",
+     ["--start", "-20", "--stop", "40", "--step", "20", "--method", "blind"],
+     "angle_sweep.csv", "(4 rows), path loss 14.30 -> 15.97 dB"),
+    ("sweep-gain", "type = gain\ncurrents_a = 0.01, 0.6, 1.4\nmethod = greedy\n",
+     ["--currents", "0.01,0.6,1.4", "--method", "greedy"],
+     "gain_sweep.csv", "(3 rows), received power swing 11.80 dB"),
+    ("pattern", "type = pattern\nsteering_deg = 20\nstart = -60\nstop = 60\nstep = 5\n",
+     ["--steering", "20", "--start", "-60", "--stop", "60", "--step", "5"],
+     "pattern.csv", "(25 rows), peak 20 deg, hpbw 29.31 deg, pslr 15.15 dB"),
+], ids=["sweep-distance", "sweep-angle", "sweep-gain", "pattern"])
+def test_sweep_commands_write_what_run_writes(tmp_path, capsys, command, section, argv,
+                                              csv_name, line):
+    cfg = write(tmp_path, _ONE_JOB + section)
+    rl.run_config(cfg, tmp_path / "run", seed=3)
+    capsys.readouterr()
+    out = tmp_path / "cmd"
+    assert main([command, "--config", str(cfg), "--seed", "3", "--out", str(out)] + argv) == 0
+    assert os.listdir(out) == [csv_name]
+    assert (out / csv_name).read_bytes() == (tmp_path / "run" / "s.csv").read_bytes()
+    assert capsys.readouterr().out == f"wrote {out / csv_name} {line}\n"
+
+
 def test_cli_beamform_json(tmp_path, capsys):
     assert main(["beamform", "--method", "blind"]) == 0
     payload = json.loads(capsys.readouterr().out)

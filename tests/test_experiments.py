@@ -104,8 +104,8 @@ def test_distance_sweep_rows():
     s = rl.chamber_scenario()
     res = rl.distance_sweep(s, rl.SweepSpec("rx_distance", 1.0, 3.0, 1.0, "quantized"))
     assert res.variable == "rx_distance"
-    assert np.allclose(res.values(), [1.0, 2.0, 3.0])
-    assert all(len(r.config_digest) == 12 for r in res.rows)
+    assert np.allclose(res.values, [1.0, 2.0, 3.0])
+    assert all(len(d) == 12 for d in res.config_digests)
     with pytest.raises(ValueError):
         rl.distance_sweep(s, rl.SweepSpec("rx_zenith", 0.0, 10.0, 5.0))
 
@@ -113,50 +113,49 @@ def test_distance_sweep_rows():
 def test_distance_sweep_continuous_monotone():
     s = rl.chamber_scenario()
     res = rl.distance_sweep(s, rl.SweepSpec("rx_distance", 0.5, 5.0, 0.5, "continuous"))
-    assert np.all(np.diff(res.path_losses_db()) > 0)
+    assert np.all(np.diff(res.path_loss_db) > 0)
 
 
 def test_angle_sweep_continuous_monotone():
     s = rl.chamber_scenario(rx_distance=4.5)
     res = rl.angle_sweep(s, rl.SweepSpec("rx_zenith", 0.0, 60.0, 10.0, "continuous"))
     assert res.variable == "rx_zenith"
-    assert np.all(np.diff(res.path_losses_db()) >= 0)
+    assert np.all(np.diff(res.path_loss_db) >= 0)
 
 
 def test_gain_sweep_swing_and_held_configuration():
     s = rl.chamber_scenario()
     res = rl.gain_sweep(s, [0.01, 0.2, 0.6, 1.0, 1.4])
-    p = res.received_powers_dbm()
+    p = res.received_power_dbm
     assert p[-1] - p[0] == pytest.approx(11.9, abs=1e-9)
     assert np.all(np.diff(p) > 0)
-    digests = {r.config_digest for r in res.rows}
-    assert len(digests) == 1  # configuration frozen across the sweep
+    assert len(set(res.config_digests)) == 1  # configuration frozen across the sweep
     assert res.variable == "amplifier_current"
-    assert np.allclose(res.values(), [0.01, 0.2, 0.6, 1.0, 1.4])
+    assert np.allclose(res.values, [0.01, 0.2, 0.6, 1.0, 1.4])
 
 
 def test_gain_sweep_rows_hold_the_first_configuration(monkeypatch):
     s = rl.chamber_scenario(n_rows=6, n_cols=6, rx_angle_deg=20.0)
     currents = [0.01, 0.5, 1.4, 2.0]
     seen = []
-    row = rl.experiments._row
+    channel_sum = rl.experiments._channel_sum
 
-    def spy(value, scenario, states, phases, digest):
+    def spy(scenario, states, phases):
         seen.append(states)
-        return row(value, scenario, states, phases, digest)
+        return channel_sum(scenario, states, phases)
 
-    monkeypatch.setattr(rl.experiments, "_row", spy)
+    monkeypatch.setattr(rl.experiments, "_channel_sum", spy)
     res = rl.gain_sweep(s, currents)
     n = s.layout.n_units
     bf = rl.apply_beamforming(s)
     assert len(seen) == len(currents)
-    for c, states, r in zip(currents, seen, res.rows):
+    for c, states, p_dbm in zip(currents, seen, res.received_power_dbm):
         assert len(states) == n
         assert np.all(states.current == c / n)
         assert np.array_equal(states.phase_index, seen[0].phase_index)
         assert np.all(states.attenuation == 1.0)
         held = rl.states_from_configuration(s, bf.configuration, current=c / n)
-        assert r.received_power_dbm == rl.watts_to_dbm(rl.received_power(s, held))
+        assert p_dbm == rl.watts_to_dbm(rl.received_power(s, held))
     assert np.array_equal(seen[0].phase_index, bf.configuration.reshape(-1))
 
 
@@ -173,12 +172,12 @@ def test_gain_sweep_budget_and_validation():
 def test_radiation_pattern_boresight():
     s = rl.chamber_scenario()
     pat = rl.radiation_pattern(s, 0.0)
-    assert len(pat.angles_deg) == 341
+    assert len(pat.values) == 341
     assert pat.relative_db.max() == 0.0
     assert abs(pat.peak_angle_deg) <= 1.0
     assert 10.0 <= pat.hpbw_deg <= 16.0
     assert pat.pslr_db > 5.0
-    assert pat.config_digest == rl.apply_beamforming(s, "quantized").digest
+    assert set(pat.config_digests) == {rl.apply_beamforming(s, "quantized").digest}
 
 
 def test_radiation_pattern_steered():
@@ -293,15 +292,15 @@ def _path_loss_at(scenario, angle, azimuth, steering=None):
 def test_angle_sweep_keeps_rx_azimuth():
     s = _azimuth_90_scenario()
     res = rl.angle_sweep(s, rl.SweepSpec("rx_zenith", 0.0, 60.0, 10.0), rx_azimuth_deg=90.0)
-    for row in res.rows:
-        assert row.path_loss_db == pytest.approx(_path_loss_at(s, row.value, 90.0), rel=1e-12)
-    assert res.rows[2].path_loss_db == pytest.approx(14.0566, abs=1e-4)
+    for value, pl in zip(res.values, res.path_loss_db):
+        assert pl == pytest.approx(_path_loss_at(s, value, 90.0), rel=1e-12)
+    assert res.path_loss_db[2] == pytest.approx(14.0566, abs=1e-4)
 
 
 def test_radiation_pattern_keeps_rx_azimuth():
     s = _azimuth_90_scenario()
     res = rl.radiation_pattern(s, 30.0, -60.0, 60.0, 7.5, rx_azimuth_deg=90.0)
-    for a, pl in zip(res.angles_deg, res.path_loss_db):
+    for a, pl in zip(res.values, res.path_loss_db):
         assert pl == pytest.approx(_path_loss_at(s, a, 90.0, steering=30.0), rel=1e-12)
 
 
@@ -345,11 +344,11 @@ def _angle_poses(s, grid, azimuth):
 
 
 def _assert_rows_match(got, want):
-    assert got.variable == want.variable and len(got.rows) == len(want.rows)
-    for g, w in zip(got.rows, want.rows):
-        assert g.value == w.value and g.config_digest == w.config_digest
-        assert g.received_power_dbm == pytest.approx(w.received_power_dbm, rel=1e-12)
-        assert g.path_loss_db == pytest.approx(w.path_loss_db, rel=1e-12, abs=1e-12)
+    assert got.variable == want.variable and len(got.values) == len(want.values)
+    assert np.array_equal(got.values, want.values)
+    assert got.config_digests == want.config_digests
+    assert got.received_power_dbm == pytest.approx(want.received_power_dbm, rel=1e-12)
+    assert got.path_loss_db == pytest.approx(want.path_loss_db, rel=1e-12, abs=1e-12)
 
 
 _SWEEP_SIZES = [(4, 8), (7, 5), (64, 64)]

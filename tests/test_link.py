@@ -123,7 +123,8 @@ def test_continuous_optimum_reaches_the_bound():
         states = random_states(rng, s)
         pmax = rl.max_received_power(s, states)
         for c in (0.0, 1.234, 5.5):
-            p = rl.received_power(s, states, phases=rl.continuous_optimal_phases(s, c))
+            phases = rl.apply_beamforming(s, "continuous").phases + c
+            p = rl.received_power(s, states, phases=phases)
             assert p == pytest.approx(pmax, rel=1e-10)
 
 
@@ -197,7 +198,7 @@ def test_state_validation():
 def test_phases_override_bypasses_jitter():
     noisy = rl.chamber_scenario(jitter_max_deg=8.0, jitter_seed=1)
     quiet = rl.chamber_scenario()
-    ph = rl.continuous_optimal_phases(quiet)
+    ph = rl.apply_beamforming(quiet, "continuous").phases
     assert rl.received_power(noisy, phases=ph) == rl.received_power(quiet, phases=ph)
     # codebook-programmed states do see the jitter
     assert rl.received_power(noisy) != rl.received_power(quiet)
@@ -230,16 +231,6 @@ def test_element_weights_match_manual_terms():
     # direction of the weight is the conjugated two-hop propagation phase
     direction = np.exp(-1j * propagation_phase(s, row, col))
     assert abs(w[n] / abs(w[n]) - direction) < 1e-9
-
-
-def test_evaluate_link_consistent():
-    rng = np.random.default_rng(53)
-    s = make_random_scenario(rng)
-    states = random_states(rng, s)
-    res = rl.evaluate_link(s, states)
-    assert res.received_power == pytest.approx(rl.received_power(s, states), rel=1e-15)
-    assert res.path_loss == pytest.approx(rl.path_loss(s, states), rel=1e-15)
-    assert res.terms.shape == (s.layout.n_units,)
 
 
 def test_uniform_states_defaults():

@@ -1,0 +1,39 @@
+"""Static checks over the package sources."""
+
+import ast
+import glob
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "rislink")
+# __init__.py imports are the package's public surface, read by its users
+MODULES = sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
+                 if os.path.basename(p) != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """`line: name` of every name an import binds in `source` that no code reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_the_check_sees_an_unused_import():
+    source = ("import numpy as np\nfrom dataclasses import dataclass, field\n\n"
+              "@dataclass\nclass A:\n    x: np.ndarray\n")
+    assert unused_imports(source) == ["2: field"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_every_import_is_used(path):
+    with open(path) as fh:
+        assert unused_imports(fh.read()) == []
