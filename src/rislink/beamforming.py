@@ -259,21 +259,28 @@ def wrap_to_pi(x):
 def nearest_quantize(phases, codebook: PhaseCodebook) -> np.ndarray:
     """Each phase to the circularly nearest codebook index; exact ties go to the lower index.
 
-    Only the two entries around a phase, k0 = floor((phase - offset) /
-    spacing) mod K and k0 + 1 mod K, can be nearest, so only their wrapped
-    distances are compared, with the tolerance-padded rule of an argmin
-    over the whole codebook: an entry within 1e-12 of the nearest distance
-    counts as tied, so float noise at midpoints still breaks low.
+    With x = (phase - offset) / spacing, the nearest entry is x rounded half up, mod K.
+    Within 1e-6 of a step (plus 1e-9 rad for fine codebooks) of a midpoint, the two
+    entries around x are compared by wrapped distance with the tolerance-padded rule
+    of an argmin over the whole codebook: within 1e-12 of the nearest counts as tied.
     """
-    ph = np.asarray(phases, dtype=float)
+    shape = np.shape(phases)
+    ph = np.asarray(phases, dtype=float).reshape(-1)
     k = codebook.size
+    x = (ph - codebook.offset) / codebook.spacing
+    floor = np.floor(x)
+    frac = x - floor
+    lo = floor.astype(int) & (k - 1)  # K is a power of two
+    idx = (lo + (frac >= 0.5)) & (k - 1)
+    near = np.abs(frac - 0.5) < 1e-6 + 1e-9 / codebook.spacing
+    ph, lo = ph[near], lo[near]
+    hi = (lo + 1) & (k - 1)
     entries = codebook.phases()
-    lo = np.floor((ph - codebook.offset) / codebook.spacing).astype(int) % k
-    hi = (lo + 1) % k
     d_lo = np.abs(wrap_to_pi(ph - entries[lo]))
     d_hi = np.abs(wrap_to_pi(ph - entries[hi]))
     tied = np.minimum(d_lo, d_hi) + 1e-12
-    return np.where((d_lo <= tied) & ((d_hi > tied) | (lo < hi)), lo, hi)
+    idx[near] = np.where((d_lo <= tied) & ((d_hi > tied) | (lo < hi)), lo, hi)
+    return idx.reshape(shape)
 
 
 def brute_force_optimum(scenario: Scenario,

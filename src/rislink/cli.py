@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import SWEEP_DEFAULTS, ConfigError, SweepJob, load_run_plan
+from .config import SWEEP_DEFAULTS, ConfigError, SweepJob, _parse_currents, load_run_plan
 from .experiments import apply_beamforming, chamber_scenario, run_config, run_sweep
 from .geometry import SphericalPose
 from .link import _channel_sum, _link_budget_db
@@ -79,7 +79,10 @@ def _cmd_sweep(args) -> int:
     grid = {k: v for k, v in vars(args).items()
             if k in ("start", "stop", "step", "steering_deg")}
     if args.kind == "gain":
-        grid["currents"] = tuple(float(c) for c in args.currents.split(",") if c.strip())
+        try:
+            grid["currents"] = _parse_currents(args.currents)
+        except ValueError:
+            raise ValueError(f"--currents: cannot parse {args.currents!r}") from None
     job = SweepJob(args.csv_stem, args.kind, args.method, **grid)
     res = run_sweep(scenario, job, _resolve_seed(args), rx_azimuth_deg)
     os.makedirs(args.out, exist_ok=True)
@@ -98,11 +101,11 @@ def _cmd_beamform(args) -> int:
             raise ValueError(
                 f"--trace needs a feedback search (blind or greedy), not {bf.method!r}")
         bf.trace.write_csv(args.trace)
-    p_dbm, pl_db = _link_budget_db(scenario, _channel_sum(scenario, bf.states, bf.phases))
+    p_dbm, pl_db = _link_budget_db(scenario, [_channel_sum(scenario, bf.states, bf.phases)])
     out = {
         "method": bf.method,
-        "received_power_dbm": p_dbm,
-        "path_loss_db": pl_db,
+        "received_power_dbm": float(p_dbm[0]),
+        "path_loss_db": float(pl_db[0]),
         "feedback_queries": bf.queries,
         "config_digest": bf.digest,
     }

@@ -25,7 +25,7 @@ from .beamforming import (
     power_oracle,
 )
 from .channel import AntennaModel
-from .geometry import ArrayLayout, SphericalPose, spherical_to_cartesian
+from .geometry import ArrayLayout, SphericalPose, cartesian_points
 from .link import (
     Scenario,
     _channel_sum,
@@ -52,28 +52,30 @@ BEAMFORMING_METHODS = ("none", "continuous", "quantized", "blind", "greedy")
 _CLOSED_FORM_METHODS = ("none", "continuous", "quantized")
 
 
-def _off_normal(angle_deg: float, azimuth_deg: float) -> tuple[float, float]:
-    """(|angle| in radians, azimuth in [0, 2 pi)) of a direction `angle_deg` off the normal.
+def _off_normal(angle_deg, azimuth_deg: float = 0.0):
+    """(|angle| in radians, azimuth in [0, 2 pi)) of directions `angle_deg` off the normal.
 
-    Negative angles flip to the opposite azimuth; |angle| must stay below 90
-    or the point would graze the array plane.
+    Scalars or arrays; negative angles flip to the opposite azimuth.  The one angle
+    check of every sweep and pose: |angle| < 90 deg, or it grazes the array plane.
     """
-    if not -90.0 < angle_deg < 90.0:
-        raise ValueError(f"off-normal angle must satisfy |angle| < 90 deg, got {angle_deg!r}")
-    phi = math.radians(azimuth_deg) + (math.pi if angle_deg < 0 else 0.0)
-    return math.radians(abs(angle_deg)), phi % (2.0 * math.pi)
+    a = np.asarray(angle_deg, dtype=float)
+    bad = ~(np.abs(a) < 90.0)
+    if np.any(bad):
+        raise ValueError(f"off-normal angle must satisfy |angle| < 90 deg, got {float(a[bad][0])!r}")
+    phi = np.mod(np.radians(azimuth_deg) + np.where(a < 0, math.pi, 0.0), 2.0 * math.pi)
+    return np.radians(np.abs(a)), phi
 
 
 def transmission_side_pose(r: float, angle_deg: float, azimuth_deg: float = 0.0) -> SphericalPose:
     """Pose on the transmission side (z < 0) at `angle_deg` off the surface normal."""
     a, phi = _off_normal(angle_deg, azimuth_deg)
-    return SphericalPose(r, math.pi - a, phi)
+    return SphericalPose(r, math.pi - float(a), float(phi))
 
 
 def incidence_side_pose(r: float, angle_deg: float, azimuth_deg: float = 0.0) -> SphericalPose:
     """Pose on the incidence side (z > 0) at `angle_deg` off the surface normal."""
     a, phi = _off_normal(angle_deg, azimuth_deg)
-    return SphericalPose(r, a, phi)
+    return SphericalPose(r, float(a), float(phi))
 
 
 def chamber_scenario(tx_distance: float = 0.6, rx_distance: float = 4.0,
@@ -126,16 +128,11 @@ class SweepSpec:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
         if self.beamforming not in BEAMFORMING_METHODS:
             raise ValueError(f"unknown beamforming method {self.beamforming!r}")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.stop < self.start:
-            raise ValueError("stop must be >= start")
+        grid = self.grid()
         if self.variable == "rx_distance" and self.start <= 0:
             raise ValueError("distances must be positive")
         if self.variable in ("rx_zenith", "pattern_angle"):
-            # +-90 itself grazes the array plane
-            if self.start <= -90.0 or self.stop >= 90.0:
-                raise ValueError("angles must lie strictly inside (-90, 90) deg")
+            _off_normal(grid)
         if self.variable == "amplifier_current" and self.start < 0:
             raise ValueError("currents must be >= 0")
 
@@ -228,9 +225,8 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
 class SweepResult:
     """One sweep as array columns, entry i being CSV row i.
 
-    `from_sums` is the one constructor from the link: each point's channel
-    sum becomes dBm and dB on its own through `_link_budget_db`, so an exact
-    null fails the same way in every sweep.
+    `from_sums` is the one constructor from the link, one `_link_budget_db` call
+    over the channel sums, so an exact null fails the same way in every sweep.
     """
 
     variable: str
@@ -242,8 +238,8 @@ class SweepResult:
     @classmethod
     def from_sums(cls, scenario: Scenario, variable: str, values, sums,
                   digests) -> SweepResult:
-        dbm, db = np.array([_link_budget_db(scenario, s) for s in sums]).T
-        return cls(variable, np.asarray(values, dtype=float), dbm, db, list(digests))
+        return cls(variable, np.asarray(values, dtype=float), *_link_budget_db(scenario, sums),
+                   list(digests))
 
     @property
     def metrics(self) -> dict:
@@ -268,34 +264,36 @@ class SweepResult:
             fh.write(self.to_csv())
 
 
-def _pose_sweep(scenario: Scenario, spec: SweepSpec, poses, seed) -> SweepResult:
-    """One row per RX pose of `poses` (one per grid value), beamformed afresh at each.
+def _pose_sweep(scenario: Scenario, spec: SweepSpec, r, theta, azimuth, seed) -> SweepResult:
+    """One row per RX pose (r, theta, azimuth), broadcast over the grid, beamformed afresh at each.
 
-    The closed-form methods need only the two-hop path table: each chunk of
-    points gets it once, and the same arrays give every point's phases or
-    indices, its digest and its channel sum.  `blind` and `greedy` search
-    per point, each with its own seed.
+    The closed-form methods need only the two-hop path table: each chunk of points
+    gets it once, and the same arrays give every point's phases or indices, digest
+    and channel sum.  `blind` and `greedy` search per `SphericalPose`, each seeded.
     """
     values = spec.grid()
+    r, theta, azimuth = np.broadcast_arrays(r, theta, azimuth)
     method = spec.beamforming
     sums, digests = [], []
     if method not in _CLOSED_FORM_METHODS:
+        poses = zip(r.tolist(), theta.tolist(), azimuth.tolist())
         for pose, s in zip(poses, np.random.SeedSequence(seed).spawn(len(values))):
-            scn = replace(scenario, rx_pose=pose)
+            scn = replace(scenario, rx_pose=SphericalPose(*pose))
             bf = apply_beamforming(scn, method, s)
             sums.append(_channel_sum(scn, bf.states, bf.phases))
             digests.append(bf.digest)
     else:
-        points = np.array([spherical_to_cartesian(pose) for pose in poses])
         top = uniform_states(scenario)
+        points = cartesian_points(r, theta, azimuth)
         for _, amp, phi in _weight_chunks(scenario, points, top.current, top.attenuation):
             config = _closed_form(scenario, method, phi)
             if method == "continuous":
-                phases = config
+                # the programmed phases cancel the path phases: S = sum_n |w_n|
+                sums.extend(amp.sum(axis=-1))
             else:
                 _check_indices(scenario, config)
-                phases = _programmed_phases(scenario, config, None)
-            sums.extend(np.sum(amp * np.exp(-1j * phi) * np.exp(1j * phases), axis=-1))
+                programmed = _programmed_phases(scenario, config, None)
+                sums.extend(np.sum(amp * np.exp(1j * (programmed - phi)), axis=-1))
             digests.extend(_config_digest(scenario, point_config) for point_config in config)
     return SweepResult.from_sums(scenario, spec.variable, values, sums, digests)
 
@@ -308,9 +306,8 @@ def distance_sweep(scenario: Scenario, spec: SweepSpec, seed=0) -> SweepResult:
     """
     if spec.variable != "rx_distance":
         raise ValueError("spec.variable must be 'rx_distance'")
-    rx = scenario.rx_pose
-    poses = [SphericalPose(float(r), rx.theta, rx.phi) for r in spec.grid()]
-    return _pose_sweep(scenario, spec, poses, seed)
+    return _pose_sweep(scenario, spec, spec.grid(), scenario.rx_pose.theta,
+                       scenario.rx_pose.phi, seed)
 
 
 def angle_sweep(scenario: Scenario, spec: SweepSpec, seed=0,
@@ -322,9 +319,8 @@ def angle_sweep(scenario: Scenario, spec: SweepSpec, seed=0,
     """
     if spec.variable != "rx_zenith":
         raise ValueError("spec.variable must be 'rx_zenith'")
-    r = scenario.rx_pose.r
-    poses = [transmission_side_pose(r, float(a), rx_azimuth_deg) for a in spec.grid()]
-    return _pose_sweep(scenario, spec, poses, seed)
+    a, phi = _off_normal(spec.grid(), rx_azimuth_deg)
+    return _pose_sweep(scenario, spec, scenario.rx_pose.r, math.pi - a, phi, seed)
 
 
 def gain_sweep(scenario: Scenario, currents: Sequence[float],
@@ -425,26 +421,28 @@ def radiation_pattern(scenario: Scenario, steering_deg: float,
     transmission-side pattern by moving the RX probe along the observation grid.
 
     Steering and cut lie in the plane of `rx_azimuth_deg` (negative angles
-    turn it by 180 deg).  The whole cut is one batched link evaluation.
+    turn it by 180 deg).  The whole cut is one batched link evaluation.  `hpbw_deg`
+    is NaN when a -3 dB point falls outside the grid, as `pslr_db` without a sidelobe.
     """
     r = scenario.rx_pose.r
     steer = replace(scenario, rx_pose=transmission_side_pose(r, steering_deg, rx_azimuth_deg))
     bf = apply_beamforming(steer, method, seed)
     angles = sweep_grid(start, stop, step)
-    points = np.array([
-        spherical_to_cartesian(transmission_side_pose(r, float(a), rx_azimuth_deg))
-        for a in angles
-    ])
-    sums = _channel_sums(scenario, points, bf.states, bf.phases)
+    a, phi = _off_normal(angles, rx_azimuth_deg)
+    sums = _channel_sums(scenario, cartesian_points(r, math.pi - a, phi), bf.states, bf.phases)
     cut = SweepResult.from_sums(scenario, "pattern_angle", angles, sums, [bf.digest] * len(sums))
     powers = cut.received_power_dbm
     rel = powers - np.max(powers)
+    try:
+        hpbw = half_power_beamwidth(angles, rel)
+    except ValueError:
+        hpbw = math.nan
     return PatternResult(
         **vars(cut),
         steering_deg=float(steering_deg),
         relative_db=rel,
         peak_angle_deg=float(angles[int(np.argmax(powers))]),
-        hpbw_deg=half_power_beamwidth(angles, rel),
+        hpbw_deg=hpbw,
         pslr_db=peak_to_sidelobe(angles, rel),
     )
 

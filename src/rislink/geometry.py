@@ -71,6 +71,16 @@ def spherical_to_cartesian(pose: SphericalPose) -> np.ndarray:
     )
 
 
+def cartesian_points(r, theta, phi) -> np.ndarray:
+    """`spherical_to_cartesian` over broadcast arrays of (r, theta, phi): shape (..., 3).
+
+    The same operations in the same order, so the points match bit for bit.
+    """
+    r, theta, phi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, theta, phi)))
+    sin_t = np.sin(theta)
+    return np.stack([r * sin_t * np.cos(phi), r * sin_t * np.sin(phi), r * np.cos(theta)], axis=-1)
+
+
 def element_grid(layout: ArrayLayout) -> np.ndarray:
     """All unit-cell centers, shape (n_units, 3), row-major (row 1 cols 1..N, then row 2, ...)."""
     off_x = (np.arange(1, layout.n_cols + 1) - (layout.n_cols + 1) / 2.0) * layout.pitch_x
@@ -91,11 +101,13 @@ def ranges_and_cosines(point, elements) -> tuple[np.ndarray, np.ndarray]:
     `point` and `elements` without the last axis.  Raises ValueError on a
     coincident point.
     """
-    d = np.asarray(point, dtype=float) - np.asarray(elements, dtype=float)
-    r = np.linalg.norm(d, axis=-1)
+    p, e = np.asarray(point, dtype=float), np.asarray(elements, dtype=float)
+    dx, dy, dz = (p[..., i] - e[..., i] for i in range(3))
+    # np.linalg.norm's own summation order, without its (..., 3) temporary
+    r = np.sqrt((dx * dx + dy * dy) + dz * dz)
     if np.any(r == 0.0):
         raise ValueError("point coincides with an element")
-    return r, np.minimum(np.abs(d[..., 2]) / r, 1.0)
+    return r, np.minimum(np.abs(dz) / r, 1.0)
 
 
 def ranges_and_zeniths(point, elements) -> tuple[np.ndarray, np.ndarray]:

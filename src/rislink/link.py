@@ -221,16 +221,18 @@ def element_weights(scenario: Scenario, states: SurfaceState | None = None) -> n
     return amp[0] * np.exp(-1j * phi[0])
 
 
-def _link_budget_db(scenario: Scenario, channel_sum: complex) -> tuple[float, float]:
-    """(received power in dBm, path loss in dB) from one channel sum's |S|^2.
+def _link_budget_db(scenario: Scenario, sums) -> tuple[np.ndarray, np.ndarray]:
+    """dBm and path-loss dB arrays of the channel sums `sums`, from |S|^2 = np.abs(S) ** 2.
 
-    An exact null fails in watts_to_dbm, as received_power -> watts_to_dbm does.
+    dBm takes math.log10 per value as watts_to_dbm does (numpy's log10 is an ulp off
+    on ~2% of inputs), dB np.log10 as to_db does; an exact null fails as in watts_to_dbm.
     """
-    ssq = float(np.abs(channel_sum)) ** 2
-    dbm = watts_to_dbm(scenario.tx_power / SIXTEEN_PI_SQ * ssq)
-    if ssq == 0.0:
-        raise InfinitePathLossError("configuration nulls the received field")
-    return dbm, to_db(SIXTEEN_PI_SQ / ssq)
+    ssq = np.abs(np.asarray(sums)) ** 2
+    p_mw = scenario.tx_power / SIXTEEN_PI_SQ * ssq * 1e3
+    if np.any(p_mw <= 0):
+        raise ValueError("power must be positive to express in dBm")
+    dbm = np.array([10.0 * math.log10(p) for p in p_mw.tolist()])
+    return dbm, 10.0 * np.log10(SIXTEEN_PI_SQ / ssq)
 
 
 def received_power(scenario: Scenario, states: SurfaceState | None = None,

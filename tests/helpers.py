@@ -10,7 +10,6 @@ import rislink as rl
 from rislink.beamforming import wrap_to_pi
 from rislink.experiments import SweepResult
 from rislink.geometry import spherical_to_cartesian
-from rislink.link import _channel_sum, _link_budget_db
 
 
 def make_random_scenario(rng, max_rows=4, max_cols=8, max_units=32, bits=2,
@@ -276,6 +275,32 @@ def propagation_phase(scenario, row, col) -> float:
     return 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
 
 
+# ------------------------------------------------- array-kernel oracles
+
+def reference_ranges_and_cosines(point, elements):
+    """Ranges by np.linalg.norm over the (..., 3) differences, cosines |dz| / r clipped to 1."""
+    d = np.asarray(point, dtype=float) - np.asarray(elements, dtype=float)
+    r = np.linalg.norm(d, axis=-1)
+    return r, np.minimum(np.abs(d[..., 2]) / r, 1.0)
+
+
+def reference_transmission_side_pose(r, angle_deg, azimuth_deg=0.0):
+    """Transmission-side pose taken with the math module, one angle at a time."""
+    phi = math.radians(azimuth_deg) + (math.pi if angle_deg < 0 else 0.0)
+    return rl.SphericalPose(r, math.pi - math.radians(abs(angle_deg)), phi % (2.0 * math.pi))
+
+
+def reference_transmission_side_points(r, angles_deg, azimuth_deg=0.0):
+    """(P, 3) RX points, one `spherical_to_cartesian` of a math-module pose per angle."""
+    return np.array([spherical_to_cartesian(reference_transmission_side_pose(r, a, azimuth_deg))
+                     for a in np.asarray(angles_deg, dtype=float).tolist()])
+
+
+def reference_continuous_sum(scenario, pose):
+    """Channel sum at `pose` under perfectly aligned phases: sum_n |w_n| (real)."""
+    return float(np.sum(np.abs(rl.element_weights(replace(scenario, rx_pose=pose)))))
+
+
 # ------------------------------------------------- reference quantizer and sweep
 
 def reference_nearest_quantize(phases, codebook):
@@ -287,13 +312,14 @@ def reference_nearest_quantize(phases, codebook):
 
 
 def reference_pose_sweep(scenario, variable, values, poses, method, seed=0):
-    """Per-point sweep: a new scenario, a beamforming pass and one link evaluation per pose."""
+    """Per-point sweep: a new scenario, a beamforming pass and the public link figures per pose."""
     rows, digests = [], []
     seeds = np.random.SeedSequence(seed).spawn(len(values))
     for pose, s in zip(poses, seeds):
         scn = replace(scenario, rx_pose=pose)
         bf = rl.apply_beamforming(scn, method, s)
-        rows.append(_link_budget_db(scn, _channel_sum(scn, bf.states, bf.phases)))
+        rows.append((rl.watts_to_dbm(rl.received_power(scn, bf.states, bf.phases)),
+                     rl.path_loss_db(scn, bf.states, bf.phases)))
         digests.append(bf.digest)
     p_dbm, pl_db = np.array(rows).T
     return SweepResult(variable, np.asarray(values, dtype=float), p_dbm, pl_db, digests)

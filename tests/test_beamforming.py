@@ -289,6 +289,21 @@ def test_nearest_quantize_matches_the_argmin_at_entries_and_midpoints(bits, offs
     assert int(rl.nearest_quantize(x, cb)) == int(reference_nearest_quantize(x, cb))
 
 
+@pytest.mark.parametrize("bits", range(1, 7))
+def test_nearest_quantize_matches_the_argmin_at_the_fallback_band_edges(bits):
+    # the two-entry comparison takes phases within 1e-6 of a step of a
+    # midpoint; probe that band's edges and its center, a few ulps either
+    # way, at midpoints unwrapped out to ~1e4 rad (1591 turns)
+    for offset_frac in (0.0, 0.37, 0.999):
+        cb = _codebook(bits, offset_frac)
+        m = np.concatenate([np.arange(cb.size) + t * cb.size for t in (0, 1, -1, 1591, -1591)])
+        centers = cb.offset + cb.spacing * (m[:, None] + 0.5 + np.array([-1e-6, 0.0, 1e-6]))
+        phases = (centers[..., None] + np.arange(-6, 7) * np.spacing(centers)[..., None]).ravel()
+        assert np.abs(phases).max() > 9.9e3
+        assert np.array_equal(rl.nearest_quantize(phases, cb),
+                              reference_nearest_quantize(phases, cb))
+
+
 def test_nearest_quantize_shape():
     cb = rl.PhaseCodebook()
     ph = np.zeros((4, 8))

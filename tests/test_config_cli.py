@@ -195,6 +195,40 @@ def test_cli_pattern(tmp_path, capsys):
     assert "hpbw" in capsys.readouterr().out
 
 
+def test_a_cut_narrower_than_its_main_lobe_still_writes(tmp_path, capsys):
+    assert main(["pattern", "--start", "-5", "--stop", "5", "--step", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "pattern.csv").read_text().splitlines()) == 1 + 11
+    assert "hpbw nan deg" in capsys.readouterr().out
+    cfg = write(tmp_path, "[scenario]\n\n[sweep cut]\ntype = pattern\nstart = -5\nstop = 5\nstep = 1\n")
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    entry = json.loads((out / "summary.json").read_text())["sweeps"][0]
+    assert entry["rows"] == 11 and math.isnan(entry["metrics"]["hpbw_deg"])
+    assert (out / "cut.csv").read_text() == (tmp_path / "pattern.csv").read_text()
+
+
+def test_sweep_gain_parses_currents_as_a_config_does(tmp_path, capsys):
+    raw = "0.01,,0.5,"
+    assert main(["sweep-gain", "--currents", raw, "--out", str(tmp_path / "cmd")]) == 2
+    assert capsys.readouterr().err == f"error: --currents: cannot parse {raw!r}\n"
+    assert not (tmp_path / "cmd").exists()
+    cfg = write(tmp_path, f"[sweep g]\ntype = gain\ncurrents_a = {raw}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert f"currents_a: cannot parse {raw!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep-angle", "pattern"])
+@pytest.mark.parametrize("argv, bad", [
+    (["--start", "-95"], "-95.0"),
+    (["--start", "-30", "--stop", "95", "--step", "10"], "90.0"),  # the grid reaches 90
+])
+def test_angle_commands_reject_a_grazing_angle_alike(tmp_path, capsys, command, argv, bad):
+    assert main([command, *argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: off-normal angle must satisfy |angle| < 90 deg, got {bad}\n")
+
+
 # a jittered, noisy link whose RX sits at a negative zenith in the 60 deg plane
 _ONE_JOB = ("[scenario]\nn_rows = 3\nn_cols = 5\nrx_zenith_deg = -10\nrx_azimuth_deg = 60\n"
             "noise_variance_w = 1e-8\nphase_jitter_max_deg = 10\n\n[sweep s]\n")

@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 
 import rislink as rl
-from helpers import reference_pose_sweep
+from helpers import (
+    reference_continuous_sum,
+    reference_pose_sweep,
+    reference_transmission_side_points,
+    reference_transmission_side_pose,
+)
 from rislink.experiments import CSV_HEADER, sweep_grid
+from rislink.geometry import cartesian_points
 
 
 def test_sweep_grid_inclusive():
@@ -369,6 +375,48 @@ def test_pose_sweeps_match_the_per_point_reference(n_rows, n_cols, method):
     want = reference_pose_sweep(s, "rx_zenith", ang.grid(), _angle_poses(s, ang.grid(), 35.0),
                                 method, seed=5)
     _assert_rows_match(got, want)
+
+
+def test_array_rx_points_match_the_poses_bit_for_bit():
+    # the angle sweeps' and cuts' points: one `_off_normal` over the grid, then cartesian_points
+    angles = np.concatenate([sweep_grid(-89.5, 89.5, 0.5), [-1e-9, 1e-9, 37.123456789]])
+    for azimuth in (0.0, 35.0, -120.0, 400.0):
+        a, phi = rl.experiments._off_normal(angles, azimuth)
+        got = cartesian_points(3.7, math.pi - a, phi)
+        assert np.array_equal(got, reference_transmission_side_points(3.7, angles, azimuth))
+        for a in (-33.3, 0.0, 71.0):
+            assert (rl.transmission_side_pose(3.7, a, azimuth)
+                    == reference_transmission_side_pose(3.7, a, azimuth))
+
+
+def test_continuous_pose_sweep_sums_are_the_coherent_weight_sums(monkeypatch):
+    s = _pose_sweep_scenario(32, 32, seed=3)
+    sums = []
+    from_sums = rl.SweepResult.from_sums.__func__
+
+    def spy(cls, scenario, variable, values, got, digests):
+        sums.append(np.asarray(got))
+        return from_sums(cls, scenario, variable, values, got, digests)
+
+    monkeypatch.setattr(rl.SweepResult, "from_sums", classmethod(spy))
+    # 32x32 chunks hold 16 points, so the 20-point angle sweep spans two
+    ang = rl.SweepSpec("rx_zenith", -45.0, 50.0, 5.0, "continuous")
+    rl.angle_sweep(s, ang, rx_azimuth_deg=35.0)
+    dist = rl.SweepSpec("rx_distance", 1.0, 3.5, 0.5, "continuous")
+    rl.distance_sweep(s, dist)
+    want = ([reference_continuous_sum(s, p) for p in _angle_poses(s, ang.grid(), 35.0)],
+            [reference_continuous_sum(s, p) for p in _distance_poses(s, dist.grid())])
+    assert len(sums) == 2
+    for got, w in zip(sums, want):
+        np.testing.assert_allclose(got, w, rtol=1e-12)
+
+
+def test_cut_narrower_than_its_main_lobe_has_no_beamwidth():
+    pat = rl.radiation_pattern(rl.chamber_scenario(), 0.0, -5.0, 5.0, 1.0)
+    assert len(pat.values) == 11 and np.all(np.isfinite(pat.path_loss_db))
+    assert math.isnan(pat.hpbw_deg) and math.isnan(pat.metrics["hpbw_deg"])
+    with pytest.raises(ValueError, match="half-power point falls outside"):
+        rl.half_power_beamwidth(pat.values, pat.relative_db)
 
 
 def _sweep_error(sweep):

@@ -7,11 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import departure_zenith, distance, element_position
+from helpers import (
+    departure_zenith,
+    distance,
+    element_position,
+    reference_ranges_and_cosines,
+)
 from rislink.geometry import (
     ArrayLayout,
     SphericalPose,
+    cartesian_points,
     element_grid,
+    ranges_and_cosines,
     ranges_and_zeniths,
     spherical_to_cartesian,
 )
@@ -146,3 +153,29 @@ def test_ranges_and_zeniths_coincident():
     lay = ArrayLayout(1, 1)
     with pytest.raises(ValueError):
         ranges_and_zeniths([0.0, 0.0, 0.0], element_grid(lay))
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_ranges_and_cosines_match_the_norm_bit_for_bit(side):
+    rng = np.random.default_rng(11)
+    batch = rng.uniform(-2.0, 2.0, (9, 1, 3))
+    batch[..., 2] = side * rng.uniform(0.05, 3.0, (9, 1))
+    for elements in (element_grid(ArrayLayout(5, 7, 0.05, 0.07)), rng.normal(size=(20, 3))):
+        for point in (np.array([0.3, -0.2, side * 1.1]), batch):
+            got = ranges_and_cosines(point, elements)
+            want = reference_ranges_and_cosines(point, elements)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_cartesian_points_match_the_poses_bit_for_bit():
+    rng = np.random.default_rng(12)
+    r = rng.uniform(0.1, 50.0, 200)
+    theta = rng.uniform(0.0, math.pi, 200)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 200)
+    want = np.array([spherical_to_cartesian(SphericalPose(*p))
+                     for p in zip(r.tolist(), theta.tolist(), phi.tolist())])
+    assert np.array_equal(cartesian_points(r, theta, phi), want)
+    # one direction, many ranges: the distance-sweep case
+    want = np.array([spherical_to_cartesian(SphericalPose(x, theta[0], phi[0])) for x in r.tolist()])
+    assert np.array_equal(cartesian_points(r, theta[0], phi[0]), want)

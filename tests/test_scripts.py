@@ -1,10 +1,15 @@
 """Smoke runs of the scripts under scripts/: each must exit 0 on the current API."""
 
 import os
+import re
+import shutil
 import subprocess
 import sys
 
+from rislink.experiments import run_config
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def _run(name, *args):
@@ -22,3 +27,31 @@ def test_reproduce_sweeps_runs(tmp_path):
     proc = _run("reproduce_sweeps.py", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert os.path.isfile(tmp_path / "gain" / "summary.json")
+
+
+def test_diff_outputs_passes_on_itself_and_catches_a_digest(tmp_path):
+    ref, new = tmp_path / "ref", tmp_path / "new"
+    run_config(os.path.join(CONFIGS, "angle.cfg"), ref / "angle")
+    shutil.copytree(ref, new)
+    proc = _run("diff_outputs.py", str(new), str(ref))
+    assert proc.returncode == 0, proc.stdout
+    assert "path_loss_dB: worst relative gap 0 " in proc.stdout
+    assert proc.stdout.endswith("0 mismatches\n")
+
+    csv_path = new / "angle" / "angle.csv"
+    lines = csv_path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[3] = repr(float(fields[3]) * (1 + 1e-13))  # within the dB rule
+    lines[2] = ",".join(fields)
+    csv_path.write_text("\n".join(lines) + "\n")
+    proc = _run("diff_outputs.py", str(new), str(ref))
+    assert proc.returncode == 0, proc.stdout
+    gap = re.search(r"path_loss_dB: worst relative gap (\S+) ", proc.stdout).group(1)
+    assert 0.9e-13 < float(gap) < 1.1e-13
+
+    fields[4] = "0" * 12
+    lines[2] = ",".join(fields)
+    csv_path.write_text("\n".join(lines) + "\n")
+    proc = _run("diff_outputs.py", str(new), str(ref))
+    assert proc.returncode == 1
+    assert "MISMATCH angle/angle.csv row 1 config_digest" in proc.stdout
