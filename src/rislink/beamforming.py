@@ -24,6 +24,8 @@ from .link import Scenario, element_weights, phase_error_realization, uniform_st
 from .ris import PhaseCodebook, SurfaceState
 
 _NOISE_BLOCK = 1024  # noise draws taken from the channel's rng at a time
+_GALLOP_MIN = 8  # fewest rejections in a row, at a unit boundary, before greedy reads a block
+_GALLOP_WINDOW = 64  # candidates in a block read's first window; each next window doubles
 
 
 @dataclass
@@ -64,12 +66,10 @@ class FeedbackChannel:
     """Measured received power for candidate configurations.
 
     Wraps a noiseless power oracle, adds Gaussian measurement noise with the
-    given variance (readings floored at zero), and counts queries.  The
-    standalone rng keeps noisy runs reproducible per seed: noise is drawn from
-    it in blocks and handed out in order, which gives the same readings as
-    one draw per query.  `measure` evaluates a configuration; the searches
-    compute the noiseless power themselves and call `read`, so they need an
-    oracle from `power_oracle`.
+    given variance (readings floored at zero), and counts queries.  Noise comes
+    from a standalone seeded rng in blocks, handed out in order: the readings
+    of one draw per query.  `measure` evaluates a configuration; the searches
+    take noiseless powers from a `power_oracle` table to `read` and `read_until`.
     """
 
     def __init__(self, oracle: Callable[[np.ndarray], float],
@@ -79,18 +79,39 @@ class FeedbackChannel:
         self.oracle = oracle
         self.noise_variance = float(noise_variance)
         self._rng = np.random.default_rng(seed)
-        self._noise: list[float] = []  # next draws, last one first
+        self._noise = np.empty(0)  # drawn noise, unused from _pos on; as floats for `read`
+        self._noise_list: list[float] = []
+        self._pos = 0
         self.queries = 0
+
+    def _draws(self, m: int) -> np.ndarray:
+        """The next m draws, not yet consumed; tops the buffer up a block at a time."""
+        while self._pos + m > len(self._noise_list):
+            block = self._rng.normal(0.0, math.sqrt(self.noise_variance), _NOISE_BLOCK)
+            self._noise, self._pos = np.concatenate([self._noise[self._pos:], block]), 0
+            self._noise_list = self._noise.tolist()
+        return self._noise[self._pos:self._pos + m]
 
     def read(self, power: float) -> float:
         """One reading of a configuration whose noiseless power is `power`."""
         self.queries += 1
         if self.noise_variance > 0.0:
-            if not self._noise:
-                draws = self._rng.normal(0.0, math.sqrt(self.noise_variance), _NOISE_BLOCK)
-                self._noise = draws[::-1].tolist()
-            power = max(0.0, power + self._noise.pop())
+            if self._pos == len(self._noise_list):
+                self._draws(1)
+            power = max(0.0, power + self._noise_list[self._pos])
+            self._pos += 1
         return power
+
+    def read_until(self, powers: np.ndarray, best: float) -> list[float]:
+        """`read` of each noiseless power in turn, up to the first reading above `best`."""
+        if self.noise_variance > 0.0:
+            x = powers + self._draws(len(powers))
+            powers = np.where(x > 0.0, x, 0.0)  # max(0.0, x)
+        gains = np.flatnonzero(powers > best)
+        m = int(gains[0]) + 1 if gains.size else len(powers)
+        self.queries += m
+        self._pos += m if self.noise_variance > 0.0 else 0
+        return powers[:m].tolist()
 
     def measure(self, configuration) -> float:
         return self.read(float(self.oracle(configuration)))
@@ -102,17 +123,25 @@ def _sum_terms(table: np.ndarray, configuration) -> complex:
     return complex(table[np.arange(table.shape[0]), idx].sum())
 
 
+def _powers(prefactor: float, sums: np.ndarray) -> np.ndarray:
+    """prefactor * abs(s) ** 2 of every channel sum s, bit for bit as Python computes it:
+    np.hypot is abs(complex), and libm pow (via Python's pow) squares as `** 2` does."""
+    mags = np.hypot(sums.real, sums.imag).tolist()
+    return prefactor * np.fromiter(map(pow, mags, itertools.repeat(2.0)), float, len(mags))
+
+
 class PowerOracle:
     """Noiseless received power (W) of a phase-index grid.
 
     prefactor * |sum_n table[n, idx_n]|^2, where `table[n, k]` is unit n's
     term when it holds codebook index k, with the scenario's jitter
-    realization folded in.
+    realization folded in; `power_oracle` keeps its weights before the jitter.
     """
 
-    def __init__(self, table: np.ndarray, prefactor: float):
+    def __init__(self, table: np.ndarray, prefactor: float, weights: np.ndarray | None = None):
         self.table = table
         self.prefactor = prefactor
+        self.weights = weights
 
     def __call__(self, configuration) -> float:
         n = self.table.shape[0]
@@ -130,19 +159,14 @@ def power_oracle(scenario: Scenario,
     """
     if states is None:
         states = uniform_states(scenario)
-    w = element_weights(scenario, states) * np.exp(1j * np.asarray(phase_error_realization(scenario)))
-    table = w[:, None] * np.exp(1j * scenario.codebook.phases())
-    return PowerOracle(table, scenario.tx_power / (16.0 * math.pi ** 2))
+    w = element_weights(scenario, states)
+    jittered = w * np.exp(1j * np.asarray(phase_error_realization(scenario)))
+    table = jittered[:, None] * np.exp(1j * scenario.codebook.phases())
+    return PowerOracle(table, scenario.tx_power / (16.0 * math.pi ** 2), w)
 
 
 def uniform_configuration(layout, phase_index: int = 0) -> np.ndarray:
     return np.full((layout.n_rows, layout.n_cols), phase_index, dtype=int)
-
-
-def _default_feedback(scenario: Scenario, feedback, seed=0) -> FeedbackChannel:
-    if feedback is not None:
-        return feedback
-    return FeedbackChannel(power_oracle(scenario), scenario.noise_variance, seed)
 
 
 def _start(scenario: Scenario, initial, feedback):
@@ -151,7 +175,8 @@ def _start(scenario: Scenario, initial, feedback):
               else np.array(initial, dtype=int))
     if config.shape != (scenario.layout.n_rows, scenario.layout.n_cols):
         raise ValueError("initial configuration does not match the layout")
-    feedback = _default_feedback(scenario, feedback)
+    if feedback is None:
+        feedback = FeedbackChannel(power_oracle(scenario), scenario.noise_variance)
     try:
         return config, feedback, feedback.oracle.table, feedback.oracle.prefactor
     except AttributeError:
@@ -218,6 +243,9 @@ def greedy_element_search(scenario: Scenario, initial=None,
     under any single-element change; rounds repeat until one makes no change
     or max_rounds is hit.  A unit skips the index it holds at that moment, so
     after a kept change it tries its earlier index again.
+    A run of rejections (a noisy best is a noise record) ending at a unit boundary
+    sets off a `_gallop`; the run needed doubles when it gains in its first window,
+    else halves to no less than _GALLOP_MIN.  Readings stay those of one at a time.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -229,26 +257,62 @@ def greedy_element_search(scenario: Scenario, initial=None,
     trace = SearchTrace()
     best = feedback.measure(config)
     trace.record(True, best)
+    gallop_after, gained_at = _GALLOP_MIN, feedback.queries  # queries up to the last gain
     for _ in range(max_rounds):
         changed = False
         s = _sum_terms(table, held)
-        for n, row in enumerate(terms):
+        n, first = 0, 0
+        while n < len(terms):
             cur = held[n]
-            for idx in range(k):
+            if first == 0 and feedback.queries - gained_at >= gallop_after:
+                gain = _gallop(table, held, n, s, best, prefactor, feedback, trace)
+                at_once = gain is not None and gain[-1]
+                gallop_after = 2 * gallop_after if at_once else max(_GALLOP_MIN, gallop_after // 2)
+                if gain is None:  # no gain in the rest of the round
+                    break
+                n, cur, s, best, _ = gain
+                first, gained_at, changed = cur + 1, feedback.queries, True
+            row = terms[n]
+            for idx in range(first, k):
                 if idx == cur:
                     continue
                 cand = (s - row[cur]) + row[idx]
                 p = read(prefactor * abs(cand) ** 2)
                 if p > best:
                     s, best, cur = cand, p, idx
-                    changed = True
+                    changed, gained_at = True, feedback.queries
                     trace.record(True, p)
                 else:
                     trace.record(False, p)
             held[n] = cur
+            n, first = n + 1, 0
         if not changed:
             break
     return np.array(held, dtype=int).reshape(config.shape), trace
+
+
+def _gallop(table, held, n, s, best, prefactor, feedback, trace):
+    """Read greedy's candidates (s - T[u, held_u]) + T[u, idx] from unit n on, up to a gain.
+
+    Windows of whole units double from _GALLOP_WINDOW candidates.  Returns the
+    gain's (unit, index, sum, reading, whether in the first window), or None.
+    """
+    others, window = np.arange(table.shape[1] - 1), _GALLOP_WINDOW
+    while n < len(held):
+        hi = min(len(held), n + max(1, window // len(others)))
+        cur, at = np.array(held[n:hi])[:, None], np.arange(n, hi)[:, None]
+        idx = others + (others >= cur)  # every index but the held one, in order
+        sums = ((s - table[at, cur]) + table[at, idx]).ravel()
+        readings = feedback.read_until(_powers(prefactor, sums), best)
+        gained = readings[-1] > best
+        trace.powers.extend(readings)
+        trace.accepted.extend([False] * (len(readings) - gained) + [True] * gained)
+        if gained:
+            u, r = divmod(len(readings) - 1, len(others))
+            at_once = window == _GALLOP_WINDOW
+            return n + u, int(idx[u, r]), complex(sums[len(readings) - 1]), readings[-1], at_once
+        n, window = hi, 2 * window
+    return None
 
 
 def wrap_to_pi(x):

@@ -17,7 +17,7 @@ import numpy as np
 from .config import SWEEP_DEFAULTS, ConfigError, SweepJob, _parse_currents, load_run_plan
 from .experiments import apply_beamforming, chamber_scenario, run_config, run_sweep
 from .geometry import SphericalPose
-from .link import _channel_sum, _link_budget_db
+from .link import _link_budget_db
 from .ris import SupplyBudgetError, encode_control
 
 SEED_ENV_VAR = "RISLINK_SEED"
@@ -101,7 +101,7 @@ def _cmd_beamform(args) -> int:
             raise ValueError(
                 f"--trace needs a feedback search (blind or greedy), not {bf.method!r}")
         bf.trace.write_csv(args.trace)
-    p_dbm, pl_db = _link_budget_db(scenario, [_channel_sum(scenario, bf.states, bf.phases)])
+    p_dbm, pl_db = _link_budget_db(scenario, [bf.channel_sum(scenario)])
     out = {
         "method": bf.method,
         "received_power_dbm": float(p_dbm[0]),

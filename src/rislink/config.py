@@ -99,7 +99,7 @@ def _parse_calibration(raw: str) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
-_POSITIVE = (lambda v: v > 0, "positive")
+_POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
 _NONNEG = (lambda v: v >= 0, ">= 0")
 _ANGLE_OPEN = (lambda v: -90.0 < v < 90.0, "strictly inside (-90, 90) deg")
 

@@ -42,6 +42,7 @@ from .link import (
 from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel, SurfaceState
 
 CSV_HEADER = "variable,value,received_power_dBm,path_loss_dB,config_digest"
+MAX_GRID_POINTS = 100_000  # a 64x64 cut this long takes ~40 s: a longer grid is a typo
 
 # config sweep kind -> the variable its CSV rows carry
 SWEEP_KINDS = {"distance": "rx_distance", "angle": "rx_zenith",
@@ -141,13 +142,19 @@ class SweepSpec:
 
 
 def sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """start, start+step, ... up to stop inclusive (float-tolerant endpoint)."""
+    """start, start+step, ... up to stop inclusive (float-tolerant endpoint); finite, bounded."""
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if step <= 0:
         raise ValueError("step must be positive")
     if stop < start:
         raise ValueError("stop must be >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    span = (stop - start) / step + 1e-9  # inf when stop - start overflows
+    if not span < MAX_GRID_POINTS:
+        raise ValueError(f"sweep grid from {float(start)!r} to {float(stop)!r} in steps of "
+                         f"{float(step)!r} exceeds {MAX_GRID_POINTS} points")
+    return start + step * np.arange(int(math.floor(span)) + 1)
 
 
 def _digest(tag: bytes, arr: np.ndarray) -> str:
@@ -162,7 +169,8 @@ def _digest(tag: bytes, arr: np.ndarray) -> str:
 class BeamformingOutcome:
     """What a configuration pass produced: states to program, optional
     continuous phase override, the index grid (discrete methods), a digest
-    of whichever applies, and the feedback queries spent (with their trace)."""
+    of whichever applies, the feedback queries spent (with their trace), and
+    a search oracle's weights."""
 
     method: str
     states: SurfaceState
@@ -171,6 +179,14 @@ class BeamformingOutcome:
     digest: str
     queries: int = 0
     trace: SearchTrace | None = None
+    weights: np.ndarray | None = None
+
+    def channel_sum(self, scenario: Scenario) -> complex:
+        """`_channel_sum` of the states; from a search's weights, bit for bit, if it has them."""
+        if self.weights is None:
+            return _channel_sum(scenario, self.states, self.phases)
+        programmed = _programmed_phases(scenario, self.states.phase_index, None)
+        return np.sum(self.weights * np.exp(1j * programmed))
 
 
 def _closed_form(scenario: Scenario, method: str, phi: np.ndarray) -> np.ndarray:
@@ -199,7 +215,7 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
     """Run one beamforming method against `scenario` and package the result."""
     if method not in BEAMFORMING_METHODS:
         raise ValueError(f"unknown beamforming method {method!r}")
-    trace = None
+    trace = weights = None
     if method in _CLOSED_FORM_METHODS:
         config = _closed_form(scenario, method, propagation_phases(scenario))
         if method == "continuous":
@@ -207,9 +223,8 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
                                       _config_digest(scenario, config))
         config = config.reshape(scenario.layout.n_rows, scenario.layout.n_cols)
     else:
-        feedback = FeedbackChannel(
-            power_oracle(scenario), scenario.noise_variance, seed
-        )
+        oracle = power_oracle(scenario)
+        feedback, weights = FeedbackChannel(oracle, scenario.noise_variance, seed), oracle.weights
         if method == "blind":
             config, trace = blind_rowcol_search(scenario, feedback=feedback, passes=passes)
         else:
@@ -217,7 +232,7 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
     states = states_from_configuration(scenario, config)
     return BeamformingOutcome(
         method, states, None, config, _config_digest(scenario, config),
-        0 if trace is None else trace.n_queries, trace,
+        0 if trace is None else trace.n_queries, trace, weights,
     )
 
 
@@ -280,7 +295,7 @@ def _pose_sweep(scenario: Scenario, spec: SweepSpec, r, theta, azimuth, seed) ->
         for pose, s in zip(poses, np.random.SeedSequence(seed).spawn(len(values))):
             scn = replace(scenario, rx_pose=SphericalPose(*pose))
             bf = apply_beamforming(scn, method, s)
-            sums.append(_channel_sum(scn, bf.states, bf.phases))
+            sums.append(bf.channel_sum(scn))
             digests.append(bf.digest)
     else:
         top = uniform_states(scenario)

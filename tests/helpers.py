@@ -205,6 +205,44 @@ def reference_greedy_search(scenario, initial=None, feedback=None, max_rounds=8)
     return config, trace
 
 
+def stepwise_greedy_search(scenario, initial=None, feedback=None, max_rounds=8):
+    """Greedy element search with one `read` per candidate and no block reads.
+
+    The same incremental sums as `greedy_element_search`, (S - T[n, cur]) +
+    T[n, idx], so its readings are the ones that search must give bit for bit.
+    """
+    config, feedback = _reference_start(scenario, initial, feedback)
+    table, prefactor = feedback.oracle.table, feedback.oracle.prefactor
+    terms = table.tolist()
+    held = config.reshape(-1).tolist()
+    trace = rl.SearchTrace()
+    best = feedback.measure(config)
+    trace.record(True, best)
+    for _ in range(max_rounds):
+        changed = False
+        s = complex(table[np.arange(len(held)), held].sum())
+        for n, row in enumerate(terms):
+            cur = held[n]
+            for idx in range(scenario.codebook.size):
+                if idx == cur:
+                    continue
+                cand = (s - row[cur]) + row[idx]
+                p = feedback.read(prefactor * abs(cand) ** 2)
+                gain = p > best
+                if gain:
+                    s, best, cur, changed = cand, p, idx, True
+                trace.record(gain, p)
+            held[n] = cur
+        if not changed:
+            break
+    return np.array(held, dtype=int).reshape(config.shape), trace
+
+
+def reference_powers(prefactor, sums):
+    """prefactor * abs(s) ** 2 of each channel sum, one Python complex at a time."""
+    return [prefactor * abs(complex(s)) ** 2 for s in sums]
+
+
 # ------------------------------------------------- scalar geometry and channel oracles
 
 def element_position(layout, row: int, col: int) -> np.ndarray:

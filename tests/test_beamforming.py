@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rislink as rl
-from rislink.beamforming import wrap_to_pi
+from rislink.beamforming import _NOISE_BLOCK, PowerOracle, _powers, wrap_to_pi
 from helpers import (
     make_random_scenario,
     random_states,
     reference_blind_search,
     reference_greedy_search,
     reference_nearest_quantize,
+    reference_powers,
+    stepwise_greedy_search,
 )
 
 
@@ -222,6 +224,146 @@ def test_feedback_channel_reads_like_one_draw_per_query():
         p = fb.measure(config) if i % 2 else fb.read(oracle(config))
         assert p == max(0.0, oracle(config) + float(rng.normal(0.0, math.sqrt(1e-6))))
     assert fb.queries == 2500
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_array_powers_equal_python_powers_bit_for_bit():
+    rng = np.random.default_rng(11)
+    mags = np.concatenate([10.0 ** rng.uniform(-300.0, 300.0, 40000), rng.uniform(0.0, 10.0, 40000),
+                           [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e150]])
+    sums = mags * np.exp(1j * rng.uniform(-math.pi, math.pi, mags.size))
+    sums = np.concatenate([sums, [0j, complex(-0.0, 0.0), complex(5e-324, -5e-324),
+                                  complex(0.0, -1e-310), complex(3e-308, 4e-308), 1e150 + 0j]])
+    # |s| ** 2 overflows a float from |s| ~ 1.34e154 on: Python's `** 2` raises there
+    small = np.abs(sums) < 1e154
+    assert small.sum() > 50000 and (~small).sum() > 5000
+    for prefactor in (1.0, 1.0 / (16.0 * math.pi ** 2), 123.25):
+        with np.errstate(over="ignore"):  # 123.25 * |s| ** 2 is inf near 1e154, as in Python
+            got = _powers(prefactor, sums[small])
+        assert np.array_equal(_bits(got), _bits(reference_powers(prefactor, sums[small])))
+        for big in sums[~small][:5]:
+            with pytest.raises(OverflowError):
+                reference_powers(prefactor, [big])
+            with pytest.raises(OverflowError):
+                _powers(prefactor, np.array([big]))
+
+
+def test_block_reads_take_one_draw_per_reading_across_noise_blocks():
+    s = small_scenario(3)
+    oracle = rl.power_oracle(s)
+    config = rl.uniform_configuration(s.layout)
+    p0 = oracle(config)
+    fb = rl.FeedbackChannel(oracle, (0.05 * p0) ** 2, seed=7)
+    draws = np.random.default_rng(7)
+
+    def expected(power):
+        return max(0.0, power + float(draws.normal(0.0, 0.05 * p0)))
+
+    rng = np.random.default_rng(1)
+    queries = 0
+    # block lengths around and past _NOISE_BLOCK, so reads straddle block edges
+    for i, m in enumerate([5, 700, 1, 1500, 1024, 3, 2500, 64, 1023, 2049] * 2):
+        assert fb.read(p0) == expected(p0)
+        assert fb.measure(config) == expected(p0)
+        # readings near 0 are floored; one planted gain unless i % 3 == 0
+        powers = p0 * rng.uniform(0.0, 0.5, m)
+        if i % 3:
+            powers[rng.integers(0, m)] = 2.0 * p0
+        best = 0.9 * p0
+        want = []
+        for p in powers.tolist():
+            want.append(expected(p))
+            if want[-1] > best:
+                break
+        got = fb.read_until(powers, best)
+        assert all(type(r) is float for r in got)
+        assert np.array_equal(_bits(got), _bits(want))
+        queries += 2 + len(want)
+        assert fb.queries == queries
+    assert queries > 6 * _NOISE_BLOCK
+
+
+def _count_block_reads(monkeypatch):
+    """Log (queries before, candidates, readings) of every `read_until` call."""
+    log = []
+    read_until = rl.FeedbackChannel.read_until
+
+    def spy(self, powers, best):
+        before = self.queries
+        readings = read_until(self, powers, best)
+        log.append((before, len(powers), len(readings)))
+        return readings
+
+    monkeypatch.setattr(rl.FeedbackChannel, "read_until", spy)
+    return log
+
+
+@pytest.mark.parametrize("n_rows, n_cols, bits", [(16, 16, 2), (24, 24, 2), (9, 20, 1), (12, 14, 3)])
+@pytest.mark.parametrize("noise", [0.0, 0.02, 0.5])
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+def test_galloping_greedy_matches_full_evaluations(monkeypatch, n_rows, n_cols, bits, noise,
+                                                   rounds):
+    seed = 100 * n_rows + 10 * bits + rounds
+    rng = np.random.default_rng(seed)
+    s = make_random_scenario(rng, bits=bits, random_offset=True)
+    s = replace(s, layout=rl.ArrayLayout(n_rows, n_cols, s.layout.pitch_x, s.layout.pitch_y),
+                jitter=rl.PhaseJitterModel(math.radians(10.0), seed))
+    oracle = rl.power_oracle(s)
+    noise_variance = (noise * oracle(rl.uniform_configuration(s.layout))) ** 2
+    bound = oracle.prefactor * float(np.abs(oracle.table[:, 0]).sum()) ** 2
+    channels = [rl.FeedbackChannel(oracle, noise_variance, seed) for _ in range(3)]
+    blocks = _count_block_reads(monkeypatch)
+    fast = rl.greedy_element_search(s, None, channels[0], rounds)
+    if noise > 0:
+        assert blocks
+    _assert_same_search(fast, reference_greedy_search(s, None, channels[1], rounds), bound)
+    stepwise = stepwise_greedy_search(s, None, channels[2], rounds)
+    assert np.array_equal(fast[0], stepwise[0])
+    assert fast[1].accepted == stepwise[1].accepted
+    assert np.array_equal(_bits(fast[1].powers), _bits(stepwise[1].powers))
+    assert channels[0].queries == channels[1].queries == channels[2].queries
+
+
+def _one_gain_link(unit, index, n_units=40):
+    """A 1 x n_units link whose only improvement is `unit` moving to `index`.
+
+    Every unit's term is 1 at index 0 and 0 elsewhere, but 2 at (unit, index):
+    from all zeros every candidate reads 39 against 40, that one 41.
+    """
+    s = rl.chamber_scenario(n_rows=1, n_cols=n_units)
+    table = np.zeros((n_units, 4), dtype=complex)
+    table[:, 0] = 1.0
+    table[unit, index] = 2.0
+    return s, rl.FeedbackChannel(PowerOracle(table, 1.0))
+
+
+# block reads as (queries before, candidates, readings), and the step of the one
+# gain; a round is 120 candidates, and round 2 gains nothing, so the search
+# ends there after 1 + 2 * 120 queries
+@pytest.mark.parametrize("unit, index, blocks, gain_step", [
+    # a gain mid-unit in the second window: unit 30 still tries index 3, and
+    # a run of 8 rejections (halved, but floored at 8) sets off the next gallop
+    (30, 2, [(10, 63, 63), (73, 48, 20), (103, 18, 18), (121, 63, 63), (184, 57, 57)], 92),
+    # a gain on the unit's last index: the next unit comes straight after it
+    (30, 3, [(10, 63, 63), (73, 48, 21), (103, 18, 18), (121, 63, 63), (184, 57, 57)], 93),
+    # a gain in the first window doubles the run the next gallop waits for to 16
+    (10, 2, [(10, 63, 23), (49, 63, 63), (112, 9, 9), (121, 63, 63), (184, 57, 57)], 32),
+])
+def test_gallop_resumes_after_its_gain(monkeypatch, unit, index, blocks, gain_step):
+    s, fb = _one_gain_link(unit, index)
+    log = _count_block_reads(monkeypatch)
+    config, trace = rl.greedy_element_search(s, feedback=fb, max_rounds=3)
+    assert log == blocks
+    want = np.zeros((1, 40), dtype=int)
+    want[0, unit] = index
+    assert np.array_equal(config, want)
+    assert trace.n_queries == fb.queries == 241
+    assert [i for i, a in enumerate(trace.accepted) if a] == [0, gain_step]
+    s, ref = _one_gain_link(unit, index)
+    _assert_same_search((config, trace), reference_greedy_search(s, None, ref, 3), 0.0)
 
 
 def test_searches_need_a_power_oracle_channel():

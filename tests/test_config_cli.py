@@ -89,6 +89,7 @@ max_current_a = 0.05
     ("[scenario]\nn_rows = 0\n", ":2:"),
     ("[scenario]\ntx_zenith_deg = 95\n", ":2:"),
     ("[scenario]\nfrequency_hz = -1\n", ":2:"),
+    ("[scenario]\nfrequency_hz = inf\n", ":2: frequency_hz must be positive and finite, got inf"),
     ("[bogus]\nx = 1\n", "unknown section"),
     ("[sweep s]\nstart = 1\n", "needs a 'type'"),
     ("[sweep s]\ntype = magic\n", ":2:"),
@@ -227,6 +228,31 @@ def test_angle_commands_reject_a_grazing_angle_alike(tmp_path, capsys, command, 
     assert main([command, *argv, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         f"error: off-normal angle must satisfy |angle| < 90 deg, got {bad}\n")
+
+
+@pytest.mark.parametrize("command", ["sweep-distance", "sweep-angle", "pattern"])
+@pytest.mark.parametrize("argv, message", [
+    (["--stop", "inf"], "stop must be finite, got inf"),
+    (["--stop", "nan"], "stop must be finite, got nan"),
+    (["--start=-inf"], "start must be finite, got -inf"),
+    (["--step", "inf"], "step must be finite, got inf"),
+    (["--start", "1", "--stop", "2", "--step", "1e-12"],
+     "sweep grid from 1.0 to 2.0 in steps of 1e-12 exceeds 100000 points"),
+])
+def test_sweep_commands_reject_an_unbounded_grid(tmp_path, capsys, command, argv, message):
+    assert main([command, *argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, key", [("distance", "stop"), ("distance", "start"),
+                                       ("distance", "step"), ("pattern", "step")])
+def test_a_config_with_an_infinite_grid_bound_reports_its_line(tmp_path, capsys, kind, key):
+    cfg = write(tmp_path, f"[scenario]\n\n[sweep s]\ntype = {kind}\n{key} = inf\n")
+    with pytest.raises(ConfigError, match=f":5: {key} must be positive and finite, got inf"):
+        load_run_plan(cfg)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert f":5: {key} must be positive and finite, got inf" in capsys.readouterr().err
 
 
 # a jittered, noisy link whose RX sits at a negative zenith in the 60 deg plane

@@ -9,14 +9,20 @@ import numpy as np
 import pytest
 
 import rislink as rl
+import rislink.link as link_module
 from helpers import (
+    make_random_scenario,
     reference_continuous_sum,
     reference_pose_sweep,
     reference_transmission_side_points,
     reference_transmission_side_pose,
 )
-from rislink.experiments import CSV_HEADER, sweep_grid
+from rislink.experiments import BEAMFORMING_METHODS, CSV_HEADER, MAX_GRID_POINTS, sweep_grid
+from rislink.cli import main
 from rislink.geometry import cartesian_points
+from rislink.link import _channel_sum
+
+GOLDEN_16X16 = os.path.join(os.path.dirname(__file__), "data", "golden_16x16.cfg")
 
 
 def test_sweep_grid_inclusive():
@@ -32,6 +38,19 @@ def test_sweep_grid_validation():
         sweep_grid(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         sweep_grid(1.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ((0.0, math.inf, 1.0), "stop must be finite, got inf"),
+    ((math.nan, 1.0, 1.0), "start must be finite, got nan"),
+    ((0.0, 1.0, math.inf), "step must be finite, got inf"),
+    ((-1e308, 1e308, 1.0), "exceeds 100000 points"),  # the span itself overflows
+    ((0.0, MAX_GRID_POINTS, 1.0), "exceeds 100000 points"),
+])
+def test_sweep_grid_rejects_unbounded_grids_before_allocating(grid, message):
+    with pytest.raises(ValueError, match=message):
+        sweep_grid(*grid)
+    assert len(sweep_grid(0.0, MAX_GRID_POINTS - 1, 1.0)) == MAX_GRID_POINTS
 
 
 def test_sweep_spec_validation():
@@ -94,6 +113,33 @@ def test_apply_beamforming_methods_disjoint_fields():
     assert bf_b.queries == 1 + 4 * (4 + 8)
     with pytest.raises(ValueError):
         rl.apply_beamforming(s, "magic")
+
+
+@pytest.mark.parametrize("method", BEAMFORMING_METHODS)
+def test_an_outcome_channel_sum_is_the_kernel_at_its_own_pose(method):
+    rng = np.random.default_rng(8)
+    for i in range(6):
+        s = replace(make_random_scenario(rng, max_rows=6, max_cols=9, max_units=54,
+                                         random_offset=True),
+                    jitter=rl.PhaseJitterModel(math.radians(12.0), i), noise_variance=1e-9)
+        bf = rl.apply_beamforming(s, method, seed=i)
+        assert (bf.weights is not None) == (method in ("blind", "greedy"))
+        # bit for bit: a search's weights stand in for a rebuild of the kernel
+        assert bf.channel_sum(s) == _channel_sum(s, bf.states, bf.phases)
+
+
+@pytest.mark.parametrize("method, builds", [("blind", 1), ("greedy", 1), ("quantized", 1)])
+def test_beamform_builds_the_element_weights_once(monkeypatch, capsys, method, builds):
+    calls = []
+    weight_chunks = link_module._weight_chunks
+
+    def counted(*args):
+        calls.append(1)
+        return weight_chunks(*args)
+
+    monkeypatch.setattr(link_module, "_weight_chunks", counted)
+    assert main(["beamform", "--config", GOLDEN_16X16, "--method", method, "--rounds", "1"]) == 0
+    assert len(calls) == builds
 
 
 def test_beamforming_digests_distinguish_configurations():

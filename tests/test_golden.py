@@ -1,5 +1,6 @@
 """Golden outputs: `rislink run --seed 0` over every shipped config reproduces the
-recorded CSVs and summary.json.
+recorded CSVs and summary.json, and `rislink beamform` its recorded stdout and
+search trace byte for byte.
 
 The fixtures under tests/data/golden/<config>/ were written by the commit
 before the cosine-native kernel and the batched pose sweep.  Row counts,
@@ -21,6 +22,7 @@ from rislink.cli import main
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "data", "golden")
+GOLDEN_BEAMFORM = os.path.join(HERE, "data", "golden_beamform")
 CONFIGS = sorted(glob.glob(os.path.join(HERE, "..", "configs", "*.cfg"))) + [
     os.path.join(HERE, "data", "golden_16x16.cfg")
 ]
@@ -77,3 +79,21 @@ def test_run_reproduces_golden_outputs(cfg, tmp_path):
     with open(os.path.join(want_dir, "summary.json")) as fh:
         want = json.load(fh)
     assert_json_close(got, want, f"{name}/summary.json")
+
+
+@pytest.mark.parametrize("run, argv", [
+    ("blind_passes4", ["--method", "blind", "--passes", "4"]),
+    ("greedy_rounds1", ["--method", "greedy", "--rounds", "1"]),
+    ("greedy_rounds3", ["--method", "greedy", "--rounds", "3"]),
+])
+@pytest.mark.parametrize("config", [None, os.path.join(HERE, "data", "golden_16x16.cfg")],
+                         ids=["chamber", "golden_16x16"])
+def test_beamform_reproduces_golden_outputs(config, run, argv, tmp_path, capsys):
+    want_dir = os.path.join(GOLDEN_BEAMFORM, "chamber" if config is None else "golden_16x16")
+    trace = tmp_path / "trace.csv"
+    where = [] if config is None else ["--config", config]
+    assert main(["beamform", *where, "--seed", "0", *argv, "--trace", str(trace)]) == 0
+    with open(os.path.join(want_dir, f"{run}.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
+    with open(os.path.join(want_dir, f"{run}.csv")) as fh:
+        assert trace.read_text() == fh.read()

@@ -55,3 +55,19 @@ def test_diff_outputs_passes_on_itself_and_catches_a_digest(tmp_path):
     proc = _run("diff_outputs.py", str(new), str(ref))
     assert proc.returncode == 1
     assert "MISMATCH angle/angle.csv row 1 config_digest" in proc.stdout
+
+
+def test_beamform_outputs_writes_every_method_and_reruns_identically(tmp_path):
+    cfg = os.path.join(CONFIGS, "angle.cfg")
+    for out in ("a", "b"):
+        proc = _run("beamform_outputs.py", cfg, "--out", str(tmp_path / out))
+        assert proc.returncode == 0, proc.stderr
+    got = sorted(os.listdir(tmp_path / "a" / "angle"))
+    assert len(got) == 3 * (4 + 3 + 3 + 1)  # 7 stdouts and 4 traces per seed
+    assert "greedy_rounds3_seed2.csv" in got and "quantized_seed0.json" in got
+    for name in got:
+        a, b = (tmp_path / d / "angle" / name for d in ("a", "b"))
+        assert a.read_bytes() == b.read_bytes(), name
+    assert '"method": "continuous"' in (tmp_path / "a" / "angle" / "continuous_seed1.json").read_text()
+    assert (tmp_path / "a" / "angle" / "blind_seed0.csv").read_text().startswith(
+        "step,accepted,power_w\n")
