@@ -135,13 +135,14 @@ class PowerOracle:
 
     prefactor * |sum_n table[n, idx_n]|^2, where `table[n, k]` is unit n's
     term when it holds codebook index k, with the scenario's jitter
-    realization folded in; `power_oracle` keeps its weights before the jitter.
+    realization folded in; `power_oracle` keeps its weights and that realization.
     """
 
-    def __init__(self, table: np.ndarray, prefactor: float, weights: np.ndarray | None = None):
+    def __init__(self, table: np.ndarray, prefactor: float, weights=None, phase_errors=0.0):
         self.table = table
         self.prefactor = prefactor
         self.weights = weights
+        self.phase_errors = phase_errors
 
     def __call__(self, configuration) -> float:
         n = self.table.shape[0]
@@ -160,9 +161,10 @@ def power_oracle(scenario: Scenario,
     if states is None:
         states = uniform_states(scenario)
     w = element_weights(scenario, states)
-    jittered = w * np.exp(1j * np.asarray(phase_error_realization(scenario)))
+    errors = phase_error_realization(scenario)
+    jittered = w * np.exp(1j * np.asarray(errors))
     table = jittered[:, None] * np.exp(1j * scenario.codebook.phases())
-    return PowerOracle(table, scenario.tx_power / (16.0 * math.pi ** 2), w)
+    return PowerOracle(table, scenario.tx_power / (16.0 * math.pi ** 2), w, errors)
 
 
 def uniform_configuration(layout, phase_index: int = 0) -> np.ndarray:

@@ -22,8 +22,8 @@ from .ris import SupplyBudgetError, encode_control
 
 SEED_ENV_VAR = "RISLINK_SEED"
 
-# SP4T switch word of each 2-bit phase index, as printed by `beamform`
-_CONTROL_WORDS = tuple(str(encode_control(k)) for k in range(4))
+# SP4T switch word of each 2-bit phase index as `beamform` prints it: a JSON string
+_CONTROL_WORD_TOKENS = tuple(json.dumps(str(encode_control(k))) for k in range(4))
 
 
 def _resolve_seed(args) -> int:
@@ -109,42 +109,61 @@ def _cmd_beamform(args) -> int:
         "feedback_queries": bf.queries,
         "config_digest": bf.digest,
     }
+    grids = {}
     if bf.configuration is not None:
-        out["phase_indices"] = bf.configuration.tolist()
+        grids["phase_indices"] = [str(k) for k in range(scenario.codebook.size)]
         if scenario.codebook.bits == 2:
-            out["control_words"] = [
-                [_CONTROL_WORDS[k] for k in row] for row in out["phase_indices"]
-            ]
+            grids["control_words"] = _CONTROL_WORD_TOKENS
     else:
         out["phases_rad"] = np.asarray(bf.phases).tolist()
-    print(_dumps_indented(out))
+    print(_dumps_indented(out, bf.configuration, grids))
     return 0
 
 
-def _dumps_indented(out: dict) -> str:
-    """json.dumps(out, indent=2, sort_keys=True), byte for byte.
+def _dumps_indented(out: dict, grid, grids: dict) -> str:
+    """json.dumps(out, indent=2, sort_keys=True), byte for byte, with `grids` as more keys.
 
-    `indent` selects json's pure-Python encoder, slow on a large grid, so
-    each list value is dumped by the C encoder and laid out around that.
+    Each of `grids` maps a key to the JSON token of every codebook index; its
+    value is the 2-D index `grid` printed in those tokens.  `indent` selects
+    json's pure-Python encoder, slow on a large grid, so list values are laid
+    out around the C encoder's output and grids by `_grid_text`.
     """
     lists = {k: v for k, v in out.items() if isinstance(v, list)}
-    text = json.dumps({k: f"@{k}@" if k in lists else v for k, v in out.items()},
+    text = json.dumps({**out, **{k: f"@{k}@" for k in (*lists, *grids)}},
                       indent=2, sort_keys=True)
     for key, value in lists.items():
-        text = text.replace(f'"@{key}@"', _indented_list(value, 1))
+        text = text.replace(f'"@{key}@"', _indented_list(value))
+    for key, tokens in grids.items():
+        text = text.replace(f'"@{key}@"', _grid_text(grid, tokens))
     return text
 
 
-def _indented_list(items: list, depth: int) -> str:
-    """A list of scalars or of such lists as indent=2 lays it out `depth` levels deep."""
+def _indented_list(items: list) -> str:
+    """A list of scalars as indent=2 lays it out as a top-level value."""
     if not items:
         return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    if isinstance(items[0], list):
-        body = ("," + pad).join(_indented_list(row, depth + 1) for row in items)
-    else:
-        body = json.dumps(items, separators=("," + pad, ": "))[1:-1]
-    return "[" + pad + body + "\n" + "  " * depth + "]"
+    return "[\n    " + json.dumps(items, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+
+
+# How indent=2 lays out a top-level grid around its entries
+_GRID_OPEN, _GRID_CLOSE = "[\n    [\n      ", "\n    ]\n  ]"
+_ENTRY_SEP, _ROW_SEP = ",\n      ", "\n    ],\n    [\n      "
+
+
+def _grid_text(grid: np.ndarray, tokens) -> str:
+    """The 2-D index `grid` as indent=2 lays out a top-level value, entry k as tokens[k].
+
+    Row k of two byte tables holds token k, NUL-padded to one width (JSON has
+    no raw NUL), and then the entry separator (first table) or the row
+    separator (second table, for the last column); one gather of each by the
+    grid gives every entry's bytes.
+    """
+    pad = max(map(len, tokens))
+    inner, last = (np.frombuffer("".join(t.ljust(pad, "\0") + sep for t in tokens).encode(),
+                                 np.uint8).reshape(len(tokens), -1) for sep in (_ENTRY_SEP, _ROW_SEP))
+    rows = np.concatenate([inner[grid[:, :-1]].reshape(len(grid), -1), last[grid[:, -1]]], axis=1)
+    body = rows.tobytes().translate(None, b"\0").decode()
+    return _GRID_OPEN + body[:-len(_ROW_SEP)] + _GRID_CLOSE
 
 
 def build_parser() -> argparse.ArgumentParser:

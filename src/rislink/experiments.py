@@ -170,7 +170,7 @@ class BeamformingOutcome:
     """What a configuration pass produced: states to program, optional
     continuous phase override, the index grid (discrete methods), a digest
     of whichever applies, the feedback queries spent (with their trace), and
-    a search oracle's weights."""
+    a search oracle's weights and jitter realization."""
 
     method: str
     states: SurfaceState
@@ -180,12 +180,14 @@ class BeamformingOutcome:
     queries: int = 0
     trace: SearchTrace | None = None
     weights: np.ndarray | None = None
+    phase_errors: np.ndarray | float = 0.0
 
     def channel_sum(self, scenario: Scenario) -> complex:
-        """`_channel_sum` of the states; from a search's weights, bit for bit, if it has them."""
+        """`_channel_sum` of the states; from a search's weights and jitter, bit for bit,
+        if it has them."""
         if self.weights is None:
             return _channel_sum(scenario, self.states, self.phases)
-        programmed = _programmed_phases(scenario, self.states.phase_index, None)
+        programmed = scenario.codebook.phases()[self.states.phase_index] + self.phase_errors
         return np.sum(self.weights * np.exp(1j * programmed))
 
 
@@ -216,6 +218,7 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
     if method not in BEAMFORMING_METHODS:
         raise ValueError(f"unknown beamforming method {method!r}")
     trace = weights = None
+    errors = 0.0
     if method in _CLOSED_FORM_METHODS:
         config = _closed_form(scenario, method, propagation_phases(scenario))
         if method == "continuous":
@@ -224,7 +227,8 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
         config = config.reshape(scenario.layout.n_rows, scenario.layout.n_cols)
     else:
         oracle = power_oracle(scenario)
-        feedback, weights = FeedbackChannel(oracle, scenario.noise_variance, seed), oracle.weights
+        feedback = FeedbackChannel(oracle, scenario.noise_variance, seed)
+        weights, errors = oracle.weights, oracle.phase_errors
         if method == "blind":
             config, trace = blind_rowcol_search(scenario, feedback=feedback, passes=passes)
         else:
@@ -232,7 +236,7 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
     states = states_from_configuration(scenario, config)
     return BeamformingOutcome(
         method, states, None, config, _config_digest(scenario, config),
-        0 if trace is None else trace.n_queries, trace, weights,
+        0 if trace is None else trace.n_queries, trace, weights, errors,
     )
 
 

@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rislink as rl
 from rislink.cli import build_parser, main
@@ -310,6 +312,26 @@ def test_cli_beamform_prints_what_json_indent_would(tmp_path, capsys, argv):
     assert main(["beamform"] + argv) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 12), st.integers(1, 12), st.data())
+def test_grid_printer_is_json_indent_of_the_lists(bits, n_rows, n_cols, data):
+    k = 2 ** bits
+    grid = np.array(data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=n_cols,
+                                                max_size=n_cols),
+                                       min_size=n_rows, max_size=n_rows)))
+    scalar = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.floats(allow_nan=False),
+                       st.text(max_size=8))
+    # keys sorting before, between and after the grids' keys
+    out = {key: data.draw(scalar) for key in ("a", "config_digest", "method", "zz")}
+    grids = {"phase_indices": [str(i) for i in range(k)]}
+    words = {}
+    if bits == 2:
+        grids["control_words"] = rl.cli._CONTROL_WORD_TOKENS
+        words["control_words"] = [[str(rl.encode_control(i)) for i in row] for row in grid.tolist()]
+    want = json.dumps({**out, "phase_indices": grid.tolist(), **words}, indent=2, sort_keys=True)
+    assert rl.cli._dumps_indented(out, grid, grids) == want
 
 
 def test_cli_seed_resolution(tmp_path, capsys, monkeypatch):

@@ -142,6 +142,20 @@ def test_beamform_builds_the_element_weights_once(monkeypatch, capsys, method, b
     assert len(calls) == builds
 
 
+@pytest.mark.parametrize("method", ["blind", "greedy"])
+def test_a_search_beamform_draws_the_jitter_once(monkeypatch, capsys, method):
+    calls = []
+    sample = rl.PhaseJitterModel.sample
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return sample(self, *args, **kwargs)
+
+    monkeypatch.setattr(rl.PhaseJitterModel, "sample", counted)
+    assert main(["beamform", "--config", GOLDEN_16X16, "--method", method, "--rounds", "1"]) == 0
+    assert len(calls) == 1
+
+
 def test_beamforming_digests_distinguish_configurations():
     s = rl.chamber_scenario()
     d1 = rl.apply_beamforming(s, "none").digest

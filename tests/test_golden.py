@@ -8,6 +8,11 @@ sweep-grid values and config digests must match exactly; every dB column and
 every summary.json number must match within 1e-12 relative.  A dB value near
 0 gets an absolute floor of 1e-12 dB, which is a ~2e-13 relative change in
 the linear power behind it.
+
+The `beamform` stdout under tests/data/golden_beamform/beamform_*/ (from
+tests/data/beamform_*.cfg) and chamber/continuous.json were written by the
+commit before `beamform` printed its grids from byte tables; they cover
+1-, 3- and 4-bit codebooks and one-row and one-column surfaces.
 """
 
 import csv
@@ -97,3 +102,27 @@ def test_beamform_reproduces_golden_outputs(config, run, argv, tmp_path, capsys)
         assert capsys.readouterr().out == fh.read()
     with open(os.path.join(want_dir, f"{run}.csv")) as fh:
         assert trace.read_text() == fh.read()
+
+
+RENDER_CONFIGS = ["beamform_5x7_1bit", "beamform_5x7_3bit", "beamform_5x7_4bit",
+                  "beamform_1x9", "beamform_9x1"]
+
+
+@pytest.mark.parametrize("run, argv", [
+    ("quantized", ["--method", "quantized"]),
+    ("greedy_rounds1", ["--method", "greedy", "--rounds", "1"]),
+])
+@pytest.mark.parametrize("config", RENDER_CONFIGS)
+def test_beamform_prints_every_grid_shape_and_codebook_as_recorded(config, run, argv, capsys):
+    """1-, 3- and 4-bit index grids (no control words; two-digit indices at 4 bits)
+    and one-row and one-column grids, against stdout recorded before the grid printer."""
+    cfg = os.path.join(HERE, "data", f"{config}.cfg")
+    assert main(["beamform", "--config", cfg, "--seed", "0", *argv]) == 0
+    with open(os.path.join(GOLDEN_BEAMFORM, config, f"{run}.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_beamform_continuous_prints_its_phases_as_recorded(capsys):
+    assert main(["beamform", "--seed", "0", "--method", "continuous"]) == 0
+    with open(os.path.join(GOLDEN_BEAMFORM, "chamber", "continuous.json")) as fh:
+        assert capsys.readouterr().out == fh.read()

@@ -71,3 +71,18 @@ def test_beamform_outputs_writes_every_method_and_reruns_identically(tmp_path):
     assert '"method": "continuous"' in (tmp_path / "a" / "angle" / "continuous_seed1.json").read_text()
     assert (tmp_path / "a" / "angle" / "blind_seed0.csv").read_text().startswith(
         "step,accepted,power_w\n")
+
+
+def test_beamform_stages_prints_every_stage_per_method():
+    proc = _run("beamform_stages.py", os.path.join(CONFIGS, "angle.cfg"), "--repeat", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "median CPU ms over 2 calls"
+    assert lines[1].split() == ["config", "method", "parse", "scenario", "oracle", "search",
+                                "states", "sum", "json", "other", "total"]
+    for line, method in zip(lines[2:], ("blind", "greedy")):
+        name, got, *ms = line.split()
+        assert (name, got) == ("angle.cfg", method)
+        assert len(ms) == 9 and all(float(v) >= 0 for v in ms[:-2])
+        assert float(ms[-1]) > 0
+    assert len(lines) == 4
