@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Median CPU time per stage of `rislink beamform`, blind and greedy, per config.
 
-    python3 scripts/beamform_stages.py CONFIG... [--repeat N]
+    python3 scripts/beamform_stages.py CONFIG... [--repeat N] [--seed S]
+        [--passes P] [--rounds R] [--noiseless]
 
-Runs `rislink beamform --config CONFIG --seed 0` with the default passes and
-rounds, N times per method (default 5), with the functions that make up each
-stage wrapped in CPU timers (`time.process_time`); stdout is captured.  The
-stages, in the order the command runs them:
+Runs `rislink beamform --config CONFIG --seed S` (default 0) with the given
+blind passes and greedy rounds (default: the command's own), N times per method
+(default 5), with the functions that make up each stage wrapped in CPU timers
+(`time.process_time`); stdout is captured.  `--noiseless` sets the reading
+noise to 0.  The benchmark's `feedback_search` calls are `--seed <its seed>
+--passes 4 --rounds 1` on its generated pool.  The stages, in the order the
+command runs them:
 
     parse        argument parsing
     scenario     the config file and overrides to a Scenario
@@ -23,6 +27,7 @@ median total.
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import io
 import os
@@ -72,15 +77,42 @@ def timed_stages(spent: dict):
             setattr(owner, name, fn)
 
 
-def one_run(cfg: str, method: str) -> dict:
-    """CPU seconds per stage, plus `total`, of one beamform call."""
+def beamform_args(cfg: str, method: str, args) -> list[str]:
+    """The `rislink beamform` argument list of one call."""
+    argv = ["beamform", "--config", cfg, "--seed", str(args.seed), "--method", method]
+    if method == "blind" and args.passes is not None:
+        argv += ["--passes", str(args.passes)]
+    if method == "greedy" and args.rounds is not None:
+        argv += ["--rounds", str(args.rounds)]
+    return argv
+
+
+@contextlib.contextmanager
+def noiseless():
+    """Build every beamform scenario with its reading noise set to 0."""
+    build = cli._scenario_from_args
+
+    def quiet(args):
+        scenario, rx_azimuth_deg = build(args)
+        return dataclasses.replace(scenario, noise_variance=0.0), rx_azimuth_deg
+
+    cli._scenario_from_args = quiet
+    try:
+        yield
+    finally:
+        cli._scenario_from_args = build
+
+
+def one_run(argv: list[str], quiet: bool) -> dict:
+    """CPU seconds per stage, plus `total`, of one beamform call (noiseless if `quiet`)."""
     spent = dict.fromkeys([stage for stage, _ in STAGES], 0.0)
-    with timed_stages(spent), contextlib.redirect_stdout(io.StringIO()):
+    with (noiseless() if quiet else contextlib.nullcontext()), timed_stages(spent), \
+            contextlib.redirect_stdout(io.StringIO()):
         t0 = time.process_time()
-        code = cli.main(["beamform", "--config", cfg, "--seed", "0", "--method", method])
+        code = cli.main(argv)
         spent["total"] = time.process_time() - t0
     if code != 0:
-        raise SystemExit(f"{cfg}: beamform --method {method} exited {code}")
+        raise SystemExit(f"beamform {' '.join(argv[1:])} exited {code}")
     spent["other"] = spent["total"] - sum(spent[stage] for stage, _ in STAGES)
     return spent
 
@@ -89,6 +121,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("configs", nargs="+", metavar="CONFIG")
     parser.add_argument("--repeat", type=int, default=5, help="calls per config and method")
+    parser.add_argument("--seed", type=int, default=0, help="beamform --seed")
+    parser.add_argument("--passes", type=int, help="blind --passes (default: the command's)")
+    parser.add_argument("--rounds", type=int, help="greedy --rounds (default: the command's)")
+    parser.add_argument("--noiseless", action="store_true", help="set the reading noise to 0")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
@@ -97,7 +133,8 @@ def main(argv=None) -> int:
     print(f"{'config':<20} {'method':<7}" + "".join(f"{n:>9}" for n in names))
     for cfg in args.configs:
         for method in METHODS:
-            runs = [one_run(cfg, method) for _ in range(args.repeat)]
+            runs = [one_run(beamform_args(cfg, method, args), args.noiseless)
+                    for _ in range(args.repeat)]
             ms = [1e3 * statistics.median(r[n] for r in runs) for n in names]
             print(f"{os.path.basename(cfg):<20} {method:<7}" + "".join(f"{v:9.3f}" for v in ms))
     return 0

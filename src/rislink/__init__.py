@@ -53,13 +53,11 @@ from .link import (
     element_weights,
     from_db,
     max_received_power,
-    min_path_loss,
     path_loss,
     path_loss_db,
     propagation_phases,
     received_power,
     received_power_expanded,
-    received_signal,
     states_from_configuration,
     to_db,
     uniform_states,

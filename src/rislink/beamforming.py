@@ -85,10 +85,12 @@ class FeedbackChannel:
         self.queries = 0
 
     def _draws(self, m: int) -> np.ndarray:
-        """The next m draws, not yet consumed; tops the buffer up a block at a time."""
-        while self._pos + m > len(self._noise_list):
-            block = self._rng.normal(0.0, math.sqrt(self.noise_variance), _NOISE_BLOCK)
-            self._noise, self._pos = np.concatenate([self._noise[self._pos:], block]), 0
+        """The next m draws, not yet consumed; a shortfall draws every block it needs at once."""
+        short = self._pos + m - len(self._noise_list)
+        if short > 0:
+            sd, n_blocks = math.sqrt(self.noise_variance), -(-short // _NOISE_BLOCK)
+            blocks = [self._rng.normal(0.0, sd, _NOISE_BLOCK) for _ in range(n_blocks)]
+            self._noise, self._pos = np.concatenate([self._noise[self._pos:], *blocks]), 0
             self._noise_list = self._noise.tolist()
         return self._noise[self._pos:self._pos + m]
 
@@ -107,8 +109,9 @@ class FeedbackChannel:
         if self.noise_variance > 0.0:
             x = powers + self._draws(len(powers))
             powers = np.where(x > 0.0, x, 0.0)  # max(0.0, x)
-        gains = np.flatnonzero(powers > best)
-        m = int(gains[0]) + 1 if gains.size else len(powers)
+        above = powers > best
+        first = int(above.argmax())  # 0 when nothing is above
+        m = first + 1 if above[first] else len(powers)
         self.queries += m
         self._pos += m if self.noise_variance > 0.0 else 0
         return powers[:m].tolist()
@@ -125,9 +128,14 @@ def _sum_terms(table: np.ndarray, configuration) -> complex:
 
 def _powers(prefactor: float, sums: np.ndarray) -> np.ndarray:
     """prefactor * abs(s) ** 2 of every channel sum s, bit for bit as Python computes it:
-    np.hypot is abs(complex), and libm pow (via Python's pow) squares as `** 2` does."""
-    mags = np.hypot(sums.real, sums.imag).tolist()
-    return prefactor * np.fromiter(map(pow, mags, itertools.repeat(2.0)), float, len(mags))
+    np.hypot is abs(complex), and np.float_power squares through libm pow as `** 2` does.
+    Like `** 2`, raises OverflowError where a finite magnitude squares to inf."""
+    mags = np.hypot(sums.real, sums.imag)
+    with np.errstate(over="ignore"):
+        squares = np.float_power(mags, 2.0)
+    if squares.max(initial=0.0) == math.inf and np.isfinite(mags[squares == math.inf]).any():
+        raise OverflowError("channel sum too large to square")
+    return prefactor * squares
 
 
 class PowerOracle:
@@ -200,16 +208,18 @@ def blind_rowcol_search(scenario: Scenario, initial=None,
     config, feedback, table, prefactor = _start(scenario, initial, feedback)
     n_rows, n_cols = config.shape
     k = scenario.codebook.size
-    # step[r, c, i]: how unit (r, c)'s term changes when it moves from index i to i + 1
-    step = (np.roll(table, -1, axis=1) - table).reshape(n_rows, n_cols, k)
-    units = (np.arange(n_rows)[:, None], np.arange(n_cols)[None, :])
+    # step[k * n + i]: how unit n's term changes when it moves from index i to i + 1;
+    # unit (r, c)'s entries start at step[first[r, c]]
+    step = (np.roll(table, -1, axis=1) - table).reshape(-1)
+    first = np.arange(0, step.size, k).reshape(n_rows, n_cols)
     # In a one-row or one-column layout one line is the whole array: shifting
     # it turns every term by one codebook step, so its power ties the current
     # one up to rounding.  There every candidate is summed from scratch, as
     # that line costs O(N) anyway, so each reading and >= decision is a full
     # evaluation's.
     from_scratch = n_rows == 1 or n_cols == 1
-    trace = SearchTrace()
+    read, trace = feedback.read, SearchTrace()
+    powers, accepted = trace.powers, trace.accepted
     best = feedback.measure(config)
     trace.record(True, best)
     for _ in range(passes):
@@ -217,23 +227,28 @@ def blind_rowcol_search(scenario: Scenario, initial=None,
         for axis in (0, 1):  # columns, then rows
             # a line's shift touches only that line, so every delta of this
             # sweep can be taken from the configuration at its start
-            deltas = step[units + (config,)].sum(axis=axis).tolist()
+            deltas = step.take(first + config).sum(axis=axis).tolist()
             for i, delta in enumerate(deltas):
-                line = np.s_[:, i] if axis == 0 else np.s_[i, :]
                 if from_scratch:
-                    cand_config = config.copy()
-                    cand_config[line] = (cand_config[line] + 1) % k
-                    cand = _sum_terms(table, cand_config)
+                    shifted = config.copy()
+                    _shift_line(shifted, axis, i, k)
+                    cand = _sum_terms(table, shifted)
                 else:
                     cand = s + delta
-                p = feedback.read(prefactor * abs(cand) ** 2)
-                if p >= best:
-                    config[line] = (config[line] + 1) % k
+                p = read(prefactor * abs(cand) ** 2)
+                kept = p >= best
+                if kept:
+                    _shift_line(config, axis, i, k)
                     s, best = cand, p
-                    trace.record(True, p)
-                else:
-                    trace.record(False, p)
+                powers.append(p)
+                accepted.append(kept)
     return config, trace
+
+
+def _shift_line(config, axis, i, k) -> None:
+    """Advance column i (axis 0) or row i (axis 1) of `config` by one codebook step, in place."""
+    line = config[:, i] if axis == 0 else config[i]
+    line[:] = (line + 1) % k
 
 
 def greedy_element_search(scenario: Scenario, initial=None,
@@ -253,8 +268,7 @@ def greedy_element_search(scenario: Scenario, initial=None,
         raise ValueError("max_rounds must be >= 1")
     config, feedback, table, prefactor = _start(scenario, initial, feedback)
     k = scenario.codebook.size
-    terms = table.tolist()
-    held = config.reshape(-1).tolist()
+    held = config.reshape(-1)  # the configuration, updated unit by unit
     read = feedback.read
     trace = SearchTrace()
     best = feedback.measure(config)
@@ -264,8 +278,8 @@ def greedy_element_search(scenario: Scenario, initial=None,
         changed = False
         s = _sum_terms(table, held)
         n, first = 0, 0
-        while n < len(terms):
-            cur = held[n]
+        while n < len(held):
+            cur = int(held[n])
             if first == 0 and feedback.queries - gained_at >= gallop_after:
                 gain = _gallop(table, held, n, s, best, prefactor, feedback, trace)
                 at_once = gain is not None and gain[-1]
@@ -274,7 +288,7 @@ def greedy_element_search(scenario: Scenario, initial=None,
                     break
                 n, cur, s, best, _ = gain
                 first, gained_at, changed = cur + 1, feedback.queries, True
-            row = terms[n]
+            row = table[n].tolist()
             for idx in range(first, k):
                 if idx == cur:
                     continue
@@ -290,7 +304,7 @@ def greedy_element_search(scenario: Scenario, initial=None,
             n, first = n + 1, 0
         if not changed:
             break
-    return np.array(held, dtype=int).reshape(config.shape), trace
+    return held.reshape(config.shape), trace
 
 
 def _gallop(table, held, n, s, best, prefactor, feedback, trace):
@@ -302,7 +316,7 @@ def _gallop(table, held, n, s, best, prefactor, feedback, trace):
     others, window = np.arange(table.shape[1] - 1), _GALLOP_WINDOW
     while n < len(held):
         hi = min(len(held), n + max(1, window // len(others)))
-        cur, at = np.array(held[n:hi])[:, None], np.arange(n, hi)[:, None]
+        cur, at = held[n:hi, None], np.arange(n, hi)[:, None]
         idx = others + (others >= cur)  # every index but the held one, in order
         sums = ((s - table[at, cur]) + table[at, idx]).ravel()
         readings = feedback.read_until(_powers(prefactor, sums), best)

@@ -23,7 +23,6 @@ from .geometry import (
 )
 from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel, SurfaceState
 
-FOUR_PI = 4.0 * math.pi
 SIXTEEN_PI_SQ = 16.0 * math.pi ** 2
 
 
@@ -272,30 +271,6 @@ def received_power_expanded(scenario: Scenario,
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
 
 
-def received_signal(scenario: Scenario, states: SurfaceState | None = None,
-                    symbol: complex = 1.0, noise: complex | None = None,
-                    rng: np.random.Generator | None = None, phases=None) -> complex:
-    """One received sample: sqrt(tx_power)/(4 pi) * (channel sum) * symbol + noise.
-
-    `noise` injects an exact sample; otherwise a circularly symmetric Gaussian
-    draw with the scenario's noise_variance is taken from `rng` (no noise when
-    the variance is 0).  A noisy scenario without `noise` needs an `rng`, so
-    the caller's seed pins every sample.
-    """
-    draw = noise is None and scenario.noise_variance > 0
-    if draw and rng is None:
-        raise ValueError(
-            "received_signal needs an rng (or an explicit noise sample) "
-            "when noise_variance > 0"
-        )
-    total = _channel_sum(scenario, states, phases)
-    y = math.sqrt(scenario.tx_power) / FOUR_PI * complex(total) * symbol
-    if draw:
-        scale = math.sqrt(scenario.noise_variance / 2.0)
-        noise = complex(rng.normal(0.0, scale), rng.normal(0.0, scale))
-    return y + (noise if noise is not None else 0.0)
-
-
 def path_loss(scenario: Scenario, states: SurfaceState | None = None,
               phases=None) -> float:
     """Transmit-to-receive power ratio (linear, >= 1 is a loss).
@@ -319,15 +294,6 @@ def max_received_power(scenario: Scenario,
     """Received power under perfectly aligned (continuous) phases: coherent |w| sum."""
     w = element_weights(scenario, states)
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.sum(np.abs(w))) ** 2
-
-
-def min_path_loss(scenario: Scenario,
-                  states: SurfaceState | None = None) -> float:
-    """Path loss under perfectly aligned phases; max_received_power * min_path_loss == tx_power."""
-    total = float(np.sum(np.abs(element_weights(scenario, states)))) ** 2
-    if total == 0.0:
-        raise InfinitePathLossError("every element weight is zero")
-    return SIXTEEN_PI_SQ / total
 
 
 def to_db(x) -> float:

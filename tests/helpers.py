@@ -10,6 +10,7 @@ import rislink as rl
 from rislink.beamforming import wrap_to_pi
 from rislink.experiments import SweepResult
 from rislink.geometry import spherical_to_cartesian
+from rislink.link import SIXTEEN_PI_SQ, _channel_sum
 
 
 def make_random_scenario(rng, max_rows=4, max_cols=8, max_units=32, bits=2,
@@ -205,6 +206,46 @@ def reference_greedy_search(scenario, initial=None, feedback=None, max_rounds=8)
     return config, trace
 
 
+def stepwise_blind_search(scenario, initial=None, feedback=None, passes=4):
+    """Blind row/column search with one `read` and one `trace.record` per line.
+
+    The same incremental sums as `blind_rowcol_search`, S plus the line's term
+    changes (every candidate summed from scratch in a one-row or one-column
+    layout), so its readings are the ones that search must give bit for bit.
+    """
+    config, feedback = _reference_start(scenario, initial, feedback)
+    table, prefactor = feedback.oracle.table, feedback.oracle.prefactor
+    n_rows, n_cols = config.shape
+    k = scenario.codebook.size
+    step = (np.roll(table, -1, axis=1) - table).reshape(n_rows, n_cols, k)
+    units = (np.arange(n_rows)[:, None], np.arange(n_cols)[None, :])
+    from_scratch = n_rows == 1 or n_cols == 1
+    trace = rl.SearchTrace()
+    best = feedback.measure(config)
+    trace.record(True, best)
+    for _ in range(passes):
+        s = complex(table[np.arange(table.shape[0]), config.reshape(-1)].sum())
+        for axis in (0, 1):
+            deltas = step[units + (config,)].sum(axis=axis).tolist()
+            for i, delta in enumerate(deltas):
+                line = np.s_[:, i] if axis == 0 else np.s_[i, :]
+                if from_scratch:
+                    cand_config = config.copy()
+                    cand_config[line] = (cand_config[line] + 1) % k
+                    idx = cand_config.reshape(-1)
+                    cand = complex(table[np.arange(table.shape[0]), idx].sum())
+                else:
+                    cand = s + delta
+                p = feedback.read(prefactor * abs(cand) ** 2)
+                if p >= best:
+                    config[line] = (config[line] + 1) % k
+                    s, best = cand, p
+                    trace.record(True, p)
+                else:
+                    trace.record(False, p)
+    return config, trace
+
+
 def stepwise_greedy_search(scenario, initial=None, feedback=None, max_rounds=8):
     """Greedy element search with one `read` per candidate and no block reads.
 
@@ -311,6 +352,36 @@ def propagation_phase(scenario, row, col) -> float:
     r_t = float(np.linalg.norm(spherical_to_cartesian(scenario.tx_pose) - el))
     r_r = float(np.linalg.norm(spherical_to_cartesian(scenario.rx_pose) - el))
     return 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
+
+
+def received_signal(scenario, states=None, symbol=1.0, noise=None, rng=None, phases=None):
+    """One received sample: sqrt(tx_power)/(4 pi) * (channel sum) * symbol + noise.
+
+    `noise` injects an exact sample; otherwise a circularly symmetric Gaussian
+    draw with the scenario's noise_variance is taken from `rng` (no noise when
+    the variance is 0).  A noisy scenario without `noise` needs an `rng`, so
+    the caller's seed pins every sample.
+    """
+    draw = noise is None and scenario.noise_variance > 0
+    if draw and rng is None:
+        raise ValueError(
+            "received_signal needs an rng (or an explicit noise sample) "
+            "when noise_variance > 0"
+        )
+    total = _channel_sum(scenario, states, phases)
+    y = math.sqrt(scenario.tx_power) / (4.0 * math.pi) * complex(total) * symbol
+    if draw:
+        scale = math.sqrt(scenario.noise_variance / 2.0)
+        noise = complex(rng.normal(0.0, scale), rng.normal(0.0, scale))
+    return y + (noise if noise is not None else 0.0)
+
+
+def min_path_loss(scenario, states=None):
+    """Path loss under perfectly aligned phases; max_received_power * min_path_loss == tx_power."""
+    total = float(np.sum(np.abs(rl.element_weights(scenario, states)))) ** 2
+    if total == 0.0:
+        raise rl.InfinitePathLossError("every element weight is zero")
+    return SIXTEEN_PI_SQ / total
 
 
 # ------------------------------------------------- array-kernel oracles

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 import rislink as rl
-from helpers import make_random_scenario, random_states
+from helpers import make_random_scenario, min_path_loss, random_states
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -55,7 +55,7 @@ def test_criterion_2_continuous_phases_reach_the_power_bound():
         pmax = rl.max_received_power(sc, states)
         worst_opt = max(worst_opt, rel_gap(p, pmax))
         worst_prod = max(worst_prod,
-                         rel_gap(pmax * rl.min_path_loss(sc, states), sc.tx_power))
+                         rel_gap(pmax * min_path_loss(sc, states), sc.tx_power))
     report(2, "continuous optimum attains the analytic maximum",
            worst_opt <= 1e-10 and worst_prod <= 1e-12,
            f"power gap {worst_opt:.3e}, max-power x min-path-loss gap {worst_prod:.3e}")

@@ -17,6 +17,7 @@ from helpers import (
     reference_greedy_search,
     reference_nearest_quantize,
     reference_powers,
+    stepwise_blind_search,
     stepwise_greedy_search,
 )
 
@@ -286,6 +287,33 @@ def test_block_reads_take_one_draw_per_reading_across_noise_blocks():
     assert queries > 6 * _NOISE_BLOCK
 
 
+def test_noise_top_ups_take_every_block_a_shortfall_needs_at_once(monkeypatch):
+    # a noisy 48x48 three-round greedy reads most of its ~14,000 draws in
+    # gallop windows of up to 4096 candidates, several blocks each; a top-up
+    # that drew one block at a time would copy the growing buffer per block
+    rng = np.random.default_rng(48)
+    s = make_random_scenario(rng, random_offset=True)
+    s = replace(s, layout=rl.ArrayLayout(48, 48, s.layout.pitch_x, s.layout.pitch_y),
+                jitter=rl.PhaseJitterModel(math.radians(10.0), 48))
+    oracle = rl.power_oracle(s)
+    aligned = oracle.prefactor * float(np.abs(oracle.table[:, 0]).sum()) ** 2
+    fb = rl.FeedbackChannel(oracle, (0.02 * aligned) ** 2, 3)
+    concatenate, top_ups = np.concatenate, []
+
+    def spy(arrays, *args, **kwargs):
+        top_ups.append((fb.queries, sum(len(a) for a in arrays)))
+        return concatenate(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", spy)
+    rl.greedy_element_search(s, None, fb, 3)
+    monkeypatch.undo()
+    at, floats = zip(*top_ups)
+    assert fb.queries > 13 * _NOISE_BLOCK
+    # every shortfall comes with at least one query read since the last one
+    assert len(set(at)) == len(at)
+    assert sum(floats) <= fb.queries + _NOISE_BLOCK * len(at)
+
+
 def _count_block_reads(monkeypatch):
     """Log (queries before, candidates, readings) of every `read_until` call."""
     log = []
@@ -325,6 +353,28 @@ def test_galloping_greedy_matches_full_evaluations(monkeypatch, n_rows, n_cols, 
     assert fast[1].accepted == stepwise[1].accepted
     assert np.array_equal(_bits(fast[1].powers), _bits(stepwise[1].powers))
     assert channels[0].queries == channels[1].queries == channels[2].queries
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(16, 16), (9, 20), (1, 9), (9, 1)])
+@pytest.mark.parametrize("bits", [1, 2, 3])
+@pytest.mark.parametrize("noise", [0.0, 0.02, 0.5])
+@pytest.mark.parametrize("passes", [1, 2, 3, 4])
+def test_lean_blind_loop_matches_one_read_per_line(n_rows, n_cols, bits, noise, passes):
+    seed = 100 * n_rows + 10 * n_cols + bits + passes
+    rng = np.random.default_rng(seed)
+    s = make_random_scenario(rng, bits=bits, random_offset=True)
+    s = replace(s, layout=rl.ArrayLayout(n_rows, n_cols, s.layout.pitch_x, s.layout.pitch_y),
+                jitter=rl.PhaseJitterModel(math.radians(10.0), seed))
+    oracle = rl.power_oracle(s)
+    noise_variance = (noise * oracle(rl.uniform_configuration(s.layout))) ** 2
+    initial = rng.integers(0, s.codebook.size, (n_rows, n_cols))
+    channels = [rl.FeedbackChannel(oracle, noise_variance, seed) for _ in range(2)]
+    fast = rl.blind_rowcol_search(s, initial, channels[0], passes)
+    stepwise = stepwise_blind_search(s, initial, channels[1], passes)
+    assert np.array_equal(fast[0], stepwise[0])
+    assert fast[1].accepted == stepwise[1].accepted
+    assert np.array_equal(_bits(fast[1].powers), _bits(stepwise[1].powers))
+    assert channels[0].queries == channels[1].queries == 1 + passes * (n_rows + n_cols)
 
 
 def _one_gain_link(unit, index, n_units=40):

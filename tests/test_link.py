@@ -14,8 +14,10 @@ from helpers import (
     distance,
     element_position,
     make_random_scenario,
+    min_path_loss,
     propagation_phase,
     random_states,
+    received_signal,
     unit_rcs,
     unit_state,
     unit_transmission_coefficient,
@@ -71,19 +73,19 @@ def test_received_signal_consistent_with_power():
     rng = np.random.default_rng(5)
     s = make_random_scenario(rng)
     states = random_states(rng, s)
-    y = rl.received_signal(s, states)
+    y = received_signal(s, states)
     assert abs(y) ** 2 == pytest.approx(rl.received_power(s, states), rel=1e-12)
 
 
 def test_received_signal_symbol_and_noise():
     s = chamber_1x1()
-    y0 = rl.received_signal(s)
-    assert rl.received_signal(s, symbol=2.0) == pytest.approx(2.0 * y0, rel=1e-14)
-    assert rl.received_signal(s, noise=1 + 2j) == pytest.approx(y0 + (1 + 2j), rel=1e-14)
+    y0 = received_signal(s)
+    assert received_signal(s, symbol=2.0) == pytest.approx(2.0 * y0, rel=1e-14)
+    assert received_signal(s, noise=1 + 2j) == pytest.approx(y0 + (1 + 2j), rel=1e-14)
     # seeded noise is reproducible
     noisy = replace(s, noise_variance=1e-6)
-    y1 = rl.received_signal(noisy, rng=np.random.default_rng(3))
-    y2 = rl.received_signal(noisy, rng=np.random.default_rng(3))
+    y1 = received_signal(noisy, rng=np.random.default_rng(3))
+    y2 = received_signal(noisy, rng=np.random.default_rng(3))
     assert y1 == y2
     assert y1 != y0
 
@@ -155,7 +157,7 @@ def test_max_power_times_min_path_loss_is_tx_power():
     for _ in range(10):
         s = make_random_scenario(rng)
         states = random_states(rng, s)
-        assert rl.max_received_power(s, states) * rl.min_path_loss(s, states) == \
+        assert rl.max_received_power(s, states) * min_path_loss(s, states) == \
             pytest.approx(s.tx_power, rel=1e-12)
 
 
@@ -175,7 +177,7 @@ def test_null_configuration_raises():
     with pytest.raises(rl.InfinitePathLossError):
         rl.path_loss(s, dark)
     with pytest.raises(rl.InfinitePathLossError):
-        rl.min_path_loss(s, dark)
+        min_path_loss(s, dark)
 
 
 def _state(n, phase_index=0, current=0.01, attenuation=1.0):
@@ -262,10 +264,10 @@ def test_db_helpers():
 def test_received_signal_noise_needs_an_rng():
     noisy = replace(chamber_1x1(), noise_variance=1e-6)
     with pytest.raises(ValueError, match="rng"):
-        rl.received_signal(noisy)
+        received_signal(noisy)
     # an explicit sample or a zero variance needs no generator
-    y0 = rl.received_signal(chamber_1x1())
-    assert rl.received_signal(noisy, noise=0.5j) == pytest.approx(y0 + 0.5j, rel=1e-14)
+    y0 = received_signal(chamber_1x1())
+    assert received_signal(noisy, noise=0.5j) == pytest.approx(y0 + 0.5j, rel=1e-14)
 
 
 def test_from_db_arrays_and_scalars():

@@ -1,5 +1,7 @@
 """Smoke runs of the scripts under scripts/: each must exit 0 on the current API."""
 
+import argparse
+import importlib.util
 import os
 import re
 import shutil
@@ -86,3 +88,32 @@ def test_beamform_stages_prints_every_stage_per_method():
         assert len(ms) == 9 and all(float(v) >= 0 for v in ms[:-2])
         assert float(ms[-1]) > 0
     assert len(lines) == 4
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], os.path.join(SCRIPTS, name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_beamform_stages_reproduces_the_benchmark_calls(tmp_path):
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text("[scenario]\nn_rows = 3\nn_cols = 5\nnoise_variance_w = 1e-6\n")
+    proc = _run("beamform_stages.py", str(cfg), "--repeat", "1", "--seed", "91",
+                "--passes", "4", "--rounds", "1", "--noiseless")
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[:2] for line in proc.stdout.splitlines()[2:]] == [
+        ["noisy.cfg", "blind"], ["noisy.cfg", "greedy"]]
+    stages = _load("beamform_stages.py")
+    bench = argparse.Namespace(seed=91, passes=4, rounds=1)
+    common = ["beamform", "--config", str(cfg), "--seed", "91", "--method"]
+    assert stages.beamform_args(str(cfg), "blind", bench) == common + ["blind", "--passes", "4"]
+    assert stages.beamform_args(str(cfg), "greedy", bench) == common + ["greedy", "--rounds", "1"]
+    defaults = argparse.Namespace(seed=0, passes=None, rounds=None)
+    assert stages.beamform_args(str(cfg), "greedy", defaults)[-3:] == ["0", "--method", "greedy"]
+    args = stages.cli._PARSER.parse_args(["beamform", "--config", str(cfg)])
+    assert stages.cli._scenario_from_args(args)[0].noise_variance == 1e-6
+    with stages.noiseless():
+        assert stages.cli._scenario_from_args(args)[0].noise_variance == 0.0
+    assert stages.cli._scenario_from_args(args)[0].noise_variance == 1e-6
+
+
