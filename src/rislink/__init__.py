@@ -3,7 +3,9 @@ reconfigurable surfaces.
 
 The public surface re-exports the pieces most analyses touch: geometry and
 channel primitives, per-unit hardware models, full-link evaluation, the
-configuration searches, and the sweep runners.
+configuration searches, and the sweeps.  Every sweep is one `SweepJob`,
+validated when it is built, and `run_sweep` runs it; configs and commands
+build the same job, so all three report a bad value in the same words.
 """
 
 from .beamforming import (
@@ -25,17 +27,13 @@ from .channel import (
 from .config import ConfigError, load_run_plan
 from .experiments import (
     PatternResult,
+    SweepJob,
     SweepResult,
-    SweepSpec,
-    angle_sweep,
     apply_beamforming,
     chamber_scenario,
-    distance_sweep,
-    gain_sweep,
     half_power_beamwidth,
     incidence_side_pose,
     peak_to_sidelobe,
-    radiation_pattern,
     run_config,
     run_sweep,
     sweep_grid,

@@ -14,8 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import SWEEP_DEFAULTS, ConfigError, SweepJob, _parse_currents, load_run_plan
-from .experiments import apply_beamforming, chamber_scenario, run_config, run_sweep
+from .config import ConfigError, _parse_currents, load_run_plan
+from .experiments import SweepJob, apply_beamforming, chamber_scenario, run_config, run_sweep
 from .geometry import SphericalPose
 from .link import _link_budget_db
 from .ris import SupplyBudgetError, encode_control
@@ -201,10 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
             if kind == "pattern":
                 p.add_argument("--steering", type=float, default=0.0, dest="steering_deg",
                                metavar="STEERING")
-            start, stop, step = SWEEP_DEFAULTS[kind]
-            p.add_argument("--start", type=float, default=start)
-            p.add_argument("--stop", type=float, default=stop)
-            p.add_argument("--step", type=float, default=step)
+            for flag in ("--start", "--stop", "--step"):
+                p.add_argument(flag, type=float)
         p.add_argument("--method", default="quantized")
         p.set_defaults(func=_cmd_sweep, kind=kind,
                        csv_stem="pattern" if kind == "pattern" else f"{kind}_sweep")

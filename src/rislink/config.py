@@ -10,12 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 from .channel import AntennaModel
-from .experiments import (
-    BEAMFORMING_METHODS,
-    SWEEP_KINDS,
-    incidence_side_pose,
-    transmission_side_pose,
-)
+from .experiments import SweepError, SweepJob, incidence_side_pose, transmission_side_pose
 from .geometry import ArrayLayout
 from .link import Scenario, from_db
 from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel
@@ -164,28 +159,6 @@ def build_scenario(sections: dict, path) -> tuple[Scenario, float]:
     ), rx_a
 
 
-# (start, stop, step) of a kind's grid when the section leaves it out
-SWEEP_DEFAULTS = {
-    "distance": (0.5, 5.0, 0.5),
-    "angle": (0.0, 60.0, 10.0),
-    "pattern": (-85.0, 85.0, 0.5),
-}
-
-
-@dataclass
-class SweepJob:
-    """One sweep to run: kind-specific grid parameters plus the beamforming method."""
-
-    name: str
-    kind: str
-    method: str = "quantized"
-    start: float = 0.0
-    stop: float = 0.0
-    step: float = 1.0
-    currents: tuple[float, ...] = ()
-    steering_deg: float = 0.0
-
-
 @dataclass
 class RunPlan:
     scenario: Scenario
@@ -197,38 +170,41 @@ def _parse_currents(raw: str) -> tuple[float, ...]:
     return tuple(float(c) for c in raw.split(","))
 
 
+_GRID = ("distance", "angle", "pattern")
+# [sweep NAME] key -> (the SweepJob field it sets, its parser, the kinds that take it)
+_SWEEP_KEYS = {"method": ("method", str, (*_GRID, "gain")), "start": ("start", float, _GRID),
+               "stop": ("stop", float, _GRID), "step": ("step", float, _GRID),
+               "steering_deg": ("steering_deg", float, ("pattern",)),
+               "currents_a": ("currents", _parse_currents, ("gain",))}
+_CONFIG_KEY = {"kind": "type", "currents": "currents_a"}
+
+
 def build_jobs(sections: dict, path) -> list[SweepJob]:
-    jobs = []
-    for name in sections:
+    """One `SweepJob` per [sweep NAME] section; a job's error names its key's line."""
+    jobs, taken = [], {}
+    for name, section in sections.items():
         if not name.startswith("sweep"):
             continue
         job_name = name[len("sweep"):].strip() or "sweep"
-        raw = dict(sections[name])
-        if "type" not in raw:
-            raise _err(path, sections[name].line, f"[{name}] needs a 'type' key")
-        kind = _take(raw, "type", None, str, lambda v: v in SWEEP_KINDS,
-                     f"one of {tuple(SWEEP_KINDS)}", path)
-        method = _take(raw, "method", "quantized", str, lambda v: v in BEAMFORMING_METHODS,
-                       f"one of {BEAMFORMING_METHODS}", path)
-        job = SweepJob(job_name, kind, method)
-        if kind == "gain":
-            currents = _take(raw, "currents_a", None, _parse_currents,
-                             lambda v: len(v) > 0 and all(c >= 0 for c in v),
-                             "a comma list of currents >= 0", path)
-            if currents is None:
-                raise _err(path, sections[name].line, f"[{name}] of type gain needs currents_a")
-            job.currents = currents
-        else:
-            lo, hi, st = SWEEP_DEFAULTS[kind]
-            rng = _POSITIVE if kind == "distance" else _ANGLE_OPEN
-            job.start = _take(raw, "start", lo, float, *rng, path)
-            job.stop = _take(raw, "stop", hi, float, *rng, path)
-            job.step = _take(raw, "step", st, float, *_POSITIVE, path)
-            if kind == "pattern":
-                job.steering_deg = _take(raw, "steering_deg", 0.0, float,
-                                         *_ANGLE_OPEN, path)
+        if job_name in taken:
+            raise _err(path, section.line,
+                       f"[{name}] names sweep {job_name!r}, already taken by [{taken[job_name]}]")
+        taken[job_name] = name
+        if "type" not in section:
+            raise _err(path, section.line, f"[{name}] needs a 'type' key")
+        raw = dict(section)
+        kind = raw.pop("type")[0]
+        fields = {attr: _take(raw, key, None, convert, None, None, path)
+                  for key, (attr, convert, kinds) in _SWEEP_KEYS.items()
+                  if key in raw and kind in kinds}
+        if kind == "gain" and "currents" not in fields:
+            raise _err(path, section.line, f"[{name}] of type gain needs currents_a")
+        try:
+            jobs.append(SweepJob(job_name, kind, **fields))
+        except SweepError as e:
+            key = _CONFIG_KEY.get(e.key, e.key)
+            raise _err(path, section[key][1] if key in section else section.line, e) from None
         _reject_unknown(raw, name, path)
-        jobs.append(job)
     return jobs
 
 

@@ -44,10 +44,12 @@ from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel, SurfaceState
 CSV_HEADER = "variable,value,received_power_dBm,path_loss_dB,config_digest"
 MAX_GRID_POINTS = 100_000  # a 64x64 cut this long takes ~40 s: a longer grid is a typo
 
-# config sweep kind -> the variable its CSV rows carry
+# sweep kind -> the variable its CSV rows carry
 SWEEP_KINDS = {"distance": "rx_distance", "angle": "rx_zenith",
                "gain": "amplifier_current", "pattern": "pattern_angle"}
-SWEEP_VARIABLES = tuple(SWEEP_KINDS.values())
+# (start, stop, step) of a kind's grid when the job leaves it out
+SWEEP_DEFAULTS = {"distance": (0.5, 5.0, 0.5), "angle": (0.0, 60.0, 10.0),
+                  "pattern": (-85.0, 85.0, 0.5)}
 BEAMFORMING_METHODS = ("none", "continuous", "quantized", "blind", "greedy")
 # methods whose configuration is a closed form of the two-hop phases
 _CLOSED_FORM_METHODS = ("none", "continuous", "quantized")
@@ -110,32 +112,62 @@ def chamber_scenario(tx_distance: float = 0.6, rx_distance: float = 4.0,
     )
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Inclusive grid over one variable plus the beamforming method applied per point.
+class SweepError(ValueError):
+    """An invalid sweep value; `key` names the `SweepJob` field it blames."""
 
-    Units follow the variable: meters for rx_distance, degrees for rx_zenith
-    and pattern_angle, array-level amperes for amplifier_current.
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
+@dataclass(frozen=True)
+class SweepJob:
+    """One sweep, validated here once for configs, commands and library callers.
+
+    Distance grids are in meters; angle grids, and the `steering_deg` a pattern cut
+    is frozen at, in degrees off the normal; gain `currents` in array-level amperes.
+    A grid left None takes `SWEEP_DEFAULTS[kind]`; a bad value raises `SweepError`.
     """
 
-    variable: str
-    start: float
-    stop: float
-    step: float
-    beamforming: str = "quantized"
+    name: str
+    kind: str
+    method: str = "quantized"
+    start: float | None = None
+    stop: float | None = None
+    step: float | None = None
+    currents: Sequence[float] = ()
+    steering_deg: float = 0.0
 
     def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
-        if self.beamforming not in BEAMFORMING_METHODS:
-            raise ValueError(f"unknown beamforming method {self.beamforming!r}")
+        if not self.name or any(sep and sep in self.name for sep in (os.sep, os.altsep)):
+            raise SweepError("name", f"sweep name must be non-empty without a path separator, "
+                                     f"got {self.name!r}")
+        if self.kind not in SWEEP_KINDS:
+            raise SweepError("kind", f"unknown sweep kind {self.kind!r}")
+        if self.method not in BEAMFORMING_METHODS:
+            raise SweepError("method", f"unknown beamforming method {self.method!r}")
+        if self.kind == "gain":
+            if len(self.currents) == 0:
+                raise SweepError("currents", "need at least one supply current")
+            bad = [c for c in self.currents if not c >= 0]  # NaN fails c >= 0 too
+            if bad:
+                raise SweepError("currents", f"currents must be >= 0, got {bad[0]!r}")
+            return
+        for key, default in zip(("start", "stop", "step"), SWEEP_DEFAULTS[self.kind]):
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, default)
         grid = self.grid()
-        if self.variable == "rx_distance" and self.start <= 0:
-            raise ValueError("distances must be positive")
-        if self.variable in ("rx_zenith", "pattern_angle"):
-            _off_normal(grid)
-        if self.variable == "amplifier_current" and self.start < 0:
-            raise ValueError("currents must be >= 0")
+        if self.kind == "distance" and not self.start > 0:
+            raise SweepError("start", f"start must be positive, got {self.start!r}")
+        # a grid that starts inside (-90, 90) deg can leave it only at the top: blame stop
+        angles = {} if self.kind == "distance" else {"start": self.start, "stop": grid}
+        if self.kind == "pattern":
+            angles["steering_deg"] = self.steering_deg
+        for key, angle in angles.items():
+            try:
+                _off_normal(angle)
+            except ValueError as e:
+                raise SweepError(key, str(e)) from None
 
     def grid(self) -> np.ndarray:
         return sweep_grid(self.start, self.stop, self.step)
@@ -145,15 +177,15 @@ def sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
     """start, start+step, ... up to stop inclusive (float-tolerant endpoint); finite, bounded."""
     for name, value in (("start", start), ("stop", stop), ("step", step)):
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise SweepError(name, f"{name} must be finite, got {value!r}")
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise SweepError("step", "step must be positive")
     if stop < start:
-        raise ValueError("stop must be >= start")
+        raise SweepError("stop", "stop must be >= start")
     span = (stop - start) / step + 1e-9  # inf when stop - start overflows
     if not span < MAX_GRID_POINTS:
-        raise ValueError(f"sweep grid from {float(start)!r} to {float(stop)!r} in steps of "
-                         f"{float(step)!r} exceeds {MAX_GRID_POINTS} points")
+        raise SweepError("step", f"sweep grid from {float(start)!r} to {float(stop)!r} in steps "
+                                 f"of {float(step)!r} exceeds {MAX_GRID_POINTS} points")
     return start + step * np.arange(int(math.floor(span)) + 1)
 
 
@@ -283,16 +315,15 @@ class SweepResult:
             fh.write(self.to_csv())
 
 
-def _pose_sweep(scenario: Scenario, spec: SweepSpec, r, theta, azimuth, seed) -> SweepResult:
+def _pose_sweep(scenario: Scenario, job: SweepJob, values, r, theta, azimuth, seed) -> SweepResult:
     """One row per RX pose (r, theta, azimuth), broadcast over the grid, beamformed afresh at each.
 
     The closed-form methods need only the two-hop path table: each chunk of points
     gets it once, and the same arrays give every point's phases or indices, digest
     and channel sum.  `blind` and `greedy` search per `SphericalPose`, each seeded.
     """
-    values = spec.grid()
     r, theta, azimuth = np.broadcast_arrays(r, theta, azimuth)
-    method = spec.beamforming
+    method = job.method
     sums, digests = [], []
     if method not in _CLOSED_FORM_METHODS:
         poses = zip(r.tolist(), theta.tolist(), azimuth.tolist())
@@ -314,52 +345,7 @@ def _pose_sweep(scenario: Scenario, spec: SweepSpec, r, theta, azimuth, seed) ->
                 programmed = _programmed_phases(scenario, config, None)
                 sums.extend(np.sum(amp * np.exp(1j * (programmed - phi)), axis=-1))
             digests.extend(_config_digest(scenario, point_config) for point_config in config)
-    return SweepResult.from_sums(scenario, spec.variable, values, sums, digests)
-
-
-def distance_sweep(scenario: Scenario, spec: SweepSpec, seed=0) -> SweepResult:
-    """Path loss versus RX range; the RX direction is kept, only the range moves.
-
-    Beamforming reruns at every point (the optimal configuration changes with
-    geometry).
-    """
-    if spec.variable != "rx_distance":
-        raise ValueError("spec.variable must be 'rx_distance'")
-    return _pose_sweep(scenario, spec, spec.grid(), scenario.rx_pose.theta,
-                       scenario.rx_pose.phi, seed)
-
-
-def angle_sweep(scenario: Scenario, spec: SweepSpec, seed=0,
-                rx_azimuth_deg: float = 0.0) -> SweepResult:
-    """Path loss versus the RX off-normal angle on the transmission side (degrees).
-
-    The RX moves in the plane of `rx_azimuth_deg`; negative angles turn the
-    azimuth by 180 deg, as in `transmission_side_pose`.
-    """
-    if spec.variable != "rx_zenith":
-        raise ValueError("spec.variable must be 'rx_zenith'")
-    a, phi = _off_normal(spec.grid(), rx_azimuth_deg)
-    return _pose_sweep(scenario, spec, scenario.rx_pose.r, math.pi - a, phi, seed)
-
-
-def gain_sweep(scenario: Scenario, currents: Sequence[float],
-               beamforming: str = "quantized", seed=0) -> SweepResult:
-    """Received power versus array-level supply current, split evenly across units.
-
-    The phase configuration is fixed once (at the amplifier's calibrated
-    operating point) and held while only the current moves, mirroring how the
-    gain knob is exercised on hardware.
-    """
-    if len(currents) == 0:
-        raise ValueError("need at least one supply current")
-    if any(c < 0 for c in currents):
-        raise ValueError("currents must be >= 0")
-    n = scenario.layout.n_units
-    bf = apply_beamforming(scenario, beamforming, seed)
-    sums = [_channel_sum(scenario, replace(bf.states, current=np.full(n, float(c) / n)), bf.phases)
-            for c in currents]
-    return SweepResult.from_sums(scenario, "amplifier_current", [float(c) for c in currents],
-                                 sums, [bf.digest] * len(sums))
+    return SweepResult.from_sums(scenario, SWEEP_KINDS[job.kind], values, sums, digests)
 
 
 @dataclass
@@ -432,21 +418,18 @@ def peak_to_sidelobe(angles_deg, rel_db) -> float:
     return float(r[i0] - np.max(side))
 
 
-def radiation_pattern(scenario: Scenario, steering_deg: float,
-                      start: float = -85.0, stop: float = 85.0, step: float = 0.5,
-                      method: str = "quantized", seed=0,
-                      rx_azimuth_deg: float = 0.0) -> PatternResult:
-    """Steer toward `steering_deg`, freeze the configuration, and cut the
-    transmission-side pattern by moving the RX probe along the observation grid.
+def _radiation_pattern(scenario: Scenario, job: SweepJob, seed,
+                       rx_azimuth_deg: float) -> PatternResult:
+    """Steer toward `job.steering_deg`, freeze the configuration, and cut the
+    transmission-side pattern by moving the RX probe along the job's grid.
 
-    Steering and cut lie in the plane of `rx_azimuth_deg` (negative angles
-    turn it by 180 deg).  The whole cut is one batched link evaluation.  `hpbw_deg`
-    is NaN when a -3 dB point falls outside the grid, as `pslr_db` without a sidelobe.
+    The whole cut is one batched link evaluation.  `hpbw_deg` is NaN when a
+    -3 dB point falls outside the grid, as `pslr_db` without a sidelobe.
     """
     r = scenario.rx_pose.r
-    steer = replace(scenario, rx_pose=transmission_side_pose(r, steering_deg, rx_azimuth_deg))
-    bf = apply_beamforming(steer, method, seed)
-    angles = sweep_grid(start, stop, step)
+    steer = replace(scenario, rx_pose=transmission_side_pose(r, job.steering_deg, rx_azimuth_deg))
+    bf = apply_beamforming(steer, job.method, seed)
+    angles = job.grid()
     a, phi = _off_normal(angles, rx_azimuth_deg)
     sums = _channel_sums(scenario, cartesian_points(r, math.pi - a, phi), bf.states, bf.phases)
     cut = SweepResult.from_sums(scenario, "pattern_angle", angles, sums, [bf.digest] * len(sums))
@@ -458,7 +441,7 @@ def radiation_pattern(scenario: Scenario, steering_deg: float,
         hpbw = math.nan
     return PatternResult(
         **vars(cut),
-        steering_deg=float(steering_deg),
+        steering_deg=float(job.steering_deg),
         relative_db=rel,
         peak_angle_deg=float(angles[int(np.argmax(powers))]),
         hpbw_deg=hpbw,
@@ -466,20 +449,31 @@ def radiation_pattern(scenario: Scenario, steering_deg: float,
     )
 
 
-def run_sweep(scenario: Scenario, job, seed=0, rx_azimuth_deg: float = 0.0) -> SweepResult:
-    """Run one `config.SweepJob` on `scenario`; `rislink run` and the sweep commands share it.
+def run_sweep(scenario: Scenario, job: SweepJob, seed=0,
+              rx_azimuth_deg: float = 0.0) -> SweepResult:
+    """Run one sweep on `scenario`: a `PatternResult` for a cut, else a `SweepResult`.
 
-    Angle sweeps and pattern cuts turn in the plane of `rx_azimuth_deg`.
+    Distance and angle sweeps move only the RX range or angle, beamformed afresh
+    at each point.  A gain sweep holds the configuration of the calibrated
+    operating point while only the array current, split evenly across units,
+    moves.  Angle sweeps and cuts turn in the plane of `rx_azimuth_deg`;
+    negative angles turn it by 180 deg, as in `transmission_side_pose`.
     """
-    if job.kind == "gain":
-        return gain_sweep(scenario, job.currents, job.method, seed)
     if job.kind == "pattern":
-        return radiation_pattern(scenario, job.steering_deg, job.start, job.stop, job.step,
-                                 job.method, seed, rx_azimuth_deg)
-    spec = SweepSpec(SWEEP_KINDS[job.kind], job.start, job.stop, job.step, job.method)
+        return _radiation_pattern(scenario, job, seed, rx_azimuth_deg)
+    if job.kind == "gain":
+        n = scenario.layout.n_units
+        bf = apply_beamforming(scenario, job.method, seed)
+        sums = [_channel_sum(scenario, replace(bf.states, current=np.full(n, float(c) / n)),
+                             bf.phases) for c in job.currents]
+        return SweepResult.from_sums(scenario, "amplifier_current",
+                                     [float(c) for c in job.currents], sums, [bf.digest] * len(sums))
+    values = job.grid()
     if job.kind == "distance":
-        return distance_sweep(scenario, spec, seed)
-    return angle_sweep(scenario, spec, seed, rx_azimuth_deg)
+        pose = scenario.rx_pose
+        return _pose_sweep(scenario, job, values, values, pose.theta, pose.phi, seed)
+    a, phi = _off_normal(values, rx_azimuth_deg)
+    return _pose_sweep(scenario, job, values, scenario.rx_pose.r, math.pi - a, phi, seed)
 
 
 def _scenario_summary(s: Scenario) -> dict:

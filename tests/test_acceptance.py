@@ -134,7 +134,7 @@ def test_criterion_5_control_word_table():
 
 
 def test_criterion_6_supply_current_sets_the_calibrated_gain_swing():
-    res = rl.gain_sweep(rl.chamber_scenario(), [0.01, 1.4])
+    res = rl.run_sweep(rl.chamber_scenario(), rl.SweepJob("gain", "gain", currents=[0.01, 1.4]))
     p = res.received_power_dbm
     swing = float(p[-1] - p[0])
     report(6, "current swing 0.01 A -> 1.4 A moves received power by 11.9 dB",
@@ -142,12 +142,12 @@ def test_criterion_6_supply_current_sets_the_calibrated_gain_swing():
 
 
 def test_criterion_7_path_loss_versus_distance():
-    spec = rl.SweepSpec("rx_distance", 0.5, 5.0, 0.5, beamforming="continuous")
+    job = rl.SweepJob("distance", "distance", "continuous", 0.5, 5.0, 0.5)
     losses = {}
     ok = True
     detail = []
     for tx_d in (0.5, 1.0):
-        res = rl.distance_sweep(rl.chamber_scenario(tx_distance=tx_d), spec)
+        res = rl.run_sweep(rl.chamber_scenario(tx_distance=tx_d), job)
         pl = res.path_loss_db
         losses[tx_d] = pl
         if not (np.diff(pl) > 0).all():
@@ -165,8 +165,8 @@ def test_criterion_7_path_loss_versus_distance():
 
 def test_criterion_8_path_loss_versus_angle():
     sc = rl.chamber_scenario(rx_distance=4.5)
-    spec = rl.SweepSpec("rx_zenith", 0.0, 60.0, 10.0, beamforming="continuous")
-    pl = rl.angle_sweep(sc, spec).path_loss_db
+    job = rl.SweepJob("angle", "angle", "continuous", 0.0, 60.0, 10.0)
+    pl = rl.run_sweep(sc, job).path_loss_db
     monotone = (np.diff(pl) >= -1e-9).all()
     delta = float(pl[-1] - pl[0])
     predicted = -10.0 * math.log10(
@@ -178,9 +178,8 @@ def test_criterion_8_path_loss_versus_angle():
 
 
 def test_criterion_9_steered_radiation_patterns():
-    p0 = rl.radiation_pattern(rl.chamber_scenario(), 0.0)
-    p50 = rl.radiation_pattern(rl.chamber_scenario(), 50.0)
-    p60 = rl.radiation_pattern(rl.chamber_scenario(), 60.0)
+    p0, p50, p60 = (rl.run_sweep(rl.chamber_scenario(), rl.SweepJob("cut", "pattern", steering_deg=a))
+                    for a in (0.0, 50.0, 60.0))
     checks = {
         "boresight peak": abs(p0.peak_angle_deg) <= 1.0,
         "boresight hpbw": 10.0 <= p0.hpbw_deg <= 16.0,

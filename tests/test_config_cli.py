@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import rislink as rl
 from rislink.cli import build_parser, main
-from rislink.config import ConfigError, load_run_plan, parse_sections
+from rislink.config import ConfigError, _parse_currents, load_run_plan, parse_sections
+from rislink.experiments import SweepJob
 
 
 def write(tmp_path, text, name="case.cfg"):
@@ -181,8 +182,10 @@ def test_cli_angle_and_pattern_use_the_config_azimuth(tmp_path):
     assert main(["pattern", "--config", str(cfg), "--steering", "20", "--step", "5",
                  "--out", str(tmp_path)]) == 0
     s = load_run_plan(cfg).scenario
-    sweep = rl.angle_sweep(s, rl.SweepSpec("rx_zenith", 0.0, 40.0, 20.0), rx_azimuth_deg=90.0)
-    cut = rl.radiation_pattern(s, 20.0, step=5.0, rx_azimuth_deg=90.0)
+    sweep = rl.run_sweep(s, SweepJob("a", "angle", start=0.0, stop=40.0, step=20.0),
+                         rx_azimuth_deg=90.0)
+    cut = rl.run_sweep(s, SweepJob("c", "pattern", step=5.0, steering_deg=20.0),
+                       rx_azimuth_deg=90.0)
     assert (tmp_path / "angle_sweep.csv").read_text() == sweep.to_csv()
     assert (tmp_path / "pattern.csv").read_text() == cut.to_csv()
 
@@ -251,10 +254,100 @@ def test_sweep_commands_reject_an_unbounded_grid(tmp_path, capsys, command, argv
                                        ("distance", "step"), ("pattern", "step")])
 def test_a_config_with_an_infinite_grid_bound_reports_its_line(tmp_path, capsys, kind, key):
     cfg = write(tmp_path, f"[scenario]\n\n[sweep s]\ntype = {kind}\n{key} = inf\n")
-    with pytest.raises(ConfigError, match=f":5: {key} must be positive and finite, got inf"):
+    with pytest.raises(ConfigError, match=f":5: {key} must be finite, got inf"):
         load_run_plan(cfg)
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 2
-    assert f":5: {key} must be positive and finite, got inf" in capsys.readouterr().err
+    assert f":5: {key} must be finite, got inf" in capsys.readouterr().err
+
+
+_GOOD_SWEEP = "[scenario]\n\n[sweep walk]\ntype = distance\nstart = 1\nstop = 2\nstep = 0.5\n\n"
+
+
+@pytest.mark.parametrize("section, line", [
+    ("[sweep bad]\ntype = distance\nstart = 3\nstop = 2\n", 12),
+    ("[sweep bad]\ntype = distance\nstep = 1e-12\n", 11),
+    ("[sweep bad]\ntype = angle\nstop = 95\n", 11),
+])
+def test_an_invalid_later_sweep_fails_before_anything_is_written(tmp_path, capsys, section, line):
+    cfg = write(tmp_path, _GOOD_SWEEP + section)
+    with pytest.raises(ConfigError) as exc:
+        load_run_plan(cfg)
+    assert str(exc.value).startswith(f"{cfg}:{line}: ")
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:{line}: ")
+    assert os.listdir(out) == []
+
+
+def test_sweep_gain_rejects_a_nan_current(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep-gain", "--currents", "nan,1.4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: currents must be >= 0, got nan\n"
+    assert not out.exists()
+
+
+# the command taking each config key of a [sweep NAME] section
+_FLAGS = {"start": "--start", "stop": "--stop", "step": "--step", "method": "--method",
+          "steering_deg": "--steering", "currents_a": "--currents"}
+_COMMANDS = {"distance": "sweep-distance", "angle": "sweep-angle", "gain": "sweep-gain",
+             "pattern": "pattern"}
+_FIELDS = {"currents_a": "currents"}
+_PARSE = {"method": str, "currents_a": _parse_currents}
+
+
+@pytest.mark.parametrize("kind, keys, blamed", [
+    ("distance", {"stop": "inf"}, "stop"),
+    ("distance", {"start": "3", "stop": "2"}, "stop"),
+    ("distance", {"start": "1", "stop": "2", "step": "1e-12"}, "step"),
+    ("angle", {"start": "-95"}, "start"),
+    ("pattern", {"steering_deg": "95"}, "steering_deg"),
+    ("distance", {"method": "magic"}, "method"),
+    ("gain", {"currents_a": "nan"}, "currents_a"),
+], ids=["stop-inf", "stop-below-start", "tiny-step", "angle-start", "steering", "method",
+        "nan-current"])
+def test_a_sweep_value_is_rejected_in_the_same_words_everywhere(tmp_path, capsys, kind, keys,
+                                                                blamed):
+    fields = {_FIELDS.get(k, k): _PARSE.get(k, float)(v) for k, v in keys.items()}
+    with pytest.raises(ValueError) as exc:
+        SweepJob("s", kind, **fields)
+    message = str(exc.value)
+    argv = [f"{_FLAGS[k]}={v}" for k, v in keys.items()]
+    out = tmp_path / "cmd"
+    assert main([_COMMANDS[kind], *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    cfg = write(tmp_path, f"[scenario]\n\n[sweep s]\ntype = {kind}\n"
+                + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    with pytest.raises(ConfigError) as exc:
+        load_run_plan(cfg)
+    assert str(exc.value) == f"{cfg}:{5 + list(keys).index(blamed)}: {message}"
+
+
+@pytest.mark.parametrize("second", ["[sweepa]", "[sweep  a]"])
+def test_two_sweeps_cannot_share_a_name(tmp_path, capsys, second):
+    cfg = write(tmp_path, "[scenario]\n\n[sweep a]\ntype = distance\n\n"
+                          f"{second}\ntype = angle\n")
+    with pytest.raises(ConfigError) as exc:
+        load_run_plan(cfg)
+    assert str(exc.value) == (f"{cfg}:6: {second} names sweep 'a', "
+                              "already taken by [sweep a]")
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_a_sweep_name_cannot_leave_the_output_directory(tmp_path, capsys):
+    cfg = write(tmp_path, "[scenario]\n\n[sweep ../escaped]\ntype = distance\n")
+    with pytest.raises(ConfigError) as exc:
+        load_run_plan(cfg)
+    assert str(exc.value).startswith(f"{cfg}:3: sweep name must be")
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert not (tmp_path / "escaped.csv").exists() and not out.exists()
+    for name in ("", "a/b"):
+        with pytest.raises(ValueError, match="sweep name must be"):
+            SweepJob(name, "distance")
 
 
 # a jittered, noisy link whose RX sits at a negative zenith in the 60 deg plane

@@ -17,7 +17,8 @@ from helpers import (
     reference_transmission_side_points,
     reference_transmission_side_pose,
 )
-from rislink.experiments import BEAMFORMING_METHODS, CSV_HEADER, MAX_GRID_POINTS, sweep_grid
+from rislink.experiments import (BEAMFORMING_METHODS, CSV_HEADER, MAX_GRID_POINTS, SweepJob,
+                                 sweep_grid)
 from rislink.cli import main
 from rislink.geometry import cartesian_points
 from rislink.link import _channel_sum
@@ -53,19 +54,19 @@ def test_sweep_grid_rejects_unbounded_grids_before_allocating(grid, message):
     assert len(sweep_grid(0.0, MAX_GRID_POINTS - 1, 1.0)) == MAX_GRID_POINTS
 
 
-def test_sweep_spec_validation():
+def test_sweep_job_validation():
     with pytest.raises(ValueError):
-        rl.SweepSpec("frequency", 1.0, 2.0, 0.5)
+        SweepJob("s", "frequency", start=1.0, stop=2.0, step=0.5)
     with pytest.raises(ValueError):
-        rl.SweepSpec("rx_distance", 1.0, 2.0, 0.5, "magic")
+        SweepJob("s", "distance", "magic", 1.0, 2.0, 0.5)
     with pytest.raises(ValueError):
-        rl.SweepSpec("rx_distance", 0.0, 2.0, 0.5)
+        SweepJob("s", "distance", start=0.0, stop=2.0, step=0.5)
     with pytest.raises(ValueError):
-        rl.SweepSpec("rx_zenith", -90.0, 60.0, 10.0)
+        SweepJob("s", "angle", start=-90.0, stop=60.0, step=10.0)
     with pytest.raises(ValueError):
-        rl.SweepSpec("rx_zenith", 0.0, 90.0, 10.0)
+        SweepJob("s", "angle", start=0.0, stop=90.0, step=10.0)
     with pytest.raises(ValueError):
-        rl.SweepSpec("amplifier_current", -0.1, 1.0, 0.1)
+        SweepJob("s", "gain", currents=(-0.1, 1.0))
 
 
 def test_transmission_side_pose():
@@ -168,30 +169,30 @@ def test_beamforming_digests_distinguish_configurations():
 
 def test_distance_sweep_rows():
     s = rl.chamber_scenario()
-    res = rl.distance_sweep(s, rl.SweepSpec("rx_distance", 1.0, 3.0, 1.0, "quantized"))
+    res = rl.run_sweep(s, SweepJob("d", "distance", "quantized", 1.0, 3.0, 1.0))
     assert res.variable == "rx_distance"
     assert np.allclose(res.values, [1.0, 2.0, 3.0])
     assert all(len(d) == 12 for d in res.config_digests)
     with pytest.raises(ValueError):
-        rl.distance_sweep(s, rl.SweepSpec("rx_zenith", 0.0, 10.0, 5.0))
+        SweepJob("d", "rx_zenith", start=0.0, stop=10.0, step=5.0)
 
 
 def test_distance_sweep_continuous_monotone():
     s = rl.chamber_scenario()
-    res = rl.distance_sweep(s, rl.SweepSpec("rx_distance", 0.5, 5.0, 0.5, "continuous"))
+    res = rl.run_sweep(s, SweepJob("d", "distance", "continuous", 0.5, 5.0, 0.5))
     assert np.all(np.diff(res.path_loss_db) > 0)
 
 
 def test_angle_sweep_continuous_monotone():
     s = rl.chamber_scenario(rx_distance=4.5)
-    res = rl.angle_sweep(s, rl.SweepSpec("rx_zenith", 0.0, 60.0, 10.0, "continuous"))
+    res = rl.run_sweep(s, SweepJob("a", "angle", "continuous", 0.0, 60.0, 10.0))
     assert res.variable == "rx_zenith"
     assert np.all(np.diff(res.path_loss_db) >= 0)
 
 
 def test_gain_sweep_swing_and_held_configuration():
     s = rl.chamber_scenario()
-    res = rl.gain_sweep(s, [0.01, 0.2, 0.6, 1.0, 1.4])
+    res = rl.run_sweep(s, SweepJob("g", "gain", currents=[0.01, 0.2, 0.6, 1.0, 1.4]))
     p = res.received_power_dbm
     assert p[-1] - p[0] == pytest.approx(11.9, abs=1e-9)
     assert np.all(np.diff(p) > 0)
@@ -211,7 +212,7 @@ def test_gain_sweep_rows_hold_the_first_configuration(monkeypatch):
         return channel_sum(scenario, states, phases)
 
     monkeypatch.setattr(rl.experiments, "_channel_sum", spy)
-    res = rl.gain_sweep(s, currents)
+    res = rl.run_sweep(s, SweepJob("g", "gain", currents=currents))
     n = s.layout.n_units
     bf = rl.apply_beamforming(s)
     assert len(seen) == len(currents)
@@ -228,16 +229,16 @@ def test_gain_sweep_rows_hold_the_first_configuration(monkeypatch):
 def test_gain_sweep_budget_and_validation():
     s = rl.chamber_scenario()
     with pytest.raises(rl.SupplyBudgetError):
-        rl.gain_sweep(s, [10.0])  # 10/32 A per unit blows the 0.12 A budget
+        rl.run_sweep(s, SweepJob("g", "gain", currents=[10.0]))  # 10/32 A per unit > 0.12 A
     with pytest.raises(ValueError):
-        rl.gain_sweep(s, [])
+        SweepJob("g", "gain", currents=[])
     with pytest.raises(ValueError):
-        rl.gain_sweep(s, [-0.1])
+        SweepJob("g", "gain", currents=[-0.1])
 
 
 def test_radiation_pattern_boresight():
     s = rl.chamber_scenario()
-    pat = rl.radiation_pattern(s, 0.0)
+    pat = rl.run_sweep(s, SweepJob("p", "pattern"))
     assert len(pat.values) == 341
     assert pat.relative_db.max() == 0.0
     assert abs(pat.peak_angle_deg) <= 1.0
@@ -248,7 +249,7 @@ def test_radiation_pattern_boresight():
 
 def test_radiation_pattern_steered():
     s = rl.chamber_scenario()
-    pat = rl.radiation_pattern(s, 50.0, method="continuous")
+    pat = rl.run_sweep(s, SweepJob("p", "pattern", "continuous", steering_deg=50.0))
     assert abs(pat.peak_angle_deg - 50.0) <= 3.0
 
 
@@ -270,7 +271,7 @@ def test_peak_to_sidelobe_synthetic():
 
 def test_sweep_csv_schema(tmp_path):
     s = rl.chamber_scenario()
-    res = rl.distance_sweep(s, rl.SweepSpec("rx_distance", 1.0, 2.0, 1.0))
+    res = rl.run_sweep(s, SweepJob("d", "distance", start=1.0, stop=2.0, step=1.0))
     path = tmp_path / "out.csv"
     res.write_csv(path)
     lines = path.read_text().splitlines()
@@ -286,7 +287,7 @@ def test_sweep_csv_schema(tmp_path):
 
 def test_pattern_csv_schema(tmp_path):
     s = rl.chamber_scenario()
-    pat = rl.radiation_pattern(s, 0.0, start=-10.0, stop=10.0, step=5.0)
+    pat = rl.run_sweep(s, SweepJob("p", "pattern", start=-10.0, stop=10.0, step=5.0))
     path = tmp_path / "pat.csv"
     pat.write_csv(path)
     lines = path.read_text().splitlines()
@@ -357,7 +358,8 @@ def _path_loss_at(scenario, angle, azimuth, steering=None):
 
 def test_angle_sweep_keeps_rx_azimuth():
     s = _azimuth_90_scenario()
-    res = rl.angle_sweep(s, rl.SweepSpec("rx_zenith", 0.0, 60.0, 10.0), rx_azimuth_deg=90.0)
+    res = rl.run_sweep(s, SweepJob("a", "angle", start=0.0, stop=60.0, step=10.0),
+                       rx_azimuth_deg=90.0)
     for value, pl in zip(res.values, res.path_loss_db):
         assert pl == pytest.approx(_path_loss_at(s, value, 90.0), rel=1e-12)
     assert res.path_loss_db[2] == pytest.approx(14.0566, abs=1e-4)
@@ -365,7 +367,8 @@ def test_angle_sweep_keeps_rx_azimuth():
 
 def test_radiation_pattern_keeps_rx_azimuth():
     s = _azimuth_90_scenario()
-    res = rl.radiation_pattern(s, 30.0, -60.0, 60.0, 7.5, rx_azimuth_deg=90.0)
+    res = rl.run_sweep(s, SweepJob("p", "pattern", "quantized", -60.0, 60.0, 7.5,
+                                   steering_deg=30.0), rx_azimuth_deg=90.0)
     for a, pl in zip(res.values, res.path_loss_db):
         assert pl == pytest.approx(_path_loss_at(s, a, 90.0, steering=30.0), rel=1e-12)
 
@@ -425,13 +428,13 @@ _SWEEP_SIZES = [(4, 8), (7, 5), (64, 64)]
 def test_pose_sweeps_match_the_per_point_reference(n_rows, n_cols, method):
     s = _pose_sweep_scenario(n_rows, n_cols, seed=n_rows)
     # 64x64 chunks hold 4 points, so 6 points cross a chunk boundary
-    dist = rl.SweepSpec("rx_distance", 1.0, 3.5, 0.5, method)
-    got = rl.distance_sweep(s, dist, seed=5)
+    dist = SweepJob("d", "distance", method, 1.0, 3.5, 0.5)
+    got = rl.run_sweep(s, dist, seed=5)
     want = reference_pose_sweep(s, "rx_distance", dist.grid(), _distance_poses(s, dist.grid()),
                                 method, seed=5)
     _assert_rows_match(got, want)
-    ang = rl.SweepSpec("rx_zenith", -35.0, 15.0, 10.0, method)
-    got = rl.angle_sweep(s, ang, seed=5, rx_azimuth_deg=35.0)
+    ang = SweepJob("a", "angle", method, -35.0, 15.0, 10.0)
+    got = rl.run_sweep(s, ang, seed=5, rx_azimuth_deg=35.0)
     want = reference_pose_sweep(s, "rx_zenith", ang.grid(), _angle_poses(s, ang.grid(), 35.0),
                                 method, seed=5)
     _assert_rows_match(got, want)
@@ -460,10 +463,10 @@ def test_continuous_pose_sweep_sums_are_the_coherent_weight_sums(monkeypatch):
 
     monkeypatch.setattr(rl.SweepResult, "from_sums", classmethod(spy))
     # 32x32 chunks hold 16 points, so the 20-point angle sweep spans two
-    ang = rl.SweepSpec("rx_zenith", -45.0, 50.0, 5.0, "continuous")
-    rl.angle_sweep(s, ang, rx_azimuth_deg=35.0)
-    dist = rl.SweepSpec("rx_distance", 1.0, 3.5, 0.5, "continuous")
-    rl.distance_sweep(s, dist)
+    ang = SweepJob("a", "angle", "continuous", -45.0, 50.0, 5.0)
+    rl.run_sweep(s, ang, rx_azimuth_deg=35.0)
+    dist = SweepJob("d", "distance", "continuous", 1.0, 3.5, 0.5)
+    rl.run_sweep(s, dist)
     want = ([reference_continuous_sum(s, p) for p in _angle_poses(s, ang.grid(), 35.0)],
             [reference_continuous_sum(s, p) for p in _distance_poses(s, dist.grid())])
     assert len(sums) == 2
@@ -472,7 +475,7 @@ def test_continuous_pose_sweep_sums_are_the_coherent_weight_sums(monkeypatch):
 
 
 def test_cut_narrower_than_its_main_lobe_has_no_beamwidth():
-    pat = rl.radiation_pattern(rl.chamber_scenario(), 0.0, -5.0, 5.0, 1.0)
+    pat = rl.run_sweep(rl.chamber_scenario(), SweepJob("p", "pattern", "quantized", -5.0, 5.0, 1.0))
     assert len(pat.values) == 11 and np.all(np.isfinite(pat.path_loss_db))
     assert math.isnan(pat.hpbw_deg) and math.isnan(pat.metrics["hpbw_deg"])
     with pytest.raises(ValueError, match="half-power point falls outside"):
@@ -488,12 +491,12 @@ def _sweep_error(sweep):
 @pytest.mark.parametrize("method", rl.experiments.BEAMFORMING_METHODS)
 def test_pose_sweeps_keep_the_per_point_errors(method, monkeypatch):
     s = _pose_sweep_scenario(4, 8, seed=1)
-    spec = rl.SweepSpec("rx_zenith", -20.0, 20.0, 20.0, method)
-    poses = _angle_poses(s, spec.grid(), 0.0)
+    job = SweepJob("a", "angle", method, -20.0, 20.0, 20.0)
+    poses = _angle_poses(s, job.grid(), 0.0)
 
     def both(scenario):
-        return (_sweep_error(lambda: rl.angle_sweep(scenario, spec)),
-                _sweep_error(lambda: reference_pose_sweep(scenario, "rx_zenith", spec.grid(),
+        return (_sweep_error(lambda: rl.run_sweep(scenario, job)),
+                _sweep_error(lambda: reference_pose_sweep(scenario, "rx_zenith", job.grid(),
                                                           poses, method)))
 
     # TX on the transmission side: every swept point shares its half-space

@@ -359,9 +359,9 @@ def test_pattern_cut_keeps_the_per_point_errors():
     # TX on the transmission side: every cut point shares its half-space
     flipped = replace(s, tx_pose=s.rx_pose, rx_pose=s.tx_pose)
     with pytest.raises(ValueError, match="opposite sides"):
-        rl.radiation_pattern(flipped, 0.0, -10.0, 10.0, 5.0, method="none")
+        rl.run_sweep(flipped, rl.SweepJob("cut", "pattern", "none", -10.0, 10.0, 5.0))
     with pytest.raises(ValueError, match="off-normal angle"):
-        rl.radiation_pattern(s, 0.0, -10.0, 95.0, 35.0)
+        rl.run_sweep(s, rl.SweepJob("cut", "pattern", "quantized", -10.0, 95.0, 35.0))
 
 
 def test_exact_null_inside_a_cut_fails_like_the_per_point_route():
@@ -379,10 +379,10 @@ def test_exact_null_inside_a_cut_fails_like_the_per_point_route():
     with pytest.raises(ValueError, match="power must be positive") as per_point:
         rl.watts_to_dbm(rl.received_power(null))
     with pytest.raises(ValueError, match="power must be positive") as batched:
-        rl.radiation_pattern(s, 0.0, 0.0, 30.0, 10.0)
+        rl.run_sweep(s, rl.SweepJob("cut", "pattern", "quantized", 0.0, 30.0, 10.0))
     assert type(batched.value) is type(per_point.value)
     with pytest.raises(ValueError, match="power must be positive"):
-        rl.angle_sweep(s, rl.SweepSpec("rx_zenith", 0.0, 30.0, 10.0))
+        rl.run_sweep(s, rl.SweepJob("angle", "angle", "quantized", 0.0, 30.0, 10.0))
 
 
 # ---------------------------------------------------------------- surface state

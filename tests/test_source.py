@@ -37,3 +37,14 @@ def test_the_check_sees_an_unused_import():
 def test_every_import_is_used(path):
     with open(path) as fh:
         assert unused_imports(fh.read()) == []
+
+
+LINE_BUDGET = 2214  # ROADMAP item 4: new features are paid for by deletion
+
+
+def test_the_package_stays_within_its_line_budget():
+    total = 0
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path) as fh:
+            total += sum(1 for _ in fh)
+    assert total <= LINE_BUDGET
