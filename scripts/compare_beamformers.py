@@ -35,8 +35,7 @@ def main(argv=None) -> int:
                         help="feedback measurement noise variance (W)")
     args = parser.parse_args(argv)
 
-    scenario = chamber_scenario(rx_angle_deg=args.rx_angle,
-                                noise_variance=args.noise)
+    scenario = chamber_scenario(rx_zenith_deg=args.rx_angle, noise_variance_w=args.noise)
     bound = max_received_power(scenario, uniform_states(scenario))
 
     print(f"chamber link, RX at {args.rx_angle:g} deg, seed {args.seed}, "

@@ -3,9 +3,10 @@ reconfigurable surfaces.
 
 The public surface re-exports the pieces most analyses touch: geometry and
 channel primitives, per-unit hardware models, full-link evaluation, the
-configuration searches, and the sweeps.  Every sweep is one `SweepJob`,
-validated when it is built, and `run_sweep` runs it; configs and commands
-build the same job, so all three report a bad value in the same words.
+configuration searches, and the sweeps.  Every link comes from
+`chamber_scenario` and every sweep is one `SweepJob`, both validated when
+built; configs and commands build the same objects, so all three report a
+bad value in the same words.
 """
 
 from .beamforming import (

@@ -32,10 +32,11 @@ class AntennaModel:
     exponent: float = 0.0
 
     def __post_init__(self):
-        if not self.boresight_gain > 0:
-            raise ValueError("boresight gain must be positive (linear scale)")
-        if self.exponent < 0:
-            raise ValueError("pattern exponent must be >= 0")
+        if not 0 < self.boresight_gain < math.inf:
+            raise ValueError(f"boresight gain must be positive and finite (linear scale), "
+                             f"got {self.boresight_gain!r}")
+        if not 0 <= self.exponent < math.inf:
+            raise ValueError(f"pattern exponent must be finite and >= 0, got {self.exponent!r}")
 
     def gain_from_cosine(self, cos_zenith):
         """Linear gain toward a direction with cos(zenith) = `cos_zenith` in [0, 1]: G * c^q."""

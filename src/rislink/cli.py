@@ -10,13 +10,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, _parse_currents, load_run_plan
+from .config import ConfigError, RunPlan, _parse_currents, load_run_plan
 from .experiments import SweepJob, apply_beamforming, chamber_scenario, run_config, run_sweep
-from .geometry import SphericalPose
 from .link import _link_budget_db
 from .ris import SupplyBudgetError, encode_control
 
@@ -27,31 +25,30 @@ _CONTROL_WORD_TOKENS = tuple(json.dumps(str(encode_control(k))) for k in range(4
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    source, seed = "--seed", args.seed
+    if seed is None:
+        source, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _scenario_from_args(args):
-    """(scenario, RX azimuth in degrees) from --config or the chamber default, with overrides."""
-    if args.config:
-        plan = load_run_plan(args.config)
-        scenario, rx_azimuth_deg = plan.scenario, plan.rx_azimuth_deg
-    else:
-        scenario, rx_azimuth_deg = chamber_scenario(), 0.0
-    if getattr(args, "tx_distance", None) is not None:
-        pose = scenario.tx_pose
-        scenario = replace(scenario, tx_pose=SphericalPose(args.tx_distance, pose.theta, pose.phi))
-    if getattr(args, "rx_distance", None) is not None:
-        pose = scenario.rx_pose
-        scenario = replace(scenario, rx_pose=SphericalPose(args.rx_distance, pose.theta, pose.phi))
-    return scenario, rx_azimuth_deg
+    """(scenario, RX azimuth in degrees) from --config or the chamber default, with overrides.
+
+    An override rebuilds the scenario through `chamber_scenario`, as the config's keys do.
+    """
+    plan = load_run_plan(args.config) if args.config else RunPlan(chamber_scenario())
+    overrides = {key: value for key, value in (("tx_distance_m", args.tx_distance),
+                                               ("rx_distance_m", args.rx_distance))
+                 if value is not None}
+    if overrides:
+        return chamber_scenario(**{**plan.keys, **overrides}), plan.rx_azimuth_deg
+    return plan.scenario, plan.rx_azimuth_deg
 
 
 def _cmd_run(args) -> int:

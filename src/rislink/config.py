@@ -6,14 +6,11 @@ diagnostic carries `path:line:` so a bad config fails loudly and precisely.
 
 from __future__ import annotations
 
-import math
+import inspect
 from dataclasses import dataclass, field
 
-from .channel import AntennaModel
-from .experiments import SweepError, SweepJob, incidence_side_pose, transmission_side_pose
-from .geometry import ArrayLayout
-from .link import Scenario, from_db
-from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel
+from .experiments import SweepError, SweepJob, chamber_scenario
+from .link import Scenario
 
 
 class ConfigError(Exception):
@@ -67,18 +64,12 @@ def parse_sections(path) -> dict[str, Section]:
     return sections
 
 
-def _take(section: dict, key: str, default, convert, check, describe, path):
-    """Pop `key` from a raw section, convert and range-check it."""
-    if key not in section:
-        return default
-    raw, line = section.pop(key)
+def _parse(key: str, raw: str, line: int, convert, path):
+    """`convert(raw)`; a value it cannot parse names its key's line."""
     try:
-        value = convert(raw)
+        return convert(raw)
     except ValueError:
         raise _err(path, line, f"{key}: cannot parse {raw!r}") from None
-    if check is not None and not check(value):
-        raise _err(path, line, f"{key} must be {describe}, got {raw}")
-    return value
 
 
 def _reject_unknown(section: dict, name: str, path) -> None:
@@ -94,76 +85,58 @@ def _parse_calibration(raw: str) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
-_POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
-_NONNEG = (lambda v: v >= 0, ">= 0")
-_ANGLE_OPEN = (lambda v: -90.0 < v < 90.0, "strictly inside (-90, 90) deg")
+# [scenario]/[amplifier] key -> its `chamber_scenario` parameter, in the builder's order
+_SCENARIO_KEYS = inspect.signature(chamber_scenario).parameters
+_AMPLIFIER_KEYS = ("calibration", "max_current_a")
 
 
-def build_scenario(sections: dict, path) -> tuple[Scenario, float]:
-    """The [scenario]/[amplifier] link plus the configured RX azimuth in degrees.
+def build_scenario(sections: dict, path) -> tuple[Scenario, dict]:
+    """The [scenario]/[amplifier] link from `chamber_scenario`, plus its parsed keys.
 
-    Angle sweeps and pattern cuts turn in that azimuth's plane.  The RX pose
-    cannot give it back: a negative zenith stores it turned by 180 deg.
+    A key is parsed by the type of the builder's default.  The builder checks every
+    value; its error names the line of the first key, in file order, with which the
+    keys read so far fail with that same error.
     """
-    sc = dict(sections.get("scenario", {}))
-    amp_raw = dict(sections.get("amplifier", {}))
-
-    f = _take(sc, "frequency_hz", 2.6e9, float, *_POSITIVE, path)
-    tx_d = _take(sc, "tx_distance_m", 0.6, float, *_POSITIVE, path)
-    tx_z = _take(sc, "tx_zenith_deg", 0.0, float, *_ANGLE_OPEN, path)
-    tx_a = _take(sc, "tx_azimuth_deg", 0.0, float, None, None, path)
-    rx_d = _take(sc, "rx_distance_m", 4.0, float, *_POSITIVE, path)
-    rx_z = _take(sc, "rx_zenith_deg", 0.0, float, *_ANGLE_OPEN, path)
-    rx_a = _take(sc, "rx_azimuth_deg", 0.0, float, None, None, path)
-    n_rows = _take(sc, "n_rows", 4, int, lambda v: v >= 1, ">= 1", path)
-    n_cols = _take(sc, "n_cols", 8, int, lambda v: v >= 1, ">= 1", path)
-    pitch_x = _take(sc, "pitch_x_m", 0.06, float, *_POSITIVE, path)
-    pitch_y = _take(sc, "pitch_y_m", 0.06, float, *_POSITIVE, path)
-    tx_g = _take(sc, "tx_gain_dbi", 15.0, float, None, None, path)
-    tx_q = _take(sc, "tx_exponent", 0.0, float, *_NONNEG, path)
-    rx_g = _take(sc, "rx_gain_dbi", 15.0, float, None, None, path)
-    rx_q = _take(sc, "rx_exponent", 0.0, float, *_NONNEG, path)
-    p_t = _take(sc, "tx_power_w", 1.0, float, *_NONNEG, path)
-    nv = _take(sc, "noise_variance_w", 0.0, float, *_NONNEG, path)
-    bits = _take(sc, "codebook_bits", 2, int, lambda v: v >= 1, ">= 1", path)
-    off = _take(sc, "codebook_offset_deg", 0.0, float,
-                lambda v: 0.0 <= v < 360.0 / 2 ** (bits - 1),
-                f"in [0, {360.0 / 2 ** (bits - 1)}) deg", path)
-    jit = _take(sc, "phase_jitter_max_deg", 0.0, float, *_NONNEG, path)
-    jit_seed = _take(sc, "phase_jitter_seed", 0, int, None, None, path)
-    _reject_unknown(sc, "scenario", path)
-
-    cal = _take(amp_raw, "calibration", None, _parse_calibration, None, None, path)
-    max_cur = _take(amp_raw, "max_current_a", 0.12, float, *_POSITIVE, path)
-    _reject_unknown(amp_raw, "amplifier", path)
+    keys, lines = {}, {}
+    items = sorted((line, name, key, raw) for name in ("scenario", "amplifier")
+                   for key, (raw, line) in sections.get(name, {}).items())
+    for line, name, key, raw in items:
+        if key not in _SCENARIO_KEYS or (key in _AMPLIFIER_KEYS) != (name == "amplifier"):
+            raise _err(path, line, f"unknown key {key!r} in [{name}]")
+        convert = _parse_calibration if key == "calibration" else type(_SCENARIO_KEYS[key].default)
+        keys[key], lines[key] = _parse(key, raw, line, convert, path), line
     try:
-        amplifier = (AmplifierModel(max_current=max_cur) if cal is None
-                     else AmplifierModel(cal, max_cur))
+        return chamber_scenario(**keys), keys
     except ValueError as e:
-        section = sections["amplifier"]
-        line = section["calibration"][1] if cal is not None else section.line
-        raise _err(path, line, f"amplifier: {e}") from None
+        raise _err(path, lines[_blame(keys, e)], e) from None
 
-    return Scenario(
-        frequency=f,
-        tx_pose=incidence_side_pose(tx_d, tx_z, tx_a),
-        rx_pose=transmission_side_pose(rx_d, rx_z, rx_a),
-        layout=ArrayLayout(n_rows, n_cols, pitch_x, pitch_y),
-        tx_antenna=AntennaModel(from_db(tx_g), tx_q),
-        rx_antenna=AntennaModel(from_db(rx_g), rx_q),
-        codebook=PhaseCodebook(bits, math.radians(off)),
-        amplifier=amplifier,
-        tx_power=p_t,
-        noise_variance=nv,
-        jitter=PhaseJitterModel(math.radians(jit), jit_seed) if jit > 0 else None,
-    ), rx_a
+
+def _blame(keys: dict, error: ValueError) -> str:
+    """The first of `keys` with which it and the keys before it fail with `error`."""
+    so_far = {}
+    for key, value in keys.items():
+        so_far[key] = value
+        try:
+            chamber_scenario(**so_far)
+        except ValueError as e:
+            if str(e) == str(error):
+                break
+    return key
 
 
 @dataclass
 class RunPlan:
     scenario: Scenario
     jobs: list[SweepJob] = field(default_factory=list)
-    rx_azimuth_deg: float = 0.0
+    keys: dict = field(default_factory=dict)  # the parsed [scenario]/[amplifier] keys
+
+    @property
+    def rx_azimuth_deg(self) -> float:
+        """The configured RX azimuth, in whose plane angle sweeps and cuts turn.
+
+        The RX pose cannot give it back: a negative zenith stores it turned by 180 deg.
+        """
+        return self.keys.get("rx_azimuth_deg", _SCENARIO_KEYS["rx_azimuth_deg"].default)
 
 
 def _parse_currents(raw: str) -> tuple[float, ...]:
@@ -194,7 +167,7 @@ def build_jobs(sections: dict, path) -> list[SweepJob]:
             raise _err(path, section.line, f"[{name}] needs a 'type' key")
         raw = dict(section)
         kind = raw.pop("type")[0]
-        fields = {attr: _take(raw, key, None, convert, None, None, path)
+        fields = {attr: _parse(key, *raw.pop(key), convert, path)
                   for key, (attr, convert, kinds) in _SWEEP_KEYS.items()
                   if key in raw and kind in kinds}
         if kind == "gain" and "currents" not in fields:
@@ -215,10 +188,5 @@ def load_run_plan(path) -> RunPlan:
     for name in sections:
         if name not in known and not name.startswith("sweep"):
             raise _err(path, sections[name].line, f"unknown section [{name}]")
-    try:
-        scenario, rx_azimuth_deg = build_scenario(sections, path)
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
-    return RunPlan(scenario, build_jobs(sections, path), rx_azimuth_deg)
+    scenario, keys = build_scenario(sections, path)
+    return RunPlan(scenario, build_jobs(sections, path), keys)

@@ -39,7 +39,7 @@ from .link import (
     states_from_configuration,
     uniform_states,
 )
-from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel, SurfaceState
+from .ris import DEFAULT_CALIBRATION, AmplifierModel, PhaseCodebook, PhaseJitterModel, SurfaceState
 
 CSV_HEADER = "variable,value,received_power_dBm,path_loss_dB,config_digest"
 MAX_GRID_POINTS = 100_000  # a 64x64 cut this long takes ~40 s: a longer grid is a typo
@@ -59,12 +59,15 @@ def _off_normal(angle_deg, azimuth_deg: float = 0.0):
     """(|angle| in radians, azimuth in [0, 2 pi)) of directions `angle_deg` off the normal.
 
     Scalars or arrays; negative angles flip to the opposite azimuth.  The one angle
-    check of every sweep and pose: |angle| < 90 deg, or it grazes the array plane.
+    check of every sweep and pose: |angle| < 90 deg, or it grazes the array plane,
+    and a finite azimuth.
     """
     a = np.asarray(angle_deg, dtype=float)
     bad = ~(np.abs(a) < 90.0)
     if np.any(bad):
         raise ValueError(f"off-normal angle must satisfy |angle| < 90 deg, got {float(a[bad][0])!r}")
+    if not math.isfinite(azimuth_deg):
+        raise ValueError(f"azimuth must be finite, got {azimuth_deg!r}")
     phi = np.mod(np.radians(azimuth_deg) + np.where(a < 0, math.pi, 0.0), 2.0 * math.pi)
     return np.radians(np.abs(a)), phi
 
@@ -81,34 +84,39 @@ def incidence_side_pose(r: float, angle_deg: float, azimuth_deg: float = 0.0) ->
     return SphericalPose(r, float(a), float(phi))
 
 
-def chamber_scenario(tx_distance: float = 0.6, rx_distance: float = 4.0,
-                     rx_angle_deg: float = 0.0, n_rows: int = 4, n_cols: int = 8,
-                     pitch: float = 0.06, frequency: float = 2.6e9,
-                     horn_gain_dbi: float = 15.0, horn_exponent: float = 0.0,
-                     tx_power: float = 1.0, noise_variance: float = 0.0,
-                     bits: int = 2, jitter_max_deg: float = 0.0,
-                     jitter_seed: int = 0) -> Scenario:
-    """Measurement-chamber default: feed horn boresight at 0.6 m, probe at 4 m behind a 4x8 surface.
+def chamber_scenario(frequency_hz: float = 2.6e9, tx_distance_m: float = 0.6,
+                     tx_zenith_deg: float = 0.0, tx_azimuth_deg: float = 0.0,
+                     rx_distance_m: float = 4.0, rx_zenith_deg: float = 0.0,
+                     rx_azimuth_deg: float = 0.0, n_rows: int = 4, n_cols: int = 8,
+                     pitch_x_m: float = 0.06, pitch_y_m: float = 0.06,
+                     tx_gain_dbi: float = 15.0, tx_exponent: float = 0.0,
+                     rx_gain_dbi: float = 15.0, rx_exponent: float = 0.0,
+                     tx_power_w: float = 1.0, noise_variance_w: float = 0.0,
+                     codebook_bits: int = 2, codebook_offset_deg: float = 0.0,
+                     phase_jitter_max_deg: float = 0.0, phase_jitter_seed: int = 0,
+                     calibration: tuple = DEFAULT_CALIBRATION,
+                     max_current_a: float = 0.12) -> Scenario:
+    """The one scenario builder; its keywords are the config's [scenario]/[amplifier] keys.
 
-    The horns are wide-beam relative to the desk-scale array (exponent 0 =
-    constant gain over it); angular roll-off comes from the unit cells'
-    projected apertures.
+    The defaults are the measurement chamber: feed horn boresight at 0.6 m, probe at
+    4 m behind a 4x8 surface, both horns wide-beam (exponent 0 = constant gain over
+    the array).  Angles are off the normal, as in the pose helpers.  The models it
+    builds check every value, so configs, commands and library callers get the
+    same `ValueError` for the same bad value.
     """
-    horn = AntennaModel(from_db(horn_gain_dbi), horn_exponent)
-    jitter = (PhaseJitterModel(math.radians(jitter_max_deg), jitter_seed)
-              if jitter_max_deg > 0 else None)
+    jitter = PhaseJitterModel(math.radians(phase_jitter_max_deg), phase_jitter_seed)
     return Scenario(
-        frequency=frequency,
-        tx_pose=incidence_side_pose(tx_distance, 0.0),
-        rx_pose=transmission_side_pose(rx_distance, rx_angle_deg),
-        layout=ArrayLayout(n_rows, n_cols, pitch, pitch),
-        tx_antenna=horn,
-        rx_antenna=horn,
-        codebook=PhaseCodebook(bits),
-        amplifier=AmplifierModel(),
-        tx_power=tx_power,
-        noise_variance=noise_variance,
-        jitter=jitter,
+        frequency=frequency_hz,
+        tx_pose=incidence_side_pose(tx_distance_m, tx_zenith_deg, tx_azimuth_deg),
+        rx_pose=transmission_side_pose(rx_distance_m, rx_zenith_deg, rx_azimuth_deg),
+        layout=ArrayLayout(n_rows, n_cols, pitch_x_m, pitch_y_m),
+        tx_antenna=AntennaModel(from_db(tx_gain_dbi), tx_exponent),
+        rx_antenna=AntennaModel(from_db(rx_gain_dbi), rx_exponent),
+        codebook=PhaseCodebook(codebook_bits, math.radians(codebook_offset_deg)),
+        amplifier=AmplifierModel(calibration, max_current_a),
+        tx_power=tx_power_w,
+        noise_variance=noise_variance_w,
+        jitter=jitter if jitter.max_error > 0 else None,
     )
 
 
@@ -498,16 +506,17 @@ def _scenario_summary(s: Scenario) -> dict:
 def run_config(path, out_dir, seed=0) -> dict:
     """Execute every sweep in a config file; one CSV per sweep plus summary.json.
 
-    Fully deterministic for a given (config, seed): reruns produce
+    Every sweep is computed before anything is written, so a failing one leaves
+    no partial output.  Fully deterministic for a given (config, seed): reruns produce
     byte-identical files.
     """
     from .config import load_run_plan  # local import; config builds on this module
 
     plan = load_run_plan(path)
+    results = [run_sweep(plan.scenario, job, seed, plan.rx_azimuth_deg) for job in plan.jobs]
     os.makedirs(out_dir, exist_ok=True)
     entries = []
-    for job in plan.jobs:
-        res = run_sweep(plan.scenario, job, seed, plan.rx_azimuth_deg)
+    for job, res in zip(plan.jobs, results):
         csv_name = f"{job.name}.csv"
         res.write_csv(os.path.join(out_dir, csv_name))
         entries.append({"name": job.name, "kind": job.kind, "csv": csv_name,

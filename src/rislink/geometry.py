@@ -22,8 +22,8 @@ class SphericalPose:
     phi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ValueError(f"range must be positive, got {self.r!r}")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"range must be positive and finite, got {self.r!r}")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"zenith must lie in [0, pi], got {self.theta!r}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
@@ -45,9 +45,11 @@ class ArrayLayout:
 
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("layout needs at least one row and one column")
-        if self.pitch_x <= 0 or self.pitch_y <= 0:
-            raise ValueError("element pitch must be positive")
+            raise ValueError(f"layout needs at least one row and one column, "
+                             f"got {self.n_rows!r} x {self.n_cols!r}")
+        for pitch in (self.pitch_x, self.pitch_y):
+            if not 0 < pitch < math.inf:
+                raise ValueError(f"element pitch must be positive and finite, got {pitch!r}")
 
     @property
     def n_units(self) -> int:

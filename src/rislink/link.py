@@ -52,12 +52,11 @@ class Scenario:
     jitter: PhaseJitterModel | None = None
 
     def __post_init__(self):
-        if self.frequency <= 0:
-            raise ValueError("frequency must be positive")
-        if self.tx_power < 0:
-            raise ValueError("tx_power must be >= 0")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
+        if not 0 < self.frequency < math.inf:
+            raise ValueError(f"frequency must be positive and finite, got {self.frequency!r}")
+        for name in ("tx_power", "noise_variance"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         z_t = spherical_to_cartesian(self.tx_pose)[2]
         z_r = spherical_to_cartesian(self.rx_pose)[2]
         if not z_t * z_r < 0:

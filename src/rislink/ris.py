@@ -22,11 +22,10 @@ class PhaseCodebook:
 
     def __post_init__(self):
         if self.bits < 1:
-            raise ValueError("codebook needs at least 1 bit")
+            raise ValueError(f"codebook needs at least 1 bit, got {self.bits!r}")
         if not 0.0 <= self.offset < self.spacing:
-            raise ValueError(
-                f"offset must lie in [0, {self.spacing!r}) so entries stay in [0, 2*pi)"
-            )
+            raise ValueError(f"offset must lie in [0, {self.spacing!r}) so entries stay in "
+                             f"[0, 2*pi), got {self.offset!r}")
 
     @property
     def size(self) -> int:
@@ -65,14 +64,16 @@ class AmplifierModel:
             raise ValueError("calibration needs at least one (current, gain) pair")
         cur = [c for c, _ in self.calibration]
         db = [g for _, g in self.calibration]
+        if not all(math.isfinite(v) for v in cur + db):
+            raise ValueError(f"calibration entries must be finite, got {self.calibration!r}")
         if any(c < 0 for c in cur):
             raise ValueError("calibration currents must be >= 0")
         if any(b <= a for a, b in zip(cur, cur[1:])):
             raise ValueError("calibration currents must be strictly increasing")
         if any(b < a for a, b in zip(db, db[1:])):
             raise ValueError("calibration gains must be non-decreasing")
-        if self.max_current <= 0:
-            raise ValueError("max_current must be positive")
+        if not 0 < self.max_current < math.inf:
+            raise ValueError(f"max_current must be positive and finite, got {self.max_current!r}")
         if cur[-1] > self.max_current:
             raise ValueError("calibration exceeds the supply budget")
 
@@ -118,8 +119,10 @@ class PhaseJitterModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_error < 0:
-            raise ValueError("max_error must be >= 0")
+        if not 0 <= self.max_error < math.inf:
+            raise ValueError(f"max_error must be finite and >= 0, got {self.max_error!r}")
+        if not self.seed >= 0:
+            raise ValueError(f"jitter seed must be >= 0, got {self.seed!r}")
 
     def sample(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
         """One error per unit, shape (n,).  Deterministic from `seed` unless an rng is passed."""

@@ -147,7 +147,7 @@ def test_criterion_7_path_loss_versus_distance():
     ok = True
     detail = []
     for tx_d in (0.5, 1.0):
-        res = rl.run_sweep(rl.chamber_scenario(tx_distance=tx_d), job)
+        res = rl.run_sweep(rl.chamber_scenario(tx_distance_m=tx_d), job)
         pl = res.path_loss_db
         losses[tx_d] = pl
         if not (np.diff(pl) > 0).all():
@@ -164,7 +164,7 @@ def test_criterion_7_path_loss_versus_distance():
 
 
 def test_criterion_8_path_loss_versus_angle():
-    sc = rl.chamber_scenario(rx_distance=4.5)
+    sc = rl.chamber_scenario(rx_distance_m=4.5)
     job = rl.SweepJob("angle", "angle", "continuous", 0.0, 60.0, 10.0)
     pl = rl.run_sweep(sc, job).path_loss_db
     monotone = (np.diff(pl) >= -1e-9).all()

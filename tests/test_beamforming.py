@@ -37,7 +37,7 @@ def test_power_oracle_matches_received_power():
 
 
 def test_power_oracle_includes_jitter():
-    s = rl.chamber_scenario(jitter_max_deg=8.0, jitter_seed=2)
+    s = rl.chamber_scenario(phase_jitter_max_deg=8.0, phase_jitter_seed=2)
     quiet = rl.chamber_scenario()
     config = rl.uniform_configuration(s.layout, 1)
     assert rl.power_oracle(s)(config) != rl.power_oracle(quiet)(config)

@@ -1,9 +1,11 @@
 """Config parsing diagnostics and the command-line surface."""
 
 import csv
+import inspect
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -92,7 +94,7 @@ max_current_a = 0.05
     ("[scenario]\nn_rows = 0\n", ":2:"),
     ("[scenario]\ntx_zenith_deg = 95\n", ":2:"),
     ("[scenario]\nfrequency_hz = -1\n", ":2:"),
-    ("[scenario]\nfrequency_hz = inf\n", ":2: frequency_hz must be positive and finite, got inf"),
+    ("[scenario]\nfrequency_hz = inf\n", ":2: frequency must be positive and finite, got inf"),
     ("[bogus]\nx = 1\n", "unknown section"),
     ("[sweep s]\nstart = 1\n", "needs a 'type'"),
     ("[sweep s]\ntype = magic\n", ":2:"),
@@ -102,7 +104,7 @@ max_current_a = 0.05
     ("[scenario]\n\n[bogus]\nx = 1\n", ":3: unknown section [bogus]"),
     ("[scenario]\n[sweep s]\ntype = gain\n", ":2: [sweep s] of type gain needs currents_a"),
     ("[scenario]\n[sweep s]\n", ":2: [sweep s] needs a 'type' key"),
-    ("[scenario]\n\n[amplifier]\nmax_current_a = 0.01\n", ":3: amplifier: calibration exceeds"),
+    ("[scenario]\n\n[amplifier]\nmax_current_a = 0.01\n", ":4: calibration exceeds the supply budget"),
 ])
 def test_load_run_plan_diagnostics(tmp_path, text, line_token):
     p = write(tmp_path, text)
@@ -500,3 +502,153 @@ def test_cli_beamform_trace_needs_a_feedback_search(tmp_path, capsys):
     assert main(["beamform", "--method", "quantized", "--trace", str(path)]) == 2
     assert "--trace needs a feedback search" in capsys.readouterr().err
     assert not path.exists()
+
+
+# (config text, line of the key at fault, the keywords a library caller passes for it)
+_SCENARIO_DEFECTS = {
+    "offset-beyond-spacing": ("[scenario]\ncodebook_offset_deg = 100\n", 2,
+                              {"codebook_offset_deg": 100.0}),
+    "negative-jitter-seed": ("[scenario]\nphase_jitter_max_deg = 8\nphase_jitter_seed = -1\n", 3,
+                             {"phase_jitter_max_deg": 8.0, "phase_jitter_seed": -1}),
+    "infinite-jitter": ("[scenario]\nphase_jitter_max_deg = inf\n", 2,
+                        {"phase_jitter_max_deg": math.inf}),
+    "infinite-tx-power": ("[scenario]\ntx_power_w = inf\n", 2, {"tx_power_w": math.inf}),
+    "nan-calibration-gain": ("[amplifier]\ncalibration = 0.001:nan\n", 2,
+                             {"calibration": ((0.001, math.nan),)}),
+    "negative-distance": ("[scenario]\ntx_distance_m = -1\n", 2, {"tx_distance_m": -1.0}),
+}
+
+
+@pytest.mark.parametrize("text, line, keywords", _SCENARIO_DEFECTS.values(),
+                         ids=_SCENARIO_DEFECTS)
+def test_a_bad_scenario_value_fails_at_its_line_before_anything_is_written(
+        tmp_path, capsys, text, line, keywords):
+    with pytest.raises(ValueError) as exc:
+        rl.chamber_scenario(**keywords)
+    message = str(exc.value)
+    cfg = write(tmp_path, text + "\n[sweep s]\ntype = distance\n")
+    with pytest.raises(ConfigError) as exc:
+        load_run_plan(cfg)
+    assert str(exc.value) == f"{cfg}:{line}: {message}"
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
+    assert not out.exists()
+
+
+# one bad value per scenario key: its config text and the value a library caller passes
+_BAD_SCENARIO_VALUES = {
+    "frequency_hz": ("inf", math.inf),
+    "tx_distance_m": ("-1", -1.0),
+    "tx_zenith_deg": ("95", 95.0),
+    "tx_azimuth_deg": ("inf", math.inf),
+    "rx_distance_m": ("-1", -1.0),
+    "rx_zenith_deg": ("-90", -90.0),
+    "rx_azimuth_deg": ("nan", math.nan),
+    "n_rows": ("0", 0),
+    "n_cols": ("-2", -2),
+    "pitch_x_m": ("nan", math.nan),
+    "pitch_y_m": ("0", 0.0),
+    "tx_gain_dbi": ("inf", math.inf),
+    "tx_exponent": ("-1", -1.0),
+    "rx_gain_dbi": ("nan", math.nan),
+    "rx_exponent": ("inf", math.inf),
+    "tx_power_w": ("nan", math.nan),
+    "noise_variance_w": ("-1e-9", -1e-9),
+    "codebook_bits": ("0", 0),
+    "codebook_offset_deg": ("-1", -1.0),
+    "phase_jitter_max_deg": ("nan", math.nan),
+    "phase_jitter_seed": ("-1", -1),
+    "calibration": ("0.02:0, 0.01:5", ((0.02, 0.0), (0.01, 5.0))),
+    "max_current_a": ("nan", math.nan),
+}
+_AMPLIFIER_KEYS = ("calibration", "max_current_a")
+_DISTANCE_FLAGS = {"tx_distance_m": "--tx-distance", "rx_distance_m": "--rx-distance"}
+
+
+def test_every_scenario_key_has_a_bad_value_case():
+    assert list(_BAD_SCENARIO_VALUES) == list(inspect.signature(rl.chamber_scenario).parameters)
+
+
+@pytest.mark.parametrize("key", _BAD_SCENARIO_VALUES)
+def test_a_scenario_value_is_rejected_in_the_same_words_everywhere(tmp_path, capsys, key):
+    raw, value = _BAD_SCENARIO_VALUES[key]
+    with pytest.raises(ValueError) as exc:
+        rl.chamber_scenario(**{key: value})
+    message = str(exc.value)
+    section = "amplifier" if key in _AMPLIFIER_KEYS else "scenario"
+    cfg = write(tmp_path, f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError) as exc:
+        load_run_plan(cfg)
+    assert str(exc.value) == f"{cfg}:2: {message}"
+    if key in _DISTANCE_FLAGS:
+        out = tmp_path / "out"
+        good = write(tmp_path, "[scenario]\nn_rows = 2\n", "good.cfg")
+        for argv in (["beamform"], ["beamform", "--config", str(good)],
+                     ["sweep-angle", "--step", "30", "--out", str(out)]):
+            assert main([*argv, f"{_DISTANCE_FLAGS[key]}={raw}"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_a_distance_override_rebuilds_the_configured_scenario(tmp_path, capsys):
+    cfg = write(tmp_path, "[scenario]\nn_rows = 2\ntx_zenith_deg = -12\ntx_azimuth_deg = 30\n"
+                          "rx_zenith_deg = 20\nrx_azimuth_deg = 200\n")
+    assert main(["beamform", "--config", str(cfg), "--method", "quantized",
+                 "--tx-distance", "0.9", "--rx-distance", "2.5"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = rl.chamber_scenario(n_rows=2, tx_zenith_deg=-12.0, tx_azimuth_deg=30.0,
+                               rx_zenith_deg=20.0, rx_azimuth_deg=200.0,
+                               tx_distance_m=0.9, rx_distance_m=2.5)
+    assert got["config_digest"] == rl.apply_beamforming(want, "quantized").digest
+    plan = load_run_plan(cfg)
+    assert plan.rx_azimuth_deg == 200.0
+    assert plan.scenario == rl.chamber_scenario(**plan.keys)
+
+
+def test_a_sweep_that_fails_at_run_time_writes_nothing(tmp_path, capsys):
+    cfg = write(tmp_path, "[scenario]\n\n[sweep a]\ntype = distance\n\n"
+                          "[sweep b]\ntype = gain\ncurrents_a = 0.01, 10\n")
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: control current exceeds the 0.12 A supply budget\n"
+    assert not out.exists()
+
+
+_ANGLE_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "angle.cfg")
+
+
+@pytest.mark.parametrize("argv", [["run", _ANGLE_CFG], ["beamform", "--method", "blind"],
+                                  ["beamform", "--method", "quantized"],
+                                  ["sweep-angle", "--method", "greedy", "--step", "30"]],
+                         ids=["run", "beamform-blind", "beamform-quantized", "sweep-greedy"])
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_a_negative_seed_is_rejected_before_anything_is_written(tmp_path, capsys, monkeypatch,
+                                                                argv, source):
+    monkeypatch.delenv("RISLINK_SEED", raising=False)
+    if source == "flag":
+        argv = [*argv, "--seed=-1"]
+        message = "--seed must be >= 0, got -1"
+    else:
+        monkeypatch.setenv("RISLINK_SEED", "-3")
+        message = "RISLINK_SEED must be >= 0, got -3"
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+_README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+# | `key` | section | `default` | unit | meaning |
+_KEY_ROW = re.compile(r"^\| `(\w+)` \| (scenario|amplifier) \| `([^`]*)` \|")
+
+
+def test_the_readme_lists_every_scenario_key_with_its_default(tmp_path):
+    with open(_README) as fh:
+        rows = [m.groups() for m in map(_KEY_ROW.match, fh) if m]
+    parameters = inspect.signature(rl.chamber_scenario).parameters
+    assert [key for key, _, _ in rows] == list(parameters)
+    for key, section, default in rows:
+        plan = load_run_plan(write(tmp_path, f"[{section}]\n{key} = {default}\n"))
+        assert plan.keys == {key: parameters[key].default}
+        assert plan.scenario == rl.chamber_scenario()

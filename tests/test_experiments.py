@@ -184,7 +184,7 @@ def test_distance_sweep_continuous_monotone():
 
 
 def test_angle_sweep_continuous_monotone():
-    s = rl.chamber_scenario(rx_distance=4.5)
+    s = rl.chamber_scenario(rx_distance_m=4.5)
     res = rl.run_sweep(s, SweepJob("a", "angle", "continuous", 0.0, 60.0, 10.0))
     assert res.variable == "rx_zenith"
     assert np.all(np.diff(res.path_loss_db) >= 0)
@@ -202,7 +202,7 @@ def test_gain_sweep_swing_and_held_configuration():
 
 
 def test_gain_sweep_rows_hold_the_first_configuration(monkeypatch):
-    s = rl.chamber_scenario(n_rows=6, n_cols=6, rx_angle_deg=20.0)
+    s = rl.chamber_scenario(n_rows=6, n_cols=6, rx_zenith_deg=20.0)
     currents = [0.01, 0.5, 1.4, 2.0]
     seen = []
     channel_sum = rl.experiments._channel_sum
@@ -397,9 +397,10 @@ def test_run_config_keeps_rx_azimuth(tmp_path):
 
 def _pose_sweep_scenario(n_rows, n_cols, seed):
     """A jittered link whose RX sits at a negative zenith in a non-zero azimuth plane."""
-    s = rl.chamber_scenario(tx_distance=0.8, rx_distance=3.5, rx_angle_deg=-15.0,
-                            n_rows=n_rows, n_cols=n_cols, horn_exponent=1.0,
-                            noise_variance=1e-4, jitter_max_deg=15.0, jitter_seed=seed)
+    s = rl.chamber_scenario(tx_distance_m=0.8, rx_distance_m=3.5, rx_zenith_deg=-15.0,
+                            n_rows=n_rows, n_cols=n_cols, tx_exponent=1.0, rx_exponent=1.0,
+                            noise_variance_w=1e-4, phase_jitter_max_deg=15.0,
+                            phase_jitter_seed=seed)
     return replace(s, rx_pose=rl.transmission_side_pose(3.5, -15.0, 35.0),
                    tx_pose=rl.incidence_side_pose(0.8, 10.0, 200.0))
 

@@ -26,7 +26,7 @@ from rislink.geometry import spherical_to_cartesian
 
 
 def chamber_1x1():
-    return rl.chamber_scenario(n_rows=1, n_cols=1, horn_gain_dbi=0.0)
+    return rl.chamber_scenario(n_rows=1, n_cols=1, tx_gain_dbi=0.0, rx_gain_dbi=0.0)
 
 
 def test_scenario_validation():
@@ -198,7 +198,7 @@ def test_state_validation():
 
 
 def test_phases_override_bypasses_jitter():
-    noisy = rl.chamber_scenario(jitter_max_deg=8.0, jitter_seed=1)
+    noisy = rl.chamber_scenario(phase_jitter_max_deg=8.0, phase_jitter_seed=1)
     quiet = rl.chamber_scenario()
     ph = rl.apply_beamforming(quiet, "continuous").phases
     assert rl.received_power(noisy, phases=ph) == rl.received_power(quiet, phases=ph)
@@ -207,7 +207,7 @@ def test_phases_override_bypasses_jitter():
 
 
 def test_jitter_realization_is_static():
-    s = rl.chamber_scenario(jitter_max_deg=8.0, jitter_seed=9)
+    s = rl.chamber_scenario(phase_jitter_max_deg=8.0, phase_jitter_seed=9)
     assert rl.received_power(s) == rl.received_power(s)
     err = rl.link.phase_error_realization(s)
     assert np.array_equal(err, rl.link.phase_error_realization(s))
@@ -307,7 +307,7 @@ def test_kernel_matches_per_point_route(n_rows, n_cols):
 
 
 def test_kernel_chunks_a_large_cut():
-    s = rl.chamber_scenario(n_rows=64, n_cols=64, pitch=0.03)
+    s = rl.chamber_scenario(n_rows=64, n_cols=64, pitch_x_m=0.03, pitch_y_m=0.03)
     per_chunk = max(1, rl.link._CHUNK_ELEMENTS // s.layout.n_units)
     n_points = 2 * per_chunk + per_chunk // 2 + 1  # three chunks, the last one partial
     assert n_points > 2 * per_chunk and n_points % per_chunk != 0
@@ -325,7 +325,7 @@ def test_kernel_with_mixed_states_phases_and_jitter():
         _assert_sums_match_per_point(s, angles, random_states(rng, s), azimuth=az)
         ph = rng.uniform(0.0, 2 * math.pi, s.layout.n_units)
         _assert_sums_match_per_point(s, angles, random_states(rng, s), ph, azimuth=az)
-    jittered = rl.chamber_scenario(jitter_max_deg=8.0, jitter_seed=4)
+    jittered = rl.chamber_scenario(phase_jitter_max_deg=8.0, phase_jitter_seed=4)
     _assert_sums_match_per_point(jittered, np.arange(-60.0, 61.0, 15.0),
                                  random_states(rng, jittered))
 
