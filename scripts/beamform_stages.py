@@ -16,7 +16,7 @@ command runs them:
     scenario     the config file and overrides to a Scenario
     oracle       power_oracle: element weights, jitter and term table
     search       the blind or greedy search
-    states       states and config digest of the found configuration
+    digest       config digest of the found configuration
     sum          the outcome's channel sum and its dBm/dB conversion
     json         the printed JSON text
     other        the rest of the command (total minus the stages)
@@ -45,7 +45,7 @@ STAGES = (
     ("scenario", [(cli, "_scenario_from_args")]),
     ("oracle", [(experiments, "power_oracle")]),
     ("search", [(experiments, "blind_rowcol_search"), (experiments, "greedy_element_search")]),
-    ("states", [(experiments, "states_from_configuration"), (experiments, "_config_digest")]),
+    ("digest", [(experiments, "_config_digest")]),
     ("sum", [(experiments.BeamformingOutcome, "channel_sum"), (cli, "_link_budget_db")]),
     ("json", [(cli, "_dumps_indented")]),
 )

@@ -19,7 +19,6 @@ from rislink.link import (  # noqa: E402
     max_received_power,
     path_loss_db,
     received_power,
-    uniform_states,
     watts_to_dbm,
 )
 
@@ -36,7 +35,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     scenario = chamber_scenario(rx_zenith_deg=args.rx_angle, noise_variance_w=args.noise)
-    bound = max_received_power(scenario, uniform_states(scenario))
+    bound = max_received_power(scenario)
 
     print(f"chamber link, RX at {args.rx_angle:g} deg, seed {args.seed}, "
           f"feedback noise {args.noise:g} W")
@@ -46,8 +45,8 @@ def main(argv=None) -> int:
     print("-" * len(header))
     for method in METHODS:
         bf = apply_beamforming(scenario, method, args.seed)
-        p = received_power(scenario, bf.states, bf.phases)
-        pl = path_loss_db(scenario, bf.states, bf.phases)
+        p = received_power(scenario, bf.configuration, bf.phases)
+        pl = path_loss_db(scenario, bf.configuration, bf.phases)
         print(f"{method:<12}{watts_to_dbm(p):>10.2f}{pl:>8.2f}"
               f"{p / bound:>10.3f}{bf.queries:>9d}")
     return 0

@@ -57,9 +57,7 @@ from .link import (
     propagation_phases,
     received_power,
     received_power_expanded,
-    states_from_configuration,
     to_db,
-    uniform_states,
     watts_to_dbm,
 )
 from .ris import (
@@ -68,7 +66,6 @@ from .ris import (
     PhaseCodebook,
     PhaseJitterModel,
     SupplyBudgetError,
-    SurfaceState,
     decode_control,
     encode_control,
 )

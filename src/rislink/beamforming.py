@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .link import Scenario, element_weights, phase_error_realization, uniform_states
-from .ris import PhaseCodebook, SurfaceState
+from .link import Scenario, element_weights, phase_error_realization
+from .ris import PhaseCodebook
 
 _NOISE_BLOCK = 1024  # noise draws taken from the channel's rng at a time
 _GALLOP_MIN = 8  # fewest rejections in a row, at a unit boundary, before greedy reads a block
@@ -159,16 +159,14 @@ class PowerOracle:
         return self.prefactor * abs(_sum_terms(self.table, configuration)) ** 2
 
 
-def power_oracle(scenario: Scenario,
-                 states: SurfaceState | None = None) -> PowerOracle:
+def power_oracle(scenario: Scenario, current=None) -> PowerOracle:
     """Noiseless map phase-index grid -> received power (W), precomputed for speed.
 
     Folds the scenario's per-unit jitter realization into the weights, so the
-    searches optimize what the hardware would actually radiate.
+    searches optimize what the hardware would actually radiate.  `current` is
+    the per-unit supply current in A (None for the amplifier's top anchor).
     """
-    if states is None:
-        states = uniform_states(scenario)
-    w = element_weights(scenario, states)
+    w = element_weights(scenario, current)
     errors = phase_error_realization(scenario)
     jittered = w * np.exp(1j * np.asarray(errors))
     table = jittered[:, None] * np.exp(1j * scenario.codebook.phases())
@@ -363,8 +361,7 @@ def nearest_quantize(phases, codebook: PhaseCodebook) -> np.ndarray:
     return idx.reshape(shape)
 
 
-def brute_force_optimum(scenario: Scenario,
-                        states: SurfaceState | None = None) -> tuple[np.ndarray, float]:
+def brute_force_optimum(scenario: Scenario, current=None) -> tuple[np.ndarray, float]:
     """Exhaustive search over all codebook configurations.
 
     Refuses above 20 search bits (bits * n_units).  Strict `>` keeps the
@@ -375,7 +372,7 @@ def brute_force_optimum(scenario: Scenario,
         raise ValueError(
             f"{scenario.codebook.bits * n} search bits exceed the 20-bit brute-force cap"
         )
-    oracle = power_oracle(scenario, states)
+    oracle = power_oracle(scenario, current)
     best_cfg = None
     best_p = -1.0
     for flat in itertools.product(range(scenario.codebook.size), repeat=n):

@@ -169,11 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Link budget and discrete-phase beamforming for an active "
                     "transmissive reconfigurable surface.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="scenario config file (defaults to the chamber setup)")
-    common.add_argument("--seed", type=int, default=None,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
-    common.add_argument("--out", default=".", help="output directory")
+    seeded.add_argument("--out", default=".", help="output directory")
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    common.add_argument("--config", help="scenario config file (defaults to the chamber setup)")
     common.add_argument("--tx-distance", type=float, default=None,
                         help="override feed distance in meters")
     common.add_argument("--rx-distance", type=float, default=None,
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", parents=[common], help="run every sweep in a config file")
+    p = sub.add_parser("run", parents=[seeded], help="run every sweep in a config file")
     p.add_argument("config_path", help="experiment config file")
     p.set_defaults(func=_cmd_run)
 

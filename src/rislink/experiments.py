@@ -30,16 +30,14 @@ from .link import (
     Scenario,
     _channel_sum,
     _channel_sums,
-    _check_indices,
     _link_budget_db,
+    _phase_indices,
     _programmed_phases,
     _weight_chunks,
     from_db,
     propagation_phases,
-    states_from_configuration,
-    uniform_states,
 )
-from .ris import DEFAULT_CALIBRATION, AmplifierModel, PhaseCodebook, PhaseJitterModel, SurfaceState
+from .ris import DEFAULT_CALIBRATION, AmplifierModel, PhaseCodebook, PhaseJitterModel
 
 CSV_HEADER = "variable,value,received_power_dBm,path_loss_dB,config_digest"
 MAX_GRID_POINTS = 100_000  # a 64x64 cut this long takes ~40 s: a longer grid is a typo
@@ -207,13 +205,12 @@ def _digest(tag: bytes, arr: np.ndarray) -> str:
 
 @dataclass
 class BeamformingOutcome:
-    """What a configuration pass produced: states to program, optional
-    continuous phase override, the index grid (discrete methods), a digest
+    """What a configuration pass produced: the continuous phases (`continuous`)
+    or the index grid (discrete methods) to program at top current, a digest
     of whichever applies, the feedback queries spent (with their trace), and
     a search oracle's weights and jitter realization."""
 
     method: str
-    states: SurfaceState
     phases: np.ndarray | None
     configuration: np.ndarray | None
     digest: str
@@ -223,11 +220,11 @@ class BeamformingOutcome:
     phase_errors: np.ndarray | float = 0.0
 
     def channel_sum(self, scenario: Scenario) -> complex:
-        """`_channel_sum` of the states; from a search's weights and jitter, bit for bit,
+        """`_channel_sum` of the outcome; from a search's weights and jitter, bit for bit,
         if it has them."""
         if self.weights is None:
-            return _channel_sum(scenario, self.states, self.phases)
-        programmed = scenario.codebook.phases()[self.states.phase_index] + self.phase_errors
+            return _channel_sum(scenario, self.configuration, self.phases)
+        programmed = scenario.codebook.phases()[self.configuration.reshape(-1)] + self.phase_errors
         return np.sum(self.weights * np.exp(1j * programmed))
 
 
@@ -262,8 +259,7 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
     if method in _CLOSED_FORM_METHODS:
         config = _closed_form(scenario, method, propagation_phases(scenario))
         if method == "continuous":
-            return BeamformingOutcome(method, uniform_states(scenario), config, None,
-                                      _config_digest(scenario, config))
+            return BeamformingOutcome(method, config, None, _config_digest(scenario, config))
         config = config.reshape(scenario.layout.n_rows, scenario.layout.n_cols)
     else:
         oracle = power_oracle(scenario)
@@ -273,9 +269,8 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
             config, trace = blind_rowcol_search(scenario, feedback=feedback, passes=passes)
         else:
             config, trace = greedy_element_search(scenario, feedback=feedback, max_rounds=max_rounds)
-    states = states_from_configuration(scenario, config)
     return BeamformingOutcome(
-        method, states, None, config, _config_digest(scenario, config),
+        method, None, config, _config_digest(scenario, config),
         0 if trace is None else trace.n_queries, trace, weights, errors,
     )
 
@@ -307,7 +302,7 @@ class SweepResult:
         return {
             "first_path_loss_db": float(pl[0]),
             "last_path_loss_db": float(pl[-1]),
-            "path_loss_span_db": float(pl[-1] - pl[0]),
+            "path_loss_span_db": float(pl[-1]) - float(pl[0]),  # inf - inf is NaN, quietly
             "best_received_power_dbm": float(np.max(self.received_power_dbm)),
         }
 
@@ -341,15 +336,15 @@ def _pose_sweep(scenario: Scenario, job: SweepJob, values, r, theta, azimuth, se
             sums.append(bf.channel_sum(scn))
             digests.append(bf.digest)
     else:
-        top = uniform_states(scenario)
         points = cartesian_points(r, theta, azimuth)
-        for _, amp, phi in _weight_chunks(scenario, points, top.current, top.attenuation):
+        for _, amp, phi in _weight_chunks(scenario, points):
             config = _closed_form(scenario, method, phi)
             if method == "continuous":
                 # the programmed phases cancel the path phases: S = sum_n |w_n|
                 sums.extend(amp.sum(axis=-1))
             else:
-                _check_indices(scenario, config)
+                for point_config in config:
+                    _phase_indices(scenario, point_config)
                 programmed = _programmed_phases(scenario, config, None)
                 sums.extend(np.sum(amp * np.exp(1j * (programmed - phi)), axis=-1))
             digests.extend(_config_digest(scenario, point_config) for point_config in config)
@@ -439,7 +434,8 @@ def _radiation_pattern(scenario: Scenario, job: SweepJob, seed,
     bf = apply_beamforming(steer, job.method, seed)
     angles = job.grid()
     a, phi = _off_normal(angles, rx_azimuth_deg)
-    sums = _channel_sums(scenario, cartesian_points(r, math.pi - a, phi), bf.states, bf.phases)
+    sums = _channel_sums(scenario, cartesian_points(r, math.pi - a, phi), bf.configuration,
+                         bf.phases)
     cut = SweepResult.from_sums(scenario, "pattern_angle", angles, sums, [bf.digest] * len(sums))
     powers = cut.received_power_dbm
     rel = powers - np.max(powers)
@@ -472,8 +468,8 @@ def run_sweep(scenario: Scenario, job: SweepJob, seed=0,
     if job.kind == "gain":
         n = scenario.layout.n_units
         bf = apply_beamforming(scenario, job.method, seed)
-        sums = [_channel_sum(scenario, replace(bf.states, current=np.full(n, float(c) / n)),
-                             bf.phases) for c in job.currents]
+        sums = [_channel_sum(scenario, bf.configuration, bf.phases, float(c) / n)
+                for c in job.currents]
         return SweepResult.from_sums(scenario, "amplifier_current",
                                      [float(c) for c in job.currents], sums, [bf.digest] * len(sums))
     values = job.grid()

@@ -21,7 +21,7 @@ from .geometry import (
     ranges_and_zeniths,
     spherical_to_cartesian,
 )
-from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel, SurfaceState
+from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel
 
 SIXTEEN_PI_SQ = 16.0 * math.pi ** 2
 
@@ -69,30 +69,6 @@ class Scenario:
         return SPEED_OF_LIGHT / self.frequency
 
 
-def uniform_states(scenario: Scenario, phase_index: int = 0,
-                   current: float | None = None,
-                   attenuation: float = 1.0) -> SurfaceState:
-    """Identical state for every unit; current defaults to the amplifier's top anchor."""
-    if current is None:
-        current = scenario.amplifier.top_current
-    n = scenario.layout.n_units
-    return SurfaceState(np.full(n, phase_index), np.full(n, current), np.full(n, attenuation))
-
-
-def states_from_configuration(scenario: Scenario, configuration,
-                              current: float | None = None,
-                              attenuation: float = 1.0) -> SurfaceState:
-    """Row-major states from an (n_rows, n_cols) or flat phase-index grid."""
-    idx = np.asarray(configuration, dtype=int).reshape(-1)
-    if idx.size != scenario.layout.n_units:
-        raise ValueError(
-            f"configuration has {idx.size} entries for {scenario.layout.n_units} units"
-        )
-    if current is None:
-        current = scenario.amplifier.top_current
-    return SurfaceState(idx, np.full(idx.size, current), np.full(idx.size, attenuation))
-
-
 def _element_paths(scenario: Scenario):
     """(r_t, zen_t, r_r, zen_r) per element, row-major."""
     els = element_grid(scenario.layout)
@@ -101,19 +77,30 @@ def _element_paths(scenario: Scenario):
     return r_t, zen_t, r_r, zen_r
 
 
-def _state_arrays(scenario: Scenario, states: SurfaceState):
-    """(phase indices, currents, attenuations) of `states`, checked against the layout and codebook."""
-    if len(states) != scenario.layout.n_units:
-        raise ValueError(
-            f"{len(states)} states for {scenario.layout.n_units} units"
-        )
-    _check_indices(scenario, states.phase_index)
-    return states.phase_index, states.current, states.attenuation
-
-
-def _check_indices(scenario: Scenario, idx: np.ndarray) -> None:
+def _phase_indices(scenario: Scenario, configuration) -> np.ndarray:
+    """Flat codebook indices of a phase-index grid (flat or (n_rows, n_cols), row-major),
+    checked against the layout and codebook; None is every unit at index 0."""
+    n = scenario.layout.n_units
+    if configuration is None:
+        return np.zeros(n, dtype=int)
+    idx = np.asarray(configuration).reshape(-1)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"phase_index must hold integers, got dtype {idx.dtype}")
+    if idx.size != n:
+        raise ValueError(f"configuration has {idx.size} entries for {n} units")
+    if np.any(idx < 0):
+        raise ValueError("phase_index must be >= 0")
     if np.any(idx >= scenario.codebook.size):
         raise ValueError(f"phase index outside {scenario.codebook.size}-entry codebook")
+    return idx
+
+
+def _unit_gains(scenario: Scenario, current) -> np.ndarray:
+    """Linear amplifier gain of every unit at one per-unit supply `current` (A); None is
+    the top calibrated current."""
+    if current is None:
+        current = scenario.amplifier.top_current
+    return scenario.amplifier.gain_linear(np.full(scenario.layout.n_units, current))
 
 
 def propagation_phases(scenario: Scenario) -> np.ndarray:
@@ -145,8 +132,7 @@ def _programmed_phases(scenario: Scenario, idx: np.ndarray, phases) -> np.ndarra
 _CHUNK_ELEMENTS = 2 ** 14
 
 
-def _weight_chunks(scenario: Scenario, rx_points: np.ndarray, cur: np.ndarray,
-                   att: np.ndarray):
+def _weight_chunks(scenario: Scenario, rx_points: np.ndarray, current=None):
     """Yield (first point, amplitudes, two-hop phases) per chunk of RX points.
 
     Both arrays are shaped (chunk, n_units): the `element_weights` expression
@@ -165,12 +151,12 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray, cur: np.ndarray,
     area = scenario.layout.element_area
     r_t, c_t = ranges_and_cosines(p_t, els)
     g_t = scenario.tx_antenna.gain_from_cosine(c_t)
-    gain_area_t = scenario.amplifier.gain_linear(cur) * area_from_cosine(area, c_t)
+    gain_area_t = _unit_gains(scenario, current) * area_from_cosine(area, c_t)
     step = max(1, _CHUNK_ELEMENTS // scenario.layout.n_units)
     for lo in range(0, len(rx_points), step):
         r_r, c_r = ranges_and_cosines(rx_points[lo:lo + step, None, :], els)
         g_r = scenario.rx_antenna.gain_from_cosine(c_r)
-        sigma = att * np.sqrt(gain_area_t * area_from_cosine(area, c_r))
+        sigma = np.sqrt(gain_area_t * area_from_cosine(area, c_r))
         phi = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
         yield lo, np.sqrt(g_t * g_r) / (r_t * r_r) * sigma, phi
 
@@ -180,31 +166,29 @@ def _own_rx_point(scenario: Scenario) -> np.ndarray:
     return spherical_to_cartesian(scenario.rx_pose)[None]
 
 
-def _channel_sums(scenario: Scenario, rx_points, states: SurfaceState | None = None,
-                  phases=None) -> np.ndarray:
+def _channel_sums(scenario: Scenario, rx_points, configuration=None, phases=None,
+                  current=None) -> np.ndarray:
     """Channel sums S[p] = sum_n w[p, n] exp(j phi_n) toward each of (P, 3) RX points, shape (P,).
 
     One evaluation serves both link figures: P_r = P_t / (16 pi^2) |S|^2 and
-    PL = 16 pi^2 / |S|^2.  States and programmed phases are resolved once
-    per call, whatever P is.
+    PL = 16 pi^2 / |S|^2.  The programmed phases are resolved once per call,
+    whatever P is.
     """
-    if states is None:
-        states = uniform_states(scenario)
-    idx, cur, att = _state_arrays(scenario, states)
+    idx = _phase_indices(scenario, configuration)
     rot = np.exp(1j * _programmed_phases(scenario, idx, phases))
     pts = np.asarray(rx_points, dtype=float).reshape(-1, 3)
     sums = np.empty(len(pts), dtype=complex)
-    for lo, amp, phi in _weight_chunks(scenario, pts, cur, att):
+    for lo, amp, phi in _weight_chunks(scenario, pts, current):
         sums[lo:lo + len(amp)] = np.sum(amp * np.exp(-1j * phi) * rot, axis=-1)
     return sums
 
 
-def _channel_sum(scenario: Scenario, states, phases) -> complex:
+def _channel_sum(scenario: Scenario, configuration=None, phases=None, current=None) -> complex:
     """The kernel at the scenario's own RX pose (P = 1)."""
-    return _channel_sums(scenario, _own_rx_point(scenario), states, phases)[0]
+    return _channel_sums(scenario, _own_rx_point(scenario), configuration, phases, current)[0]
 
 
-def element_weights(scenario: Scenario, states: SurfaceState | None = None) -> np.ndarray:
+def element_weights(scenario: Scenario, current=None) -> np.ndarray:
     """Complex per-element weights of the scattering-area sum, shape (n_units,).
 
     w_n = sqrt(G_t G_r) / (r_t r_r) * sigma_n * exp(-j Phi_n) with Phi_n the
@@ -212,10 +196,7 @@ def element_weights(scenario: Scenario, states: SurfaceState | None = None) -> n
     tx_power / (16 pi^2) * |sum_n w_n exp(j phi_n)|^2 over the programmed
     phases phi_n.
     """
-    if states is None:
-        states = uniform_states(scenario)
-    _, cur, att = _state_arrays(scenario, states)
-    _, amp, phi = next(_weight_chunks(scenario, _own_rx_point(scenario), cur, att))
+    _, amp, phi = next(_weight_chunks(scenario, _own_rx_point(scenario), current))
     return amp[0] * np.exp(-1j * phi[0])
 
 
@@ -223,75 +204,71 @@ def _link_budget_db(scenario: Scenario, sums) -> tuple[np.ndarray, np.ndarray]:
     """dBm and path-loss dB arrays of the channel sums `sums`, from |S|^2 = np.abs(S) ** 2.
 
     dBm takes math.log10 per value as watts_to_dbm does (numpy's log10 is an ulp off
-    on ~2% of inputs), dB np.log10 as to_db does; an exact null fails as in watts_to_dbm.
+    on ~2% of inputs), dB np.log10 as to_db does; an exact null reads -inf dBm and inf dB.
     """
     ssq = np.abs(np.asarray(sums)) ** 2
     p_mw = scenario.tx_power / SIXTEEN_PI_SQ * ssq * 1e3
-    if np.any(p_mw <= 0):
-        raise ValueError("power must be positive to express in dBm")
-    dbm = np.array([10.0 * math.log10(p) for p in p_mw.tolist()])
-    return dbm, 10.0 * np.log10(SIXTEEN_PI_SQ / ssq)
+    dbm = np.array([-math.inf if p == 0 else 10.0 * math.log10(p) for p in p_mw.tolist()])
+    with np.errstate(divide="ignore"):
+        return dbm, 10.0 * np.log10(SIXTEEN_PI_SQ / ssq)
 
 
-def received_power(scenario: Scenario, states: SurfaceState | None = None,
-                   phases=None) -> float:
+def received_power(scenario: Scenario, configuration=None, phases=None,
+                   current=None) -> float:
     """Noiseless received power in watts via the scattering-area sum.
 
-    `phases` (radians, any shape matching the layout) overrides the codebook
-    phases exactly — no quantization, no jitter.
+    `configuration` is the codebook-index grid (flat or (n_rows, n_cols), None
+    for all zeros) and `current` the per-unit supply current in A (None for
+    the amplifier's top anchor).  `phases` (radians, any shape matching the
+    layout) overrides the codebook phases exactly — no quantization, no jitter.
     """
-    total = _channel_sum(scenario, states, phases)
+    total = _channel_sum(scenario, configuration, phases, current)
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
 
 
-def received_power_expanded(scenario: Scenario,
-                            states: SurfaceState | None = None,
-                            phases=None) -> float:
+def received_power_expanded(scenario: Scenario, configuration=None, phases=None,
+                            current=None) -> float:
     """Received power via the fully expanded product form (no RCS intermediate).
 
     Kept deliberately separate from received_power so the two derivations can
     be checked against each other.
     """
-    if states is None:
-        states = uniform_states(scenario)
-    idx, cur, att = _state_arrays(scenario, states)
+    idx = _phase_indices(scenario, configuration)
     r_t, zen_t, r_r, zen_r = _element_paths(scenario)
     area = scenario.layout.element_area
-    amp = att * np.sqrt(
+    amp = np.sqrt(
         scenario.tx_antenna.gain(zen_t)
         * scenario.rx_antenna.gain(zen_r)
-        * scenario.amplifier.gain_linear(cur)
+        * _unit_gains(scenario, current)
         * effective_area(area, zen_t)
         * effective_area(area, zen_r)
     ) / (r_t * r_r)
     ph = _programmed_phases(scenario, idx, phases)
     phi_prop = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
-    total = np.sum(amp * np.exp(1j * (ph - phi_prop)))
+    # one exponential per phase: their difference, ~1e3 rad, would carry ~1e-13 rad of rounding
+    total = np.sum(amp * np.exp(1j * ph) * np.exp(-1j * phi_prop))
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
 
 
-def path_loss(scenario: Scenario, states: SurfaceState | None = None,
-              phases=None) -> float:
+def path_loss(scenario: Scenario, configuration=None, phases=None, current=None) -> float:
     """Transmit-to-receive power ratio (linear, >= 1 is a loss).
 
     Raises InfinitePathLossError when the configuration nulls the field
     exactly.
     """
-    ssq = float(np.abs(_channel_sum(scenario, states, phases))) ** 2
+    ssq = float(np.abs(_channel_sum(scenario, configuration, phases, current))) ** 2
     if ssq == 0.0:
         raise InfinitePathLossError("configuration nulls the received field")
     return SIXTEEN_PI_SQ / ssq
 
 
-def path_loss_db(scenario: Scenario, states: SurfaceState | None = None,
-                 phases=None) -> float:
-    return to_db(path_loss(scenario, states, phases))
+def path_loss_db(scenario: Scenario, configuration=None, phases=None, current=None) -> float:
+    return to_db(path_loss(scenario, configuration, phases, current))
 
 
-def max_received_power(scenario: Scenario,
-                       states: SurfaceState | None = None) -> float:
+def max_received_power(scenario: Scenario, current=None) -> float:
     """Received power under perfectly aligned (continuous) phases: coherent |w| sum."""
-    w = element_weights(scenario, states)
+    w = element_weights(scenario, current)
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.sum(np.abs(w))) ** 2
 
 
@@ -301,8 +278,11 @@ def to_db(x) -> float:
 
 
 def from_db(db):
-    """dB to linear power ratio: a float for scalar input, an ndarray for array input."""
-    ratio = 10.0 ** (np.asarray(db, dtype=float) / 10.0)
+    """dB to linear power ratio: a float for scalar input, an ndarray for array input.
+
+    Too large a dB value gives inf quietly, for the caller's range check to name."""
+    with np.errstate(over="ignore"):
+        ratio = 10.0 ** (np.asarray(db, dtype=float) / 10.0)
     return ratio if ratio.ndim else float(ratio)
 
 

@@ -1,4 +1,4 @@
-"""Surface hardware: phase codebook, amplifier, jitter, programmed unit states, control words."""
+"""Surface hardware: phase codebook, amplifier, jitter, control words."""
 
 from __future__ import annotations
 
@@ -23,6 +23,8 @@ class PhaseCodebook:
     def __post_init__(self):
         if self.bits < 1:
             raise ValueError(f"codebook needs at least 1 bit, got {self.bits!r}")
+        if self.bits > 8:  # 256 entries: a 64x64 oracle table holds 4096 x 256 terms (16 MiB)
+            raise ValueError(f"codebook holds at most 8 bits, got {self.bits!r}")
         if not 0.0 <= self.offset < self.spacing:
             raise ValueError(f"offset must lie in [0, {self.spacing!r}) so entries stay in "
                              f"[0, 2*pi), got {self.offset!r}")
@@ -129,47 +131,6 @@ class PhaseJitterModel:
         if rng is None:
             rng = np.random.default_rng(self.seed)
         return rng.uniform(-self.max_error, self.max_error, n)
-
-
-@dataclass(frozen=True, eq=False)
-class SurfaceState:
-    """Programmed state of every unit cell, row-major: one array per quantity.
-
-    phase_index holds codebook indices (integers), current the amplifier
-    control currents in amperes, attenuation the extra amplitude factors in
-    [0, 1], one entry per unit each.  The arrays are validated once here and
-    stored as read-only copies, so a built state stays valid.  The codebook
-    size, the unit count and the supply budget depend on the scenario and
-    are checked where the state is evaluated.
-    """
-
-    phase_index: np.ndarray
-    current: np.ndarray
-    attenuation: np.ndarray
-
-    def __post_init__(self):
-        idx = np.array(self.phase_index)
-        cur = np.array(self.current, dtype=float)
-        att = np.array(self.attenuation, dtype=float)
-        if not (idx.ndim == cur.ndim == att.ndim == 1 and idx.size == cur.size == att.size):
-            raise ValueError(
-                "phase_index, current and attenuation need one entry per unit, got shapes "
-                f"{idx.shape}, {cur.shape} and {att.shape}"
-            )
-        if idx.dtype.kind not in "iu":
-            raise ValueError(f"phase_index must hold integers, got dtype {idx.dtype}")
-        if np.any(idx < 0):
-            raise ValueError("phase_index must be >= 0")
-        if np.any(cur < 0):
-            raise ValueError("control current must be >= 0")
-        if not np.all((att >= 0.0) & (att <= 1.0)):
-            raise ValueError("attenuation must lie in [0, 1]")
-        for name, arr in (("phase_index", idx), ("current", cur), ("attenuation", att)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return self.phase_index.size
 
 
 class ControlWord(NamedTuple):

@@ -67,48 +67,33 @@ def make_random_scenario(rng, max_rows=4, max_cols=8, max_units=32, bits=2,
     )
 
 
-def random_states(rng, scenario):
-    """Mixed per-unit states: random index, calibrated current range, partial attenuation."""
-    lo = scenario.amplifier.calibration[0][0]
-    hi = scenario.amplifier.top_current
-    # one (index, current, attenuation) draw per unit, in unit order
-    draws = [
-        (int(rng.integers(0, scenario.codebook.size)),
-         float(rng.uniform(lo, hi)),
-         float(rng.uniform(0.2, 1.0)))
-        for _ in range(scenario.layout.n_units)
-    ]
-    idx, cur, att = zip(*draws)
-    return rl.SurfaceState(np.array(idx), np.array(cur), np.array(att))
+def random_surface(rng, scenario):
+    """(configuration, current): a random flat phase-index grid and one per-unit
+    supply current in the calibrated range."""
+    config = rng.integers(0, scenario.codebook.size, scenario.layout.n_units)
+    current = float(rng.uniform(scenario.amplifier.calibration[0][0],
+                                scenario.amplifier.top_current))
+    return config, current
 
 
 # ------------------------------------------------- per-unit oracles
 
 @dataclass(frozen=True)
 class UnitState:
-    """Programmed state of one unit cell: codebook index, control current, extra attenuation."""
+    """Programmed state of one unit cell: codebook index and control current."""
 
     phase_index: int
     current: float
-    attenuation: float = 1.0
 
     def __post_init__(self):
         if self.phase_index < 0:
             raise ValueError("phase_index must be >= 0")
         if self.current < 0:
             raise ValueError("control current must be >= 0")
-        if not 0.0 <= self.attenuation <= 1.0:
-            raise ValueError("attenuation must lie in [0, 1]")
-
-
-def unit_state(states, n):
-    """Unit n of a `SurfaceState` as a `UnitState`."""
-    return UnitState(int(states.phase_index[n]), float(states.current[n]),
-                     float(states.attenuation[n]))
 
 
 def unit_transmission_coefficient(state, codebook, amplifier, jitter=None, rng=None):
-    """Complex through-gain of one unit: attenuation * sqrt(G_u) * exp(j phase).
+    """Complex through-gain of one unit: sqrt(G_u) * exp(j phase).
 
     The phase is the codebook entry at state.phase_index plus an optional
     jitter draw from `rng`, which must then be given: each unit needs its own
@@ -120,7 +105,7 @@ def unit_transmission_coefficient(state, codebook, amplifier, jitter=None, rng=N
         )
     if jitter is not None and rng is None:
         raise ValueError("unit_transmission_coefficient needs an rng to draw the unit's jitter")
-    mag = state.attenuation * math.sqrt(amplifier.gain_linear(state.current))
+    mag = math.sqrt(amplifier.gain_linear(state.current))
     phase = float(codebook.phases()[state.phase_index])
     if jitter is not None:
         phase += float(jitter.sample(1, rng)[0])
@@ -130,13 +115,12 @@ def unit_transmission_coefficient(state, codebook, amplifier, jitter=None, rng=N
 def unit_rcs(state, amplifier, incidence_zenith, departure_zenith, geometric_area):
     """Equivalent scattering area of one unit (m^2, phase excluded).
 
-    Folds the programmed attenuation, the amplifier gain, and the projected
-    apertures seen from the incidence and departure directions:
-    attenuation * sqrt(G_u * A(theta_in) * A(theta_out)).
+    Folds the amplifier gain and the projected apertures seen from the
+    incidence and departure directions: sqrt(G_u * A(theta_in) * A(theta_out)).
     """
     a_in = rl.effective_area(geometric_area, incidence_zenith)
     a_out = rl.effective_area(geometric_area, departure_zenith)
-    return state.attenuation * math.sqrt(amplifier.gain_linear(state.current) * a_in * a_out)
+    return math.sqrt(amplifier.gain_linear(state.current) * a_in * a_out)
 
 
 def _reference_start(scenario, initial, feedback):
@@ -354,7 +338,8 @@ def propagation_phase(scenario, row, col) -> float:
     return 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
 
 
-def received_signal(scenario, states=None, symbol=1.0, noise=None, rng=None, phases=None):
+def received_signal(scenario, configuration=None, symbol=1.0, noise=None, rng=None, phases=None,
+                    current=None):
     """One received sample: sqrt(tx_power)/(4 pi) * (channel sum) * symbol + noise.
 
     `noise` injects an exact sample; otherwise a circularly symmetric Gaussian
@@ -368,7 +353,7 @@ def received_signal(scenario, states=None, symbol=1.0, noise=None, rng=None, pha
             "received_signal needs an rng (or an explicit noise sample) "
             "when noise_variance > 0"
         )
-    total = _channel_sum(scenario, states, phases)
+    total = _channel_sum(scenario, configuration, phases, current)
     y = math.sqrt(scenario.tx_power) / (4.0 * math.pi) * complex(total) * symbol
     if draw:
         scale = math.sqrt(scenario.noise_variance / 2.0)
@@ -376,9 +361,9 @@ def received_signal(scenario, states=None, symbol=1.0, noise=None, rng=None, pha
     return y + (noise if noise is not None else 0.0)
 
 
-def min_path_loss(scenario, states=None):
+def min_path_loss(scenario, current=None):
     """Path loss under perfectly aligned phases; max_received_power * min_path_loss == tx_power."""
-    total = float(np.sum(np.abs(rl.element_weights(scenario, states)))) ** 2
+    total = float(np.sum(np.abs(rl.element_weights(scenario, current)))) ** 2
     if total == 0.0:
         raise rl.InfinitePathLossError("every element weight is zero")
     return SIXTEEN_PI_SQ / total
@@ -427,8 +412,8 @@ def reference_pose_sweep(scenario, variable, values, poses, method, seed=0):
     for pose, s in zip(poses, seeds):
         scn = replace(scenario, rx_pose=pose)
         bf = rl.apply_beamforming(scn, method, s)
-        rows.append((rl.watts_to_dbm(rl.received_power(scn, bf.states, bf.phases)),
-                     rl.path_loss_db(scn, bf.states, bf.phases)))
+        rows.append((rl.watts_to_dbm(rl.received_power(scn, bf.configuration, bf.phases)),
+                     rl.path_loss_db(scn, bf.configuration, bf.phases)))
         digests.append(bf.digest)
     p_dbm, pl_db = np.array(rows).T
     return SweepResult(variable, np.asarray(values, dtype=float), p_dbm, pl_db, digests)

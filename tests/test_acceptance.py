@@ -6,12 +6,11 @@ checklist; the assertion message repeats the line when a check fails.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
 import rislink as rl
-from helpers import make_random_scenario, min_path_loss, random_states
+from helpers import make_random_scenario, min_path_loss, random_surface
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -33,9 +32,9 @@ def test_criterion_1_dual_power_routes_agree():
     worst = 0.0
     for _ in range(200):
         sc = make_random_scenario(rng)
-        states = random_states(rng, sc)
-        worst = max(worst, rel_gap(rl.received_power(sc, states),
-                                   rl.received_power_expanded(sc, states)))
+        config, current = random_surface(rng, sc)
+        worst = max(worst, rel_gap(rl.received_power(sc, config, current=current),
+                                   rl.received_power_expanded(sc, config, current=current)))
     elapsed = time.perf_counter() - t0
     report(1, "both received-power routes agree on random links",
            worst <= 1e-12 and elapsed < 5.0,
@@ -48,14 +47,14 @@ def test_criterion_2_continuous_phases_reach_the_power_bound():
     worst_prod = 0.0
     for _ in range(100):
         sc = make_random_scenario(rng)
-        states = random_states(rng, sc)
+        config, current = random_surface(rng, sc)
         phases = (rl.apply_beamforming(sc, "continuous").phases
                   + float(rng.uniform(0.0, 2.0 * math.pi)))
-        p = rl.received_power(sc, states, phases=phases)
-        pmax = rl.max_received_power(sc, states)
+        p = rl.received_power(sc, config, phases=phases, current=current)
+        pmax = rl.max_received_power(sc, current)
         worst_opt = max(worst_opt, rel_gap(p, pmax))
         worst_prod = max(worst_prod,
-                         rel_gap(pmax * min_path_loss(sc, states), sc.tx_power))
+                         rel_gap(pmax * min_path_loss(sc, current), sc.tx_power))
     report(2, "continuous optimum attains the analytic maximum",
            worst_opt <= 1e-10 and worst_prod <= 1e-12,
            f"power gap {worst_opt:.3e}, max-power x min-path-loss gap {worst_prod:.3e}")
@@ -66,10 +65,10 @@ def test_criterion_3_quantized_phases_keep_half_the_optimum():
     worst = math.inf
     for _ in range(1000):
         sc = make_random_scenario(rng, random_offset=True)
-        states = random_states(rng, sc)
+        _, current = random_surface(rng, sc)
         idx = rl.nearest_quantize(rl.apply_beamforming(sc, "continuous").phases, sc.codebook)
-        qstates = replace(states, phase_index=idx.reshape(-1))
-        ratio = rl.received_power(sc, qstates) / rl.max_received_power(sc, states)
+        ratio = (rl.received_power(sc, idx, current=current)
+                 / rl.max_received_power(sc, current))
         worst = min(worst, ratio)
     report(3, "2-bit quantization keeps at least half the maximum power",
            worst >= 0.5 * (1.0 - 1e-12), f"worst ratio {worst:.6f}")

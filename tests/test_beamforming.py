@@ -12,7 +12,7 @@ import rislink as rl
 from rislink.beamforming import _NOISE_BLOCK, PowerOracle, _powers, wrap_to_pi
 from helpers import (
     make_random_scenario,
-    random_states,
+    random_surface,
     reference_blind_search,
     reference_greedy_search,
     reference_nearest_quantize,
@@ -33,7 +33,7 @@ def test_power_oracle_matches_received_power():
     oracle = rl.power_oracle(s)
     config = rng.integers(0, 4, (s.layout.n_rows, s.layout.n_cols))
     assert oracle(config) == pytest.approx(
-        rl.received_power(s, rl.states_from_configuration(s, config)), rel=1e-12)
+        rl.received_power(s, config), rel=1e-12)
 
 
 def test_power_oracle_includes_jitter():
@@ -42,7 +42,7 @@ def test_power_oracle_includes_jitter():
     config = rl.uniform_configuration(s.layout, 1)
     assert rl.power_oracle(s)(config) != rl.power_oracle(quiet)(config)
     assert rl.power_oracle(s)(config) == pytest.approx(
-        rl.received_power(s, rl.states_from_configuration(s, config)), rel=1e-12)
+        rl.received_power(s, config), rel=1e-12)
 
 
 def test_feedback_channel_noiseless_and_counting():
@@ -539,9 +539,9 @@ def test_brute_force_tie_breaks_lexicographically():
 def test_searches_with_custom_states():
     rng = np.random.default_rng(19)
     s = small_scenario(9)
-    states = random_states(rng, s)
-    _, best = rl.brute_force_optimum(s, states)
-    oracle = rl.power_oracle(s, states)
+    _, current = random_surface(rng, s)
+    _, best = rl.brute_force_optimum(s, current)
+    oracle = rl.power_oracle(s, current)
     fb = rl.FeedbackChannel(oracle)
     _, trace = rl.greedy_element_search(s, feedback=fb)
     assert best >= trace.best_power * (1 - 1e-12)

@@ -6,6 +6,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -652,3 +655,70 @@ def test_the_readme_lists_every_scenario_key_with_its_default(tmp_path):
         plan = load_run_plan(write(tmp_path, f"[{section}]\n{key} = {default}\n"))
         assert plan.keys == {key: parameters[key].default}
         assert plan.scenario == rl.chamber_scenario()
+
+
+# a calibration whose gain underflows to 0 at zero current: that row's field is an exact null
+_NULL_GAIN_CFG = ("[amplifier]\ncalibration = 0:-4000, 0.04375:11.9\n\n"
+                  "[sweep g]\ntype = gain\ncurrents_a = {}\n")
+
+
+def test_an_exact_null_row_is_infinite_and_the_run_goes_on(tmp_path, capsys):
+    cfg = write(tmp_path, _NULL_GAIN_CFG.format("0, 1.4, 0"))
+    lone = write(tmp_path, _NULL_GAIN_CFG.format("1.4"), "lone.cfg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "null")]) == 0
+        assert main(["run", str(lone), "--out", str(tmp_path / "lone")]) == 0
+    header, null_row, top_row, last_row = (tmp_path / "null" / "g.csv").read_text().splitlines()
+    assert null_row.split(",")[1:4] == last_row.split(",")[1:4] == ["0.0", "-inf", "inf"]
+    assert (tmp_path / "lone" / "g.csv").read_text().splitlines() == [header, top_row]
+    metrics = json.loads((tmp_path / "null" / "summary.json").read_text())["sweeps"][0]["metrics"]
+    assert metrics["first_path_loss_db"] == metrics["last_path_loss_db"] == math.inf
+    assert math.isnan(metrics["path_loss_span_db"])
+
+
+def test_the_link_budget_of_a_null_sum_is_infinite_without_a_warning():
+    s = rl.chamber_scenario()
+    sums = [0j, 1e-3 + 2e-3j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dbm, db = rl.link._link_budget_db(s, sums)
+    lone_dbm, lone_db = rl.link._link_budget_db(s, sums[1:])
+    assert dbm.tolist() == [-math.inf, lone_dbm[0]]
+    assert db.tolist() == [math.inf, lone_db[0]]
+
+
+@pytest.mark.parametrize("flag", [["--config", _ANGLE_CFG], ["--tx-distance", "3"],
+                                  ["--rx-distance", "3"]])
+def test_run_rejects_the_flags_it_would_ignore(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", _ANGLE_CFG, "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bits", [9, 40, 2000])
+def test_a_codebook_over_eight_bits_is_rejected_at_its_line(tmp_path, capsys, bits):
+    with pytest.raises(ValueError) as exc:
+        rl.PhaseCodebook(bits)
+    assert str(exc.value) == f"codebook holds at most 8 bits, got {bits}"
+    cfg = write(tmp_path, f"[scenario]\ncodebook_bits = {bits}\n")
+    assert main(["beamform", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: {exc.value}\n"
+
+
+def test_an_eight_bit_codebook_still_works():
+    assert rl.PhaseCodebook(8).size == 256
+
+
+def test_an_overflowing_gain_prints_only_the_error(tmp_path):
+    cfg = write(tmp_path, "[scenario]\ntx_gain_dbi = 5000\n", "g.cfg")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run([sys.executable, "-m", "rislink.cli", "beamform", "--config", str(cfg)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: {cfg}:2: boresight gain must be positive and finite "
+                           "(linear scale), got inf\n")

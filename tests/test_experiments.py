@@ -126,7 +126,7 @@ def test_an_outcome_channel_sum_is_the_kernel_at_its_own_pose(method):
         bf = rl.apply_beamforming(s, method, seed=i)
         assert (bf.weights is not None) == (method in ("blind", "greedy"))
         # bit for bit: a search's weights stand in for a rebuild of the kernel
-        assert bf.channel_sum(s) == _channel_sum(s, bf.states, bf.phases)
+        assert bf.channel_sum(s) == _channel_sum(s, bf.configuration, bf.phases)
 
 
 @pytest.mark.parametrize("method, builds", [("blind", 1), ("greedy", 1), ("quantized", 1)])
@@ -207,23 +207,21 @@ def test_gain_sweep_rows_hold_the_first_configuration(monkeypatch):
     seen = []
     channel_sum = rl.experiments._channel_sum
 
-    def spy(scenario, states, phases):
-        seen.append(states)
-        return channel_sum(scenario, states, phases)
+    def spy(scenario, configuration, phases, current=None):
+        seen.append((configuration, phases, current))
+        return channel_sum(scenario, configuration, phases, current)
 
     monkeypatch.setattr(rl.experiments, "_channel_sum", spy)
     res = rl.run_sweep(s, SweepJob("g", "gain", currents=currents))
     n = s.layout.n_units
     bf = rl.apply_beamforming(s)
     assert len(seen) == len(currents)
-    for c, states, p_dbm in zip(currents, seen, res.received_power_dbm):
-        assert len(states) == n
-        assert np.all(states.current == c / n)
-        assert np.array_equal(states.phase_index, seen[0].phase_index)
-        assert np.all(states.attenuation == 1.0)
-        held = rl.states_from_configuration(s, bf.configuration, current=c / n)
-        assert p_dbm == rl.watts_to_dbm(rl.received_power(s, held))
-    assert np.array_equal(seen[0].phase_index, bf.configuration.reshape(-1))
+    for c, (config, phases, current), p_dbm in zip(currents, seen, res.received_power_dbm):
+        assert config.size == n and phases is None
+        assert current == c / n
+        assert np.array_equal(config, seen[0][0])
+        assert p_dbm == rl.watts_to_dbm(rl.received_power(s, bf.configuration, current=c / n))
+    assert np.array_equal(seen[0][0], bf.configuration)
 
 
 def test_gain_sweep_budget_and_validation():
@@ -353,7 +351,7 @@ def _path_loss_at(scenario, angle, azimuth, steering=None):
     steer = scn if steering is None else replace(
         scenario, rx_pose=rl.transmission_side_pose(scenario.rx_pose.r, steering, azimuth))
     bf = rl.apply_beamforming(steer, "quantized")
-    return rl.path_loss_db(scn, bf.states, bf.phases)
+    return rl.path_loss_db(scn, bf.configuration, bf.phases)
 
 
 def test_angle_sweep_keeps_rx_azimuth():

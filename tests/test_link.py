@@ -16,10 +16,10 @@ from helpers import (
     make_random_scenario,
     min_path_loss,
     propagation_phase,
-    random_states,
+    random_surface,
     received_signal,
+    UnitState,
     unit_rcs,
-    unit_state,
     unit_transmission_coefficient,
 )
 from rislink.geometry import spherical_to_cartesian
@@ -63,18 +63,18 @@ def test_received_power_routes_agree():
     rng = np.random.default_rng(11)
     for _ in range(20):
         s = make_random_scenario(rng)
-        states = random_states(rng, s)
-        a = rl.received_power(s, states)
-        b = rl.received_power_expanded(s, states)
+        config, current = random_surface(rng, s)
+        a = rl.received_power(s, config, current=current)
+        b = rl.received_power_expanded(s, config, current=current)
         assert b == pytest.approx(a, rel=1e-12)
 
 
 def test_received_signal_consistent_with_power():
     rng = np.random.default_rng(5)
     s = make_random_scenario(rng)
-    states = random_states(rng, s)
-    y = received_signal(s, states)
-    assert abs(y) ** 2 == pytest.approx(rl.received_power(s, states), rel=1e-12)
+    config, current = random_surface(rng, s)
+    y = received_signal(s, config, current=current)
+    assert abs(y) ** 2 == pytest.approx(rl.received_power(s, config, current=current), rel=1e-12)
 
 
 def test_received_signal_symbol_and_noise():
@@ -122,11 +122,11 @@ def test_continuous_optimum_reaches_the_bound():
     rng = np.random.default_rng(31)
     for _ in range(10):
         s = make_random_scenario(rng)
-        states = random_states(rng, s)
-        pmax = rl.max_received_power(s, states)
+        config, current = random_surface(rng, s)
+        pmax = rl.max_received_power(s, current)
         for c in (0.0, 1.234, 5.5):
             phases = rl.apply_beamforming(s, "continuous").phases + c
-            p = rl.received_power(s, states, phases=phases)
+            p = rl.received_power(s, config, phases=phases, current=current)
             assert p == pytest.approx(pmax, rel=1e-10)
 
 
@@ -134,30 +134,30 @@ def test_no_phasing_beats_the_bound():
     rng = np.random.default_rng(37)
     for _ in range(20):
         s = make_random_scenario(rng)
-        states = random_states(rng, s)
-        pmax = rl.max_received_power(s, states)
-        assert rl.received_power(s, states) <= pmax * (1 + 1e-12)
+        config, current = random_surface(rng, s)
+        pmax = rl.max_received_power(s, current)
+        assert rl.received_power(s, config, current=current) <= pmax * (1 + 1e-12)
         ph = rng.uniform(0, 2 * math.pi, s.layout.n_units)
-        assert rl.received_power(s, states, phases=ph) <= pmax * (1 + 1e-12)
+        assert rl.received_power(s, config, phases=ph, current=current) <= pmax * (1 + 1e-12)
 
 
 def test_power_times_path_loss_is_tx_power():
     rng = np.random.default_rng(41)
     for _ in range(10):
         s = make_random_scenario(rng)
-        states = random_states(rng, s)
-        assert rl.received_power(s, states) * rl.path_loss(s, states) == pytest.approx(
-            s.tx_power, rel=1e-12)
-        assert rl.path_loss_db(s, states) == pytest.approx(
-            rl.to_db(rl.path_loss(s, states)), rel=1e-15)
+        config, current = random_surface(rng, s)
+        assert rl.received_power(s, config, current=current) * rl.path_loss(
+            s, config, current=current) == pytest.approx(s.tx_power, rel=1e-12)
+        assert rl.path_loss_db(s, config, current=current) == pytest.approx(
+            rl.to_db(rl.path_loss(s, config, current=current)), rel=1e-15)
 
 
 def test_max_power_times_min_path_loss_is_tx_power():
     rng = np.random.default_rng(43)
     for _ in range(10):
         s = make_random_scenario(rng)
-        states = random_states(rng, s)
-        assert rl.max_received_power(s, states) * min_path_loss(s, states) == \
+        _, current = random_surface(rng, s)
+        assert rl.max_received_power(s, current) * min_path_loss(s, current) == \
             pytest.approx(s.tx_power, rel=1e-12)
 
 
@@ -170,31 +170,29 @@ def test_reciprocity_under_swap():
         assert rl.received_power(swapped) == pytest.approx(rl.received_power(s), rel=1e-12)
 
 
+# the amplifier's gain underflows to 0 at zero current, so that current nulls the field
+_DARK_CALIBRATION = ((0.0, -4000.0), (1.4 / 32, 11.9))
+
+
 def test_null_configuration_raises():
-    s = rl.chamber_scenario()
-    dark = rl.uniform_states(s, attenuation=0.0)
-    assert rl.received_power(s, dark) == 0.0
+    s = rl.chamber_scenario(calibration=_DARK_CALIBRATION)
+    assert rl.received_power(s, current=0.0) == 0.0
     with pytest.raises(rl.InfinitePathLossError):
-        rl.path_loss(s, dark)
+        rl.path_loss(s, current=0.0)
     with pytest.raises(rl.InfinitePathLossError):
-        min_path_loss(s, dark)
-
-
-def _state(n, phase_index=0, current=0.01, attenuation=1.0):
-    """A `SurfaceState` of n identical units, built directly."""
-    return rl.SurfaceState(np.full(n, phase_index), np.full(n, current), np.full(n, attenuation))
+        min_path_loss(s, 0.0)
 
 
 def test_state_validation():
     s = rl.chamber_scenario()
     with pytest.raises(ValueError):
-        rl.received_power(s, _state(31))  # one state short
+        rl.received_power(s, np.zeros(31, dtype=int))  # one unit short
     with pytest.raises(ValueError):
-        rl.received_power(s, _state(32, phase_index=4))  # index outside the codebook
+        rl.received_power(s, np.full(32, 4))  # index outside the codebook
     with pytest.raises(ValueError):
         rl.received_power(s, phases=np.zeros(31))
     with pytest.raises(rl.SupplyBudgetError):
-        rl.received_power(s, rl.uniform_states(s, current=0.2))
+        rl.received_power(s, current=0.2)
 
 
 def test_phases_override_bypasses_jitter():
@@ -216,8 +214,7 @@ def test_jitter_realization_is_static():
 
 def test_element_weights_match_manual_terms():
     s = rl.chamber_scenario()
-    states = rl.uniform_states(s)
-    w = rl.element_weights(s, states)
+    w = rl.element_weights(s)
     assert w.shape == (32,)
     # spot check one element against the scalar building blocks
     row, col = 2, 5
@@ -227,7 +224,8 @@ def test_element_weights_match_manual_terms():
     p_r = spherical_to_cartesian(s.rx_pose)
     r_t, r_r = distance(p_t, el), distance(p_r, el)
     zen_t, zen_r = departure_zenith(p_t, el), departure_zenith(p_r, el)
-    sigma = unit_rcs(unit_state(states, n), s.amplifier, zen_t, zen_r, s.layout.element_area)
+    top = UnitState(0, s.amplifier.top_current)
+    sigma = unit_rcs(top, s.amplifier, zen_t, zen_r, s.layout.element_area)
     amp = math.sqrt(s.tx_antenna.gain(zen_t) * s.rx_antenna.gain(zen_r)) / (r_t * r_r) * sigma
     assert abs(w[n]) == pytest.approx(amp, rel=1e-12)
     # direction of the weight is the conjugated two-hop propagation phase
@@ -235,21 +233,18 @@ def test_element_weights_match_manual_terms():
     assert abs(w[n] / abs(w[n]) - direction) < 1e-9
 
 
-def test_uniform_states_defaults():
-    s = rl.chamber_scenario()
-    states = rl.uniform_states(s)
-    assert len(states) == 32
-    assert np.all(states.current == s.amplifier.top_current)
-    assert np.all(states.phase_index == 0)
+def test_the_default_surface_is_index_zero_at_top_current():
+    s = rl.chamber_scenario(rx_zenith_deg=20.0)
+    zeros = np.zeros((4, 8), dtype=int)
+    assert rl.received_power(s) == rl.received_power(s, zeros, current=s.amplifier.top_current)
 
 
-def test_states_from_configuration_round_trip():
-    s = rl.chamber_scenario()
+def test_a_grid_and_its_flat_form_program_the_same_surface():
+    s = rl.chamber_scenario(rx_zenith_deg=20.0)
     config = np.arange(32).reshape(4, 8) % 4
-    states = rl.states_from_configuration(s, config)
-    assert states.phase_index.tolist() == list(config.reshape(-1))
-    with pytest.raises(ValueError):
-        rl.states_from_configuration(s, config[:, :-1])
+    assert rl.received_power(s, config) == rl.received_power(s, config.reshape(-1).tolist())
+    with pytest.raises(ValueError, match="configuration has 28 entries for 32 units"):
+        rl.received_power(s, config[:, :-1])
 
 
 def test_db_helpers():
@@ -286,24 +281,26 @@ def _cut_points(scenario, angles, azimuth=0.0):
                      for a in angles])
 
 
-def _assert_sums_match_per_point(s, angles, states=None, phases=None, azimuth=0.0):
+def _assert_sums_match_per_point(s, angles, configuration=None, phases=None, azimuth=0.0,
+                                 current=None):
     """Batched sums give per-point received_power and path_loss_db within 1e-12 relative."""
-    sums = rl.link._channel_sums(s, _cut_points(s, angles, azimuth), states, phases)
+    sums = rl.link._channel_sums(s, _cut_points(s, angles, azimuth), configuration, phases,
+                                 current)
     assert sums.shape == (len(angles),)
     for a, total in zip(angles, sums):
         scn = replace(s, rx_pose=rl.transmission_side_pose(s.rx_pose.r, a, azimuth))
         ssq = abs(total) ** 2
         assert s.tx_power / (16 * math.pi ** 2) * ssq == pytest.approx(
-            rl.received_power(scn, states, phases), rel=1e-12)
+            rl.received_power(scn, configuration, phases, current), rel=1e-12)
         assert rl.to_db(16 * math.pi ** 2 / ssq) == pytest.approx(
-            rl.path_loss_db(scn, states, phases), rel=1e-12)
+            rl.path_loss_db(scn, configuration, phases, current), rel=1e-12)
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [(4, 8), (16, 16)])
 def test_kernel_matches_per_point_route(n_rows, n_cols):
     s = rl.chamber_scenario(n_rows=n_rows, n_cols=n_cols)
     bf = rl.apply_beamforming(replace(s, rx_pose=rl.transmission_side_pose(4.0, 25.0)))
-    _assert_sums_match_per_point(s, np.arange(-80.0, 81.0, 7.5), bf.states)
+    _assert_sums_match_per_point(s, np.arange(-80.0, 81.0, 7.5), bf.configuration)
 
 
 def test_kernel_chunks_a_large_cut():
@@ -312,8 +309,7 @@ def test_kernel_chunks_a_large_cut():
     n_points = 2 * per_chunk + per_chunk // 2 + 1  # three chunks, the last one partial
     assert n_points > 2 * per_chunk and n_points % per_chunk != 0
     angles = np.linspace(-50.0, 50.0, n_points)
-    _assert_sums_match_per_point(s, angles, rl.uniform_states(s, phase_index=1),
-                                 azimuth=35.0)
+    _assert_sums_match_per_point(s, angles, np.ones(s.layout.n_units, dtype=int), azimuth=35.0)
 
 
 def test_kernel_with_mixed_states_phases_and_jitter():
@@ -322,12 +318,15 @@ def test_kernel_with_mixed_states_phases_and_jitter():
         s = make_random_scenario(rng)
         angles = rng.uniform(-80.0, 80.0, 9)
         az = float(rng.uniform(0.0, 360.0))
-        _assert_sums_match_per_point(s, angles, random_states(rng, s), azimuth=az)
+        config, current = random_surface(rng, s)
+        _assert_sums_match_per_point(s, angles, config, azimuth=az, current=current)
         ph = rng.uniform(0.0, 2 * math.pi, s.layout.n_units)
-        _assert_sums_match_per_point(s, angles, random_states(rng, s), ph, azimuth=az)
+        config, current = random_surface(rng, s)
+        _assert_sums_match_per_point(s, angles, config, ph, azimuth=az, current=current)
     jittered = rl.chamber_scenario(phase_jitter_max_deg=8.0, phase_jitter_seed=4)
-    _assert_sums_match_per_point(jittered, np.arange(-60.0, 61.0, 15.0),
-                                 random_states(rng, jittered))
+    config, current = random_surface(rng, jittered)
+    _assert_sums_match_per_point(jittered, np.arange(-60.0, 61.0, 15.0), config,
+                                 current=current)
 
 
 def _raised(fn, *args):
@@ -343,15 +342,14 @@ def test_kernel_keeps_the_per_point_errors():
     above[1, 2] = 0.5  # the middle point on the feed's side of the plane
     assert _raised(rl.link._channel_sums, s, above) == _raised(
         lambda: replace(s, rx_pose=rl.SphericalPose(0.5, 0.0, 0.0)))
-    for states in (_state(32, phase_index=4),              # outside the codebook
-                   rl.uniform_states(s, current=0.2),      # over the supply budget
-                   _state(31)):                            # one state short
-        assert _raised(rl.link._channel_sums, s, cut, states) == _raised(
-            rl.received_power, s, states)
+    for config, current in ((np.full(32, 4), None),        # outside the codebook
+                            (None, 0.2),                   # over the supply budget
+                            (np.zeros(31, dtype=int), None)):  # one unit short
+        assert _raised(rl.link._channel_sums, s, cut, config, None, current) == _raised(
+            rl.received_power, s, config, None, current)
     assert _raised(rl.link._channel_sums, s, cut, None, np.zeros(31)) == _raised(
         rl.received_power, s, None, np.zeros(31))
-    assert _raised(rl.link._channel_sums, s, cut, rl.uniform_states(s, current=0.2))[0] \
-        is rl.SupplyBudgetError
+    assert _raised(rl.link._channel_sums, s, cut, None, None, 0.2)[0] is rl.SupplyBudgetError
 
 
 def test_pattern_cut_keeps_the_per_point_errors():
@@ -364,7 +362,7 @@ def test_pattern_cut_keeps_the_per_point_errors():
         rl.run_sweep(s, rl.SweepJob("cut", "pattern", "quantized", -10.0, 95.0, 35.0))
 
 
-def test_exact_null_inside_a_cut_fails_like_the_per_point_route():
+def test_exact_null_inside_a_cut_reads_infinite_like_the_per_point_route():
     # a single cell and an extremely narrow RX horn: the field is exactly zero
     # once the probe leaves boresight by more than ~15 deg
     s = replace(rl.chamber_scenario(n_rows=1, n_cols=1),
@@ -376,64 +374,53 @@ def test_exact_null_inside_a_cut_fails_like_the_per_point_route():
     assert rl.received_power(null) == 0.0
     with pytest.raises(rl.InfinitePathLossError):
         rl.path_loss_db(null)
-    with pytest.raises(ValueError, match="power must be positive") as per_point:
-        rl.watts_to_dbm(rl.received_power(null))
-    with pytest.raises(ValueError, match="power must be positive") as batched:
-        rl.run_sweep(s, rl.SweepJob("cut", "pattern", "quantized", 0.0, 30.0, 10.0))
-    assert type(batched.value) is type(per_point.value)
     with pytest.raises(ValueError, match="power must be positive"):
-        rl.run_sweep(s, rl.SweepJob("angle", "angle", "quantized", 0.0, 30.0, 10.0))
+        rl.watts_to_dbm(rl.received_power(null))
+    # a sweep goes on: its null rows read -inf dBm and inf dB, the others as alone
+    for kind in ("pattern", "angle"):
+        res = rl.run_sweep(s, rl.SweepJob("cut", kind, "quantized", 0.0, 30.0, 10.0))
+        lit = rl.run_sweep(s, rl.SweepJob("cut", kind, "quantized", 0.0, 10.0, 10.0))
+        assert res.received_power_dbm.tolist() == [*lit.received_power_dbm, -math.inf, -math.inf]
+        assert res.path_loss_db.tolist() == [*lit.path_loss_db, math.inf, math.inf]
 
 
-# ---------------------------------------------------------------- surface state
+# ---------------------------------------------------------------- programmed surface
 
-def test_surface_state_checks_shapes_and_freezes_its_arrays():
-    with pytest.raises(ValueError, match="one entry per unit"):
-        rl.SurfaceState(np.zeros(4, dtype=int), np.zeros(3), np.ones(4))
-    with pytest.raises(ValueError, match="one entry per unit"):
-        rl.SurfaceState(np.zeros((2, 2), dtype=int), np.zeros(4), np.ones(4))
-    with pytest.raises(ValueError, match="must hold integers"):
-        rl.SurfaceState(np.full(4, 1.5), np.zeros(4), np.ones(4))
-    idx = np.array([0, 1, 2, 3])
-    states = rl.SurfaceState(idx, [0.01] * 4, np.ones(4))
-    idx[0] = 3  # the state holds its own copy
-    assert states.phase_index.tolist() == [0, 1, 2, 3]
-    assert states.current.dtype == float and len(states) == 4
-    with pytest.raises(ValueError, match="read-only"):
-        states.current[0] = 0.5
-    # replace() builds a new state, so its checks run again
-    with pytest.raises(ValueError, match="attenuation must lie in"):
-        replace(states, attenuation=np.full(4, -0.1))
+def _grid(n, phase_index=0):
+    """A flat phase-index grid of n units, all at `phase_index`."""
+    return np.full(n, phase_index)
 
 
-_STATE_ERRORS = [
-    # (what is wrong, builder, expected exception and message)
-    ("one unit short", lambda: _state(31),
-     (ValueError, "31 states for 32 units")),
-    ("index at the codebook size", lambda: _state(32, phase_index=4),
+_SURFACE_ERRORS = [
+    # (what is wrong, configuration, current, expected exception and message)
+    ("one unit short", _grid(31), None,
+     (ValueError, "configuration has 31 entries for 32 units")),
+    ("index at the codebook size", _grid(32, 4), None,
      (ValueError, "phase index outside 4-entry codebook")),
-    ("negative index", lambda: _state(32, phase_index=-1),
+    ("negative index", _grid(32, -1), None,
      (ValueError, "phase_index must be >= 0")),
-    ("negative current", lambda: _state(32, current=-0.01),
+    ("fractional index", np.full(32, 1.5), None,
+     (ValueError, "phase_index must hold integers, got dtype float64")),
+    ("negative current", None, -0.01,
      (ValueError, "control current must be >= 0")),
-    ("attenuation 1.5", lambda: _state(32, attenuation=1.5),
-     (ValueError, "attenuation must lie in [0, 1]")),
-    ("current over budget", lambda: _state(32, current=0.2),
+    ("current over budget", None, 0.2,
      (rl.SupplyBudgetError, "control current exceeds the 0.12 A supply budget")),
 ]
 
 
-@pytest.mark.parametrize("build, expected", [case[1:] for case in _STATE_ERRORS],
-                         ids=[case[0] for case in _STATE_ERRORS])
-def test_state_errors_match_between_received_power_and_the_kernel(build, expected):
+@pytest.mark.parametrize("configuration, current, expected",
+                         [case[1:] for case in _SURFACE_ERRORS],
+                         ids=[case[0] for case in _SURFACE_ERRORS])
+def test_state_errors_match_between_received_power_and_the_kernel(configuration, current,
+                                                                  expected):
     s = rl.chamber_scenario()
     cut = _cut_points(s, [-10.0, 0.0, 10.0])
-    via_power = _raised(lambda: rl.received_power(s, build()))
-    via_kernel = _raised(lambda: rl.link._channel_sums(s, cut, build()))
+    via_power = _raised(lambda: rl.received_power(s, configuration, current=current))
+    via_kernel = _raised(lambda: rl.link._channel_sums(s, cut, configuration, current=current))
     assert via_power == via_kernel == expected
 
 
-def _per_unit_power(scenario, states):
+def _per_unit_power(scenario, configuration, current):
     """Received power summed unit by unit from the scalar geometry and the per-unit oracles.
 
     The jitter realization is drawn one unit at a time from the jitter seed,
@@ -447,7 +434,7 @@ def _per_unit_power(scenario, states):
     total = 0j
     for row in range(1, scenario.layout.n_rows + 1):
         for col in range(1, n_cols + 1):
-            unit = unit_state(states, (row - 1) * n_cols + (col - 1))
+            unit = UnitState(int(configuration[(row - 1) * n_cols + (col - 1)]), current)
             el = element_position(scenario.layout, row, col)
             zen_t, zen_r = departure_zenith(p_t, el), departure_zenith(p_r, el)
             sigma = unit_rcs(unit, scenario.amplifier, zen_t, zen_r, scenario.layout.element_area)
@@ -466,8 +453,9 @@ def test_link_routes_match_the_per_unit_oracles(n_rows, n_cols):
         s = make_random_scenario(rng)
         s = replace(s, layout=rl.ArrayLayout(n_rows, n_cols, s.layout.pitch_x, s.layout.pitch_y),
                     jitter=rl.PhaseJitterModel(math.radians(8.0), jitter_seed))
-        states = random_states(rng, s)
-        expected = _per_unit_power(s, states)
-        assert rl.received_power(s, states) == pytest.approx(expected, rel=1e-12)
-        assert rl.received_power_expanded(s, states) == pytest.approx(expected, rel=1e-12)
-        assert rl.power_oracle(s, states)(states.phase_index) == pytest.approx(expected, rel=1e-12)
+        config, current = random_surface(rng, s)
+        expected = _per_unit_power(s, config, current)
+        assert rl.received_power(s, config, current=current) == pytest.approx(expected, rel=1e-12)
+        assert rl.received_power_expanded(s, config, current=current) == pytest.approx(
+            expected, rel=1e-12)
+        assert rl.power_oracle(s, current)(config) == pytest.approx(expected, rel=1e-12)

@@ -1,4 +1,4 @@
-"""Smoke runs of the scripts under scripts/: each must exit 0 on the current API."""
+"""Smoke runs of scripts/ and of README's quick start: each must run on the current API."""
 
 import argparse
 import importlib.util
@@ -7,6 +7,8 @@ import re
 import shutil
 import subprocess
 import sys
+
+import pytest
 
 from rislink.experiments import run_config
 
@@ -81,7 +83,7 @@ def test_beamform_stages_prints_every_stage_per_method():
     lines = proc.stdout.splitlines()
     assert lines[0] == "median CPU ms over 2 calls"
     assert lines[1].split() == ["config", "method", "parse", "scenario", "oracle", "search",
-                                "states", "sum", "json", "other", "total"]
+                                "digest", "sum", "json", "other", "total"]
     for line, method in zip(lines[2:], ("blind", "greedy")):
         name, got, *ms = line.split()
         assert (name, got) == ("angle.cfg", method)
@@ -117,3 +119,16 @@ def test_beamform_stages_reproduces_the_benchmark_calls(tmp_path):
     assert stages.cli._scenario_from_args(args)[0].noise_variance == 1e-6
 
 
+
+
+def test_the_readme_quick_start_runs(capsys):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    block = re.search(r"## Quick start\n+```python\n(.*?)```\n", readme, re.S).group(1)
+    exec(compile(block, "README.md quick start", "exec"), {})
+    *powers, search = capsys.readouterr().out.splitlines()
+    unoptimized, optimum, bound, low_current = map(float, powers)
+    assert unoptimized < optimum <= bound
+    assert optimum - low_current == pytest.approx(11.9, abs=1e-9)  # the paper's swing
+    queries, best = search.split()
+    assert int(queries) > 0 and float(best) <= bound
