@@ -12,8 +12,6 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-import numpy as np  # noqa: E402
-
 from rislink.experiments import apply_beamforming, chamber_scenario  # noqa: E402
 from rislink.link import (  # noqa: E402
     max_received_power,

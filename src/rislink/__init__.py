@@ -23,7 +23,6 @@ from .channel import (
     SPEED_OF_LIGHT,
     AntennaModel,
     effective_area,
-    wavelength,
 )
 from .config import ConfigError, load_run_plan
 from .experiments import (
@@ -47,17 +46,13 @@ from .geometry import (
     spherical_to_cartesian,
 )
 from .link import (
-    InfinitePathLossError,
     Scenario,
     element_weights,
     from_db,
     max_received_power,
-    path_loss,
     path_loss_db,
-    propagation_phases,
     received_power,
     received_power_expanded,
-    to_db,
     watts_to_dbm,
 )
 from .ris import (
@@ -66,7 +61,6 @@ from .ris import (
     PhaseCodebook,
     PhaseJitterModel,
     SupplyBudgetError,
-    decode_control,
     encode_control,
 )
 

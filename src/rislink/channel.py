@@ -1,4 +1,4 @@
-"""Free-space wavelength and the cos^q antenna/aperture model of the link's legs."""
+"""The speed of light and the cos^q antenna/aperture model of the link's legs."""
 
 from __future__ import annotations
 
@@ -9,13 +9,6 @@ import numpy as np
 
 
 SPEED_OF_LIGHT = 299792458.0
-
-
-def wavelength(frequency: float) -> float:
-    """Free-space wavelength in meters for a carrier frequency in Hz."""
-    if frequency <= 0:
-        raise ValueError("frequency must be positive")
-    return SPEED_OF_LIGHT / frequency
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,11 @@ from .link import (
     _channel_sum,
     _channel_sums,
     _link_budget_db,
+    _own_rx_point,
     _phase_indices,
     _programmed_phases,
     _weight_chunks,
     from_db,
-    propagation_phases,
 )
 from .ris import DEFAULT_CALIBRATION, AmplifierModel, PhaseCodebook, PhaseJitterModel
 
@@ -257,7 +257,8 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
     trace = weights = None
     errors = 0.0
     if method in _CLOSED_FORM_METHODS:
-        config = _closed_form(scenario, method, propagation_phases(scenario))
+        _, _, phi = next(_weight_chunks(scenario, _own_rx_point(scenario)))
+        config = _closed_form(scenario, method, phi[0])
         if method == "continuous":
             return BeamformingOutcome(method, config, None, _config_digest(scenario, config))
         config = config.reshape(scenario.layout.n_rows, scenario.layout.n_cols)
@@ -380,7 +381,8 @@ class PatternResult(SweepResult):
 def half_power_beamwidth(angles_deg, rel_db) -> float:
     """Width between the -3 dB crossings around the global peak, linearly interpolated.
 
-    Raises ValueError when either crossing falls outside the sampled grid.
+    NaN when either crossing falls outside the sampled grid, as `peak_to_sidelobe`
+    is without a sidelobe.
     """
     a = np.asarray(angles_deg, dtype=float)
     r = np.asarray(rel_db, dtype=float)
@@ -396,7 +398,7 @@ def half_power_beamwidth(angles_deg, rel_db) -> float:
                 t = (level - r[i]) / (r[j] - r[i])
                 return float(a[i] + t * (a[j] - a[i]))
             i = j
-        raise ValueError("half-power point falls outside the observation grid")
+        return math.nan
 
     return cross(i0, +1) - cross(i0, -1)
 
@@ -426,8 +428,7 @@ def _radiation_pattern(scenario: Scenario, job: SweepJob, seed,
     """Steer toward `job.steering_deg`, freeze the configuration, and cut the
     transmission-side pattern by moving the RX probe along the job's grid.
 
-    The whole cut is one batched link evaluation.  `hpbw_deg` is NaN when a
-    -3 dB point falls outside the grid, as `pslr_db` without a sidelobe.
+    The whole cut is one batched link evaluation.
     """
     r = scenario.rx_pose.r
     steer = replace(scenario, rx_pose=transmission_side_pose(r, job.steering_deg, rx_azimuth_deg))
@@ -439,16 +440,12 @@ def _radiation_pattern(scenario: Scenario, job: SweepJob, seed,
     cut = SweepResult.from_sums(scenario, "pattern_angle", angles, sums, [bf.digest] * len(sums))
     powers = cut.received_power_dbm
     rel = powers - np.max(powers)
-    try:
-        hpbw = half_power_beamwidth(angles, rel)
-    except ValueError:
-        hpbw = math.nan
     return PatternResult(
         **vars(cut),
         steering_deg=float(job.steering_deg),
         relative_db=rel,
         peak_angle_deg=float(angles[int(np.argmax(powers))]),
-        hpbw_deg=hpbw,
+        hpbw_deg=half_power_beamwidth(angles, rel),
         pslr_db=peak_to_sidelobe(angles, rel),
     )
 

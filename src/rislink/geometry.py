@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,9 @@ class ArrayLayout:
     pitch_y: float = 0.06
 
     def __post_init__(self):
+        for name in ("n_rows", "n_cols"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError(f"layout needs at least one row and one column, "
                              f"got {self.n_rows!r} x {self.n_cols!r}")

@@ -26,10 +26,6 @@ from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel
 SIXTEEN_PI_SQ = 16.0 * math.pi ** 2
 
 
-class InfinitePathLossError(ValueError):
-    """The programmed configuration nulls the received field exactly."""
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One physical link: geometry, antennas, surface hardware, and power levels.
@@ -69,14 +65,6 @@ class Scenario:
         return SPEED_OF_LIGHT / self.frequency
 
 
-def _element_paths(scenario: Scenario):
-    """(r_t, zen_t, r_r, zen_r) per element, row-major."""
-    els = element_grid(scenario.layout)
-    r_t, zen_t = ranges_and_zeniths(spherical_to_cartesian(scenario.tx_pose), els)
-    r_r, zen_r = ranges_and_zeniths(spherical_to_cartesian(scenario.rx_pose), els)
-    return r_t, zen_t, r_r, zen_r
-
-
 def _phase_indices(scenario: Scenario, configuration) -> np.ndarray:
     """Flat codebook indices of a phase-index grid (flat or (n_rows, n_cols), row-major),
     checked against the layout and codebook; None is every unit at index 0."""
@@ -101,12 +89,6 @@ def _unit_gains(scenario: Scenario, current) -> np.ndarray:
     if current is None:
         current = scenario.amplifier.top_current
     return scenario.amplifier.gain_linear(np.full(scenario.layout.n_units, current))
-
-
-def propagation_phases(scenario: Scenario) -> np.ndarray:
-    """Unwrapped two-hop phases for every element, shape (n_units,), row-major."""
-    r_t, _, r_r, _ = _element_paths(scenario)
-    return 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
 
 
 def phase_error_realization(scenario: Scenario):
@@ -204,7 +186,8 @@ def _link_budget_db(scenario: Scenario, sums) -> tuple[np.ndarray, np.ndarray]:
     """dBm and path-loss dB arrays of the channel sums `sums`, from |S|^2 = np.abs(S) ** 2.
 
     dBm takes math.log10 per value as watts_to_dbm does (numpy's log10 is an ulp off
-    on ~2% of inputs), dB np.log10 as to_db does; an exact null reads -inf dBm and inf dB.
+    on ~2% of inputs), dB np.log10 of 16 pi^2 / |S|^2; an exact null reads -inf dBm
+    and inf dB.
     """
     ssq = np.abs(np.asarray(sums)) ** 2
     p_mw = scenario.tx_power / SIXTEEN_PI_SQ * ssq * 1e3
@@ -234,7 +217,9 @@ def received_power_expanded(scenario: Scenario, configuration=None, phases=None,
     be checked against each other.
     """
     idx = _phase_indices(scenario, configuration)
-    r_t, zen_t, r_r, zen_r = _element_paths(scenario)
+    els = element_grid(scenario.layout)
+    r_t, zen_t = ranges_and_zeniths(spherical_to_cartesian(scenario.tx_pose), els)
+    r_r, zen_r = ranges_and_zeniths(spherical_to_cartesian(scenario.rx_pose), els)
     area = scenario.layout.element_area
     amp = np.sqrt(
         scenario.tx_antenna.gain(zen_t)
@@ -250,31 +235,18 @@ def received_power_expanded(scenario: Scenario, configuration=None, phases=None,
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
 
 
-def path_loss(scenario: Scenario, configuration=None, phases=None, current=None) -> float:
-    """Transmit-to-receive power ratio (linear, >= 1 is a loss).
-
-    Raises InfinitePathLossError when the configuration nulls the field
-    exactly.
-    """
-    ssq = float(np.abs(_channel_sum(scenario, configuration, phases, current))) ** 2
-    if ssq == 0.0:
-        raise InfinitePathLossError("configuration nulls the received field")
-    return SIXTEEN_PI_SQ / ssq
-
-
 def path_loss_db(scenario: Scenario, configuration=None, phases=None, current=None) -> float:
-    return to_db(path_loss(scenario, configuration, phases, current))
+    """Path loss P_t/P_r in dB, as a sweep row reads it: inf when the configuration
+    nulls the received field exactly."""
+    total = _channel_sum(scenario, configuration, phases, current)
+    return float(_link_budget_db(scenario, [total])[1][0])
 
 
 def max_received_power(scenario: Scenario, current=None) -> float:
-    """Received power under perfectly aligned (continuous) phases: coherent |w| sum."""
-    w = element_weights(scenario, current)
-    return scenario.tx_power / SIXTEEN_PI_SQ * float(np.sum(np.abs(w))) ** 2
-
-
-def to_db(x) -> float:
-    """Linear power ratio to dB."""
-    return float(10.0 * np.log10(x))
+    """Received power under perfectly aligned (continuous) phases: the coherent
+    amplitude sum, sum_n |w_n|, as the continuous sweep rows take it."""
+    _, amp, _ = next(_weight_chunks(scenario, _own_rx_point(scenario), current))
+    return scenario.tx_power / SIXTEEN_PI_SQ * float(np.sum(amp[0])) ** 2
 
 
 def from_db(db):
@@ -287,6 +259,7 @@ def from_db(db):
 
 
 def watts_to_dbm(p: float) -> float:
-    if p <= 0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(p * 1e3)
+    """Watts to dBm; 0 W (an exact null) reads -inf dBm, as in a sweep row."""
+    if not p >= 0:  # NaN fails p >= 0 too
+        raise ValueError(f"power must be >= 0 to express in dBm, got {p!r}")
+    return 10.0 * math.log10(p * 1e3) if p else -math.inf

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,6 +22,8 @@ class PhaseCodebook:
     offset: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.bits, numbers.Integral):
+            raise ValueError(f"codebook bits must be an integer, got {self.bits!r}")
         if self.bits < 1:
             raise ValueError(f"codebook needs at least 1 bit, got {self.bits!r}")
         if self.bits > 8:  # 256 entries: a 64x64 oracle table holds 4096 x 256 terms (16 MiB)
@@ -87,11 +90,11 @@ class AmplifierModel:
     def gain_db(self, current):
         """Interpolated gain in dB at `current` (scalar or ndarray).
 
-        Raises ValueError for negative currents and SupplyBudgetError above
+        Raises ValueError for negative or NaN currents and SupplyBudgetError above
         max_current.
         """
         c = np.asarray(current, dtype=float)
-        if np.any(c < 0):
+        if not np.all(c >= 0):  # NaN fails c >= 0 too
             raise ValueError("control current must be >= 0")
         if np.any(c > self.max_current):
             raise SupplyBudgetError(
@@ -123,6 +126,8 @@ class PhaseJitterModel:
     def __post_init__(self):
         if not 0 <= self.max_error < math.inf:
             raise ValueError(f"max_error must be finite and >= 0, got {self.max_error!r}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"jitter seed must be an integer, got {self.seed!r}")
         if not self.seed >= 0:
             raise ValueError(f"jitter seed must be >= 0, got {self.seed!r}")
 
@@ -143,12 +148,6 @@ class ControlWord(NamedTuple):
     def __str__(self) -> str:
         return f"{self.vcc1}{self.vcc2}{self.vcc3}"
 
-    @classmethod
-    def from_string(cls, word: str) -> "ControlWord":
-        if len(word) != 3 or any(ch not in "01" for ch in word):
-            raise ValueError(f"control word must be three bits, got {word!r}")
-        return cls(int(word[0]), int(word[1]), int(word[2]))
-
 
 # phase index -> switch word; vcc1 stays low in every valid state
 _ENCODE_TABLE = {
@@ -157,7 +156,6 @@ _ENCODE_TABLE = {
     2: ControlWord(0, 0, 0),
     3: ControlWord(0, 1, 0),
 }
-_DECODE_TABLE = {word: idx for idx, word in _ENCODE_TABLE.items()}
 
 
 def encode_control(phase_index: int) -> ControlWord:
@@ -166,15 +164,3 @@ def encode_control(phase_index: int) -> ControlWord:
         return _ENCODE_TABLE[phase_index]
     except KeyError:
         raise ValueError(f"phase_index must be 0..3, got {phase_index!r}") from None
-
-
-def decode_control(word: ControlWord | str) -> int:
-    """Phase index for a switch word; rejects the four words with no phase state."""
-    if isinstance(word, str):
-        word = ControlWord.from_string(word)
-    elif not isinstance(word, ControlWord):
-        word = ControlWord(*word)
-    try:
-        return _DECODE_TABLE[word]
-    except KeyError:
-        raise ValueError(f"control word {word} selects no phase state") from None

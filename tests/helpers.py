@@ -112,6 +112,19 @@ def unit_transmission_coefficient(state, codebook, amplifier, jitter=None, rng=N
     return complex(mag * math.cos(phase), mag * math.sin(phase))
 
 
+def decode_control(word) -> int:
+    """Phase index of a switch word, "011" or a ControlWord: the inverse of
+    `encode_control`, rejecting the four words that select no phase state."""
+    if isinstance(word, str):
+        if len(word) != 3 or any(ch not in "01" for ch in word):
+            raise ValueError(f"control word must be three bits, got {word!r}")
+        word = rl.ControlWord(*map(int, word))
+    table = {rl.encode_control(k): k for k in range(4)}
+    if word not in table:
+        raise ValueError(f"control word {word} selects no phase state")
+    return table[word]
+
+
 def unit_rcs(state, amplifier, incidence_zenith, departure_zenith, geometric_area):
     """Equivalent scattering area of one unit (m^2, phase excluded).
 
@@ -364,9 +377,7 @@ def received_signal(scenario, configuration=None, symbol=1.0, noise=None, rng=No
 def min_path_loss(scenario, current=None):
     """Path loss under perfectly aligned phases; max_received_power * min_path_loss == tx_power."""
     total = float(np.sum(np.abs(rl.element_weights(scenario, current)))) ** 2
-    if total == 0.0:
-        raise rl.InfinitePathLossError("every element weight is zero")
-    return SIXTEEN_PI_SQ / total
+    return SIXTEEN_PI_SQ / total if total else math.inf  # every element weight is zero
 
 
 # ------------------------------------------------- array-kernel oracles

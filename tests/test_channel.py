@@ -13,19 +13,22 @@ from rislink.channel import (
     SPEED_OF_LIGHT,
     AntennaModel,
     effective_area,
-    wavelength,
 )
+from rislink.experiments import chamber_scenario
 from rislink.geometry import ArrayLayout, SphericalPose, element_grid
+
+# Scenario.wavelength is the one wavelength: c / f at the chamber's 2.6 GHz carrier
+WL = chamber_scenario(frequency_hz=2.6e9).wavelength
 
 
 def test_wavelength_value():
-    assert wavelength(2.6e9) == 0.11530479153846154
+    assert WL == 0.11530479153846154
     assert SPEED_OF_LIGHT == 299792458.0
 
 
 def test_wavelength_validation():
-    with pytest.raises(ValueError):
-        wavelength(0.0)
+    with pytest.raises(ValueError, match="frequency must be positive"):
+        chamber_scenario(frequency_hz=0.0)
 
 
 def test_antenna_boresight_and_backplane():
@@ -83,16 +86,15 @@ def test_effective_area_validation():
 def test_channel_coefficient_boresight_example():
     # 1x1 cell at the origin, feed 0.6 m above it, unit-gain hemispherical antenna
     f = channel_coefficient([0.0, 0.0, 0.6], AntennaModel(), 0.0036,
-                            [0.0, 0.0, 0.0], wavelength(2.6e9))
+                            [0.0, 0.0, 0.0], WL)
     assert abs(f) == pytest.approx(0.028209479177387815, rel=1e-14)
     assert cmath.phase(f) % (2 * math.pi) == pytest.approx(5.003929500631287, rel=1e-12)
 
 
 def test_channel_coefficient_inverse_range():
     ant = AntennaModel(10.0, 1.0)
-    wl = wavelength(2.6e9)
-    f1 = channel_coefficient([0.0, 0.3, 0.4], ant, 0.0036, [0.0, 0.0, 0.0], wl)
-    f2 = channel_coefficient([0.0, 0.6, 0.8], ant, 0.0036, [0.0, 0.0, 0.0], wl)
+    f1 = channel_coefficient([0.0, 0.3, 0.4], ant, 0.0036, [0.0, 0.0, 0.0], WL)
+    f2 = channel_coefficient([0.0, 0.6, 0.8], ant, 0.0036, [0.0, 0.0, 0.0], WL)
     assert abs(f2) == pytest.approx(abs(f1) / 2.0, rel=1e-12)
 
 
@@ -112,10 +114,9 @@ def test_channel_coefficient_grazing_is_null():
 def test_pose_channel_coefficient_matches_cartesian():
     lay = ArrayLayout(4, 8)
     pose = SphericalPose(0.6, 0.2, 1.0)
-    wl = wavelength(2.6e9)
-    got = pose_channel_coefficient(pose, AntennaModel(), lay, 2, 5, wl)
+    got = pose_channel_coefficient(pose, AntennaModel(), lay, 2, 5, WL)
     point = [0.6 * math.sin(0.2) * math.cos(1.0), 0.6 * math.sin(0.2) * math.sin(1.0),
              0.6 * math.cos(0.2)]
     want = channel_coefficient(point, AntennaModel(), lay.element_area,
-                               element_grid(lay)[1 * 8 + 4], wl)
+                               element_grid(lay)[1 * 8 + 4], WL)
     assert got == pytest.approx(want, rel=1e-12)

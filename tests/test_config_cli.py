@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -410,6 +411,42 @@ def test_cli_beamform_prints_what_json_indent_would(tmp_path, capsys, argv):
     assert main(["beamform"] + argv) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+_PATTERNS_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "patterns.cfg")
+# jitter, feedback noise, a tilted feed and an RX in a non-zero azimuth plane
+_GOLDEN_16_CFG = os.path.join(os.path.dirname(__file__), "data", "golden_16x16.cfg")
+
+
+@pytest.mark.parametrize("method", rl.experiments.BEAMFORMING_METHODS)
+@pytest.mark.parametrize("cfg", [None, _GOLDEN_16_CFG], ids=["chamber", "golden_16x16"])
+def test_beamform_prints_the_library_path_loss(capsys, cfg, method):
+    argv = ["beamform", "--method", method, "--seed", "5"]
+    assert main(argv + (["--config", cfg] if cfg else [])) == 0
+    printed = json.loads(capsys.readouterr().out)["path_loss_db"]
+    scenario = load_run_plan(cfg).scenario if cfg else rl.chamber_scenario()
+    bf = rl.apply_beamforming(scenario, method, 5)
+    assert printed == rl.path_loss_db(scenario, bf.configuration, bf.phases)
+
+
+@pytest.mark.parametrize("cfg", [_PATTERNS_CFG, _GOLDEN_16_CFG], ids=os.path.basename)
+def test_every_cut_row_reads_the_library_path_loss_at_its_pose(tmp_path, cfg):
+    rl.run_config(cfg, tmp_path, seed=3)
+    plan = load_run_plan(cfg)
+    s, azimuth = plan.scenario, plan.rx_azimuth_deg
+    cuts = [job for job in plan.jobs if job.kind == "pattern"]
+    assert cuts
+    for job in cuts:
+        steer = replace(s, rx_pose=rl.transmission_side_pose(s.rx_pose.r, job.steering_deg,
+                                                             azimuth))
+        bf = rl.apply_beamforming(steer, job.method, 3)
+        with open(tmp_path / f"{job.name}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(job.grid())
+        for row in rows:
+            pose = rl.transmission_side_pose(s.rx_pose.r, float(row["value"]), azimuth)
+            want = rl.path_loss_db(replace(s, rx_pose=pose), bf.configuration, bf.phases)
+            assert float(row["path_loss_dB"]) == want, (job.name, row["value"])
 
 
 @settings(max_examples=100, deadline=None)
