@@ -46,7 +46,7 @@ STAGES = (
     ("oracle", [(experiments, "power_oracle")]),
     ("search", [(experiments, "blind_rowcol_search"), (experiments, "greedy_element_search")]),
     ("digest", [(experiments, "_config_digest")]),
-    ("sum", [(experiments.BeamformingOutcome, "channel_sum"), (cli, "_link_budget_db")]),
+    ("sum", [(experiments, "_weighted_sum"), (cli, "_link_budget_db")]),
     ("json", [(cli, "_dumps_indented")]),
 )
 

@@ -19,11 +19,7 @@ from .beamforming import (
     power_oracle,
     uniform_configuration,
 )
-from .channel import (
-    SPEED_OF_LIGHT,
-    AntennaModel,
-    effective_area,
-)
+from .channel import SPEED_OF_LIGHT, AntennaModel
 from .config import ConfigError, load_run_plan
 from .experiments import (
     PatternResult,
@@ -52,7 +48,6 @@ from .link import (
     max_received_power,
     path_loss_db,
     received_power,
-    received_power_expanded,
     watts_to_dbm,
 )
 from .ris import (

@@ -98,7 +98,7 @@ def _cmd_beamform(args) -> int:
             raise ValueError(
                 f"--trace needs a feedback search (blind or greedy), not {bf.method!r}")
         bf.trace.write_csv(args.trace)
-    p_dbm, pl_db = _link_budget_db(scenario, [bf.channel_sum(scenario)])
+    p_dbm, pl_db = _link_budget_db(scenario, [bf.channel_sum])
     out = {
         "method": bf.method,
         "received_power_dbm": float(p_dbm[0]),

@@ -32,7 +32,6 @@ from .link import (
     _channel_sums,
     _link_budget_db,
     _own_rx_point,
-    _phase_indices,
     _programmed_phases,
     _weight_chunks,
     from_db,
@@ -207,25 +206,16 @@ def _digest(tag: bytes, arr: np.ndarray) -> str:
 class BeamformingOutcome:
     """What a configuration pass produced: the continuous phases (`continuous`)
     or the index grid (discrete methods) to program at top current, a digest
-    of whichever applies, the feedback queries spent (with their trace), and
-    a search oracle's weights and jitter realization."""
+    of whichever applies, the channel sum they give at the scenario's own
+    pose, and the feedback queries spent (with their trace)."""
 
     method: str
     phases: np.ndarray | None
     configuration: np.ndarray | None
     digest: str
+    channel_sum: complex
     queries: int = 0
     trace: SearchTrace | None = None
-    weights: np.ndarray | None = None
-    phase_errors: np.ndarray | float = 0.0
-
-    def channel_sum(self, scenario: Scenario) -> complex:
-        """`_channel_sum` of the outcome; from a search's weights and jitter, bit for bit,
-        if it has them."""
-        if self.weights is None:
-            return _channel_sum(scenario, self.configuration, self.phases)
-        programmed = scenario.codebook.phases()[self.configuration.reshape(-1)] + self.phase_errors
-        return np.sum(self.weights * np.exp(1j * programmed))
 
 
 def _closed_form(scenario: Scenario, method: str, phi: np.ndarray) -> np.ndarray:
@@ -249,31 +239,46 @@ def _config_digest(scenario: Scenario, config: np.ndarray) -> str:
     return _digest(b"idx", config.reshape(layout.n_rows, layout.n_cols).astype(np.int64))
 
 
+def _weighted_sum(weights: np.ndarray, programmed: np.ndarray) -> complex:
+    """sum_n w_n exp(j phi_n) of element weights w_n at programmed phases phi_n, as
+    `_channel_sums` sums each point."""
+    return np.sum(weights * np.exp(1j * programmed))
+
+
 def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
                       passes: int = 4, max_rounds: int = 8) -> BeamformingOutcome:
-    """Run one beamforming method against `scenario` and package the result."""
+    """Run one beamforming method against `scenario` and package the result.
+
+    Every method builds the element weights once, a closed form from the kernel's
+    chunk and a search in its `power_oracle`, and the outcome's channel sum comes
+    from those weights: bit for bit `_channel_sum` of its phases or configuration.
+    """
     if method not in BEAMFORMING_METHODS:
         raise ValueError(f"unknown beamforming method {method!r}")
-    trace = weights = None
-    errors = 0.0
+    if passes < 1:
+        raise ValueError("passes must be >= 1")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    trace = None
     if method in _CLOSED_FORM_METHODS:
-        _, _, phi = next(_weight_chunks(scenario, _own_rx_point(scenario)))
-        config = _closed_form(scenario, method, phi[0])
-        if method == "continuous":
-            return BeamformingOutcome(method, config, None, _config_digest(scenario, config))
-        config = config.reshape(scenario.layout.n_rows, scenario.layout.n_cols)
+        _, amp, phi = next(_weight_chunks(scenario, _own_rx_point(scenario)))
+        weights, config = amp[0] * np.exp(-1j * phi[0]), _closed_form(scenario, method, phi[0])
+        programmed = config if method == "continuous" else _programmed_phases(scenario, config, None)
     else:
         oracle = power_oracle(scenario)
         feedback = FeedbackChannel(oracle, scenario.noise_variance, seed)
-        weights, errors = oracle.weights, oracle.phase_errors
         if method == "blind":
             config, trace = blind_rowcol_search(scenario, feedback=feedback, passes=passes)
         else:
             config, trace = greedy_element_search(scenario, feedback=feedback, max_rounds=max_rounds)
-    return BeamformingOutcome(
-        method, None, config, _config_digest(scenario, config),
-        0 if trace is None else trace.n_queries, trace, weights, errors,
-    )
+        weights = oracle.weights
+        programmed = scenario.codebook.phases()[config.reshape(-1)] + oracle.phase_errors
+    total, digest = _weighted_sum(weights, programmed), _config_digest(scenario, config)
+    if method == "continuous":
+        return BeamformingOutcome(method, config, None, digest, total)
+    config = config.reshape(scenario.layout.n_rows, scenario.layout.n_cols)
+    return BeamformingOutcome(method, None, config, digest, total,
+                              0 if trace is None else trace.n_queries, trace)
 
 
 @dataclass
@@ -334,7 +339,7 @@ def _pose_sweep(scenario: Scenario, job: SweepJob, values, r, theta, azimuth, se
         for pose, s in zip(poses, np.random.SeedSequence(seed).spawn(len(values))):
             scn = replace(scenario, rx_pose=SphericalPose(*pose))
             bf = apply_beamforming(scn, method, s)
-            sums.append(bf.channel_sum(scn))
+            sums.append(bf.channel_sum)
             digests.append(bf.digest)
     else:
         points = cartesian_points(r, theta, azimuth)
@@ -344,8 +349,6 @@ def _pose_sweep(scenario: Scenario, job: SweepJob, values, r, theta, azimuth, se
                 # the programmed phases cancel the path phases: S = sum_n |w_n|
                 sums.extend(amp.sum(axis=-1))
             else:
-                for point_config in config:
-                    _phase_indices(scenario, point_config)
                 programmed = _programmed_phases(scenario, config, None)
                 sums.extend(np.sum(amp * np.exp(1j * (programmed - phi)), axis=-1))
             digests.extend(_config_digest(scenario, point_config) for point_config in config)
@@ -358,7 +361,6 @@ class PatternResult(SweepResult):
     frozen steering, plus the cut's metrics."""
 
     steering_deg: float
-    relative_db: np.ndarray
     peak_angle_deg: float
     hpbw_deg: float
     pslr_db: float
@@ -443,7 +445,6 @@ def _radiation_pattern(scenario: Scenario, job: SweepJob, seed,
     return PatternResult(
         **vars(cut),
         steering_deg=float(job.steering_deg),
-        relative_db=rel,
         peak_angle_deg=float(angles[int(np.argmax(powers))]),
         hpbw_deg=half_power_beamwidth(angles, rel),
         pslr_db=peak_to_sidelobe(angles, rel),

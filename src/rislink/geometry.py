@@ -114,9 +114,3 @@ def ranges_and_cosines(point, elements) -> tuple[np.ndarray, np.ndarray]:
     if np.any(r == 0.0):
         raise ValueError("point coincides with an element")
     return r, np.minimum(np.abs(dz) / r, 1.0)
-
-
-def ranges_and_zeniths(point, elements) -> tuple[np.ndarray, np.ndarray]:
-    """`ranges_and_cosines` with the cosines as departure zeniths in [0, pi/2]."""
-    r, c = ranges_and_cosines(point, elements)
-    return r, np.arccos(c)

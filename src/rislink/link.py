@@ -1,8 +1,9 @@
 """End-to-end link evaluation: received signal/power and the scattering-area path loss.
 
-Two independent routes to the received power are kept side by side: the
-scattering-area form (per-unit RCS sigma_n) and the fully expanded product
-form.  They must agree to float precision; tests rely on both existing.
+Every link figure comes from one kernel, the scattering-area sum over the
+per-unit RCS sigma_n taken from departure cosines.  Its independent twin, the
+fully expanded product form over departure zeniths, lives with the tests
+(`tests/helpers.py`); the two must agree to float precision.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AntennaModel, SPEED_OF_LIGHT, area_from_cosine, effective_area
+from .channel import AntennaModel, SPEED_OF_LIGHT, area_from_cosine
 from .geometry import (
     ArrayLayout,
     SphericalPose,
     element_grid,
     ranges_and_cosines,
-    ranges_and_zeniths,
     spherical_to_cartesian,
 )
 from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel
@@ -206,32 +206,6 @@ def received_power(scenario: Scenario, configuration=None, phases=None,
     layout) overrides the codebook phases exactly — no quantization, no jitter.
     """
     total = _channel_sum(scenario, configuration, phases, current)
-    return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
-
-
-def received_power_expanded(scenario: Scenario, configuration=None, phases=None,
-                            current=None) -> float:
-    """Received power via the fully expanded product form (no RCS intermediate).
-
-    Kept deliberately separate from received_power so the two derivations can
-    be checked against each other.
-    """
-    idx = _phase_indices(scenario, configuration)
-    els = element_grid(scenario.layout)
-    r_t, zen_t = ranges_and_zeniths(spherical_to_cartesian(scenario.tx_pose), els)
-    r_r, zen_r = ranges_and_zeniths(spherical_to_cartesian(scenario.rx_pose), els)
-    area = scenario.layout.element_area
-    amp = np.sqrt(
-        scenario.tx_antenna.gain(zen_t)
-        * scenario.rx_antenna.gain(zen_r)
-        * _unit_gains(scenario, current)
-        * effective_area(area, zen_t)
-        * effective_area(area, zen_r)
-    ) / (r_t * r_r)
-    ph = _programmed_phases(scenario, idx, phases)
-    phi_prop = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
-    # one exponential per phase: their difference, ~1e3 rad, would carry ~1e-13 rad of rounding
-    total = np.sum(amp * np.exp(1j * ph) * np.exp(-1j * phi_prop))
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
 
 

@@ -131,11 +131,9 @@ class PhaseJitterModel:
         if not self.seed >= 0:
             raise ValueError(f"jitter seed must be >= 0, got {self.seed!r}")
 
-    def sample(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """One error per unit, shape (n,).  Deterministic from `seed` unless an rng is passed."""
-        if rng is None:
-            rng = np.random.default_rng(self.seed)
-        return rng.uniform(-self.max_error, self.max_error, n)
+    def sample(self, n: int) -> np.ndarray:
+        """One error per unit, shape (n,), deterministic from `seed`."""
+        return np.random.default_rng(self.seed).uniform(-self.max_error, self.max_error, n)
 
 
 class ControlWord(NamedTuple):

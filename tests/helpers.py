@@ -1,5 +1,5 @@
-"""Shared random scenario builders, per-unit and scalar oracles, and reference
-searches and sweeps for the test suite."""
+"""Shared random scenario builders, per-unit and scalar oracles, the expanded
+received-power route, and reference searches and sweeps for the test suite."""
 
 import math
 from dataclasses import dataclass, replace
@@ -8,9 +8,16 @@ import numpy as np
 
 import rislink as rl
 from rislink.beamforming import wrap_to_pi
+from rislink.channel import area_from_cosine
 from rislink.experiments import SweepResult
-from rislink.geometry import spherical_to_cartesian
-from rislink.link import SIXTEEN_PI_SQ, _channel_sum
+from rislink.geometry import element_grid, ranges_and_cosines, spherical_to_cartesian
+from rislink.link import (
+    SIXTEEN_PI_SQ,
+    _channel_sum,
+    _phase_indices,
+    _programmed_phases,
+    _unit_gains,
+)
 
 
 def make_random_scenario(rng, max_rows=4, max_cols=8, max_units=32, bits=2,
@@ -96,8 +103,9 @@ def unit_transmission_coefficient(state, codebook, amplifier, jitter=None, rng=N
     """Complex through-gain of one unit: sqrt(G_u) * exp(j phase).
 
     The phase is the codebook entry at state.phase_index plus an optional
-    jitter draw from `rng`, which must then be given: each unit needs its own
-    draw, and the jitter seed alone would give every unit the same one.
+    jitter error, drawn uniformly within +-jitter.max_error from `rng`, which
+    must then be given: each unit needs its own draw, and the jitter seed alone
+    would give every unit the same one.
     """
     if not 0 <= state.phase_index < codebook.size:
         raise ValueError(
@@ -108,7 +116,7 @@ def unit_transmission_coefficient(state, codebook, amplifier, jitter=None, rng=N
     mag = math.sqrt(amplifier.gain_linear(state.current))
     phase = float(codebook.phases()[state.phase_index])
     if jitter is not None:
-        phase += float(jitter.sample(1, rng)[0])
+        phase += float(rng.uniform(-jitter.max_error, jitter.max_error))
     return complex(mag * math.cos(phase), mag * math.sin(phase))
 
 
@@ -131,8 +139,8 @@ def unit_rcs(state, amplifier, incidence_zenith, departure_zenith, geometric_are
     Folds the amplifier gain and the projected apertures seen from the
     incidence and departure directions: sqrt(G_u * A(theta_in) * A(theta_out)).
     """
-    a_in = rl.effective_area(geometric_area, incidence_zenith)
-    a_out = rl.effective_area(geometric_area, departure_zenith)
+    a_in = zenith_area(geometric_area, incidence_zenith)
+    a_out = zenith_area(geometric_area, departure_zenith)
     return math.sqrt(amplifier.gain_linear(state.current) * a_in * a_out)
 
 
@@ -281,6 +289,50 @@ def reference_powers(prefactor, sums):
     return [prefactor * abs(complex(s)) ** 2 for s in sums]
 
 
+# ------------------------------------------------- zenith route
+
+def zenith_gain(antenna, zenith):
+    """Linear gain of `antenna` toward an element-relative `zenith` (radians), scalar or
+    ndarray: its cos^q pattern, zero behind the aperture plane (zenith > pi/2)."""
+    z = np.asarray(zenith, dtype=float)
+    g = antenna.gain_from_cosine(np.cos(np.minimum(z, math.pi / 2)))
+    out = np.where(z <= math.pi / 2, g, 0.0)
+    return out if out.ndim else float(out)
+
+
+def zenith_area(geometric_area, zenith):
+    """Projected aperture of a unit cell seen at `zenith` in [0, pi/2]: A cos(zenith)."""
+    a = area_from_cosine(geometric_area, np.cos(zenith))
+    return a if isinstance(a, np.ndarray) else float(a)
+
+
+def received_power_expanded(scenario, configuration=None, phases=None, current=None):
+    """Received power via the fully expanded product form, independent of the link kernel.
+
+    The kernel takes gains and apertures straight from departure cosines; this
+    route turns each cosine into a zenith (arccos), then takes the cos^q gains
+    and the apertures A cos of it, every factor under one square root.
+    """
+    idx = _phase_indices(scenario, configuration)
+    els = element_grid(scenario.layout)
+    r_t, c_t = ranges_and_cosines(spherical_to_cartesian(scenario.tx_pose), els)
+    r_r, c_r = ranges_and_cosines(spherical_to_cartesian(scenario.rx_pose), els)
+    zen_t, zen_r = np.arccos(c_t), np.arccos(c_r)
+    area = scenario.layout.element_area
+    amp = np.sqrt(
+        zenith_gain(scenario.tx_antenna, zen_t)
+        * zenith_gain(scenario.rx_antenna, zen_r)
+        * _unit_gains(scenario, current)
+        * zenith_area(area, zen_t)
+        * zenith_area(area, zen_r)
+    ) / (r_t * r_r)
+    ph = _programmed_phases(scenario, idx, phases)
+    phi_prop = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
+    # one exponential per phase: their difference, ~1e3 rad, would carry ~1e-13 rad of rounding
+    total = np.sum(amp * np.exp(1j * ph) * np.exp(-1j * phi_prop))
+    return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
+
+
 # ------------------------------------------------- scalar geometry and channel oracles
 
 def element_position(layout, row: int, col: int) -> np.ndarray:
@@ -330,7 +382,7 @@ def channel_coefficient(point, antenna, geometric_area, element, wl) -> complex:
     if r == 0.0:
         raise ValueError("antenna coincides with the element")
     zen = math.acos(min(abs(d[2]) / r, 1.0))
-    amp = math.sqrt(antenna.gain(zen) * rl.effective_area(geometric_area, zen) / (4.0 * math.pi)) / r
+    amp = math.sqrt(zenith_gain(antenna, zen) * zenith_area(geometric_area, zen) / (4.0 * math.pi)) / r
     ph = -2.0 * math.pi * r / wl
     return complex(amp * math.cos(ph), amp * math.sin(ph))
 

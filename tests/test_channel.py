@@ -9,11 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import channel_coefficient, pose_channel_coefficient
-from rislink.channel import (
-    SPEED_OF_LIGHT,
-    AntennaModel,
-    effective_area,
-)
+from rislink.channel import SPEED_OF_LIGHT, AntennaModel, area_from_cosine
 from rislink.experiments import chamber_scenario
 from rislink.geometry import ArrayLayout, SphericalPose, element_grid
 
@@ -31,28 +27,28 @@ def test_wavelength_validation():
         chamber_scenario(frequency_hz=0.0)
 
 
-def test_antenna_boresight_and_backplane():
+def test_antenna_boresight_and_grazing():
     ant = AntennaModel(31.622776601683793, 1.0)
-    assert ant.gain(0.0) == 31.622776601683793
-    assert ant.gain(math.pi / 2 + 0.01) == 0.0
-    assert ant.gain(math.pi) == 0.0
+    assert ant.gain_from_cosine(1.0) == 31.622776601683793
+    assert ant.gain_from_cosine(0.0) == 0.0
 
 
 def test_antenna_isotropic_over_hemisphere():
     ant = AntennaModel(2.0, 0.0)
     for z in (0.0, 0.3, 1.0, math.pi / 2):
-        assert ant.gain(z) == 2.0
+        assert ant.gain_from_cosine(math.cos(z)) == 2.0
+    assert ant.gain_from_cosine(0.0) == 2.0  # 0 ** 0 is 1: the plane itself
 
 
 def test_antenna_cos_profile():
     ant = AntennaModel(4.0, 2.0)
-    assert ant.gain(math.pi / 3) == pytest.approx(1.0, rel=1e-12)
+    assert ant.gain_from_cosine(math.cos(math.pi / 3)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_antenna_vectorized():
     ant = AntennaModel(1.0, 1.0)
-    z = np.array([0.0, math.pi / 3, math.pi])
-    assert np.allclose(ant.gain(z), [1.0, 0.5, 0.0], atol=1e-15)
+    c = np.array([1.0, 0.5, 0.0])
+    assert np.array_equal(ant.gain_from_cosine(c), [1.0, 0.5, 0.0])
 
 
 def test_antenna_validation():
@@ -60,8 +56,6 @@ def test_antenna_validation():
         AntennaModel(0.0)
     with pytest.raises(ValueError):
         AntennaModel(1.0, -1.0)
-    with pytest.raises(ValueError):
-        AntennaModel().gain(-0.1)
 
 
 @settings(max_examples=100)
@@ -69,18 +63,20 @@ def test_antenna_validation():
        st.floats(0.0, math.pi / 2 - 1e-6), st.floats(1e-6, math.pi / 2))
 def test_antenna_monotone_toward_grazing(g0, q, z, dz):
     ant = AntennaModel(g0, q)
-    assert ant.gain(min(z + dz, math.pi / 2)) <= ant.gain(z) + 1e-15
+    toward_grazing = math.cos(min(z + dz, math.pi / 2))
+    assert ant.gain_from_cosine(toward_grazing) <= ant.gain_from_cosine(math.cos(z)) + 1e-15
 
 
-def test_effective_area_values():
-    assert effective_area(0.0036, 0.0) == 0.0036
-    assert effective_area(0.0036, math.pi / 3) == pytest.approx(0.0018, rel=1e-12)
-    assert effective_area(0.0036, math.pi / 2) == pytest.approx(0.0, abs=1e-18)
+def test_projected_area_values():
+    assert area_from_cosine(0.0036, 1.0) == 0.0036
+    assert area_from_cosine(0.0036, math.cos(math.pi / 3)) == pytest.approx(0.0018, rel=1e-12)
+    assert area_from_cosine(0.0036, 0.0) == 0.0
+    assert np.array_equal(area_from_cosine(0.5, np.array([1.0, 0.5, 0.0])), [0.5, 0.25, 0.0])
 
 
-def test_effective_area_validation():
+def test_projected_area_validation():
     with pytest.raises(ValueError):
-        effective_area(0.0, 0.1)
+        area_from_cosine(0.0, 0.5)
 
 
 def test_channel_coefficient_boresight_example():

@@ -537,6 +537,26 @@ def test_cli_beamform_trace(tmp_path, capsys, method):
     assert 10 * math.log10(best / 1e-3) == pytest.approx(payload["received_power_dbm"], abs=1e-9)
 
 
+@pytest.mark.parametrize("method", rl.experiments.BEAMFORMING_METHODS)
+@pytest.mark.parametrize("flag, value, message", [
+    ("--passes", "-1", "passes must be >= 1"),
+    ("--passes", "0", "passes must be >= 1"),
+    ("--rounds", "0", "max_rounds must be >= 1"),
+    ("--rounds", "-2", "max_rounds must be >= 1"),
+])
+def test_cli_beamform_rejects_a_bad_search_budget_for_every_method(tmp_path, capsys, method,
+                                                                   flag, value, message):
+    path = tmp_path / "trace.csv"
+    argv = ["beamform", "--method", method, flag, value, "--trace", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not path.exists()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rl.apply_beamforming(rl.chamber_scenario(), method,
+                             **{"passes" if flag == "--passes" else "max_rounds": int(value)})
+
+
 def test_cli_beamform_trace_needs_a_feedback_search(tmp_path, capsys):
     path = tmp_path / "trace.csv"
     assert main(["beamform", "--method", "quantized", "--trace", str(path)]) == 2

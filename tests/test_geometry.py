@@ -19,7 +19,6 @@ from rislink.geometry import (
     cartesian_points,
     element_grid,
     ranges_and_cosines,
-    ranges_and_zeniths,
     spherical_to_cartesian,
 )
 
@@ -138,21 +137,21 @@ def test_departure_zenith_folded(p, el):
     assert departure_zenith(mirrored, el) == z
 
 
-def test_ranges_and_zeniths_matches_scalars():
+def test_ranges_and_cosines_match_scalars():
     lay = ArrayLayout(3, 4, 0.05, 0.07)
     p = [0.3, -0.2, 1.1]
-    r, zen = ranges_and_zeniths(p, element_grid(lay))
+    r, cos = ranges_and_cosines(p, element_grid(lay))
     for n in range(lay.n_units):
         row, col = divmod(n, lay.n_cols)
         el = element_position(lay, row + 1, col + 1)
         assert r[n] == distance(p, el)
-        assert zen[n] == departure_zenith(p, el)
+        assert np.arccos(cos[n]) == departure_zenith(p, el)
 
 
-def test_ranges_and_zeniths_coincident():
+def test_ranges_and_cosines_coincident():
     lay = ArrayLayout(1, 1)
     with pytest.raises(ValueError):
-        ranges_and_zeniths([0.0, 0.0, 0.0], element_grid(lay))
+        ranges_and_cosines([0.0, 0.0, 0.0], element_grid(lay))
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0])

@@ -17,10 +17,12 @@ from helpers import (
     min_path_loss,
     propagation_phase,
     random_surface,
+    received_power_expanded,
     received_signal,
     UnitState,
     unit_rcs,
     unit_transmission_coefficient,
+    zenith_gain,
 )
 from rislink.geometry import spherical_to_cartesian
 
@@ -69,7 +71,7 @@ def test_received_power_routes_agree():
         s = make_random_scenario(rng)
         config, current = random_surface(rng, s)
         a = rl.received_power(s, config, current=current)
-        b = rl.received_power_expanded(s, config, current=current)
+        b = received_power_expanded(s, config, current=current)
         assert b == pytest.approx(a, rel=1e-12)
 
 
@@ -230,7 +232,8 @@ def test_element_weights_match_manual_terms():
     zen_t, zen_r = departure_zenith(p_t, el), departure_zenith(p_r, el)
     top = UnitState(0, s.amplifier.top_current)
     sigma = unit_rcs(top, s.amplifier, zen_t, zen_r, s.layout.element_area)
-    amp = math.sqrt(s.tx_antenna.gain(zen_t) * s.rx_antenna.gain(zen_r)) / (r_t * r_r) * sigma
+    amp = math.sqrt(zenith_gain(s.tx_antenna, zen_t) * zenith_gain(s.rx_antenna, zen_r)) \
+        / (r_t * r_r) * sigma
     assert abs(w[n]) == pytest.approx(amp, rel=1e-12)
     # direction of the weight is the conjugated two-hop propagation phase
     direction = np.exp(-1j * propagation_phase(s, row, col))
@@ -446,7 +449,8 @@ def _per_unit_power(scenario, configuration, current):
             sigma = unit_rcs(unit, scenario.amplifier, zen_t, zen_r, scenario.layout.element_area)
             gamma = unit_transmission_coefficient(unit, scenario.codebook, scenario.amplifier,
                                                   jitter, rng)
-            amp = math.sqrt(scenario.tx_antenna.gain(zen_t) * scenario.rx_antenna.gain(zen_r)) \
+            amp = math.sqrt(zenith_gain(scenario.tx_antenna, zen_t)
+                            * zenith_gain(scenario.rx_antenna, zen_r)) \
                 / (distance(p_t, el) * distance(p_r, el)) * sigma
             total += amp * gamma / abs(gamma) * np.exp(-1j * propagation_phase(scenario, row, col))
     return scenario.tx_power / (16 * math.pi ** 2) * abs(total) ** 2
@@ -462,6 +466,6 @@ def test_link_routes_match_the_per_unit_oracles(n_rows, n_cols):
         config, current = random_surface(rng, s)
         expected = _per_unit_power(s, config, current)
         assert rl.received_power(s, config, current=current) == pytest.approx(expected, rel=1e-12)
-        assert rl.received_power_expanded(s, config, current=current) == pytest.approx(
+        assert received_power_expanded(s, config, current=current) == pytest.approx(
             expected, rel=1e-12)
         assert rl.power_oracle(s, current)(config) == pytest.approx(expected, rel=1e-12)
