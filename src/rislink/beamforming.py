@@ -32,7 +32,8 @@ _GALLOP_WINDOW = 64  # candidates in a block read's first window; each next wind
 class SearchTrace:
     """Measurement log of a feedback search; step 0 is the initial configuration.
 
-    One reading and one kept/rejected flag per query, in two flat lists.
+    One reading and one kept/rejected flag per query, in two flat lists.  A kept
+    reading reaches the running best, so the last kept one is max(powers).
     """
 
     powers: list[float] = field(default_factory=list)
@@ -41,14 +42,6 @@ class SearchTrace:
     def record(self, accepted: bool, power: float) -> None:
         self.accepted.append(accepted)
         self.powers.append(power)
-
-    def accepted_powers(self) -> list[float]:
-        """Powers of the kept configurations, in order; non-decreasing by construction."""
-        return [p for p, a in zip(self.powers, self.accepted) if a]
-
-    @property
-    def best_power(self) -> float:
-        return self.accepted_powers()[-1]
 
     @property
     def n_queries(self) -> int:
@@ -159,14 +152,14 @@ class PowerOracle:
         return self.prefactor * abs(_sum_terms(self.table, configuration)) ** 2
 
 
-def power_oracle(scenario: Scenario, current=None) -> PowerOracle:
-    """Noiseless map phase-index grid -> received power (W), precomputed for speed.
+def power_oracle(scenario: Scenario) -> PowerOracle:
+    """Noiseless map phase-index grid -> received power (W) at the amplifier's top
+    calibrated current, precomputed for speed.
 
     Folds the scenario's per-unit jitter realization into the weights, so the
-    searches optimize what the hardware would actually radiate.  `current` is
-    the per-unit supply current in A (None for the amplifier's top anchor).
+    searches optimize what the hardware would actually radiate.
     """
-    w = element_weights(scenario, current)
+    w = element_weights(scenario)
     errors = phase_error_realization(scenario)
     jittered = w * np.exp(1j * np.asarray(errors))
     table = jittered[:, None] * np.exp(1j * scenario.codebook.phases())
@@ -361,7 +354,7 @@ def nearest_quantize(phases, codebook: PhaseCodebook) -> np.ndarray:
     return idx.reshape(shape)
 
 
-def brute_force_optimum(scenario: Scenario, current=None) -> tuple[np.ndarray, float]:
+def brute_force_optimum(scenario: Scenario) -> tuple[np.ndarray, float]:
     """Exhaustive search over all codebook configurations.
 
     Refuses above 20 search bits (bits * n_units).  Strict `>` keeps the
@@ -372,7 +365,7 @@ def brute_force_optimum(scenario: Scenario, current=None) -> tuple[np.ndarray, f
         raise ValueError(
             f"{scenario.codebook.bits * n} search bits exceed the 20-bit brute-force cap"
         )
-    oracle = power_oracle(scenario, current)
+    oracle = power_oracle(scenario)
     best_cfg = None
     best_p = -1.0
     for flat in itertools.product(range(scenario.codebook.size), repeat=n):

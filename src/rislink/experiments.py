@@ -28,7 +28,6 @@ from .channel import AntennaModel
 from .geometry import ArrayLayout, SphericalPose, cartesian_points
 from .link import (
     Scenario,
-    _channel_sum,
     _channel_sums,
     _link_budget_db,
     _own_rx_point,
@@ -457,19 +456,20 @@ def run_sweep(scenario: Scenario, job: SweepJob, seed=0,
 
     Distance and angle sweeps move only the RX range or angle, beamformed afresh
     at each point.  A gain sweep holds the configuration of the calibrated
-    operating point while only the array current, split evenly across units,
-    moves.  Angle sweeps and cuts turn in the plane of `rx_azimuth_deg`;
-    negative angles turn it by 180 deg, as in `transmission_side_pose`.
+    operating point; |S|^2 being linear in the uniform unit gain G_u, it scales
+    that channel sum by sqrt(G_u(c / n) / G_u(top)) for each array current c split
+    evenly over the n units.  Angle sweeps and cuts turn in the plane of
+    `rx_azimuth_deg`; negative angles turn it by 180 deg, as in `transmission_side_pose`.
     """
     if job.kind == "pattern":
         return _radiation_pattern(scenario, job, seed, rx_azimuth_deg)
     if job.kind == "gain":
-        n = scenario.layout.n_units
+        amp, currents = scenario.amplifier, np.asarray(job.currents, dtype=float)
+        gain_db = amp.gain_db(currents / scenario.layout.n_units) - amp.gain_db(amp.top_current)
         bf = apply_beamforming(scenario, job.method, seed)
-        sums = [_channel_sum(scenario, bf.configuration, bf.phases, float(c) / n)
-                for c in job.currents]
-        return SweepResult.from_sums(scenario, "amplifier_current",
-                                     [float(c) for c in job.currents], sums, [bf.digest] * len(sums))
+        sums = bf.channel_sum * np.sqrt(from_db(gain_db))
+        return SweepResult.from_sums(scenario, "amplifier_current", currents, sums,
+                                     [bf.digest] * len(sums))
     values = job.grid()
     if job.kind == "distance":
         pose = scenario.rx_pose

@@ -83,14 +83,6 @@ def _phase_indices(scenario: Scenario, configuration) -> np.ndarray:
     return idx
 
 
-def _unit_gains(scenario: Scenario, current) -> np.ndarray:
-    """Linear amplifier gain of every unit at one per-unit supply `current` (A); None is
-    the top calibrated current."""
-    if current is None:
-        current = scenario.amplifier.top_current
-    return scenario.amplifier.gain_linear(np.full(scenario.layout.n_units, current))
-
-
 def phase_error_realization(scenario: Scenario):
     """Fixed per-unit phase-shifter errors (the jitter seed pins them); 0.0 when jitter is off."""
     if scenario.jitter is None:
@@ -114,13 +106,13 @@ def _programmed_phases(scenario: Scenario, idx: np.ndarray, phases) -> np.ndarra
 _CHUNK_ELEMENTS = 2 ** 14
 
 
-def _weight_chunks(scenario: Scenario, rx_points: np.ndarray, current=None):
+def _weight_chunks(scenario: Scenario, rx_points: np.ndarray):
     """Yield (first point, amplitudes, two-hop phases) per chunk of RX points.
 
     Both arrays are shaped (chunk, n_units): the `element_weights` expression
     w[p, n] = amp[p, n] exp(-j phi[p, n]) over a leading pose axis, with
-    gains and apertures taken from departure cosines.  The TX leg and the
-    unit gains are computed once per call, the RX leg once per chunk.  Each
+    gains and apertures from departure cosines and G_u at the top calibrated
+    current.  The TX leg is computed once per call, the RX leg per chunk.  Each
     point must sit on the other side of the plane from the TX, as `Scenario`
     requires of its own RX pose.
     """
@@ -133,7 +125,8 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray, current=None):
     area = scenario.layout.element_area
     r_t, c_t = ranges_and_cosines(p_t, els)
     g_t = scenario.tx_antenna.gain_from_cosine(c_t)
-    gain_area_t = _unit_gains(scenario, current) * area_from_cosine(area, c_t)
+    amplifier = scenario.amplifier
+    gain_area_t = amplifier.gain_linear(amplifier.top_current) * area_from_cosine(area, c_t)
     step = max(1, _CHUNK_ELEMENTS // scenario.layout.n_units)
     for lo in range(0, len(rx_points), step):
         r_r, c_r = ranges_and_cosines(rx_points[lo:lo + step, None, :], els)
@@ -148,8 +141,7 @@ def _own_rx_point(scenario: Scenario) -> np.ndarray:
     return spherical_to_cartesian(scenario.rx_pose)[None]
 
 
-def _channel_sums(scenario: Scenario, rx_points, configuration=None, phases=None,
-                  current=None) -> np.ndarray:
+def _channel_sums(scenario: Scenario, rx_points, configuration=None, phases=None) -> np.ndarray:
     """Channel sums S[p] = sum_n w[p, n] exp(j phi_n) toward each of (P, 3) RX points, shape (P,).
 
     One evaluation serves both link figures: P_r = P_t / (16 pi^2) |S|^2 and
@@ -160,17 +152,17 @@ def _channel_sums(scenario: Scenario, rx_points, configuration=None, phases=None
     rot = np.exp(1j * _programmed_phases(scenario, idx, phases))
     pts = np.asarray(rx_points, dtype=float).reshape(-1, 3)
     sums = np.empty(len(pts), dtype=complex)
-    for lo, amp, phi in _weight_chunks(scenario, pts, current):
+    for lo, amp, phi in _weight_chunks(scenario, pts):
         sums[lo:lo + len(amp)] = np.sum(amp * np.exp(-1j * phi) * rot, axis=-1)
     return sums
 
 
-def _channel_sum(scenario: Scenario, configuration=None, phases=None, current=None) -> complex:
+def _channel_sum(scenario: Scenario, configuration=None, phases=None) -> complex:
     """The kernel at the scenario's own RX pose (P = 1)."""
-    return _channel_sums(scenario, _own_rx_point(scenario), configuration, phases, current)[0]
+    return _channel_sums(scenario, _own_rx_point(scenario), configuration, phases)[0]
 
 
-def element_weights(scenario: Scenario, current=None) -> np.ndarray:
+def element_weights(scenario: Scenario) -> np.ndarray:
     """Complex per-element weights of the scattering-area sum, shape (n_units,).
 
     w_n = sqrt(G_t G_r) / (r_t r_r) * sigma_n * exp(-j Phi_n) with Phi_n the
@@ -178,7 +170,7 @@ def element_weights(scenario: Scenario, current=None) -> np.ndarray:
     tx_power / (16 pi^2) * |sum_n w_n exp(j phi_n)|^2 over the programmed
     phases phi_n.
     """
-    _, amp, phi = next(_weight_chunks(scenario, _own_rx_point(scenario), current))
+    _, amp, phi = next(_weight_chunks(scenario, _own_rx_point(scenario)))
     return amp[0] * np.exp(-1j * phi[0])
 
 
@@ -196,30 +188,29 @@ def _link_budget_db(scenario: Scenario, sums) -> tuple[np.ndarray, np.ndarray]:
         return dbm, 10.0 * np.log10(SIXTEEN_PI_SQ / ssq)
 
 
-def received_power(scenario: Scenario, configuration=None, phases=None,
-                   current=None) -> float:
-    """Noiseless received power in watts via the scattering-area sum.
+def received_power(scenario: Scenario, configuration=None, phases=None) -> float:
+    """Noiseless received power in watts via the scattering-area sum, every unit
+    at the amplifier's top calibrated current.
 
     `configuration` is the codebook-index grid (flat or (n_rows, n_cols), None
-    for all zeros) and `current` the per-unit supply current in A (None for
-    the amplifier's top anchor).  `phases` (radians, any shape matching the
-    layout) overrides the codebook phases exactly — no quantization, no jitter.
+    for all zeros).  `phases` (radians, any shape matching the layout)
+    overrides the codebook phases exactly — no quantization, no jitter.
     """
-    total = _channel_sum(scenario, configuration, phases, current)
+    total = _channel_sum(scenario, configuration, phases)
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
 
 
-def path_loss_db(scenario: Scenario, configuration=None, phases=None, current=None) -> float:
+def path_loss_db(scenario: Scenario, configuration=None, phases=None) -> float:
     """Path loss P_t/P_r in dB, as a sweep row reads it: inf when the configuration
     nulls the received field exactly."""
-    total = _channel_sum(scenario, configuration, phases, current)
+    total = _channel_sum(scenario, configuration, phases)
     return float(_link_budget_db(scenario, [total])[1][0])
 
 
-def max_received_power(scenario: Scenario, current=None) -> float:
+def max_received_power(scenario: Scenario) -> float:
     """Received power under perfectly aligned (continuous) phases: the coherent
     amplitude sum, sum_n |w_n|, as the continuous sweep rows take it."""
-    _, amp, _ = next(_weight_chunks(scenario, _own_rx_point(scenario), current))
+    _, amp, _ = next(_weight_chunks(scenario, _own_rx_point(scenario)))
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.sum(amp[0])) ** 2
 
 

@@ -106,9 +106,8 @@ class AmplifierModel:
         return out if out.ndim else float(out)
 
     def gain_linear(self, current):
-        """Linear power gain G_u at `current`."""
-        db = self.gain_db(current)
-        return 10.0 ** (np.asarray(db) / 10.0) if isinstance(db, np.ndarray) else 10.0 ** (db / 10.0)
+        """Linear power gain G_u at `current` (scalar or ndarray)."""
+        return 10.0 ** (self.gain_db(current) / 10.0)
 
     @classmethod
     def passive(cls) -> "AmplifierModel":

@@ -16,7 +16,6 @@ from rislink.link import (
     _channel_sum,
     _phase_indices,
     _programmed_phases,
-    _unit_gains,
 )
 
 
@@ -75,12 +74,8 @@ def make_random_scenario(rng, max_rows=4, max_cols=8, max_units=32, bits=2,
 
 
 def random_surface(rng, scenario):
-    """(configuration, current): a random flat phase-index grid and one per-unit
-    supply current in the calibrated range."""
-    config = rng.integers(0, scenario.codebook.size, scenario.layout.n_units)
-    current = float(rng.uniform(scenario.amplifier.calibration[0][0],
-                                scenario.amplifier.top_current))
-    return config, current
+    """A random flat phase-index grid for `scenario`."""
+    return rng.integers(0, scenario.codebook.size, scenario.layout.n_units)
 
 
 # ------------------------------------------------- per-unit oracles
@@ -311,8 +306,13 @@ def received_power_expanded(scenario, configuration=None, phases=None, current=N
 
     The kernel takes gains and apertures straight from departure cosines; this
     route turns each cosine into a zenith (arccos), then takes the cos^q gains
-    and the apertures A cos of it, every factor under one square root.
+    and the apertures A cos of it, every factor under one square root.  Every
+    unit runs at the per-unit supply `current` in A (None for the amplifier's
+    top calibrated current, where the link kernel runs).
     """
+    amplifier = scenario.amplifier
+    unit_gains = amplifier.gain_linear(
+        np.full(scenario.layout.n_units, amplifier.top_current if current is None else current))
     idx = _phase_indices(scenario, configuration)
     els = element_grid(scenario.layout)
     r_t, c_t = ranges_and_cosines(spherical_to_cartesian(scenario.tx_pose), els)
@@ -322,7 +322,7 @@ def received_power_expanded(scenario, configuration=None, phases=None, current=N
     amp = np.sqrt(
         zenith_gain(scenario.tx_antenna, zen_t)
         * zenith_gain(scenario.rx_antenna, zen_r)
-        * _unit_gains(scenario, current)
+        * unit_gains
         * zenith_area(area, zen_t)
         * zenith_area(area, zen_r)
     ) / (r_t * r_r)
@@ -403,8 +403,7 @@ def propagation_phase(scenario, row, col) -> float:
     return 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
 
 
-def received_signal(scenario, configuration=None, symbol=1.0, noise=None, rng=None, phases=None,
-                    current=None):
+def received_signal(scenario, configuration=None, symbol=1.0, noise=None, rng=None, phases=None):
     """One received sample: sqrt(tx_power)/(4 pi) * (channel sum) * symbol + noise.
 
     `noise` injects an exact sample; otherwise a circularly symmetric Gaussian
@@ -418,7 +417,7 @@ def received_signal(scenario, configuration=None, symbol=1.0, noise=None, rng=No
             "received_signal needs an rng (or an explicit noise sample) "
             "when noise_variance > 0"
         )
-    total = _channel_sum(scenario, configuration, phases, current)
+    total = _channel_sum(scenario, configuration, phases)
     y = math.sqrt(scenario.tx_power) / (4.0 * math.pi) * complex(total) * symbol
     if draw:
         scale = math.sqrt(scenario.noise_variance / 2.0)
@@ -426,9 +425,9 @@ def received_signal(scenario, configuration=None, symbol=1.0, noise=None, rng=No
     return y + (noise if noise is not None else 0.0)
 
 
-def min_path_loss(scenario, current=None):
+def min_path_loss(scenario):
     """Path loss under perfectly aligned phases; max_received_power * min_path_loss == tx_power."""
-    total = float(np.sum(np.abs(rl.element_weights(scenario, current)))) ** 2
+    total = float(np.sum(np.abs(rl.element_weights(scenario)))) ** 2
     return SIXTEEN_PI_SQ / total if total else math.inf  # every element weight is zero
 
 

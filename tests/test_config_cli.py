@@ -532,7 +532,7 @@ def test_cli_beamform_trace(tmp_path, capsys, method):
     assert [int(r["step"]) for r in rows] == list(range(payload["feedback_queries"]))
     accepted = [float(r["power_w"]) for r in rows if r["accepted"] == "1"]
     assert all(b >= a for a, b in zip(accepted, accepted[1:]))
-    best = rl.apply_beamforming(rl.chamber_scenario(), method, max_rounds=3).trace.best_power
+    best = max(rl.apply_beamforming(rl.chamber_scenario(), method, max_rounds=3).trace.powers)
     assert accepted[-1] == best
     assert 10 * math.log10(best / 1e-3) == pytest.approx(payload["received_power_dbm"], abs=1e-9)
 

@@ -13,6 +13,7 @@ import rislink as rl
 import rislink.link as link_module
 from helpers import (
     make_random_scenario,
+    received_power_expanded,
     reference_continuous_sum,
     reference_pose_sweep,
     reference_transmission_side_points,
@@ -22,7 +23,7 @@ from rislink.experiments import (BEAMFORMING_METHODS, CSV_HEADER, MAX_GRID_POINT
                                  sweep_grid)
 from rislink.cli import main
 from rislink.geometry import cartesian_points
-from rislink.link import _channel_sum
+from rislink.link import _channel_sum, _link_budget_db
 
 GOLDEN_16X16 = os.path.join(os.path.dirname(__file__), "data", "golden_16x16.cfg")
 
@@ -163,7 +164,14 @@ def test_an_outcome_channel_sum_is_the_kernel_at_its_own_pose(method):
 
 @pytest.mark.parametrize("method", BEAMFORMING_METHODS)
 def test_beamform_builds_the_element_weights_once(monkeypatch, capsys, method):
-    """Counted through every binding of the chunk generator in the package's modules."""
+    calls = _count_weight_builds(monkeypatch)
+    assert main(["beamform", "--config", GOLDEN_16X16, "--method", method, "--rounds", "1"]) == 0
+    assert len(calls) == 1
+
+
+def _count_weight_builds(monkeypatch) -> list:
+    """A list that gains one entry per element-weight build, counted through every
+    binding of the chunk generator in the package's modules."""
     calls = []
     weight_chunks = link_module._weight_chunks
 
@@ -179,8 +187,7 @@ def test_beamform_builds_the_element_weights_once(monkeypatch, capsys, method):
                     monkeypatch.setattr(module, attr, counted)
                     patched.add(name)
     assert {"rislink.link", "rislink.experiments"} <= patched
-    assert main(["beamform", "--config", GOLDEN_16X16, "--method", method, "--rounds", "1"]) == 0
-    assert len(calls) == 1
+    return calls
 
 
 @pytest.mark.parametrize("method, draws", [("blind", 1), ("greedy", 1), ("none", 1),
@@ -242,27 +249,40 @@ def test_gain_sweep_swing_and_held_configuration():
     assert np.allclose(res.values, [0.01, 0.2, 0.6, 1.0, 1.4])
 
 
-def test_gain_sweep_rows_hold_the_first_configuration(monkeypatch):
-    s = rl.chamber_scenario(n_rows=6, n_cols=6, rx_zenith_deg=20.0)
-    currents = [0.01, 0.5, 1.4, 2.0]
-    seen = []
-    channel_sum = rl.experiments._channel_sum
+GAIN_CURRENTS = (0.01, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)  # the CLI's default array currents
 
-    def spy(scenario, configuration, phases, current=None):
-        seen.append((configuration, phases, current))
-        return channel_sum(scenario, configuration, phases, current)
 
-    monkeypatch.setattr(rl.experiments, "_channel_sum", spy)
-    res = rl.run_sweep(s, SweepJob("g", "gain", currents=currents))
-    n = s.layout.n_units
+@pytest.mark.parametrize("method", BEAMFORMING_METHODS)
+def test_a_gain_sweep_builds_the_element_weights_once(monkeypatch, method):
+    calls = _count_weight_builds(monkeypatch)
+    rl.run_sweep(rl.chamber_scenario(), SweepJob("g", "gain", method, currents=GAIN_CURRENTS))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(3, 4), (4, 8), (16, 16), (64, 64)])
+def test_gain_sweep_rows_are_the_expanded_route_at_each_current(n_rows, n_cols):
+    """Each row is the held configuration at c / n per unit, by the route that takes a
+    per-unit current; the swing is the amplifier's gain between the end currents."""
+    s = rl.chamber_scenario(n_rows=n_rows, n_cols=n_cols, rx_zenith_deg=20.0,
+                            phase_jitter_max_deg=8.0, phase_jitter_seed=3)
+    n, amp = s.layout.n_units, s.amplifier
+    res = rl.run_sweep(s, SweepJob("g", "gain", currents=GAIN_CURRENTS))
     bf = rl.apply_beamforming(s)
-    assert len(seen) == len(currents)
-    for c, (config, phases, current), p_dbm in zip(currents, seen, res.received_power_dbm):
-        assert config.size == n and phases is None
-        assert current == c / n
-        assert np.array_equal(config, seen[0][0])
-        assert p_dbm == rl.watts_to_dbm(rl.received_power(s, bf.configuration, current=c / n))
-    assert np.array_equal(seen[0][0], bf.configuration)
+    assert res.config_digests == [bf.digest] * len(GAIN_CURRENTS)
+    for c, p_dbm in zip(GAIN_CURRENTS, res.received_power_dbm):
+        want = received_power_expanded(s, bf.configuration, current=c / n)
+        assert rl.from_db(p_dbm - 30.0) == pytest.approx(want, rel=1e-12)
+    p = res.received_power_dbm
+    swing = amp.gain_db(GAIN_CURRENTS[-1] / n) - amp.gain_db(GAIN_CURRENTS[0] / n)
+    assert p[-1] - p[0] == pytest.approx(swing, abs=1e-12)
+
+
+def test_a_gain_sweep_at_the_top_current_reads_the_beamformed_link():
+    s = rl.chamber_scenario(rx_zenith_deg=20.0, phase_jitter_max_deg=8.0)
+    assert GAIN_CURRENTS[-1] / s.layout.n_units == s.amplifier.top_current
+    res = rl.run_sweep(s, SweepJob("g", "gain", currents=GAIN_CURRENTS))
+    dbm, pl_db = _link_budget_db(s, [rl.apply_beamforming(s).channel_sum])
+    assert (res.received_power_dbm[-1], res.path_loss_db[-1]) == (dbm[0], pl_db[0])
 
 
 def test_gain_sweep_budget_and_validation():

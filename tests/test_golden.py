@@ -3,11 +3,12 @@ recorded CSVs and summary.json, and `rislink beamform` its recorded stdout and
 search trace byte for byte.
 
 The fixtures under tests/data/golden/<config>/ were written by the commit
-before the cosine-native kernel and the batched pose sweep.  Row counts,
-sweep-grid values and config digests must match exactly; every dB column and
-every summary.json number must match within 1e-12 relative.  A dB value near
-0 gets an absolute floor of 1e-12 dB, which is a ~2e-13 relative change in
-the linear power behind it.
+before the cosine-native kernel and the batched pose sweep.  They are compared
+by `scripts/diff_outputs.py`'s rule: the same files and CSV headers, exact row
+counts, sweep-grid values and config digests, and every dB column and every
+summary.json number within 1e-12 relative, with NaN matching NaN.  A dB value
+near 0 gets an absolute floor of 1e-12 dB, which is a ~2e-13 relative change
+in the linear power behind it.
 
 The `beamform` stdout under tests/data/golden_beamform/beamform_*/ (from
 tests/data/beamform_*.cfg) and chamber/continuous.json were written by the
@@ -15,10 +16,8 @@ commit before `beamform` printed its grids from byte tables; they cover
 1-, 3- and 4-bit codebooks and one-row and one-column surfaces.
 """
 
-import csv
 import glob
-import json
-import math
+import importlib.util
 import os
 
 import pytest
@@ -31,59 +30,17 @@ GOLDEN_BEAMFORM = os.path.join(HERE, "data", "golden_beamform")
 CONFIGS = sorted(glob.glob(os.path.join(HERE, "..", "configs", "*.cfg"))) + [
     os.path.join(HERE, "data", "golden_16x16.cfg")
 ]
-REL = 1e-12
-
-
-def close(got: float, want: float) -> bool:
-    if math.isnan(want):
-        return math.isnan(got)
-    return math.isclose(got, want, rel_tol=REL, abs_tol=REL)
-
-
-def read_rows(path):
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def assert_json_close(got, want, where):
-    assert type(got) is type(want), f"{where}: {got!r} vs {want!r}"
-    if isinstance(want, dict):
-        assert sorted(got) == sorted(want), where
-        for key in want:
-            assert_json_close(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_json_close(g, w, f"{where}[{i}]")
-    elif isinstance(want, float):
-        assert close(got, want), f"{where}: {got!r} vs {want!r}"
-    else:
-        assert got == want, f"{where}: {got!r} vs {want!r}"
+_spec = importlib.util.spec_from_file_location(
+    "diff_outputs", os.path.join(HERE, "..", "scripts", "diff_outputs.py"))
+diff_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(diff_outputs)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda p: os.path.basename(p))
 def test_run_reproduces_golden_outputs(cfg, tmp_path):
     name = os.path.splitext(os.path.basename(cfg))[0]
-    want_dir = os.path.join(GOLDEN, name)
     assert main(["run", cfg, "--out", str(tmp_path), "--seed", "0"]) == 0
-    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(want_dir))
-    for fname in sorted(os.listdir(want_dir)):
-        if not fname.endswith(".csv"):
-            continue
-        got, want = read_rows(tmp_path / fname), read_rows(os.path.join(want_dir, fname))
-        assert len(got) == len(want), fname
-        for i, (g, w) in enumerate(zip(got, want)):
-            where = f"{name}/{fname} row {i}"
-            assert g["variable"] == w["variable"], where
-            assert g["value"] == w["value"], where
-            assert g["config_digest"] == w["config_digest"], where
-            for col in ("received_power_dBm", "path_loss_dB"):
-                assert close(float(g[col]), float(w[col])), f"{where} {col}: {g[col]} vs {w[col]}"
-    with open(tmp_path / "summary.json") as fh:
-        got = json.load(fh)
-    with open(os.path.join(want_dir, "summary.json")) as fh:
-        want = json.load(fh)
-    assert_json_close(got, want, f"{name}/summary.json")
+    assert diff_outputs.compare(tmp_path, os.path.join(GOLDEN, name)).problems == []
 
 
 @pytest.mark.parametrize("run, argv", [

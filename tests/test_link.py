@@ -69,18 +69,18 @@ def test_received_power_routes_agree():
     rng = np.random.default_rng(11)
     for _ in range(20):
         s = make_random_scenario(rng)
-        config, current = random_surface(rng, s)
-        a = rl.received_power(s, config, current=current)
-        b = received_power_expanded(s, config, current=current)
+        config = random_surface(rng, s)
+        a = rl.received_power(s, config)
+        b = received_power_expanded(s, config)
         assert b == pytest.approx(a, rel=1e-12)
 
 
 def test_received_signal_consistent_with_power():
     rng = np.random.default_rng(5)
     s = make_random_scenario(rng)
-    config, current = random_surface(rng, s)
-    y = received_signal(s, config, current=current)
-    assert abs(y) ** 2 == pytest.approx(rl.received_power(s, config, current=current), rel=1e-12)
+    config = random_surface(rng, s)
+    y = received_signal(s, config)
+    assert abs(y) ** 2 == pytest.approx(rl.received_power(s, config), rel=1e-12)
 
 
 def test_received_signal_symbol_and_noise():
@@ -128,11 +128,11 @@ def test_continuous_optimum_reaches_the_bound():
     rng = np.random.default_rng(31)
     for _ in range(10):
         s = make_random_scenario(rng)
-        config, current = random_surface(rng, s)
-        pmax = rl.max_received_power(s, current)
+        config = random_surface(rng, s)
+        pmax = rl.max_received_power(s)
         for c in (0.0, 1.234, 5.5):
             phases = rl.apply_beamforming(s, "continuous").phases + c
-            p = rl.received_power(s, config, phases=phases, current=current)
+            p = rl.received_power(s, config, phases=phases)
             assert p == pytest.approx(pmax, rel=1e-10)
 
 
@@ -140,22 +140,22 @@ def test_no_phasing_beats_the_bound():
     rng = np.random.default_rng(37)
     for _ in range(20):
         s = make_random_scenario(rng)
-        config, current = random_surface(rng, s)
-        pmax = rl.max_received_power(s, current)
-        assert rl.received_power(s, config, current=current) <= pmax * (1 + 1e-12)
+        config = random_surface(rng, s)
+        pmax = rl.max_received_power(s)
+        assert rl.received_power(s, config) <= pmax * (1 + 1e-12)
         ph = rng.uniform(0, 2 * math.pi, s.layout.n_units)
-        assert rl.received_power(s, config, phases=ph, current=current) <= pmax * (1 + 1e-12)
+        assert rl.received_power(s, config, phases=ph) <= pmax * (1 + 1e-12)
 
 
 def test_power_times_path_loss_is_tx_power():
     rng = np.random.default_rng(41)
     for _ in range(10):
         s = make_random_scenario(rng)
-        config, current = random_surface(rng, s)
-        pl_db = rl.path_loss_db(s, config, current=current)
-        assert rl.received_power(s, config, current=current) * rl.from_db(pl_db) == \
+        config = random_surface(rng, s)
+        pl_db = rl.path_loss_db(s, config)
+        assert rl.received_power(s, config) * rl.from_db(pl_db) == \
             pytest.approx(s.tx_power, rel=1e-12)
-        ssq = abs(rl.link._channel_sum(s, config, current=current)) ** 2
+        ssq = abs(rl.link._channel_sum(s, config)) ** 2
         assert pl_db == pytest.approx(10 * math.log10(16 * math.pi ** 2 / ssq), rel=1e-15)
 
 
@@ -163,8 +163,7 @@ def test_max_power_times_min_path_loss_is_tx_power():
     rng = np.random.default_rng(43)
     for _ in range(10):
         s = make_random_scenario(rng)
-        _, current = random_surface(rng, s)
-        assert rl.max_received_power(s, current) * min_path_loss(s, current) == \
+        assert rl.max_received_power(s) * min_path_loss(s) == \
             pytest.approx(s.tx_power, rel=1e-12)
 
 
@@ -177,16 +176,13 @@ def test_reciprocity_under_swap():
         assert rl.received_power(swapped) == pytest.approx(rl.received_power(s), rel=1e-12)
 
 
-# the amplifier's gain underflows to 0 at zero current, so that current nulls the field
-_DARK_CALIBRATION = ((0.0, -4000.0), (1.4 / 32, 11.9))
-
-
 def test_a_null_configuration_reads_infinite_path_loss():
-    s = rl.chamber_scenario(calibration=_DARK_CALIBRATION)
-    assert rl.received_power(s, current=0.0) == 0.0
-    assert rl.watts_to_dbm(rl.received_power(s, current=0.0)) == -math.inf
-    assert rl.path_loss_db(s, current=0.0) == math.inf
-    assert min_path_loss(s, 0.0) == math.inf
+    # the amplifier's gain underflows to 0 at its top current, so every unit is dark
+    s = rl.chamber_scenario(calibration=((0.0, -4000.0),))
+    assert rl.received_power(s) == 0.0
+    assert rl.watts_to_dbm(rl.received_power(s)) == -math.inf
+    assert rl.path_loss_db(s) == math.inf
+    assert min_path_loss(s) == math.inf
 
 
 def test_state_validation():
@@ -197,8 +193,6 @@ def test_state_validation():
         rl.received_power(s, np.full(32, 4))  # index outside the codebook
     with pytest.raises(ValueError):
         rl.received_power(s, phases=np.zeros(31))
-    with pytest.raises(rl.SupplyBudgetError):
-        rl.received_power(s, current=0.2)
 
 
 def test_phases_override_bypasses_jitter():
@@ -243,7 +237,9 @@ def test_element_weights_match_manual_terms():
 def test_the_default_surface_is_index_zero_at_top_current():
     s = rl.chamber_scenario(rx_zenith_deg=20.0)
     zeros = np.zeros((4, 8), dtype=int)
-    assert rl.received_power(s) == rl.received_power(s, zeros, current=s.amplifier.top_current)
+    assert rl.received_power(s) == rl.received_power(s, zeros)
+    assert received_power_expanded(s, zeros, current=s.amplifier.top_current) == pytest.approx(
+        rl.received_power(s), rel=1e-12)
 
 
 def test_a_grid_and_its_flat_form_program_the_same_surface():
@@ -290,19 +286,17 @@ def _cut_points(scenario, angles, azimuth=0.0):
                      for a in angles])
 
 
-def _assert_sums_match_per_point(s, angles, configuration=None, phases=None, azimuth=0.0,
-                                 current=None):
+def _assert_sums_match_per_point(s, angles, configuration=None, phases=None, azimuth=0.0):
     """Batched sums give per-point received_power and path_loss_db within 1e-12 relative."""
-    sums = rl.link._channel_sums(s, _cut_points(s, angles, azimuth), configuration, phases,
-                                 current)
+    sums = rl.link._channel_sums(s, _cut_points(s, angles, azimuth), configuration, phases)
     assert sums.shape == (len(angles),)
     for a, total in zip(angles, sums):
         scn = replace(s, rx_pose=rl.transmission_side_pose(s.rx_pose.r, a, azimuth))
         ssq = abs(total) ** 2
         assert s.tx_power / (16 * math.pi ** 2) * ssq == pytest.approx(
-            rl.received_power(scn, configuration, phases, current), rel=1e-12)
+            rl.received_power(scn, configuration, phases), rel=1e-12)
         assert 10 * math.log10(16 * math.pi ** 2 / ssq) == pytest.approx(
-            rl.path_loss_db(scn, configuration, phases, current), rel=1e-12)
+            rl.path_loss_db(scn, configuration, phases), rel=1e-12)
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [(4, 8), (16, 16)])
@@ -327,15 +321,12 @@ def test_kernel_with_mixed_states_phases_and_jitter():
         s = make_random_scenario(rng)
         angles = rng.uniform(-80.0, 80.0, 9)
         az = float(rng.uniform(0.0, 360.0))
-        config, current = random_surface(rng, s)
-        _assert_sums_match_per_point(s, angles, config, azimuth=az, current=current)
+        _assert_sums_match_per_point(s, angles, random_surface(rng, s), azimuth=az)
         ph = rng.uniform(0.0, 2 * math.pi, s.layout.n_units)
-        config, current = random_surface(rng, s)
-        _assert_sums_match_per_point(s, angles, config, ph, azimuth=az, current=current)
+        _assert_sums_match_per_point(s, angles, random_surface(rng, s), ph, azimuth=az)
     jittered = rl.chamber_scenario(phase_jitter_max_deg=8.0, phase_jitter_seed=4)
-    config, current = random_surface(rng, jittered)
-    _assert_sums_match_per_point(jittered, np.arange(-60.0, 61.0, 15.0), config,
-                                 current=current)
+    _assert_sums_match_per_point(jittered, np.arange(-60.0, 61.0, 15.0),
+                                 random_surface(rng, jittered))
 
 
 def _raised(fn, *args):
@@ -351,14 +342,12 @@ def test_kernel_keeps_the_per_point_errors():
     above[1, 2] = 0.5  # the middle point on the feed's side of the plane
     assert _raised(rl.link._channel_sums, s, above) == _raised(
         lambda: replace(s, rx_pose=rl.SphericalPose(0.5, 0.0, 0.0)))
-    for config, current in ((np.full(32, 4), None),        # outside the codebook
-                            (None, 0.2),                   # over the supply budget
-                            (np.zeros(31, dtype=int), None)):  # one unit short
-        assert _raised(rl.link._channel_sums, s, cut, config, None, current) == _raised(
-            rl.received_power, s, config, None, current)
+    for config in (np.full(32, 4),             # outside the codebook
+                   np.zeros(31, dtype=int)):   # one unit short
+        assert _raised(rl.link._channel_sums, s, cut, config) == _raised(
+            rl.received_power, s, config)
     assert _raised(rl.link._channel_sums, s, cut, None, np.zeros(31)) == _raised(
         rl.received_power, s, None, np.zeros(31))
-    assert _raised(rl.link._channel_sums, s, cut, None, None, 0.2)[0] is rl.SupplyBudgetError
 
 
 def test_pattern_cut_keeps_the_per_point_errors():
@@ -399,38 +388,32 @@ def _grid(n, phase_index=0):
 
 
 _SURFACE_ERRORS = [
-    # (what is wrong, configuration, current, expected exception and message)
-    ("one unit short", _grid(31), None,
+    # (what is wrong, configuration, expected exception and message)
+    ("one unit short", _grid(31),
      (ValueError, "configuration has 31 entries for 32 units")),
-    ("index at the codebook size", _grid(32, 4), None,
+    ("index at the codebook size", _grid(32, 4),
      (ValueError, "phase index outside 4-entry codebook")),
-    ("negative index", _grid(32, -1), None,
+    ("negative index", _grid(32, -1),
      (ValueError, "phase_index must be >= 0")),
-    ("fractional index", np.full(32, 1.5), None,
+    ("fractional index", np.full(32, 1.5),
      (ValueError, "phase_index must hold integers, got dtype float64")),
-    ("negative current", None, -0.01,
-     (ValueError, "control current must be >= 0")),
-    ("NaN current", None, math.nan,
-     (ValueError, "control current must be >= 0")),
-    ("current over budget", None, 0.2,
-     (rl.SupplyBudgetError, "control current exceeds the 0.12 A supply budget")),
 ]
 
 
-@pytest.mark.parametrize("configuration, current, expected",
+@pytest.mark.parametrize("configuration, expected",
                          [case[1:] for case in _SURFACE_ERRORS],
                          ids=[case[0] for case in _SURFACE_ERRORS])
-def test_state_errors_match_between_received_power_and_the_kernel(configuration, current,
-                                                                  expected):
+def test_state_errors_match_between_received_power_and_the_kernel(configuration, expected):
     s = rl.chamber_scenario()
     cut = _cut_points(s, [-10.0, 0.0, 10.0])
-    via_power = _raised(lambda: rl.received_power(s, configuration, current=current))
-    via_kernel = _raised(lambda: rl.link._channel_sums(s, cut, configuration, current=current))
+    via_power = _raised(lambda: rl.received_power(s, configuration))
+    via_kernel = _raised(lambda: rl.link._channel_sums(s, cut, configuration))
     assert via_power == via_kernel == expected
 
 
-def _per_unit_power(scenario, configuration, current):
-    """Received power summed unit by unit from the scalar geometry and the per-unit oracles.
+def _per_unit_power(scenario, configuration):
+    """Received power summed unit by unit from the scalar geometry and the per-unit
+    oracles, every unit at the amplifier's top calibrated current.
 
     The jitter realization is drawn one unit at a time from the jitter seed,
     which gives the same values as the link's one draw for the whole array.
@@ -443,7 +426,8 @@ def _per_unit_power(scenario, configuration, current):
     total = 0j
     for row in range(1, scenario.layout.n_rows + 1):
         for col in range(1, n_cols + 1):
-            unit = UnitState(int(configuration[(row - 1) * n_cols + (col - 1)]), current)
+            unit = UnitState(int(configuration[(row - 1) * n_cols + (col - 1)]),
+                             scenario.amplifier.top_current)
             el = element_position(scenario.layout, row, col)
             zen_t, zen_r = departure_zenith(p_t, el), departure_zenith(p_r, el)
             sigma = unit_rcs(unit, scenario.amplifier, zen_t, zen_r, scenario.layout.element_area)
@@ -463,9 +447,8 @@ def test_link_routes_match_the_per_unit_oracles(n_rows, n_cols):
         s = make_random_scenario(rng)
         s = replace(s, layout=rl.ArrayLayout(n_rows, n_cols, s.layout.pitch_x, s.layout.pitch_y),
                     jitter=rl.PhaseJitterModel(math.radians(8.0), jitter_seed))
-        config, current = random_surface(rng, s)
-        expected = _per_unit_power(s, config, current)
-        assert rl.received_power(s, config, current=current) == pytest.approx(expected, rel=1e-12)
-        assert received_power_expanded(s, config, current=current) == pytest.approx(
-            expected, rel=1e-12)
-        assert rl.power_oracle(s, current)(config) == pytest.approx(expected, rel=1e-12)
+        config = random_surface(rng, s)
+        expected = _per_unit_power(s, config)
+        assert rl.received_power(s, config) == pytest.approx(expected, rel=1e-12)
+        assert received_power_expanded(s, config) == pytest.approx(expected, rel=1e-12)
+        assert rl.power_oracle(s)(config) == pytest.approx(expected, rel=1e-12)
