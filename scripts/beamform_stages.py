@@ -52,8 +52,9 @@ STAGES = (
 
 
 @contextlib.contextmanager
-def timed_stages(spent: dict):
-    """Wrap every stage's functions so each call adds its CPU seconds to spent[stage]."""
+def timed_stages(stages, spent: dict):
+    """Wrap the functions of every (stage, [(owner, name), ...]) in `stages` so each
+    call adds its CPU seconds to spent[stage]; a wrapped call inside another counts twice."""
     originals = []
 
     def timer(stage, fn):
@@ -67,7 +68,7 @@ def timed_stages(spent: dict):
         return timed
 
     try:
-        for stage, targets in STAGES:
+        for stage, targets in stages:
             for owner, name in targets:
                 originals.append((owner, name, getattr(owner, name)))
                 setattr(owner, name, timer(stage, originals[-1][2]))
@@ -106,7 +107,7 @@ def noiseless():
 def one_run(argv: list[str], quiet: bool) -> dict:
     """CPU seconds per stage, plus `total`, of one beamform call (noiseless if `quiet`)."""
     spent = dict.fromkeys([stage for stage, _ in STAGES], 0.0)
-    with (noiseless() if quiet else contextlib.nullcontext()), timed_stages(spent), \
+    with (noiseless() if quiet else contextlib.nullcontext()), timed_stages(STAGES, spent), \
             contextlib.redirect_stdout(io.StringIO()):
         t0 = time.process_time()
         code = cli.main(argv)

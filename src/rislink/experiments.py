@@ -31,9 +31,9 @@ from .link import (
     _channel_sums,
     _link_budget_db,
     _own_rx_point,
-    _programmed_phases,
     _weight_chunks,
     from_db,
+    phase_error_realization,
 )
 from .ris import DEFAULT_CALIBRATION, AmplifierModel, PhaseCodebook, PhaseJitterModel
 
@@ -193,14 +193,6 @@ def sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(int(math.floor(span)) + 1)
 
 
-def _digest(tag: bytes, arr: np.ndarray) -> str:
-    h = hashlib.sha1()
-    h.update(tag)
-    h.update(str(arr.shape).encode())
-    h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()[:12]
-
-
 @dataclass
 class BeamformingOutcome:
     """What a configuration pass produced: the continuous phases (`continuous`)
@@ -233,9 +225,14 @@ def _closed_form(scenario: Scenario, method: str, phi: np.ndarray) -> np.ndarray
 def _config_digest(scenario: Scenario, config: np.ndarray) -> str:
     """Digest of one point's continuous phases (float) or codebook indices (int)."""
     if config.dtype.kind == "f":
-        return _digest(b"phs", config.astype(np.float64))
-    layout = scenario.layout
-    return _digest(b"idx", config.reshape(layout.n_rows, layout.n_cols).astype(np.int64))
+        tag, arr = b"phs", config.astype(np.float64)
+    else:
+        layout = scenario.layout
+        tag, arr = b"idx", config.reshape(layout.n_rows, layout.n_cols).astype(np.int64)
+    h = hashlib.sha1(tag)
+    h.update(str(arr.shape).encode())
+    h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:12]
 
 
 def _weighted_sum(weights: np.ndarray, programmed: np.ndarray) -> complex:
@@ -250,7 +247,7 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
 
     Every method builds the element weights once, a closed form from the kernel's
     chunk and a search in its `power_oracle`, and the outcome's channel sum comes
-    from those weights: bit for bit `_channel_sum` of its phases or configuration.
+    from those weights: bit for bit `_channel_sums` of its program at its own pose.
     """
     if method not in BEAMFORMING_METHODS:
         raise ValueError(f"unknown beamforming method {method!r}")
@@ -262,7 +259,8 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
     if method in _CLOSED_FORM_METHODS:
         _, amp, phi = next(_weight_chunks(scenario, _own_rx_point(scenario)))
         weights, config = amp[0] * np.exp(-1j * phi[0]), _closed_form(scenario, method, phi[0])
-        programmed = config if method == "continuous" else _programmed_phases(scenario, config, None)
+        programmed = (config if method == "continuous"
+                      else scenario.codebook.phases()[config] + phase_error_realization(scenario))
     else:
         oracle = power_oracle(scenario)
         feedback = FeedbackChannel(oracle, scenario.noise_variance, seed)
@@ -348,7 +346,7 @@ def _pose_sweep(scenario: Scenario, job: SweepJob, values, r, theta, azimuth, se
                 # the programmed phases cancel the path phases: S = sum_n |w_n|
                 sums.extend(amp.sum(axis=-1))
             else:
-                programmed = _programmed_phases(scenario, config, None)
+                programmed = scenario.codebook.phases()[config] + phase_error_realization(scenario)
                 sums.extend(np.sum(amp * np.exp(1j * (programmed - phi)), axis=-1))
             digests.extend(_config_digest(scenario, point_config) for point_config in config)
     return SweepResult.from_sums(scenario, SWEEP_KINDS[job.kind], values, sums, digests)
@@ -424,30 +422,29 @@ def peak_to_sidelobe(angles_deg, rel_db) -> float:
     return float(r[i0] - np.max(side))
 
 
-def _radiation_pattern(scenario: Scenario, job: SweepJob, seed,
-                       rx_azimuth_deg: float) -> PatternResult:
-    """Steer toward `job.steering_deg`, freeze the configuration, and cut the
-    transmission-side pattern by moving the RX probe along the job's grid.
+def _radiation_patterns(scenario: Scenario, jobs: Sequence[SweepJob], seed,
+                        rx_azimuth_deg: float) -> list[PatternResult]:
+    """Steer toward each job's `steering_deg`, freeze the configuration, and cut the
+    transmission-side pattern by moving the RX probe along the jobs' one grid.
 
-    The whole cut is one batched link evaluation.
+    All the cuts are one batched link evaluation over one path table.
     """
-    r = scenario.rx_pose.r
-    steer = replace(scenario, rx_pose=transmission_side_pose(r, job.steering_deg, rx_azimuth_deg))
-    bf = apply_beamforming(steer, job.method, seed)
-    angles = job.grid()
+    r, angles = scenario.rx_pose.r, jobs[0].grid()
+    steered = [apply_beamforming(replace(scenario, rx_pose=transmission_side_pose(
+        r, job.steering_deg, rx_azimuth_deg)), job.method, seed) for job in jobs]
     a, phi = _off_normal(angles, rx_azimuth_deg)
-    sums = _channel_sums(scenario, cartesian_points(r, math.pi - a, phi), bf.configuration,
-                         bf.phases)
-    cut = SweepResult.from_sums(scenario, "pattern_angle", angles, sums, [bf.digest] * len(sums))
-    powers = cut.received_power_dbm
-    rel = powers - np.max(powers)
-    return PatternResult(
-        **vars(cut),
-        steering_deg=float(job.steering_deg),
-        peak_angle_deg=float(angles[int(np.argmax(powers))]),
-        hpbw_deg=half_power_beamwidth(angles, rel),
-        pslr_db=peak_to_sidelobe(angles, rel),
-    )
+    all_sums = _channel_sums(scenario, cartesian_points(r, math.pi - a, phi),
+                             [(bf.configuration, bf.phases) for bf in steered])
+    cuts = []
+    for job, bf, sums in zip(jobs, steered, all_sums):
+        cut = SweepResult.from_sums(scenario, "pattern_angle", angles, sums, [bf.digest] * len(sums))
+        powers = cut.received_power_dbm
+        rel = powers - np.max(powers)
+        cuts.append(PatternResult(**vars(cut), steering_deg=float(job.steering_deg),
+                                  peak_angle_deg=float(angles[int(np.argmax(powers))]),
+                                  hpbw_deg=half_power_beamwidth(angles, rel),
+                                  pslr_db=peak_to_sidelobe(angles, rel)))
+    return cuts
 
 
 def run_sweep(scenario: Scenario, job: SweepJob, seed=0,
@@ -462,7 +459,7 @@ def run_sweep(scenario: Scenario, job: SweepJob, seed=0,
     `rx_azimuth_deg`; negative angles turn it by 180 deg, as in `transmission_side_pose`.
     """
     if job.kind == "pattern":
-        return _radiation_pattern(scenario, job, seed, rx_azimuth_deg)
+        return _radiation_patterns(scenario, [job], seed, rx_azimuth_deg)[0]
     if job.kind == "gain":
         amp, currents = scenario.amplifier, np.asarray(job.currents, dtype=float)
         gain_db = amp.gain_db(currents / scenario.layout.n_units) - amp.gain_db(amp.top_current)
@@ -507,7 +504,14 @@ def run_config(path, out_dir, seed=0) -> dict:
     from .config import load_run_plan  # local import; config builds on this module
 
     plan = load_run_plan(path)
-    results = [run_sweep(plan.scenario, job, seed, plan.rx_azimuth_deg) for job in plan.jobs]
+    cuts = {}  # the pattern jobs on each grid, cut in one kernel call
+    for job in plan.jobs:
+        if job.kind == "pattern":
+            cuts.setdefault(job.grid().tobytes(), []).append(job)
+    done = {job.name: res for jobs in cuts.values() for job, res in
+            zip(jobs, _radiation_patterns(plan.scenario, jobs, seed, plan.rx_azimuth_deg))}
+    results = [done[job.name] if job.name in done
+               else run_sweep(plan.scenario, job, seed, plan.rx_azimuth_deg) for job in plan.jobs]
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for job, res in zip(plan.jobs, results):

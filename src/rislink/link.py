@@ -48,11 +48,11 @@ class Scenario:
     jitter: PhaseJitterModel | None = None
 
     def __post_init__(self):
-        if not 0 < self.frequency < math.inf:
-            raise ValueError(f"frequency must be positive and finite, got {self.frequency!r}")
-        for name in ("tx_power", "noise_variance"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        for name in ("frequency", "tx_power"):  # no power reaches the RX at tx_power 0
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not 0 <= self.noise_variance < math.inf:
+            raise ValueError(f"noise_variance must be finite and >= 0, got {self.noise_variance!r}")
         z_t = spherical_to_cartesian(self.tx_pose)[2]
         z_r = spherical_to_cartesian(self.rx_pose)[2]
         if not z_t * z_r < 0:
@@ -88,16 +88,6 @@ def phase_error_realization(scenario: Scenario):
     if scenario.jitter is None:
         return 0.0
     return scenario.jitter.sample(scenario.layout.n_units)
-
-
-def _programmed_phases(scenario: Scenario, idx: np.ndarray, phases) -> np.ndarray:
-    """Effective per-unit phases: explicit `phases` bypass codebook and jitter."""
-    if phases is None:
-        return scenario.codebook.phases()[idx] + phase_error_realization(scenario)
-    ph = np.asarray(phases, dtype=float).reshape(-1)
-    if ph.size != scenario.layout.n_units:
-        raise ValueError(f"{ph.size} phases for {scenario.layout.n_units} units")
-    return ph
 
 
 # Element budget (RX points x units) of one kernel chunk.  A whole 4x8 pattern
@@ -141,25 +131,31 @@ def _own_rx_point(scenario: Scenario) -> np.ndarray:
     return spherical_to_cartesian(scenario.rx_pose)[None]
 
 
-def _channel_sums(scenario: Scenario, rx_points, configuration=None, phases=None) -> np.ndarray:
-    """Channel sums S[p] = sum_n w[p, n] exp(j phi_n) toward each of (P, 3) RX points, shape (P,).
+def _channel_sums(scenario: Scenario, rx_points, programs) -> np.ndarray:
+    """Channel sums S[k, p] = sum_n w[p, n] exp(j phi_kn) of each (configuration, phases)
+    program k toward each of (P, 3) RX points, shape (K, P).
 
     One evaluation serves both link figures: P_r = P_t / (16 pi^2) |S|^2 and
-    PL = 16 pi^2 / |S|^2.  The programmed phases are resolved once per call,
-    whatever P is.
+    PL = 16 pi^2 / |S|^2.  The programs are resolved, and the jitter drawn, once
+    per call; each chunk's path table w = amp exp(-j Phi) is formed once for all
+    K programs and released before the next chunk is built.
     """
-    idx = _phase_indices(scenario, configuration)
-    rot = np.exp(1j * _programmed_phases(scenario, idx, phases))
+    errors = phase_error_realization(scenario) if any(ph is None for _, ph in programs) else 0.0
+    rots = []
+    for configuration, phases in programs:  # explicit phases bypass codebook and jitter
+        idx = _phase_indices(scenario, configuration)
+        ph = (scenario.codebook.phases()[idx] + errors if phases is None
+              else np.asarray(phases, dtype=float).reshape(-1))
+        if ph.size != scenario.layout.n_units:
+            raise ValueError(f"{ph.size} phases for {scenario.layout.n_units} units")
+        rots.append(np.exp(1j * ph))
     pts = np.asarray(rx_points, dtype=float).reshape(-1, 3)
-    sums = np.empty(len(pts), dtype=complex)
+    sums = np.empty((len(rots), len(pts)), dtype=complex)
     for lo, amp, phi in _weight_chunks(scenario, pts):
-        sums[lo:lo + len(amp)] = np.sum(amp * np.exp(-1j * phi) * rot, axis=-1)
+        w = amp * np.exp(-1j * phi)
+        sums[:, lo:lo + len(w)] = [np.sum(w * rot, axis=-1) for rot in rots]
+        del w
     return sums
-
-
-def _channel_sum(scenario: Scenario, configuration=None, phases=None) -> complex:
-    """The kernel at the scenario's own RX pose (P = 1)."""
-    return _channel_sums(scenario, _own_rx_point(scenario), configuration, phases)[0]
 
 
 def element_weights(scenario: Scenario) -> np.ndarray:
@@ -196,15 +192,15 @@ def received_power(scenario: Scenario, configuration=None, phases=None) -> float
     for all zeros).  `phases` (radians, any shape matching the layout)
     overrides the codebook phases exactly — no quantization, no jitter.
     """
-    total = _channel_sum(scenario, configuration, phases)
+    total = _channel_sums(scenario, _own_rx_point(scenario), [(configuration, phases)])[0, 0]
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
 
 
 def path_loss_db(scenario: Scenario, configuration=None, phases=None) -> float:
     """Path loss P_t/P_r in dB, as a sweep row reads it: inf when the configuration
     nulls the received field exactly."""
-    total = _channel_sum(scenario, configuration, phases)
-    return float(_link_budget_db(scenario, [total])[1][0])
+    sums = _channel_sums(scenario, _own_rx_point(scenario), [(configuration, phases)])
+    return float(_link_budget_db(scenario, sums[0])[1][0])
 
 
 def max_received_power(scenario: Scenario) -> float:

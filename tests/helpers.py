@@ -13,9 +13,10 @@ from rislink.experiments import SweepResult
 from rislink.geometry import element_grid, ranges_and_cosines, spherical_to_cartesian
 from rislink.link import (
     SIXTEEN_PI_SQ,
-    _channel_sum,
+    _channel_sums,
+    _own_rx_point,
     _phase_indices,
-    _programmed_phases,
+    phase_error_realization,
 )
 
 
@@ -326,7 +327,8 @@ def received_power_expanded(scenario, configuration=None, phases=None, current=N
         * zenith_area(area, zen_t)
         * zenith_area(area, zen_r)
     ) / (r_t * r_r)
-    ph = _programmed_phases(scenario, idx, phases)
+    ph = (scenario.codebook.phases()[idx] + phase_error_realization(scenario) if phases is None
+          else np.asarray(phases, dtype=float).reshape(-1))
     phi_prop = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
     # one exponential per phase: their difference, ~1e3 rad, would carry ~1e-13 rad of rounding
     total = np.sum(amp * np.exp(1j * ph) * np.exp(-1j * phi_prop))
@@ -417,7 +419,7 @@ def received_signal(scenario, configuration=None, symbol=1.0, noise=None, rng=No
             "received_signal needs an rng (or an explicit noise sample) "
             "when noise_variance > 0"
         )
-    total = _channel_sum(scenario, configuration, phases)
+    total = _channel_sums(scenario, _own_rx_point(scenario), [(configuration, phases)])[0, 0]
     y = math.sqrt(scenario.tx_power) / (4.0 * math.pi) * complex(total) * symbol
     if draw:
         scale = math.sqrt(scenario.noise_variance / 2.0)

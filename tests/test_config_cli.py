@@ -573,6 +573,9 @@ _SCENARIO_DEFECTS = {
     "infinite-jitter": ("[scenario]\nphase_jitter_max_deg = inf\n", 2,
                         {"phase_jitter_max_deg": math.inf}),
     "infinite-tx-power": ("[scenario]\ntx_power_w = inf\n", 2, {"tx_power_w": math.inf}),
+    # every row of a cut would read -inf dBm, and its peak the grid's first angle
+    "zero-tx-power": ("[scenario]\ntx_power_w = 0\n[sweep cut]\ntype = pattern\nstart = -10\n"
+                      "stop = 10\nstep = 5\n", 2, {"tx_power_w": 0.0}),
     "nan-calibration-gain": ("[amplifier]\ncalibration = 0.001:nan\n", 2,
                              {"calibration": ((0.001, math.nan),)}),
     "negative-distance": ("[scenario]\ntx_distance_m = -1\n", 2, {"tx_distance_m": -1.0}),

@@ -23,7 +23,7 @@ from rislink.experiments import (BEAMFORMING_METHODS, CSV_HEADER, MAX_GRID_POINT
                                  sweep_grid)
 from rislink.cli import main
 from rislink.geometry import cartesian_points
-from rislink.link import _channel_sum, _link_budget_db
+from rislink.link import _channel_sums, _link_budget_db, _own_rx_point
 
 GOLDEN_16X16 = os.path.join(os.path.dirname(__file__), "data", "golden_16x16.cfg")
 
@@ -159,7 +159,8 @@ def test_an_outcome_channel_sum_is_the_kernel_at_its_own_pose(method):
                     jitter=rl.PhaseJitterModel(math.radians(12.0), i), noise_variance=1e-9)
         bf = rl.apply_beamforming(s, method, seed=i)
         # bit for bit: the weights the method built stand in for a rebuild of the kernel
-        assert bf.channel_sum == _channel_sum(s, bf.configuration, bf.phases)
+        program = [(bf.configuration, bf.phases)]
+        assert bf.channel_sum == _channel_sums(s, _own_rx_point(s), program)[0, 0]
 
 
 @pytest.mark.parametrize("method", BEAMFORMING_METHODS)
@@ -399,6 +400,69 @@ def test_run_config_is_deterministic(tmp_path):
     rl.run_config(cfg, b, seed=7)
     assert (a / "search.csv").read_bytes() == (b / "search.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+PATTERNS_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "patterns.cfg")
+_JITTERED_5X7 = ("[scenario]\nn_rows = 5\nn_cols = 7\nphase_jitter_max_deg = 10\n"
+                 "phase_jitter_seed = 5\nnoise_variance_w = 1e-9\nrx_zenith_deg = 15\n"
+                 "rx_azimuth_deg = 40\n")
+# (section text, whether it is a cut); the wide grid's last cut spells the same
+# 49 angles with another stop, and the narrow grid holds two cuts of its own
+_SWEEPS = [
+    ("[sweep wide_none]\ntype = pattern\nmethod = none\nstart = -60\nstop = 60\nstep = 2.5\n",
+     True),
+    ("[sweep near]\ntype = distance\nstart = 1\nstop = 3\nstep = 1\n", False),
+    ("[sweep narrow_q]\ntype = pattern\nsteering_deg = -30\nstart = -40\nstop = 0\nstep = 5\n",
+     True),
+    ("[sweep wide_cont]\ntype = pattern\nmethod = continuous\nsteering_deg = 20\n"
+     "start = -60\nstop = 60\nstep = 2.5\n", True),
+    ("[sweep wide_q]\ntype = pattern\nsteering_deg = 35\nstart = -60\nstop = 60\nstep = 2.5\n",
+     True),
+    ("[sweep g]\ntype = gain\ncurrents_a = 0.01, 0.7, 1.4\n", False),
+    ("[sweep narrow_greedy]\ntype = pattern\nmethod = greedy\nsteering_deg = -10\n"
+     "start = -40\nstop = 0\nstep = 5\n", True),
+    ("[sweep wide_blind]\ntype = pattern\nmethod = blind\nsteering_deg = -15\n"
+     "start = -60\nstop = 61\nstep = 2.5\n", True),
+]
+
+
+def test_cuts_that_share_a_grid_equal_one_job_sweeps_in_config_order(tmp_path):
+    cfg = tmp_path / "cuts.cfg"
+    cfg.write_text(_JITTERED_5X7 + "".join(text for text, _ in _SWEEPS))
+    out = tmp_path / "out"
+    summary = rl.run_config(cfg, out, seed=4)
+    plan = rl.load_run_plan(cfg)
+    grids = {job.grid().tobytes() for job in plan.jobs if job.kind == "pattern"}
+    assert len(grids) == 2 and plan.rx_azimuth_deg == 40.0
+    names = [job.name for job in plan.jobs]
+    assert [entry["name"] for entry in summary["sweeps"]] == names
+    assert json.loads((out / "summary.json").read_text()) == json.loads(json.dumps(summary))
+    for job, entry in zip(plan.jobs, summary["sweeps"]):
+        alone = rl.run_sweep(plan.scenario, job, 4, plan.rx_azimuth_deg)
+        assert (out / entry["csv"]).read_text() == alone.to_csv(), job.name
+        assert json.dumps(entry["metrics"]) == json.dumps(alone.metrics), job.name
+
+
+def test_cuts_on_one_grid_build_one_path_table(monkeypatch, tmp_path):
+    calls = _count_weight_builds(monkeypatch)
+    rl.run_config(PATTERNS_CFG, tmp_path)
+    assert len(calls) == 3 + 1  # one per steering plus the three cuts' one table
+
+
+def test_cuts_on_one_grid_draw_the_jitter_once_per_table(monkeypatch, tmp_path):
+    cfg = tmp_path / "cuts.cfg"
+    cfg.write_text(_JITTERED_5X7 + "".join(text for text, cut in _SWEEPS if cut))
+    calls = []
+    sample = rl.PhaseJitterModel.sample
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return sample(self, *args, **kwargs)
+
+    monkeypatch.setattr(rl.PhaseJitterModel, "sample", counted)
+    rl.run_config(cfg, tmp_path / "out")
+    # two tables, and each steering but the continuous one, whose phases bypass the jitter
+    assert len(calls) == 2 + 5
 
 
 def _azimuth_90_scenario():

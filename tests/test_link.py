@@ -39,6 +39,8 @@ def test_scenario_validation():
         replace(good, frequency=0.0)
     with pytest.raises(ValueError):
         replace(good, tx_power=-1.0)
+    with pytest.raises(ValueError, match=r"^tx_power must be positive and finite, got 0.0$"):
+        replace(good, tx_power=0.0)  # no power reaches the RX: every row reads -inf dBm
     with pytest.raises(ValueError):
         replace(good, noise_variance=-1e-9)
 
@@ -155,7 +157,7 @@ def test_power_times_path_loss_is_tx_power():
         pl_db = rl.path_loss_db(s, config)
         assert rl.received_power(s, config) * rl.from_db(pl_db) == \
             pytest.approx(s.tx_power, rel=1e-12)
-        ssq = abs(rl.link._channel_sum(s, config)) ** 2
+        ssq = abs(rl.link._channel_sums(s, rl.link._own_rx_point(s), [(config, None)])[0, 0]) ** 2
         assert pl_db == pytest.approx(10 * math.log10(16 * math.pi ** 2 / ssq), rel=1e-15)
 
 
@@ -288,8 +290,10 @@ def _cut_points(scenario, angles, azimuth=0.0):
 
 def _assert_sums_match_per_point(s, angles, configuration=None, phases=None, azimuth=0.0):
     """Batched sums give per-point received_power and path_loss_db within 1e-12 relative."""
-    sums = rl.link._channel_sums(s, _cut_points(s, angles, azimuth), configuration, phases)
-    assert sums.shape == (len(angles),)
+    points = _cut_points(s, angles, azimuth)
+    sums = rl.link._channel_sums(s, points, [(configuration, phases)])
+    assert sums.shape == (1, len(angles))
+    sums = sums[0]
     for a, total in zip(angles, sums):
         scn = replace(s, rx_pose=rl.transmission_side_pose(s.rx_pose.r, a, azimuth))
         ssq = abs(total) ** 2
@@ -329,6 +333,18 @@ def test_kernel_with_mixed_states_phases_and_jitter():
                                  random_surface(rng, jittered))
 
 
+def test_kernel_programs_are_their_one_program_rows_bit_for_bit():
+    s = rl.chamber_scenario(n_rows=3, n_cols=5, phase_jitter_max_deg=9.0, phase_jitter_seed=2)
+    rng = np.random.default_rng(5)
+    cut = _cut_points(s, np.arange(-60.0, 61.0, 7.5), 30.0)
+    programs = [(random_surface(rng, s), None), (None, rng.uniform(0.0, 2 * math.pi, 15)),
+                (None, None)]
+    together = rl.link._channel_sums(s, cut, programs)
+    assert together.shape == (3, len(cut))
+    for row, program in zip(together, programs):
+        assert np.array_equal(row, rl.link._channel_sums(s, cut, [program])[0])
+
+
 def _raised(fn, *args):
     with pytest.raises(ValueError) as info:
         fn(*args)
@@ -340,13 +356,13 @@ def test_kernel_keeps_the_per_point_errors():
     cut = _cut_points(s, [-10.0, 0.0, 10.0])
     above = cut.copy()
     above[1, 2] = 0.5  # the middle point on the feed's side of the plane
-    assert _raised(rl.link._channel_sums, s, above) == _raised(
+    assert _raised(rl.link._channel_sums, s, above, [(None, None)]) == _raised(
         lambda: replace(s, rx_pose=rl.SphericalPose(0.5, 0.0, 0.0)))
     for config in (np.full(32, 4),             # outside the codebook
                    np.zeros(31, dtype=int)):   # one unit short
-        assert _raised(rl.link._channel_sums, s, cut, config) == _raised(
+        assert _raised(rl.link._channel_sums, s, cut, [(config, None)]) == _raised(
             rl.received_power, s, config)
-    assert _raised(rl.link._channel_sums, s, cut, None, np.zeros(31)) == _raised(
+    assert _raised(rl.link._channel_sums, s, cut, [(None, np.zeros(31))]) == _raised(
         rl.received_power, s, None, np.zeros(31))
 
 
@@ -366,7 +382,7 @@ def test_exact_null_inside_a_cut_reads_infinite_like_the_per_point_route():
     s = replace(rl.chamber_scenario(n_rows=1, n_cols=1),
                 rx_antenna=rl.AntennaModel(1.0, 20000.0))
     angles = [0.0, 10.0, 20.0, 30.0]
-    sums = rl.link._channel_sums(s, _cut_points(s, angles))
+    sums = rl.link._channel_sums(s, _cut_points(s, angles), [(None, None)])[0]
     assert sums[0] != 0 and sums[1] != 0 and sums[2] == 0 and sums[3] == 0
     null = replace(s, rx_pose=rl.transmission_side_pose(4.0, 20.0))
     assert rl.received_power(null) == 0.0
@@ -407,7 +423,7 @@ def test_state_errors_match_between_received_power_and_the_kernel(configuration,
     s = rl.chamber_scenario()
     cut = _cut_points(s, [-10.0, 0.0, 10.0])
     via_power = _raised(lambda: rl.received_power(s, configuration))
-    via_kernel = _raised(lambda: rl.link._channel_sums(s, cut, configuration))
+    via_kernel = _raised(lambda: rl.link._channel_sums(s, cut, [(configuration, None)]))
     assert via_power == via_kernel == expected
 
 

@@ -119,6 +119,21 @@ def test_beamform_stages_reproduces_the_benchmark_calls(tmp_path):
     assert stages.cli._scenario_from_args(args)[0].noise_variance == 1e-6
 
 
+def test_run_stages_prints_every_stage_per_config():
+    proc = _run("run_stages.py", os.path.join(CONFIGS, "patterns.cfg"),
+                os.path.join(CONFIGS, "gain.cfg"), "--repeat", "2", "--seed", "3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "median CPU ms over 2 runs"
+    assert lines[1].split() == ["config", "parse", "load", "steer", "sums", "rows", "csv",
+                                "json", "other", "total"]
+    for line, cfg in zip(lines[2:], ("patterns.cfg", "gain.cfg")):
+        name, *ms = line.split()
+        assert name == cfg and len(ms) == 9
+        assert all(float(v) >= 0 for v in ms[:-2]) and float(ms[-1]) > 0
+    assert float(lines[2].split()[4]) > 0 and float(lines[3].split()[4]) == 0  # cuts only
+    assert len(lines) == 4
+
 
 
 def test_the_readme_quick_start_runs(capsys):
