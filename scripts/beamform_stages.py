@@ -17,7 +17,9 @@ command runs them:
     oracle       power_oracle: element weights, jitter and term table
     search       the blind or greedy search
     digest       config digest of the found configuration
-    sum          the outcome's channel sum and its dBm/dB conversion
+    sum          the found configuration's programmed phases (codebook entry
+                 plus jitter per unit) and the dBm/dB conversion of the
+                 channel sum; the sum itself counts as other
     json         the printed JSON text
     other        the rest of the command (total minus the stages)
 
@@ -37,7 +39,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from rislink import cli, experiments  # noqa: E402
+from rislink import cli, experiments, link  # noqa: E402
 
 METHODS = ("blind", "greedy")
 STAGES = (
@@ -46,7 +48,7 @@ STAGES = (
     ("oracle", [(experiments, "power_oracle")]),
     ("search", [(experiments, "blind_rowcol_search"), (experiments, "greedy_element_search")]),
     ("digest", [(experiments, "_config_digest")]),
-    ("sum", [(experiments, "_weighted_sum"), (cli, "_link_budget_db")]),
+    ("sum", [(link.Scenario, "programmed_phases"), (cli, "_link_budget_db")]),
     ("json", [(cli, "_dumps_indented")]),
 )
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .link import Scenario, element_weights, phase_error_realization
+from .link import SIXTEEN_PI_SQ, Scenario, element_weights
 from .ris import PhaseCodebook
 
 _NOISE_BLOCK = 1024  # noise draws taken from the channel's rng at a time
@@ -67,8 +67,8 @@ class FeedbackChannel:
 
     def __init__(self, oracle: Callable[[np.ndarray], float],
                  noise_variance: float = 0.0, seed=0):
-        if noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
+        if not 0 <= noise_variance < math.inf:  # as `Scenario` checks it
+            raise ValueError(f"noise_variance must be finite and >= 0, got {noise_variance!r}")
         self.oracle = oracle
         self.noise_variance = float(noise_variance)
         self._rng = np.random.default_rng(seed)
@@ -136,14 +136,13 @@ class PowerOracle:
 
     prefactor * |sum_n table[n, idx_n]|^2, where `table[n, k]` is unit n's
     term when it holds codebook index k, with the scenario's jitter
-    realization folded in; `power_oracle` keeps its weights and that realization.
+    realization folded in; `power_oracle` keeps its element weights.
     """
 
-    def __init__(self, table: np.ndarray, prefactor: float, weights=None, phase_errors=0.0):
+    def __init__(self, table: np.ndarray, prefactor: float, weights=None):
         self.table = table
         self.prefactor = prefactor
         self.weights = weights
-        self.phase_errors = phase_errors
 
     def __call__(self, configuration) -> float:
         n = self.table.shape[0]
@@ -160,10 +159,9 @@ def power_oracle(scenario: Scenario) -> PowerOracle:
     searches optimize what the hardware would actually radiate.
     """
     w = element_weights(scenario)
-    errors = phase_error_realization(scenario)
-    jittered = w * np.exp(1j * np.asarray(errors))
+    jittered = w * np.exp(1j * scenario.phase_errors)
     table = jittered[:, None] * np.exp(1j * scenario.codebook.phases())
-    return PowerOracle(table, scenario.tx_power / (16.0 * math.pi ** 2), w, errors)
+    return PowerOracle(table, scenario.tx_power / SIXTEEN_PI_SQ, w)
 
 
 def uniform_configuration(layout, phase_index: int = 0) -> np.ndarray:

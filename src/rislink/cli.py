@@ -172,17 +172,18 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
-    seeded.add_argument("--out", default=".", help="output directory")
     common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     common.add_argument("--config", help="scenario config file (defaults to the chamber setup)")
     common.add_argument("--tx-distance", type=float, default=None,
                         help="override feed distance in meters")
     common.add_argument("--rx-distance", type=float, default=None,
                         help="override probe distance in meters")
+    written = argparse.ArgumentParser(add_help=False)  # commands that write files
+    written.add_argument("--out", default=".", help="output directory")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", parents=[seeded], help="run every sweep in a config file")
+    p = sub.add_parser("run", parents=[seeded, written], help="run every sweep in a config file")
     p.add_argument("config_path", help="experiment config file")
     p.set_defaults(func=_cmd_run)
 
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("angle", "sweep-angle", "path loss vs probe angle"),
             ("gain", "sweep-gain", "received power vs array supply current"),
             ("pattern", "pattern", "radiation cut at a fixed steering angle")):
-        p = sub.add_parser(command, parents=[common], help=help_text)
+        p = sub.add_parser(command, parents=[common, written], help=help_text)
         if kind == "gain":
             p.add_argument("--currents", default="0.01,0.2,0.4,0.6,0.8,1.0,1.2,1.4",
                            help="comma list of array-level currents in amperes")

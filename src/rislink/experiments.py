@@ -33,7 +33,6 @@ from .link import (
     _own_rx_point,
     _weight_chunks,
     from_db,
-    phase_error_realization,
 )
 from .ris import DEFAULT_CALIBRATION, AmplifierModel, PhaseCodebook, PhaseJitterModel
 
@@ -198,15 +197,19 @@ class BeamformingOutcome:
     """What a configuration pass produced: the continuous phases (`continuous`)
     or the index grid (discrete methods) to program at top current, a digest
     of whichever applies, the channel sum they give at the scenario's own
-    pose, and the feedback queries spent (with their trace)."""
+    pose, and a search's trace of its feedback queries."""
 
     method: str
     phases: np.ndarray | None
     configuration: np.ndarray | None
     digest: str
     channel_sum: complex
-    queries: int = 0
     trace: SearchTrace | None = None
+
+    @property
+    def queries(self) -> int:
+        """Feedback queries spent: the trace's length, 0 for a closed form."""
+        return 0 if self.trace is None else self.trace.n_queries
 
 
 def _closed_form(scenario: Scenario, method: str, phi: np.ndarray) -> np.ndarray:
@@ -235,19 +238,14 @@ def _config_digest(scenario: Scenario, config: np.ndarray) -> str:
     return h.hexdigest()[:12]
 
 
-def _weighted_sum(weights: np.ndarray, programmed: np.ndarray) -> complex:
-    """sum_n w_n exp(j phi_n) of element weights w_n at programmed phases phi_n, as
-    `_channel_sums` sums each point."""
-    return np.sum(weights * np.exp(1j * programmed))
-
-
 def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
                       passes: int = 4, max_rounds: int = 8) -> BeamformingOutcome:
     """Run one beamforming method against `scenario` and package the result.
 
     Every method builds the element weights once, a closed form from the kernel's
     chunk and a search in its `power_oracle`, and the outcome's channel sum comes
-    from those weights: bit for bit `_channel_sums` of its program at its own pose.
+    from those weights and the phases its program radiates: bit for bit
+    `_channel_sums` of that program at its own pose.
     """
     if method not in BEAMFORMING_METHODS:
         raise ValueError(f"unknown beamforming method {method!r}")
@@ -259,8 +257,6 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
     if method in _CLOSED_FORM_METHODS:
         _, amp, phi = next(_weight_chunks(scenario, _own_rx_point(scenario)))
         weights, config = amp[0] * np.exp(-1j * phi[0]), _closed_form(scenario, method, phi[0])
-        programmed = (config if method == "continuous"
-                      else scenario.codebook.phases()[config] + phase_error_realization(scenario))
     else:
         oracle = power_oracle(scenario)
         feedback = FeedbackChannel(oracle, scenario.noise_variance, seed)
@@ -268,14 +264,13 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
             config, trace = blind_rowcol_search(scenario, feedback=feedback, passes=passes)
         else:
             config, trace = greedy_element_search(scenario, feedback=feedback, max_rounds=max_rounds)
-        weights = oracle.weights
-        programmed = scenario.codebook.phases()[config.reshape(-1)] + oracle.phase_errors
-    total, digest = _weighted_sum(weights, programmed), _config_digest(scenario, config)
-    if method == "continuous":
-        return BeamformingOutcome(method, config, None, digest, total)
-    config = config.reshape(scenario.layout.n_rows, scenario.layout.n_cols)
-    return BeamformingOutcome(method, None, config, digest, total,
-                              0 if trace is None else trace.n_queries, trace)
+        weights, config = oracle.weights, config.reshape(-1)
+    continuous = method == "continuous"
+    programmed = config if continuous else scenario.programmed_phases(config)
+    channel_sum = np.sum(weights * np.exp(1j * programmed))
+    grid = None if continuous else config.reshape(scenario.layout.n_rows, scenario.layout.n_cols)
+    return BeamformingOutcome(method, config if continuous else None, grid,
+                              _config_digest(scenario, config), channel_sum, trace)
 
 
 @dataclass
@@ -346,7 +341,7 @@ def _pose_sweep(scenario: Scenario, job: SweepJob, values, r, theta, azimuth, se
                 # the programmed phases cancel the path phases: S = sum_n |w_n|
                 sums.extend(amp.sum(axis=-1))
             else:
-                programmed = scenario.codebook.phases()[config] + phase_error_realization(scenario)
+                programmed = scenario.programmed_phases(config)
                 sums.extend(np.sum(amp * np.exp(1j * (programmed - phi)), axis=-1))
             digests.extend(_config_digest(scenario, point_config) for point_config in config)
     return SweepResult.from_sums(scenario, SWEEP_KINDS[job.kind], values, sums, digests)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,17 @@ class Scenario:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.frequency
 
+    @cached_property
+    def phase_errors(self):
+        """Fixed per-unit phase-shifter errors (the jitter seed pins them), drawn on
+        first read and kept; 0.0 when jitter is off."""
+        return 0.0 if self.jitter is None else self.jitter.sample(self.layout.n_units)
+
+    def programmed_phases(self, idx) -> np.ndarray:
+        """Phases the units radiate at codebook indices `idx` (..., n_units): each
+        unit's codebook entry plus its own fixed error."""
+        return self.codebook.phases()[idx] + self.phase_errors
+
 
 def _phase_indices(scenario: Scenario, configuration) -> np.ndarray:
     """Flat codebook indices of a phase-index grid (flat or (n_rows, n_cols), row-major),
@@ -81,13 +93,6 @@ def _phase_indices(scenario: Scenario, configuration) -> np.ndarray:
     if np.any(idx >= scenario.codebook.size):
         raise ValueError(f"phase index outside {scenario.codebook.size}-entry codebook")
     return idx
-
-
-def phase_error_realization(scenario: Scenario):
-    """Fixed per-unit phase-shifter errors (the jitter seed pins them); 0.0 when jitter is off."""
-    if scenario.jitter is None:
-        return 0.0
-    return scenario.jitter.sample(scenario.layout.n_units)
 
 
 # Element budget (RX points x units) of one kernel chunk.  A whole 4x8 pattern
@@ -136,15 +141,14 @@ def _channel_sums(scenario: Scenario, rx_points, programs) -> np.ndarray:
     program k toward each of (P, 3) RX points, shape (K, P).
 
     One evaluation serves both link figures: P_r = P_t / (16 pi^2) |S|^2 and
-    PL = 16 pi^2 / |S|^2.  The programs are resolved, and the jitter drawn, once
-    per call; each chunk's path table w = amp exp(-j Phi) is formed once for all
-    K programs and released before the next chunk is built.
+    PL = 16 pi^2 / |S|^2.  The programs are resolved once per call; each chunk's
+    path table w = amp exp(-j Phi) is formed once for all K programs and released
+    before the next chunk is built.
     """
-    errors = phase_error_realization(scenario) if any(ph is None for _, ph in programs) else 0.0
     rots = []
     for configuration, phases in programs:  # explicit phases bypass codebook and jitter
         idx = _phase_indices(scenario, configuration)
-        ph = (scenario.codebook.phases()[idx] + errors if phases is None
+        ph = (scenario.programmed_phases(idx) if phases is None
               else np.asarray(phases, dtype=float).reshape(-1))
         if ph.size != scenario.layout.n_units:
             raise ValueError(f"{ph.size} phases for {scenario.layout.n_units} units")

@@ -16,7 +16,6 @@ from rislink.link import (
     _channel_sums,
     _own_rx_point,
     _phase_indices,
-    phase_error_realization,
 )
 
 
@@ -327,7 +326,7 @@ def received_power_expanded(scenario, configuration=None, phases=None, current=N
         * zenith_area(area, zen_t)
         * zenith_area(area, zen_r)
     ) / (r_t * r_r)
-    ph = (scenario.codebook.phases()[idx] + phase_error_realization(scenario) if phases is None
+    ph = (scenario.codebook.phases()[idx] + scenario.phase_errors if phases is None
           else np.asarray(phases, dtype=float).reshape(-1))
     phi_prop = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
     # one exponential per phase: their difference, ~1e3 rad, would carry ~1e-13 rad of rounding

@@ -54,6 +54,17 @@ def test_feedback_channel_noiseless_and_counting():
     assert fb.queries == 2
 
 
+@pytest.mark.parametrize("variance", [math.nan, math.inf, -1e-9])
+def test_feedback_channel_rejects_a_noise_variance_the_scenario_rejects(variance):
+    s = small_scenario(0)
+    with pytest.raises(ValueError) as from_scenario:
+        replace(s, noise_variance=variance)
+    with pytest.raises(ValueError) as from_channel:
+        rl.FeedbackChannel(rl.power_oracle(s), variance)
+    assert str(from_channel.value) == str(from_scenario.value) == (
+        f"noise_variance must be finite and >= 0, got {variance!r}")
+
+
 def test_feedback_channel_noise_is_seeded():
     s = small_scenario(1)
     oracle = rl.power_oracle(s)

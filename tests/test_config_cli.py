@@ -696,7 +696,8 @@ def test_a_negative_seed_is_rejected_before_anything_is_written(tmp_path, capsys
         monkeypatch.setenv("RISLINK_SEED", "-3")
         message = "RISLINK_SEED must be >= 0, got -3"
     out = tmp_path / "out"
-    assert main([*argv, "--out", str(out)]) == 2
+    writes = [] if argv[0] == "beamform" else ["--out", str(out)]  # beamform only prints
+    assert main([*argv, *writes]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -756,6 +757,15 @@ def test_run_rejects_the_flags_it_would_ignore(tmp_path, capsys, flag):
         main(["run", _ANGLE_CFG, "--out", str(out), *flag])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_beamform_rejects_an_out_directory_it_would_never_write(tmp_path, capsys):
+    out = tmp_path / "missing" / "dir"
+    with pytest.raises(SystemExit) as exc:
+        main(["beamform", "--method", "quantized", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --out {out}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -191,9 +191,8 @@ def _count_weight_builds(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("method, draws", [("blind", 1), ("greedy", 1), ("none", 1),
-                                           ("quantized", 1), ("continuous", 0)])
-def test_a_beamform_draws_the_jitter_at_most_once(monkeypatch, capsys, method, draws):
+def _count_draws(monkeypatch) -> list:
+    """A list that gains one entry per jitter draw (`PhaseJitterModel.sample` call)."""
     calls = []
     sample = rl.PhaseJitterModel.sample
 
@@ -202,6 +201,13 @@ def test_a_beamform_draws_the_jitter_at_most_once(monkeypatch, capsys, method, d
         return sample(self, *args, **kwargs)
 
     monkeypatch.setattr(rl.PhaseJitterModel, "sample", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method, draws", [("blind", 1), ("greedy", 1), ("none", 1),
+                                           ("quantized", 1), ("continuous", 0)])
+def test_a_beamform_draws_the_jitter_at_most_once(monkeypatch, capsys, method, draws):
+    calls = _count_draws(monkeypatch)
     assert main(["beamform", "--config", GOLDEN_16X16, "--method", method, "--rounds", "1"]) == 0
     assert len(calls) == draws
 
@@ -452,17 +458,35 @@ def test_cuts_on_one_grid_build_one_path_table(monkeypatch, tmp_path):
 def test_cuts_on_one_grid_draw_the_jitter_once_per_table(monkeypatch, tmp_path):
     cfg = tmp_path / "cuts.cfg"
     cfg.write_text(_JITTERED_5X7 + "".join(text for text, cut in _SWEEPS if cut))
-    calls = []
-    sample = rl.PhaseJitterModel.sample
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return sample(self, *args, **kwargs)
-
-    monkeypatch.setattr(rl.PhaseJitterModel, "sample", counted)
+    calls = _count_draws(monkeypatch)
     rl.run_config(cfg, tmp_path / "out")
-    # two tables, and each steering but the continuous one, whose phases bypass the jitter
-    assert len(calls) == 2 + 5
+    # the plan's scenario once for both tables, and each steering but the continuous
+    # one, whose phases bypass the jitter
+    assert len(calls) == 1 + 5
+
+
+def test_a_run_draws_the_jitter_once_per_scenario(monkeypatch, tmp_path):
+    cfg = tmp_path / "all.cfg"
+    searched = "[sweep turn]\ntype = angle\nmethod = blind\nstart = 0\nstop = 20\nstep = 10\n"
+    cfg.write_text(_JITTERED_5X7 + "".join(text for text, _ in _SWEEPS) + searched)
+    calls = _count_draws(monkeypatch)
+    rl.run_config(cfg, tmp_path / "out")
+    # the plan's scenario once for the tables, the distance and the gain sweep; then
+    # each steering but the continuous one, and the scenario of each searched pose
+    assert len(calls) == 1 + 5 + 3
+
+
+@pytest.mark.parametrize("kind, method, grid, draws", [
+    ("distance", "quantized", (0.5, 5.5, 0.5), 1), ("angle", "none", (0.0, 40.0, 1.0), 1),
+    ("angle", "continuous", (0.0, 40.0, 1.0), 0)],
+    ids=["distance-quantized", "angle-none", "angle-continuous"])
+def test_a_large_pose_sweep_draws_the_jitter_at_most_once(monkeypatch, kind, method, grid,
+                                                          draws):
+    s = rl.chamber_scenario(n_rows=64, n_cols=64, phase_jitter_max_deg=8.0)
+    calls = _count_draws(monkeypatch)
+    res = rl.run_sweep(s, SweepJob("s", kind, method, *grid))
+    assert len(res.values) > 8  # more points than one 64x64 kernel chunk holds
+    assert len(calls) == draws
 
 
 def _azimuth_90_scenario():

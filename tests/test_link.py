@@ -209,8 +209,10 @@ def test_phases_override_bypasses_jitter():
 def test_jitter_realization_is_static():
     s = rl.chamber_scenario(phase_jitter_max_deg=8.0, phase_jitter_seed=9)
     assert rl.received_power(s) == rl.received_power(s)
-    err = rl.link.phase_error_realization(s)
-    assert np.array_equal(err, rl.link.phase_error_realization(s))
+    err = s.phase_errors
+    assert err is s.phase_errors  # drawn once per Scenario
+    moved = replace(s, rx_pose=rl.transmission_side_pose(2.0, 30.0))
+    assert np.array_equal(err, moved.phase_errors)  # the seed pins it
     assert np.all(np.abs(err) <= math.radians(8.0))
 
 

@@ -119,6 +119,22 @@ def test_beamform_stages_reproduces_the_benchmark_calls(tmp_path):
     assert stages.cli._scenario_from_args(args)[0].noise_variance == 1e-6
 
 
+@pytest.mark.parametrize("method", ["blind", "greedy"])
+def test_every_beamform_stage_times_a_function_the_command_calls(monkeypatch, capsys, method):
+    stages = _load("beamform_stages.py")
+    called = set()
+    for stage, targets in stages.STAGES:
+        for owner, name in targets:
+            def counted(*args, _fn=getattr(owner, name), _stage=stage, **kwargs):
+                called.add(_stage)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+    cfg = os.path.join(CONFIGS, "angle.cfg")
+    defaults = argparse.Namespace(seed=0, passes=None, rounds=None)
+    assert stages.cli.main(stages.beamform_args(cfg, method, defaults)) == 0
+    assert called == {stage for stage, _ in stages.STAGES}
+
+
 def test_run_stages_prints_every_stage_per_config():
     proc = _run("run_stages.py", os.path.join(CONFIGS, "patterns.cfg"),
                 os.path.join(CONFIGS, "gain.cfg"), "--repeat", "2", "--seed", "3")

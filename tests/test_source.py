@@ -49,7 +49,17 @@ def test_every_import_is_used(path):
         assert unused_imports(fh.read()) == []
 
 
-LINE_BUDGET = 1940  # ROADMAP item 4: new features are paid for by deletion
+@pytest.mark.parametrize("path", MODULES, ids=_source_id)
+def test_only_the_link_draws_the_jitter(path):
+    """`Scenario.phase_errors` is the one caller of `PhaseJitterModel.sample`."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "sample"]
+    assert len(calls) == (1 if os.path.basename(path) == "link.py" else 0)
+
+
+LINE_BUDGET = 1938  # ROADMAP item 4: new features are paid for by deletion
 
 
 def test_the_package_stays_within_its_line_budget():
