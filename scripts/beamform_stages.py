@@ -14,7 +14,7 @@ command runs them:
 
     parse        argument parsing
     scenario     the config file and overrides to a Scenario
-    oracle       power_oracle: element weights, jitter and term table
+    oracle       the FeedbackChannel build: element weights, jitter and term table
     search       the blind or greedy search
     digest       config digest of the found configuration
     sum          the found configuration's programmed phases (codebook entry
@@ -45,7 +45,7 @@ METHODS = ("blind", "greedy")
 STAGES = (
     ("parse", [(cli._PARSER, "parse_args")]),
     ("scenario", [(cli, "_scenario_from_args")]),
-    ("oracle", [(experiments, "power_oracle")]),
+    ("oracle", [(experiments, "FeedbackChannel")]),
     ("search", [(experiments, "blind_rowcol_search"), (experiments, "greedy_element_search")]),
     ("digest", [(experiments, "_config_digest")]),
     ("sum", [(link.Scenario, "programmed_phases"), (cli, "_link_budget_db")]),

@@ -4,9 +4,10 @@ reconfigurable surfaces.
 The public surface re-exports the pieces most analyses touch: geometry and
 channel primitives, per-unit hardware models, full-link evaluation, the
 configuration searches, and the sweeps.  Every link comes from
-`chamber_scenario` and every sweep is one `SweepJob`, both validated when
-built; configs and commands build the same objects, so all three report a
-bad value in the same words.
+`chamber_scenario`, and a feedback search reads the `FeedbackChannel` built
+from it; every sweep is one `SweepJob`.  Links and jobs are validated when
+built, and configs and commands build the same objects, so all three report
+a bad value in the same words.
 """
 
 from .beamforming import (
@@ -16,7 +17,6 @@ from .beamforming import (
     brute_force_optimum,
     greedy_element_search,
     nearest_quantize,
-    power_oracle,
     uniform_configuration,
 )
 from .channel import SPEED_OF_LIGHT, AntennaModel

@@ -4,7 +4,7 @@ Configurations are integer ndarrays of shape (n_rows, n_cols) holding codebook
 indices, row-major consistent with the element ordering in `geometry`.
 
 The feedback searches never re-evaluate a whole configuration per query.  The
-oracle's (n_units, codebook size) table holds every term T[n, k] the channel
+channel's (n_units, codebook size) table holds every term T[n, k] the channel
 sum S = sum_n T[n, idx_n] can contain, so a one-element candidate is
 (S - T[n, cur]) + T[n, idx], O(1), and a line shift adds that line's term
 differences, O(line).  S is re-summed from scratch once per round or pass so
@@ -16,11 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .link import SIXTEEN_PI_SQ, Scenario, element_weights
+from .link import SIXTEEN_PI_SQ, Scenario, _phase_indices, element_weights
 from .ris import PhaseCodebook
 
 _NOISE_BLOCK = 1024  # noise draws taken from the channel's rng at a time
@@ -56,26 +55,37 @@ class SearchTrace:
 
 
 class FeedbackChannel:
-    """Measured received power for candidate configurations.
+    """Measured received power of a scenario's phase-index grids.
 
-    Wraps a noiseless power oracle, adds Gaussian measurement noise with the
-    given variance (readings floored at zero), and counts queries.  Noise comes
-    from a standalone seeded rng in blocks, handed out in order: the readings
-    of one draw per query.  `measure` evaluates a configuration; the searches
-    take noiseless powers from a `power_oracle` table to `read` and `read_until`.
+    Builds the element weights once (`weights`) and keeps the (n_units, codebook
+    size) `table` of every term T[n, k], with the scenario's jitter realization
+    folded in, so a grid's noiseless power at the top calibrated current is
+    prefactor * |sum_n T[n, idx_n]|^2 (`power`).  Readings add Gaussian noise of
+    the scenario's `noise_variance` (floored at zero), one draw per query from a
+    standalone seeded rng in blocks, and are counted in `queries`.  `measure`
+    reads a grid; the searches read the table's powers by `read` and `read_until`.
     """
 
-    def __init__(self, oracle: Callable[[np.ndarray], float],
-                 noise_variance: float = 0.0, seed=0):
-        if not 0 <= noise_variance < math.inf:  # as `Scenario` checks it
-            raise ValueError(f"noise_variance must be finite and >= 0, got {noise_variance!r}")
-        self.oracle = oracle
-        self.noise_variance = float(noise_variance)
+    def __init__(self, scenario: Scenario, seed=0):
+        self.scenario = scenario
+        self.weights = element_weights(scenario)
+        jittered = self.weights * np.exp(1j * scenario.phase_errors)
+        self.table = jittered[:, None] * np.exp(1j * scenario.codebook.phases())
+        self.prefactor = scenario.tx_power / SIXTEEN_PI_SQ
+        self.noise_variance = scenario.noise_variance
         self._rng = np.random.default_rng(seed)
         self._noise = np.empty(0)  # drawn noise, unused from _pos on; as floats for `read`
         self._noise_list: list[float] = []
         self._pos = 0
         self.queries = 0
+
+    def power(self, configuration) -> float:
+        """Noiseless received power (W) of a phase-index grid, checked against the scenario."""
+        idx = _phase_indices(self.scenario, configuration)
+        return self.prefactor * abs(_sum_terms(self.table, idx)) ** 2
+
+    def measure(self, configuration) -> float:
+        return self.read(float(self.power(configuration)))
 
     def _draws(self, m: int) -> np.ndarray:
         """The next m draws, not yet consumed; a shortfall draws every block it needs at once."""
@@ -109,9 +119,6 @@ class FeedbackChannel:
         self._pos += m if self.noise_variance > 0.0 else 0
         return powers[:m].tolist()
 
-    def measure(self, configuration) -> float:
-        return self.read(float(self.oracle(configuration)))
-
 
 def _sum_terms(table: np.ndarray, configuration) -> complex:
     """Channel sum of a configuration from scratch: sum_n table[n, idx_n]."""
@@ -131,59 +138,20 @@ def _powers(prefactor: float, sums: np.ndarray) -> np.ndarray:
     return prefactor * squares
 
 
-class PowerOracle:
-    """Noiseless received power (W) of a phase-index grid.
-
-    prefactor * |sum_n table[n, idx_n]|^2, where `table[n, k]` is unit n's
-    term when it holds codebook index k, with the scenario's jitter
-    realization folded in; `power_oracle` keeps its element weights.
-    """
-
-    def __init__(self, table: np.ndarray, prefactor: float, weights=None):
-        self.table = table
-        self.prefactor = prefactor
-        self.weights = weights
-
-    def __call__(self, configuration) -> float:
-        n = self.table.shape[0]
-        if np.size(configuration) != n:
-            raise ValueError(f"configuration has {np.size(configuration)} entries for {n} units")
-        return self.prefactor * abs(_sum_terms(self.table, configuration)) ** 2
-
-
-def power_oracle(scenario: Scenario) -> PowerOracle:
-    """Noiseless map phase-index grid -> received power (W) at the amplifier's top
-    calibrated current, precomputed for speed.
-
-    Folds the scenario's per-unit jitter realization into the weights, so the
-    searches optimize what the hardware would actually radiate.
-    """
-    w = element_weights(scenario)
-    jittered = w * np.exp(1j * scenario.phase_errors)
-    table = jittered[:, None] * np.exp(1j * scenario.codebook.phases())
-    return PowerOracle(table, scenario.tx_power / SIXTEEN_PI_SQ, w)
-
-
 def uniform_configuration(layout, phase_index: int = 0) -> np.ndarray:
     return np.full((layout.n_rows, layout.n_cols), phase_index, dtype=int)
 
 
-def _start(scenario: Scenario, initial, feedback):
-    """(configuration, feedback channel, its oracle's table and prefactor) for a search."""
-    config = (uniform_configuration(scenario.layout) if initial is None
-              else np.array(initial, dtype=int))
-    if config.shape != (scenario.layout.n_rows, scenario.layout.n_cols):
+def _start(feedback: FeedbackChannel, initial) -> np.ndarray:
+    """A search's starting configuration: `initial`, or all zeros, on the channel's layout."""
+    layout = feedback.scenario.layout
+    config = uniform_configuration(layout) if initial is None else np.array(initial)
+    if config.shape != (layout.n_rows, layout.n_cols):
         raise ValueError("initial configuration does not match the layout")
-    if feedback is None:
-        feedback = FeedbackChannel(power_oracle(scenario), scenario.noise_variance)
-    try:
-        return config, feedback, feedback.oracle.table, feedback.oracle.prefactor
-    except AttributeError:
-        raise TypeError("feedback searches need a FeedbackChannel built on power_oracle") from None
+    return config
 
 
-def blind_rowcol_search(scenario: Scenario, initial=None,
-                        feedback: FeedbackChannel | None = None,
+def blind_rowcol_search(feedback: FeedbackChannel, initial=None,
                         passes: int = 4) -> tuple[np.ndarray, SearchTrace]:
     """Blind line-by-line search over whole columns, then whole rows.
 
@@ -194,9 +162,9 @@ def blind_rowcol_search(scenario: Scenario, initial=None,
     """
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    config, feedback, table, prefactor = _start(scenario, initial, feedback)
+    config = _start(feedback, initial)
+    table, prefactor, k = feedback.table, feedback.prefactor, feedback.scenario.codebook.size
     n_rows, n_cols = config.shape
-    k = scenario.codebook.size
     # step[k * n + i]: how unit n's term changes when it moves from index i to i + 1;
     # unit (r, c)'s entries start at step[first[r, c]]
     step = (np.roll(table, -1, axis=1) - table).reshape(-1)
@@ -240,8 +208,7 @@ def _shift_line(config, axis, i, k) -> None:
     line[:] = (line + 1) % k
 
 
-def greedy_element_search(scenario: Scenario, initial=None,
-                          feedback: FeedbackChannel | None = None,
+def greedy_element_search(feedback: FeedbackChannel, initial=None,
                           max_rounds: int = 8) -> tuple[np.ndarray, SearchTrace]:
     """Cyclic per-element descent: each unit in turn tries every codebook index.
 
@@ -255,8 +222,8 @@ def greedy_element_search(scenario: Scenario, initial=None,
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    config, feedback, table, prefactor = _start(scenario, initial, feedback)
-    k = scenario.codebook.size
+    config = _start(feedback, initial)
+    table, prefactor, k = feedback.table, feedback.prefactor, feedback.scenario.codebook.size
     held = config.reshape(-1)  # the configuration, updated unit by unit
     read = feedback.read
     trace = SearchTrace()
@@ -363,11 +330,11 @@ def brute_force_optimum(scenario: Scenario) -> tuple[np.ndarray, float]:
         raise ValueError(
             f"{scenario.codebook.bits * n} search bits exceed the 20-bit brute-force cap"
         )
-    oracle = power_oracle(scenario)
+    power = FeedbackChannel(scenario).power
     best_cfg = None
     best_p = -1.0
     for flat in itertools.product(range(scenario.codebook.size), repeat=n):
-        p = oracle(np.array(flat, dtype=int))
+        p = power(np.array(flat, dtype=int))
         if p > best_p:
             best_cfg, best_p = flat, p
     cfg = np.array(best_cfg, dtype=int).reshape(scenario.layout.n_rows, scenario.layout.n_cols)

@@ -22,7 +22,6 @@ from .beamforming import (
     blind_rowcol_search,
     greedy_element_search,
     nearest_quantize,
-    power_oracle,
 )
 from .channel import AntennaModel
 from .geometry import ArrayLayout, SphericalPose, cartesian_points
@@ -243,7 +242,7 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
     """Run one beamforming method against `scenario` and package the result.
 
     Every method builds the element weights once, a closed form from the kernel's
-    chunk and a search in its `power_oracle`, and the outcome's channel sum comes
+    chunk and a search in its `FeedbackChannel`, and the outcome's channel sum comes
     from those weights and the phases its program radiates: bit for bit
     `_channel_sums` of that program at its own pose.
     """
@@ -258,13 +257,12 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
         _, amp, phi = next(_weight_chunks(scenario, _own_rx_point(scenario)))
         weights, config = amp[0] * np.exp(-1j * phi[0]), _closed_form(scenario, method, phi[0])
     else:
-        oracle = power_oracle(scenario)
-        feedback = FeedbackChannel(oracle, scenario.noise_variance, seed)
+        feedback = FeedbackChannel(scenario, seed)
         if method == "blind":
-            config, trace = blind_rowcol_search(scenario, feedback=feedback, passes=passes)
+            config, trace = blind_rowcol_search(feedback, passes=passes)
         else:
-            config, trace = greedy_element_search(scenario, feedback=feedback, max_rounds=max_rounds)
-        weights, config = oracle.weights, config.reshape(-1)
+            config, trace = greedy_element_search(feedback, max_rounds=max_rounds)
+        weights, config = feedback.weights, config.reshape(-1)
     continuous = method == "continuous"
     programmed = config if continuous else scenario.programmed_phases(config)
     channel_sum = np.sum(weights * np.exp(1j * programmed))
@@ -443,7 +441,7 @@ def _radiation_patterns(scenario: Scenario, jobs: Sequence[SweepJob], seed,
 
 
 def run_sweep(scenario: Scenario, job: SweepJob, seed=0,
-              rx_azimuth_deg: float = 0.0) -> SweepResult:
+              rx_azimuth_deg: float | None = None) -> SweepResult:
     """Run one sweep on `scenario`: a `PatternResult` for a cut, else a `SweepResult`.
 
     Distance and angle sweeps move only the RX range or angle, beamformed afresh
@@ -451,8 +449,12 @@ def run_sweep(scenario: Scenario, job: SweepJob, seed=0,
     operating point; |S|^2 being linear in the uniform unit gain G_u, it scales
     that channel sum by sqrt(G_u(c / n) / G_u(top)) for each array current c split
     evenly over the n units.  Angle sweeps and cuts turn in the plane of
-    `rx_azimuth_deg`; negative angles turn it by 180 deg, as in `transmission_side_pose`.
+    `rx_azimuth_deg`, by default the RX pose's own; negative angles turn it by
+    180 deg, as in `transmission_side_pose`, so a negative-zenith scenario stores
+    its azimuth turned by 180 deg and its caller passes the configured one.
     """
+    if rx_azimuth_deg is None:
+        rx_azimuth_deg = math.degrees(scenario.rx_pose.phi)
     if job.kind == "pattern":
         return _radiation_patterns(scenario, [job], seed, rx_azimuth_deg)[0]
     if job.kind == "gain":

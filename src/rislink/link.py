@@ -88,9 +88,9 @@ def _phase_indices(scenario: Scenario, configuration) -> np.ndarray:
         raise ValueError(f"phase_index must hold integers, got dtype {idx.dtype}")
     if idx.size != n:
         raise ValueError(f"configuration has {idx.size} entries for {n} units")
-    if np.any(idx < 0):
+    if (idx < 0).any():
         raise ValueError("phase_index must be >= 0")
-    if np.any(idx >= scenario.codebook.size):
+    if (idx >= scenario.codebook.size).any():
         raise ValueError(f"phase index outside {scenario.codebook.size}-entry codebook")
     return idx
 

@@ -139,20 +139,19 @@ def unit_rcs(state, amplifier, incidence_zenith, departure_zenith, geometric_are
     return math.sqrt(amplifier.gain_linear(state.current) * a_in * a_out)
 
 
-def _reference_start(scenario, initial, feedback):
-    config = (rl.uniform_configuration(scenario.layout) if initial is None
+def _reference_start(feedback, initial):
+    layout = feedback.scenario.layout
+    config = (rl.uniform_configuration(layout) if initial is None
               else np.array(initial, dtype=int))
-    if config.shape != (scenario.layout.n_rows, scenario.layout.n_cols):
+    if config.shape != (layout.n_rows, layout.n_cols):
         raise ValueError("initial configuration does not match the layout")
-    if feedback is None:
-        feedback = rl.FeedbackChannel(rl.power_oracle(scenario), scenario.noise_variance, 0)
-    return config, feedback
+    return feedback.scenario, config
 
 
-def reference_blind_search(scenario, initial=None, feedback=None, passes=4):
+def reference_blind_search(feedback, initial=None, passes=4):
     """From-scratch blind row/column search: one full `measure` per candidate."""
+    scenario, config = _reference_start(feedback, initial)
     k = scenario.codebook.size
-    config, feedback = _reference_start(scenario, initial, feedback)
     trace = rl.SearchTrace()
     best = feedback.measure(config)
     trace.record(True, best)
@@ -178,10 +177,10 @@ def reference_blind_search(scenario, initial=None, feedback=None, passes=4):
     return config, trace
 
 
-def reference_greedy_search(scenario, initial=None, feedback=None, max_rounds=8):
+def reference_greedy_search(feedback, initial=None, max_rounds=8):
     """From-scratch greedy element search: one full `measure` per candidate."""
+    scenario, config = _reference_start(feedback, initial)
     k = scenario.codebook.size
-    config, feedback = _reference_start(scenario, initial, feedback)
     trace = rl.SearchTrace()
     best = feedback.measure(config)
     trace.record(True, best)
@@ -206,15 +205,15 @@ def reference_greedy_search(scenario, initial=None, feedback=None, max_rounds=8)
     return config, trace
 
 
-def stepwise_blind_search(scenario, initial=None, feedback=None, passes=4):
+def stepwise_blind_search(feedback, initial=None, passes=4):
     """Blind row/column search with one `read` and one `trace.record` per line.
 
     The same incremental sums as `blind_rowcol_search`, S plus the line's term
     changes (every candidate summed from scratch in a one-row or one-column
     layout), so its readings are the ones that search must give bit for bit.
     """
-    config, feedback = _reference_start(scenario, initial, feedback)
-    table, prefactor = feedback.oracle.table, feedback.oracle.prefactor
+    scenario, config = _reference_start(feedback, initial)
+    table, prefactor = feedback.table, feedback.prefactor
     n_rows, n_cols = config.shape
     k = scenario.codebook.size
     step = (np.roll(table, -1, axis=1) - table).reshape(n_rows, n_cols, k)
@@ -246,14 +245,14 @@ def stepwise_blind_search(scenario, initial=None, feedback=None, passes=4):
     return config, trace
 
 
-def stepwise_greedy_search(scenario, initial=None, feedback=None, max_rounds=8):
+def stepwise_greedy_search(feedback, initial=None, max_rounds=8):
     """Greedy element search with one `read` per candidate and no block reads.
 
     The same incremental sums as `greedy_element_search`, (S - T[n, cur]) +
     T[n, idx], so its readings are the ones that search must give bit for bit.
     """
-    config, feedback = _reference_start(scenario, initial, feedback)
-    table, prefactor = feedback.oracle.table, feedback.oracle.prefactor
+    scenario, config = _reference_start(feedback, initial)
+    table, prefactor = feedback.table, feedback.prefactor
     terms = table.tolist()
     held = config.reshape(-1).tolist()
     trace = rl.SearchTrace()

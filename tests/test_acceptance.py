@@ -84,10 +84,10 @@ def test_criterion_4_search_chain_blind_greedy_brute():
     detail = ""
     for trial in range(50):
         sc = make_random_scenario(rng, max_rows=2, max_cols=3, max_units=6)
-        oracle = rl.power_oracle(sc)
+        power = rl.FeedbackChannel(sc).power
 
-        blind_cfg, btrace = rl.blind_rowcol_search(sc)
-        pb = oracle(blind_cfg)
+        blind_cfg, btrace = rl.blind_rowcol_search(rl.FeedbackChannel(sc))
+        pb = power(blind_cfg)
         accepted = [p for p, kept in zip(btrace.powers, btrace.accepted) if kept]
         if not (np.diff(accepted) >= 0).all() or rel_gap(accepted[-1], pb) > 1e-12:
             ok, detail = False, f"trial {trial}: blind trace inconsistent"
@@ -97,14 +97,14 @@ def test_criterion_4_search_chain_blind_greedy_brute():
             ok, detail = False, f"trial {trial}: {btrace.n_queries} queries != {expect}"
             break
 
-        greedy_cfg, _ = rl.greedy_element_search(sc, initial=blind_cfg)
-        pg = oracle(greedy_cfg)
+        greedy_cfg, _ = rl.greedy_element_search(rl.FeedbackChannel(sc), initial=blind_cfg)
+        pg = power(greedy_cfg)
         if pg < pb * (1.0 - 1e-12):
             ok, detail = False, f"trial {trial}: greedy lost power refining blind"
             break
         stable = all(
-            oracle(np.where(np.arange(sc.layout.n_units).reshape(greedy_cfg.shape) == n,
-                            k, greedy_cfg)) <= pg * (1.0 + 1e-12)
+            power(np.where(np.arange(sc.layout.n_units).reshape(greedy_cfg.shape) == n,
+                           k, greedy_cfg)) <= pg * (1.0 + 1e-12)
             for n in range(sc.layout.n_units)
             for k in range(sc.codebook.size)
         )

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rislink as rl
-from rislink.beamforming import _NOISE_BLOCK, PowerOracle, _powers, wrap_to_pi
+from rislink.beamforming import _NOISE_BLOCK, _powers, wrap_to_pi
 from helpers import (
     make_random_scenario,
     reference_blind_search,
@@ -26,76 +26,102 @@ def small_scenario(seed, max_rows=2, max_cols=3):
                                 max_cols=max_cols, max_units=6)
 
 
-def test_power_oracle_matches_received_power():
+def test_channel_power_matches_received_power():
     rng = np.random.default_rng(3)
     s = make_random_scenario(rng)
-    oracle = rl.power_oracle(s)
+    fb = rl.FeedbackChannel(s)
     config = rng.integers(0, 4, (s.layout.n_rows, s.layout.n_cols))
-    assert oracle(config) == pytest.approx(
+    assert fb.power(config) == pytest.approx(
         rl.received_power(s, config), rel=1e-12)
+    assert np.array_equal(fb.weights, rl.element_weights(s))
 
 
-def test_power_oracle_includes_jitter():
+def test_channel_power_includes_jitter():
     s = rl.chamber_scenario(phase_jitter_max_deg=8.0, phase_jitter_seed=2)
     quiet = rl.chamber_scenario()
     config = rl.uniform_configuration(s.layout, 1)
-    assert rl.power_oracle(s)(config) != rl.power_oracle(quiet)(config)
-    assert rl.power_oracle(s)(config) == pytest.approx(
+    assert rl.FeedbackChannel(s).power(config) != rl.FeedbackChannel(quiet).power(config)
+    assert rl.FeedbackChannel(s).power(config) == pytest.approx(
         rl.received_power(s, config), rel=1e-12)
+
+
+def test_channel_power_checks_the_grid_against_its_scenario():
+    fb = rl.FeedbackChannel(rl.chamber_scenario(n_rows=2, n_cols=3))
+    for config, message in ((np.zeros((3, 3), dtype=int), "9 entries for 6 units"),
+                            (np.full((2, 3), 4), "outside 4-entry codebook"),
+                            (np.full((2, 3), -1), ">= 0")):
+        with pytest.raises(ValueError, match=message):
+            fb.power(config)
+        with pytest.raises(ValueError, match=message):
+            fb.measure(config)
+    assert fb.queries == 0
 
 
 def test_feedback_channel_noiseless_and_counting():
     s = small_scenario(0)
-    oracle = rl.power_oracle(s)
-    fb = rl.FeedbackChannel(oracle)
+    fb = rl.FeedbackChannel(s)
     config = rl.uniform_configuration(s.layout)
-    assert fb.measure(config) == oracle(config)
-    assert fb.measure(config) == oracle(config)
+    assert fb.measure(config) == fb.power(config)
+    assert fb.measure(config) == fb.power(config)
     assert fb.queries == 2
 
 
 @pytest.mark.parametrize("variance", [math.nan, math.inf, -1e-9])
-def test_feedback_channel_rejects_a_noise_variance_the_scenario_rejects(variance):
+def test_a_channel_takes_its_noise_variance_from_the_scenario_that_checks_it(variance):
     s = small_scenario(0)
     with pytest.raises(ValueError) as from_scenario:
         replace(s, noise_variance=variance)
-    with pytest.raises(ValueError) as from_channel:
-        rl.FeedbackChannel(rl.power_oracle(s), variance)
-    assert str(from_channel.value) == str(from_scenario.value) == (
+    assert str(from_scenario.value) == (
         f"noise_variance must be finite and >= 0, got {variance!r}")
+    assert rl.FeedbackChannel(replace(s, noise_variance=2e-9)).noise_variance == 2e-9
 
 
 def test_feedback_channel_noise_is_seeded():
-    s = small_scenario(1)
-    oracle = rl.power_oracle(s)
+    s = replace(small_scenario(1), noise_variance=1e-6)
     config = rl.uniform_configuration(s.layout)
-    a = rl.FeedbackChannel(oracle, 1e-6, seed=5)
-    b = rl.FeedbackChannel(oracle, 1e-6, seed=5)
+    a = rl.FeedbackChannel(s, seed=5)
+    b = rl.FeedbackChannel(s, seed=5)
     readings_a = [a.measure(config) for _ in range(10)]
     readings_b = [b.measure(config) for _ in range(10)]
     assert readings_a == readings_b
-    assert readings_a != [oracle(config)] * 10
+    assert readings_a != [a.power(config)] * 10
     assert all(p >= 0.0 for p in readings_a)
     with pytest.raises(ValueError):
-        rl.FeedbackChannel(oracle, -1.0)
+        replace(s, noise_variance=-1.0)
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
-@settings(max_examples=20, deadline=None)
-def test_blind_query_budget(n_rows, n_cols, passes):
-    s = make_random_scenario(np.random.default_rng(n_rows * 16 + n_cols * 4 + passes),
-                             max_rows=1, max_cols=1)
-    s = replace(s, layout=rl.ArrayLayout(n_rows, n_cols, 0.05, 0.05))
-    fb = rl.FeedbackChannel(rl.power_oracle(s))
-    _, trace = rl.blind_rowcol_search(s, feedback=fb, passes=passes)
-    assert fb.queries == 1 + passes * (n_rows + n_cols)
-    assert trace.n_queries == fb.queries
+@given(n_rows=st.integers(1, 5), n_cols=st.integers(1, 5), bits=st.integers(1, 4),
+       noisy=st.booleans(), uniform=st.booleans(), passes=st.integers(1, 3),
+       rounds=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_a_search_result_fits_its_own_channel(n_rows, n_cols, bits, noisy, uniform, passes,
+                                              rounds, seed):
+    rng = np.random.default_rng(seed)
+    s = make_random_scenario(rng, bits=bits, random_offset=True)
+    s = replace(s, layout=rl.ArrayLayout(n_rows, n_cols, s.layout.pitch_x, s.layout.pitch_y))
+    s, _ = _noisy(s, 0.02 if noisy else 0.0)
+    k, n = s.codebook.size, n_rows * n_cols
+    initial = None if uniform else rng.integers(0, k, (n_rows, n_cols))
+    blind, greedy = rl.FeedbackChannel(s, seed), rl.FeedbackChannel(s, seed)
+    found = [rl.blind_rowcol_search(blind, initial, passes),
+             rl.greedy_element_search(greedy, initial, rounds)]
+    for fb, (config, trace) in zip((blind, greedy), found):
+        assert config.shape == (n_rows, n_cols)
+        assert np.all((config >= 0) & (config < k))
+        assert trace.n_queries == fb.queries
+    assert blind.queries == 1 + passes * (n_rows + n_cols)
+    # a unit tries every index but the one it holds, and that one too once a
+    # gain has moved it lower: at most one more query per gain
+    gains = sum(found[1][1].accepted) - 1
+    assert greedy.queries <= 1 + rounds * (k - 1) * n + gains
+    if uniform and rounds == 1:  # from index 0 a unit only moves up
+        assert greedy.queries == 1 + (k - 1) * n
 
 
 def test_blind_trace_monotone_and_valid():
     for seed in range(8):
         s = small_scenario(seed)
-        config, trace = rl.blind_rowcol_search(s)
+        config, trace = rl.blind_rowcol_search(rl.FeedbackChannel(s))
         acc = [p for p, kept in zip(trace.powers, trace.accepted) if kept]
         assert trace.accepted[0]
         assert all(b >= a for a, b in zip(acc, acc[1:]))
@@ -103,13 +129,13 @@ def test_blind_trace_monotone_and_valid():
         assert config.shape == (s.layout.n_rows, s.layout.n_cols)
         assert np.all((config >= 0) & (config < s.codebook.size))
         # final configuration actually delivers the reported power
-        assert rl.power_oracle(s)(config) == pytest.approx(acc[-1], rel=1e-12)
+        assert rl.FeedbackChannel(s).power(config) == pytest.approx(acc[-1], rel=1e-12)
 
 
 def test_blind_symmetric_boresight_keeps_uniform():
     # perfectly symmetric 2x2 boresight link: any line shift breaks coherence
     s = rl.chamber_scenario(n_rows=2, n_cols=2)
-    config, trace = rl.blind_rowcol_search(s)
+    config, trace = rl.blind_rowcol_search(rl.FeedbackChannel(s))
     assert np.array_equal(config, rl.uniform_configuration(s.layout))
     assert trace.accepted[1:] == [False] * (trace.n_queries - 1)
     assert max(trace.powers) == trace.powers[0]
@@ -117,7 +143,7 @@ def test_blind_symmetric_boresight_keeps_uniform():
 
 def test_blind_single_element_is_trivially_optimal():
     s = small_scenario(4, max_rows=1, max_cols=1)
-    _, trace = rl.blind_rowcol_search(s)
+    _, trace = rl.blind_rowcol_search(rl.FeedbackChannel(s))
     _, best = rl.brute_force_optimum(s)
     assert max(trace.powers) == pytest.approx(best, rel=1e-12)
 
@@ -125,14 +151,20 @@ def test_blind_single_element_is_trivially_optimal():
 def test_blind_initial_validation():
     s = small_scenario(2)
     with pytest.raises(ValueError):
-        rl.blind_rowcol_search(s, initial=np.zeros((1, 1), dtype=int))
+        rl.blind_rowcol_search(rl.FeedbackChannel(s), initial=np.zeros((1, 1), dtype=int))
     with pytest.raises(ValueError):
-        rl.blind_rowcol_search(s, passes=0)
+        rl.blind_rowcol_search(rl.FeedbackChannel(s), passes=0)
+    outside = np.full((s.layout.n_rows, s.layout.n_cols), s.codebook.size)
+    for search in (rl.blind_rowcol_search, rl.greedy_element_search):
+        with pytest.raises(ValueError, match="outside 4-entry codebook"):
+            search(rl.FeedbackChannel(s), outside)
+        with pytest.raises(ValueError, match="must hold integers, got dtype float64"):
+            search(rl.FeedbackChannel(s), outside - 1.5)
 
 
 def test_greedy_single_element_exact():
     s = small_scenario(5, max_rows=1, max_cols=1)
-    _, trace = rl.greedy_element_search(s)
+    _, trace = rl.greedy_element_search(rl.FeedbackChannel(s))
     _, best = rl.brute_force_optimum(s)
     assert max(trace.powers) == pytest.approx(best, rel=1e-12)
 
@@ -140,9 +172,9 @@ def test_greedy_single_element_exact():
 def test_greedy_is_one_element_stable():
     for seed in (0, 1, 2, 3):
         s = small_scenario(seed)
-        config, trace = rl.greedy_element_search(s)
-        oracle = rl.power_oracle(s)
-        final = oracle(config)
+        config, trace = rl.greedy_element_search(rl.FeedbackChannel(s))
+        power = rl.FeedbackChannel(s).power
+        final = power(config)
         flat = config.reshape(-1)
         for n in range(s.layout.n_units):
             for k in range(s.codebook.size):
@@ -150,7 +182,7 @@ def test_greedy_is_one_element_stable():
                     continue
                 cand = flat.copy()
                 cand[n] = k
-                assert oracle(cand) <= final * (1 + 1e-12)
+                assert power(cand) <= final * (1 + 1e-12)
         acc = [p for p, kept in zip(trace.powers, trace.accepted) if kept]
         assert all(b >= a for a, b in zip(acc, acc[1:]))
 
@@ -164,8 +196,8 @@ def test_greedy_beats_blind_in_most_paired_trials():
             s = make_random_scenario(rng, max_rows=2, max_cols=3, max_units=6)
             if s.layout.n_units == 6:
                 break
-        _, gt = rl.greedy_element_search(s)
-        _, lt = rl.blind_rowcol_search(s)
+        _, gt = rl.greedy_element_search(rl.FeedbackChannel(s))
+        _, lt = rl.blind_rowcol_search(rl.FeedbackChannel(s))
         if max(gt.powers) >= max(lt.powers) * (1 - 1e-12):
             wins += 1
     assert wins >= 95
@@ -174,9 +206,19 @@ def test_greedy_beats_blind_in_most_paired_trials():
 def test_greedy_refines_blind():
     for seed in range(10):
         s = small_scenario(seed)
-        blind_config, blind_trace = rl.blind_rowcol_search(s)
-        _, refined = rl.greedy_element_search(s, initial=blind_config)
+        blind_config, blind_trace = rl.blind_rowcol_search(rl.FeedbackChannel(s))
+        _, refined = rl.greedy_element_search(rl.FeedbackChannel(s), initial=blind_config)
         assert max(refined.powers) >= max(blind_trace.powers) * (1 - 1e-12)
+
+
+def _noisy(s, noise):
+    """`s` with reading noise `noise` times the uniform configuration's power (0.5 floors
+    some readings at 0), and its continuous-phase bound: a reading near 0 has no relative
+    precision, so powers also pass within 1e-12 of that bound."""
+    quiet = rl.FeedbackChannel(s)
+    noise_variance = (noise * quiet.power(rl.uniform_configuration(s.layout))) ** 2
+    bound = quiet.prefactor * float(np.abs(quiet.table[:, 0]).sum()) ** 2
+    return replace(s, noise_variance=noise_variance), bound
 
 
 def _assert_same_search(fast, reference, rel_floor):
@@ -196,20 +238,15 @@ def test_incremental_searches_match_full_evaluations(n_rows, n_cols, bits, noise
     rng = np.random.default_rng(seed)
     s = make_random_scenario(rng, bits=bits, random_offset=True)
     s = replace(s, layout=rl.ArrayLayout(n_rows, n_cols, s.layout.pitch_x, s.layout.pitch_y))
-    oracle = rl.power_oracle(s)
-    # noise as a share of the uniform configuration's power; 0.5 floors some readings at 0
-    noise_variance = (noise * oracle(rl.uniform_configuration(s.layout))) ** 2
+    s, bound = _noisy(s, noise)
     initial = rng.integers(0, s.codebook.size, (n_rows, n_cols))
-    # a reading near 0 has no relative precision, so powers also pass within
-    # 1e-12 of the continuous-phase bound
-    bound = oracle.prefactor * float(np.abs(oracle.table[:, 0]).sum()) ** 2
-    fast = rl.FeedbackChannel(oracle, noise_variance, seed)
-    ref = rl.FeedbackChannel(oracle, noise_variance, seed)
+    fast = rl.FeedbackChannel(s, seed)
+    ref = rl.FeedbackChannel(s, seed)
     # one channel per side serves greedy, then blind: the noise stream carries over
-    _assert_same_search(rl.greedy_element_search(s, initial, fast, rounds),
-                        reference_greedy_search(s, initial, ref, rounds), bound)
-    _assert_same_search(rl.blind_rowcol_search(s, initial, fast, passes),
-                        reference_blind_search(s, initial, ref, passes), bound)
+    _assert_same_search(rl.greedy_element_search(fast, initial, rounds),
+                        reference_greedy_search(ref, initial, rounds), bound)
+    _assert_same_search(rl.blind_rowcol_search(fast, initial, passes),
+                        reference_blind_search(ref, initial, passes), bound)
     assert fast.queries == ref.queries
 
 
@@ -218,22 +255,21 @@ def test_multi_round_greedy_retries_the_original_index():
     # original index again: k queries instead of k - 1, so 1 + 3 * 3N + 1.
     s = small_scenario(0)
     n = s.layout.n_units
-    fast = rl.greedy_element_search(s, max_rounds=4)
-    reference = reference_greedy_search(s, max_rounds=4)
+    fast = rl.greedy_element_search(rl.FeedbackChannel(s), max_rounds=4)
+    reference = reference_greedy_search(rl.FeedbackChannel(s), max_rounds=4)
     assert fast[1].n_queries == 1 + 3 * 3 * n + 1
     _assert_same_search(fast, reference, 0.0)
 
 
 def test_feedback_channel_reads_like_one_draw_per_query():
-    s = small_scenario(3)
-    oracle = rl.power_oracle(s)
+    s = replace(small_scenario(3), noise_variance=1e-6)
     config = rl.uniform_configuration(s.layout)
-    fb = rl.FeedbackChannel(oracle, 1e-6, seed=7)
+    fb = rl.FeedbackChannel(s, seed=7)
     rng = np.random.default_rng(7)
     # past the first noise block, alternating measure and read
     for i in range(2500):
-        p = fb.measure(config) if i % 2 else fb.read(oracle(config))
-        assert p == max(0.0, oracle(config) + float(rng.normal(0.0, math.sqrt(1e-6))))
+        p = fb.measure(config) if i % 2 else fb.read(fb.power(config))
+        assert p == max(0.0, fb.power(config) + float(rng.normal(0.0, math.sqrt(1e-6))))
     assert fb.queries == 2500
 
 
@@ -264,10 +300,9 @@ def test_array_powers_equal_python_powers_bit_for_bit():
 
 def test_block_reads_take_one_draw_per_reading_across_noise_blocks():
     s = small_scenario(3)
-    oracle = rl.power_oracle(s)
     config = rl.uniform_configuration(s.layout)
-    p0 = oracle(config)
-    fb = rl.FeedbackChannel(oracle, (0.05 * p0) ** 2, seed=7)
+    p0 = rl.FeedbackChannel(s).power(config)
+    fb = rl.FeedbackChannel(replace(s, noise_variance=(0.05 * p0) ** 2), seed=7)
     draws = np.random.default_rng(7)
 
     def expected(power):
@@ -305,9 +340,9 @@ def test_noise_top_ups_take_every_block_a_shortfall_needs_at_once(monkeypatch):
     s = make_random_scenario(rng, random_offset=True)
     s = replace(s, layout=rl.ArrayLayout(48, 48, s.layout.pitch_x, s.layout.pitch_y),
                 jitter=rl.PhaseJitterModel(math.radians(10.0), 48))
-    oracle = rl.power_oracle(s)
-    aligned = oracle.prefactor * float(np.abs(oracle.table[:, 0]).sum()) ** 2
-    fb = rl.FeedbackChannel(oracle, (0.02 * aligned) ** 2, 3)
+    quiet = rl.FeedbackChannel(s)
+    aligned = quiet.prefactor * float(np.abs(quiet.table[:, 0]).sum()) ** 2
+    fb = rl.FeedbackChannel(replace(s, noise_variance=(0.02 * aligned) ** 2), 3)
     concatenate, top_ups = np.concatenate, []
 
     def spy(arrays, *args, **kwargs):
@@ -315,7 +350,7 @@ def test_noise_top_ups_take_every_block_a_shortfall_needs_at_once(monkeypatch):
         return concatenate(arrays, *args, **kwargs)
 
     monkeypatch.setattr(np, "concatenate", spy)
-    rl.greedy_element_search(s, None, fb, 3)
+    rl.greedy_element_search(fb, None, 3)
     monkeypatch.undo()
     at, floats = zip(*top_ups)
     assert fb.queries > 13 * _NOISE_BLOCK
@@ -349,16 +384,14 @@ def test_galloping_greedy_matches_full_evaluations(monkeypatch, n_rows, n_cols, 
     s = make_random_scenario(rng, bits=bits, random_offset=True)
     s = replace(s, layout=rl.ArrayLayout(n_rows, n_cols, s.layout.pitch_x, s.layout.pitch_y),
                 jitter=rl.PhaseJitterModel(math.radians(10.0), seed))
-    oracle = rl.power_oracle(s)
-    noise_variance = (noise * oracle(rl.uniform_configuration(s.layout))) ** 2
-    bound = oracle.prefactor * float(np.abs(oracle.table[:, 0]).sum()) ** 2
-    channels = [rl.FeedbackChannel(oracle, noise_variance, seed) for _ in range(3)]
+    s, bound = _noisy(s, noise)
+    channels = [rl.FeedbackChannel(s, seed) for _ in range(3)]
     blocks = _count_block_reads(monkeypatch)
-    fast = rl.greedy_element_search(s, None, channels[0], rounds)
+    fast = rl.greedy_element_search(channels[0], None, rounds)
     if noise > 0:
         assert blocks
-    _assert_same_search(fast, reference_greedy_search(s, None, channels[1], rounds), bound)
-    stepwise = stepwise_greedy_search(s, None, channels[2], rounds)
+    _assert_same_search(fast, reference_greedy_search(channels[1], None, rounds), bound)
+    stepwise = stepwise_greedy_search(channels[2], None, rounds)
     assert np.array_equal(fast[0], stepwise[0])
     assert fast[1].accepted == stepwise[1].accepted
     assert np.array_equal(_bits(fast[1].powers), _bits(stepwise[1].powers))
@@ -375,12 +408,11 @@ def test_lean_blind_loop_matches_one_read_per_line(n_rows, n_cols, bits, noise, 
     s = make_random_scenario(rng, bits=bits, random_offset=True)
     s = replace(s, layout=rl.ArrayLayout(n_rows, n_cols, s.layout.pitch_x, s.layout.pitch_y),
                 jitter=rl.PhaseJitterModel(math.radians(10.0), seed))
-    oracle = rl.power_oracle(s)
-    noise_variance = (noise * oracle(rl.uniform_configuration(s.layout))) ** 2
+    s, _ = _noisy(s, noise)
     initial = rng.integers(0, s.codebook.size, (n_rows, n_cols))
-    channels = [rl.FeedbackChannel(oracle, noise_variance, seed) for _ in range(2)]
-    fast = rl.blind_rowcol_search(s, initial, channels[0], passes)
-    stepwise = stepwise_blind_search(s, initial, channels[1], passes)
+    channels = [rl.FeedbackChannel(s, seed) for _ in range(2)]
+    fast = rl.blind_rowcol_search(channels[0], initial, passes)
+    stepwise = stepwise_blind_search(channels[1], initial, passes)
     assert np.array_equal(fast[0], stepwise[0])
     assert fast[1].accepted == stepwise[1].accepted
     assert np.array_equal(_bits(fast[1].powers), _bits(stepwise[1].powers))
@@ -393,11 +425,12 @@ def _one_gain_link(unit, index, n_units=40):
     Every unit's term is 1 at index 0 and 0 elsewhere, but 2 at (unit, index):
     from all zeros every candidate reads 39 against 40, that one 41.
     """
-    s = rl.chamber_scenario(n_rows=1, n_cols=n_units)
-    table = np.zeros((n_units, 4), dtype=complex)
-    table[:, 0] = 1.0
-    table[unit, index] = 2.0
-    return s, rl.FeedbackChannel(PowerOracle(table, 1.0))
+    fb = rl.FeedbackChannel(rl.chamber_scenario(n_rows=1, n_cols=n_units))
+    fb.table = np.zeros((n_units, 4), dtype=complex)
+    fb.table[:, 0] = 1.0
+    fb.table[unit, index] = 2.0
+    fb.prefactor = 1.0
+    return fb
 
 
 # block reads as (queries before, candidates, readings), and the step of the one
@@ -413,26 +446,17 @@ def _one_gain_link(unit, index, n_units=40):
     (10, 2, [(10, 63, 23), (49, 63, 63), (112, 9, 9), (121, 63, 63), (184, 57, 57)], 32),
 ])
 def test_gallop_resumes_after_its_gain(monkeypatch, unit, index, blocks, gain_step):
-    s, fb = _one_gain_link(unit, index)
+    fb = _one_gain_link(unit, index)
     log = _count_block_reads(monkeypatch)
-    config, trace = rl.greedy_element_search(s, feedback=fb, max_rounds=3)
+    config, trace = rl.greedy_element_search(fb, max_rounds=3)
     assert log == blocks
     want = np.zeros((1, 40), dtype=int)
     want[0, unit] = index
     assert np.array_equal(config, want)
     assert trace.n_queries == fb.queries == 241
     assert [i for i, a in enumerate(trace.accepted) if a] == [0, gain_step]
-    s, ref = _one_gain_link(unit, index)
-    _assert_same_search((config, trace), reference_greedy_search(s, None, ref, 3), 0.0)
-
-
-def test_searches_need_a_power_oracle_channel():
-    s = small_scenario(1)
-    fb = rl.FeedbackChannel(lambda config: 1.0)
-    with pytest.raises(TypeError, match="power_oracle"):
-        rl.greedy_element_search(s, feedback=fb)
-    with pytest.raises(TypeError, match="power_oracle"):
-        rl.blind_rowcol_search(s, feedback=fb)
+    _assert_same_search((config, trace), reference_greedy_search(_one_gain_link(unit, index),
+                                                                 None, 3), 0.0)
 
 
 def test_nearest_quantize_hits_exact_entries():
@@ -529,13 +553,13 @@ def test_brute_force_dominates_everything():
     for seed in range(6):
         s = small_scenario(seed)
         _, best = rl.brute_force_optimum(s)
-        _, gt = rl.greedy_element_search(s)
-        _, bt = rl.blind_rowcol_search(s)
+        _, gt = rl.greedy_element_search(rl.FeedbackChannel(s))
+        _, bt = rl.blind_rowcol_search(rl.FeedbackChannel(s))
         rng = np.random.default_rng(seed)
         random_config = rng.integers(0, 4, (s.layout.n_rows, s.layout.n_cols))
         assert best >= max(gt.powers) * (1 - 1e-12)
         assert best >= max(bt.powers) * (1 - 1e-12)
-        assert best >= rl.power_oracle(s)(random_config) * (1 - 1e-12)
+        assert best >= rl.FeedbackChannel(s).power(random_config) * (1 - 1e-12)
 
 
 def test_brute_force_tie_breaks_lexicographically():
@@ -549,7 +573,7 @@ def test_brute_force_tie_breaks_lexicographically():
 def test_greedy_through_a_given_feedback_channel():
     s = small_scenario(9)
     _, best = rl.brute_force_optimum(s)
-    fb = rl.FeedbackChannel(rl.power_oracle(s))
-    _, trace = rl.greedy_element_search(s, feedback=fb)
+    fb = rl.FeedbackChannel(s)
+    _, trace = rl.greedy_element_search(fb)
     assert trace.n_queries == fb.queries
     assert best >= max(trace.powers) * (1 - 1e-12)

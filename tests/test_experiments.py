@@ -541,6 +541,18 @@ def test_run_config_keeps_rx_azimuth(tmp_path):
                 _path_loss_at(s, float(value), 90.0, steering), rel=1e-12)
 
 
+def test_a_sweep_without_an_azimuth_turns_in_the_rx_pose_plane():
+    s = rl.chamber_scenario(n_rows=2, n_cols=8, rx_zenith_deg=10, rx_azimuth_deg=35)
+    angle = rl.run_sweep(s, SweepJob("a", "angle", "none", 0.0, 40.0, 20.0))
+    at_20 = rl.chamber_scenario(n_rows=2, n_cols=8, rx_zenith_deg=20, rx_azimuth_deg=35)
+    assert angle.path_loss_db[1] == pytest.approx(rl.path_loss_db(at_20), rel=1e-12)
+    assert angle.path_loss_db[1] == pytest.approx(20.0476, abs=1e-4)
+    for job in (SweepJob("a", "angle", "quantized", -30.0, 40.0, 10.0),
+                SweepJob("p", "pattern", "quantized", -60.0, 60.0, 7.5, steering_deg=20.0)):
+        assert np.array_equal(rl.run_sweep(s, job).path_loss_db,
+                              rl.run_sweep(s, job, rx_azimuth_deg=35.0).path_loss_db)
+
+
 # ------------------------------------------------- batched pose sweep vs per point
 
 def _pose_sweep_scenario(n_rows, n_cols, seed):
@@ -587,6 +599,26 @@ def test_pose_sweeps_match_the_per_point_reference(n_rows, n_cols, method):
     want = reference_pose_sweep(s, "rx_zenith", ang.grid(), _angle_poses(s, ang.grid(), 35.0),
                                 method, seed=5)
     _assert_rows_match(got, want)
+
+
+@pytest.mark.parametrize("method", ("none", "continuous", "quantized"))
+@pytest.mark.parametrize("n_rows, n_cols", [(4, 8), (16, 16), (64, 64)])
+def test_closed_form_pose_rows_match_beamform_at_the_same_pose(n_rows, n_cols, method):
+    # a sweep row sums amp * e^{j(phi_programmed - Phi)} (amp for continuous) and
+    # beamform sums w * e^{j phi_programmed}: the two tails stay apart, so their
+    # rows may differ in the last bits and are held to 1e-12
+    s = _pose_sweep_scenario(n_rows, n_cols, seed=n_rows)
+    dist = SweepJob("d", "distance", method, 1.0, 3.5, 0.5)
+    ang = SweepJob("a", "angle", method, -35.0, 15.0, 10.0)
+    for job, poses in ((dist, _distance_poses(s, dist.grid())),
+                       (ang, _angle_poses(s, ang.grid(), 35.0))):
+        got = rl.run_sweep(s, job, rx_azimuth_deg=35.0)
+        outcomes = [rl.apply_beamforming(replace(s, rx_pose=pose), method) for pose in poses]
+        p_dbm, pl_db = _link_budget_db(s, [bf.channel_sum for bf in outcomes])
+        assert got.config_digests == [bf.digest for bf in outcomes]
+        np.testing.assert_allclose(rl.from_db(got.received_power_dbm), rl.from_db(p_dbm),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(rl.from_db(-got.path_loss_db), rl.from_db(-pl_db), rtol=1e-12)
 
 
 def test_array_rx_points_match_the_poses_bit_for_bit():

@@ -469,4 +469,4 @@ def test_link_routes_match_the_per_unit_oracles(n_rows, n_cols):
         expected = _per_unit_power(s, config)
         assert rl.received_power(s, config) == pytest.approx(expected, rel=1e-12)
         assert received_power_expanded(s, config) == pytest.approx(expected, rel=1e-12)
-        assert rl.power_oracle(s)(config) == pytest.approx(expected, rel=1e-12)
+        assert rl.FeedbackChannel(s).power(config) == pytest.approx(expected, rel=1e-12)
