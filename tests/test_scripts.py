@@ -135,6 +135,22 @@ def test_every_beamform_stage_times_a_function_the_command_calls(monkeypatch, ca
     assert called == {stage for stage, _ in stages.STAGES}
 
 
+def test_every_run_stage_times_a_function_the_command_calls(monkeypatch, capsys, tmp_path):
+    monkeypatch.syspath_prepend(SCRIPTS)  # run_stages imports beamform_stages as a sibling
+    stages = _load("run_stages.py")
+    called = set()
+    for stage, targets in stages.STAGES:
+        for owner, name in targets:
+            def counted(*args, _fn=getattr(owner, name), _stage=stage, **kwargs):
+                called.add(_stage)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+    for cfg in ("patterns.cfg", "distance.cfg"):  # the cuts, and a closed-form distance sweep
+        out = tmp_path / cfg
+        assert stages.cli.main(["run", os.path.join(CONFIGS, cfg), "--out", str(out)]) == 0
+    assert called == {stage for stage, _ in stages.STAGES}
+
+
 def test_run_stages_prints_every_stage_per_config():
     proc = _run("run_stages.py", os.path.join(CONFIGS, "patterns.cfg"),
                 os.path.join(CONFIGS, "gain.cfg"), "--repeat", "2", "--seed", "3")
