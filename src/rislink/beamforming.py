@@ -13,7 +13,6 @@ rounding cannot accumulate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ from .link import SIXTEEN_PI_SQ, Scenario, _phase_indices, element_weights
 from .ris import PhaseCodebook
 
 _NOISE_BLOCK = 1024  # noise draws taken from the channel's rng at a time
+_BRUTE_BLOCK = 1024  # configurations brute force sums per gather
 _GALLOP_MIN = 8  # fewest rejections in a row, at a unit boundary, before greedy reads a block
 _GALLOP_WINDOW = 64  # candidates in a block read's first window; each next window doubles
 
@@ -320,22 +320,21 @@ def nearest_quantize(phases, codebook: PhaseCodebook) -> np.ndarray:
 
 
 def brute_force_optimum(scenario: Scenario) -> tuple[np.ndarray, float]:
-    """Exhaustive search over all codebook configurations.
-
-    Refuses above 20 search bits (bits * n_units).  Strict `>` keeps the
-    lexicographically smallest of tied optima.
-    """
-    n = scenario.layout.n_units
+    """Exhaustive search over all codebook configurations, refused above 20 search bits
+    (bits * n_units).  Blocks of configurations in itertools.product order (unit 0 the
+    leading digit) sum the term table by gather; the first strict maximum keeps the
+    lexicographically smallest of tied optima."""
+    n, k = scenario.layout.n_units, scenario.codebook.size
     if scenario.codebook.bits * n > 20:
-        raise ValueError(
-            f"{scenario.codebook.bits * n} search bits exceed the 20-bit brute-force cap"
-        )
-    power = FeedbackChannel(scenario).power
-    best_cfg = None
-    best_p = -1.0
-    for flat in itertools.product(range(scenario.codebook.size), repeat=n):
-        p = power(np.array(flat, dtype=int))
-        if p > best_p:
-            best_cfg, best_p = flat, p
-    cfg = np.array(best_cfg, dtype=int).reshape(scenario.layout.n_rows, scenario.layout.n_cols)
-    return cfg, best_p
+        raise ValueError(f"{scenario.codebook.bits * n} search bits exceed the 20-bit "
+                         "brute-force cap")
+    feedback = FeedbackChannel(scenario)
+    place = k ** np.arange(n - 1, -1, -1)
+    best_cfg, best_p = None, -1.0
+    for lo in range(0, k ** n, _BRUTE_BLOCK):
+        digits = np.arange(lo, min(lo + _BRUTE_BLOCK, k ** n))[:, None] // place % k
+        p = _powers(feedback.prefactor, feedback.table[np.arange(n), digits].sum(axis=1))
+        i = int(p.argmax())
+        if p[i] > best_p:
+            best_cfg, best_p = digits[i].copy(), float(p[i])
+    return best_cfg.reshape(scenario.layout.n_rows, scenario.layout.n_cols), best_p

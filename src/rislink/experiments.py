@@ -227,13 +227,13 @@ def _closed_form(scenario: Scenario, method: str, phi: np.ndarray) -> np.ndarray
 def _config_digest(scenario: Scenario, config: np.ndarray) -> str:
     """Digest of one point's continuous phases (float) or codebook indices (int)."""
     if config.dtype.kind == "f":
-        tag, arr = b"phs", config.astype(np.float64)
+        tag, arr = b"phs", config.astype(np.float64, copy=False)
     else:
         layout = scenario.layout
-        tag, arr = b"idx", config.reshape(layout.n_rows, layout.n_cols).astype(np.int64)
+        tag, arr = b"idx", config.reshape(layout.n_rows, layout.n_cols).astype(np.int64, copy=False)
     h = hashlib.sha1(tag)
     h.update(str(arr.shape).encode())
-    h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(np.ascontiguousarray(arr))  # hashes the buffer's bytes, as tobytes() reads them
     return h.hexdigest()[:12]
 
 

@@ -87,30 +87,35 @@ def cartesian_points(r, theta, phi) -> np.ndarray:
     return np.stack([r * sin_t * np.cos(phi), r * sin_t * np.sin(phi), r * np.cos(theta)], axis=-1)
 
 
+def _cell_offsets(layout: ArrayLayout) -> tuple[np.ndarray, np.ndarray]:
+    """x offset of each column and y offset of each row of the unit-cell centers."""
+    return ((np.arange(1, layout.n_cols + 1) - (layout.n_cols + 1) / 2.0) * layout.pitch_x,
+            ((layout.n_rows + 1) / 2.0 - np.arange(1, layout.n_rows + 1)) * layout.pitch_y)
+
+
 def element_grid(layout: ArrayLayout) -> np.ndarray:
     """All unit-cell centers, shape (n_units, 3), row-major (row 1 cols 1..N, then row 2, ...)."""
-    off_x = (np.arange(1, layout.n_cols + 1) - (layout.n_cols + 1) / 2.0) * layout.pitch_x
-    off_y = ((layout.n_rows + 1) / 2.0 - np.arange(1, layout.n_rows + 1)) * layout.pitch_y
-    xx, yy = np.meshgrid(off_x, off_y)  # (n_rows, n_cols)
-    pts = np.zeros((layout.n_units, 3))
-    pts[:, 0] = xx.ravel()
-    pts[:, 1] = yy.ravel()
-    return pts
+    xx, yy = np.meshgrid(*_cell_offsets(layout))  # (n_rows, n_cols)
+    return np.stack([xx.ravel(), yy.ravel(), np.zeros(layout.n_units)], axis=1)
 
 
-def ranges_and_cosines(point, elements) -> tuple[np.ndarray, np.ndarray]:
-    """Range and departure cosine from every row of `elements` to `point`.
+def ranges_and_cosines(points, layout: ArrayLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Range and departure cosine from every unit cell of `layout` to each of `points`
+    (..., 3), each shaped (..., n_units) in `element_grid` order.
 
-    The cosine is taken against the unit cell's normal on the point's side
-    of the plane, |dz| / r clipped to 1, so it lies in [0, 1]; a point in
-    the plane sees 0.  Returns (ranges, cosines), shapes broadcast over
-    `point` and `elements` without the last axis.  Raises ValueError on a
-    coincident point.
+    The cells sit at z = 0, so dx varies only by column, dy only by row and dz = p_z
+    only by point: r = sqrt((dx^2 + dy^2) + dz^2), np.linalg.norm's own summation
+    order, is one broadcast (..., rows, cols) sum.  The cosine is taken against the
+    cell's normal on the point's side of the plane, |p_z| / r clipped to 1, so it lies
+    in [0, 1].  Raises ValueError on a coincident point.
     """
-    p, e = np.asarray(point, dtype=float), np.asarray(elements, dtype=float)
-    dx, dy, dz = (p[..., i] - e[..., i] for i in range(3))
-    # np.linalg.norm's own summation order, without its (..., 3) temporary
-    r = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    if np.any(r == 0.0):
+    p = np.asarray(points, dtype=float)[..., None, None, :]
+    off_x, off_y = _cell_offsets(layout)
+    dx, dy, dz = p[..., 0] - off_x, p[..., 1] - off_y[:, None], p[..., 2]
+    r = dx * dx + dy * dy
+    r = np.sqrt(np.add(r, dz * dz, out=r), out=r)
+    if not r.all():
         raise ValueError("point coincides with an element")
-    return r, np.minimum(np.abs(dz) / r, 1.0)
+    cos = np.abs(dz) / r
+    flat = r.shape[:-2] + (layout.n_units,)
+    return r.reshape(flat), np.minimum(cos, 1.0, out=cos).reshape(flat)

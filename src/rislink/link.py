@@ -15,13 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import AntennaModel, SPEED_OF_LIGHT, area_from_cosine
-from .geometry import (
-    ArrayLayout,
-    SphericalPose,
-    element_grid,
-    ranges_and_cosines,
-    spherical_to_cartesian,
-)
+from .geometry import ArrayLayout, SphericalPose, ranges_and_cosines, spherical_to_cartesian
 from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel
 
 SIXTEEN_PI_SQ = 16.0 * math.pi ** 2
@@ -57,9 +51,7 @@ class Scenario:
         z_t = spherical_to_cartesian(self.tx_pose)[2]
         z_r = spherical_to_cartesian(self.rx_pose)[2]
         if not z_t * z_r < 0:
-            raise ValueError(
-                "TX and RX must sit strictly on opposite sides of the array plane"
-            )
+            raise ValueError("TX and RX must sit strictly on opposite sides of the array plane")
 
     @property
     def wavelength(self) -> float:
@@ -113,22 +105,23 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray):
     """
     p_t = spherical_to_cartesian(scenario.tx_pose)
     if not np.all(p_t[2] * rx_points[:, 2] < 0):
-        raise ValueError(
-            "TX and RX must sit strictly on opposite sides of the array plane"
-        )
-    els = element_grid(scenario.layout)
-    area = scenario.layout.element_area
-    r_t, c_t = ranges_and_cosines(p_t, els)
+        raise ValueError("TX and RX must sit strictly on opposite sides of the array plane")
+    layout, area = scenario.layout, scenario.layout.element_area
+    r_t, c_t = ranges_and_cosines(p_t, layout)
     g_t = scenario.tx_antenna.gain_from_cosine(c_t)
     amplifier = scenario.amplifier
     gain_area_t = amplifier.gain_linear(amplifier.top_current) * area_from_cosine(area, c_t)
-    step = max(1, _CHUNK_ELEMENTS // scenario.layout.n_units)
+    step = max(1, _CHUNK_ELEMENTS // layout.n_units)
     for lo in range(0, len(rx_points), step):
-        r_r, c_r = ranges_and_cosines(rx_points[lo:lo + step, None, :], els)
-        g_r = scenario.rx_antenna.gain_from_cosine(c_r)
-        sigma = np.sqrt(gain_area_t * area_from_cosine(area, c_r))
-        phi = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
-        yield lo, np.sqrt(g_t * g_r) / (r_t * r_r) * sigma, phi
+        r_r, c_r = ranges_and_cosines(rx_points[lo:lo + step], layout)
+        # sqrt(g_t g_r) / (r_t r_r) * sigma and 2 pi (r_t + r_r) / lambda, in place
+        amp = scenario.rx_antenna.gain_from_cosine(c_r)
+        np.sqrt(np.multiply(g_t, amp, out=amp), out=amp)
+        sigma = np.sqrt(np.multiply(gain_area_t, area_from_cosine(area, c_r), out=c_r), out=c_r)
+        phi = r_t + r_r
+        np.divide(np.multiply(2.0 * math.pi, phi, out=phi), scenario.wavelength, out=phi)
+        np.divide(amp, np.multiply(r_t, r_r, out=r_r), out=amp)
+        yield lo, np.multiply(amp, sigma, out=amp), phi
 
 
 def _own_rx_point(scenario: Scenario) -> np.ndarray:
@@ -142,8 +135,8 @@ def _channel_sums(scenario: Scenario, rx_points, programs) -> np.ndarray:
 
     One evaluation serves both link figures: P_r = P_t / (16 pi^2) |S|^2 and
     PL = 16 pi^2 / |S|^2.  The programs are resolved once per call; each chunk's
-    path table w = amp exp(-j Phi) is formed once for all K programs and released
-    before the next chunk is built.
+    path table w = amp exp(-j Phi) is formed once for all K programs, in one complex
+    buffer that every chunk reuses.
     """
     rots = []
     for configuration, phases in programs:  # explicit phases bypass codebook and jitter
@@ -155,10 +148,12 @@ def _channel_sums(scenario: Scenario, rx_points, programs) -> np.ndarray:
         rots.append(np.exp(1j * ph))
     pts = np.asarray(rx_points, dtype=float).reshape(-1, 3)
     sums = np.empty((len(rots), len(pts)), dtype=complex)
+    buf = None  # the first chunk is the largest
     for lo, amp, phi in _weight_chunks(scenario, pts):
-        w = amp * np.exp(-1j * phi)
+        buf = np.empty(amp.shape, dtype=complex) if buf is None else buf
+        w = np.multiply(-1j, phi, out=buf[:len(amp)])
+        np.multiply(amp, np.exp(w, out=w), out=w)
         sums[:, lo:lo + len(w)] = [np.sum(w * rot, axis=-1) for rot in rots]
-        del w
     return sums
 
 

@@ -1,6 +1,7 @@
 """Shared random scenario builders, per-unit and scalar oracles, the expanded
 received-power route, and reference searches and sweeps for the test suite."""
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -283,6 +284,19 @@ def reference_powers(prefactor, sums):
     return [prefactor * abs(complex(s)) ** 2 for s in sums]
 
 
+def reference_brute_force_optimum(scenario):
+    """Exhaustive search one configuration at a time, in itertools.product order,
+    each read by `FeedbackChannel.power`; strict `>` keeps the first optimum."""
+    power = rl.FeedbackChannel(scenario).power
+    best_cfg, best_p = None, -1.0
+    for flat in itertools.product(range(scenario.codebook.size), repeat=scenario.layout.n_units):
+        p = power(np.array(flat, dtype=int))
+        if p > best_p:
+            best_cfg, best_p = flat, p
+    return np.array(best_cfg, dtype=int).reshape(scenario.layout.n_rows,
+                                                 scenario.layout.n_cols), best_p
+
+
 # ------------------------------------------------- zenith route
 
 def zenith_gain(antenna, zenith):
@@ -313,9 +327,8 @@ def received_power_expanded(scenario, configuration=None, phases=None, current=N
     unit_gains = amplifier.gain_linear(
         np.full(scenario.layout.n_units, amplifier.top_current if current is None else current))
     idx = _phase_indices(scenario, configuration)
-    els = element_grid(scenario.layout)
-    r_t, c_t = ranges_and_cosines(spherical_to_cartesian(scenario.tx_pose), els)
-    r_r, c_r = ranges_and_cosines(spherical_to_cartesian(scenario.rx_pose), els)
+    r_t, c_t = ranges_and_cosines(spherical_to_cartesian(scenario.tx_pose), scenario.layout)
+    r_r, c_r = ranges_and_cosines(spherical_to_cartesian(scenario.rx_pose), scenario.layout)
     zen_t, zen_r = np.arccos(c_t), np.arccos(c_r)
     area = scenario.layout.element_area
     amp = np.sqrt(
@@ -438,6 +451,30 @@ def reference_ranges_and_cosines(point, elements):
     d = np.asarray(point, dtype=float) - np.asarray(elements, dtype=float)
     r = np.linalg.norm(d, axis=-1)
     return r, np.minimum(np.abs(d[..., 2]) / r, 1.0)
+
+
+def reference_path_table(scenario, rx_points):
+    """Amplitudes and two-hop phases (P, n_units) toward (P, 3) RX points, from the
+    generic (point, elements) geometry and one expression per figure, each a fresh
+    array: sqrt(g_t g_r) / (r_t r_r) * sigma and 2 pi (r_t + r_r) / lambda."""
+    els, area = element_grid(scenario.layout), scenario.layout.element_area
+    r_t, c_t = reference_ranges_and_cosines(spherical_to_cartesian(scenario.tx_pose), els)
+    r_r, c_r = reference_ranges_and_cosines(np.asarray(rx_points)[:, None, :], els)
+    g_t = scenario.tx_antenna.gain_from_cosine(c_t)
+    g_r = scenario.rx_antenna.gain_from_cosine(c_r)
+    amplifier = scenario.amplifier
+    gain_area_t = amplifier.gain_linear(amplifier.top_current) * area_from_cosine(area, c_t)
+    sigma = np.sqrt(gain_area_t * area_from_cosine(area, c_r))
+    phi = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
+    return np.sqrt(g_t * g_r) / (r_t * r_r) * sigma, phi
+
+
+def reference_channel_sums(scenario, rx_points, configurations):
+    """Channel sums (K, P) of codebook configurations over `reference_path_table`."""
+    amp, phi = reference_path_table(scenario, rx_points)
+    w = amp * np.exp(-1j * phi)
+    return np.array([np.sum(w * np.exp(1j * scenario.programmed_phases(np.reshape(c, -1))),
+                            axis=-1) for c in configurations])
 
 
 def reference_transmission_side_pose(r, angle_deg, azimuth_deg=0.0):

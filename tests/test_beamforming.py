@@ -13,6 +13,7 @@ from rislink.beamforming import _NOISE_BLOCK, _powers, wrap_to_pi
 from helpers import (
     make_random_scenario,
     reference_blind_search,
+    reference_brute_force_optimum,
     reference_greedy_search,
     reference_nearest_quantize,
     reference_powers,
@@ -568,6 +569,28 @@ def test_brute_force_tie_breaks_lexicographically():
     config, _ = rl.brute_force_optimum(s)
     assert config.shape == (1, 1)
     assert config[0, 0] == 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_brute_force_is_the_one_at_a_time_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    bits = 1 + seed % 2
+    s = make_random_scenario(rng, max_rows=3, max_cols=4, max_units=12 // bits, bits=bits,
+                             random_offset=True)
+    s = replace(s, jitter=rl.PhaseJitterModel(math.radians(15.0), seed))
+    got, want = rl.brute_force_optimum(s), reference_brute_force_optimum(s)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def test_brute_force_keeps_the_first_of_tied_optima_across_blocks():
+    # the four codebook rotations of the optimum tie bit for bit, one per 1024-block
+    s = rl.chamber_scenario(n_rows=2, n_cols=3, rx_zenith_deg=30.0)
+    fb = rl.FeedbackChannel(s)
+    rotations = [(np.array([[0, 3, 2], [0, 3, 2]]) + k) % 4 for k in range(4)]
+    assert len({fb.power(r) for r in rotations}) == 1
+    got, want = rl.brute_force_optimum(s), reference_brute_force_optimum(s)
+    assert np.array_equal(got[0], rotations[0]) and np.array_equal(want[0], rotations[0])
+    assert got[1] == want[1] == fb.power(rotations[0])
 
 
 def test_greedy_through_a_given_feedback_channel():

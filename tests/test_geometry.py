@@ -140,7 +140,7 @@ def test_departure_zenith_folded(p, el):
 def test_ranges_and_cosines_match_scalars():
     lay = ArrayLayout(3, 4, 0.05, 0.07)
     p = [0.3, -0.2, 1.1]
-    r, cos = ranges_and_cosines(p, element_grid(lay))
+    r, cos = ranges_and_cosines(p, lay)
     for n in range(lay.n_units):
         row, col = divmod(n, lay.n_cols)
         el = element_position(lay, row + 1, col + 1)
@@ -149,22 +149,37 @@ def test_ranges_and_cosines_match_scalars():
 
 
 def test_ranges_and_cosines_coincident():
-    lay = ArrayLayout(1, 1)
-    with pytest.raises(ValueError):
-        ranges_and_cosines([0.0, 0.0, 0.0], element_grid(lay))
+    with pytest.raises(ValueError, match="coincides"):
+        ranges_and_cosines([0.0, 0.0, 0.0], ArrayLayout(1, 1))
+    points = [[0.0, 0.0, 1.0], [0.03, -0.03, 0.0]]  # the second sits on a cell of a 2x2 grid
+    with pytest.raises(ValueError, match="coincides"):
+        ranges_and_cosines(points, ArrayLayout(2, 2))
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0])
-def test_ranges_and_cosines_match_the_norm_bit_for_bit(side):
+@pytest.mark.parametrize("n_rows, n_cols", [(5, 7), (1, 6), (6, 1), (4, 4)])
+def test_ranges_and_cosines_match_the_norm_bit_for_bit(side, n_rows, n_cols):
     rng = np.random.default_rng(11)
-    batch = rng.uniform(-2.0, 2.0, (9, 1, 3))
-    batch[..., 2] = side * rng.uniform(0.05, 3.0, (9, 1))
-    for elements in (element_grid(ArrayLayout(5, 7, 0.05, 0.07)), rng.normal(size=(20, 3))):
-        for point in (np.array([0.3, -0.2, side * 1.1]), batch):
-            got = ranges_and_cosines(point, elements)
-            want = reference_ranges_and_cosines(point, elements)
-            for g, w in zip(got, want):
-                assert g.shape == w.shape and np.array_equal(g, w)
+    batch = rng.uniform(-2.0, 2.0, (9, 3))
+    batch[:, 2] = side * rng.uniform(0.05, 3.0, 9)
+    lay = ArrayLayout(n_rows, n_cols, 0.05, 0.07)
+    for point in (np.array([0.3, -0.2, side * 1.1]), batch):
+        got = ranges_and_cosines(point, lay)
+        want = reference_ranges_and_cosines(np.asarray(point)[..., None, :], element_grid(lay))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_the_reference_norm_sums_x_and_y_then_z_off_the_plane_too():
+    """The order the layout form relies on, over random elements off z = 0, which
+    only the generic oracle takes: r = sqrt((dx^2 + dy^2) + dz^2) bit for bit."""
+    rng = np.random.default_rng(11)
+    elements = rng.normal(size=(20, 3))
+    for point in (np.array([0.3, -0.2, 1.1]), rng.uniform(-2.0, 2.0, (9, 1, 3))):
+        r, cos = reference_ranges_and_cosines(point, elements)
+        dx, dy, dz = (point[..., i] - elements[:, i] for i in range(3))
+        assert np.array_equal(r, np.sqrt((dx * dx + dy * dy) + dz * dz))
+        assert np.array_equal(cos, np.minimum(np.abs(dz) / r, 1.0))
 
 
 def test_cartesian_points_match_the_poses_bit_for_bit():

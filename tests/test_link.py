@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rislink as rl
@@ -19,12 +19,15 @@ from helpers import (
     random_surface,
     received_power_expanded,
     received_signal,
+    reference_channel_sums,
+    reference_path_table,
     UnitState,
     unit_rcs,
     unit_transmission_coefficient,
     zenith_gain,
 )
-from rislink.geometry import spherical_to_cartesian
+from rislink.geometry import cartesian_points, spherical_to_cartesian
+from rislink.link import _channel_sums, _weight_chunks
 
 
 def chamber_1x1():
@@ -470,3 +473,42 @@ def test_link_routes_match_the_per_unit_oracles(n_rows, n_cols):
         assert rl.received_power(s, config) == pytest.approx(expected, rel=1e-12)
         assert received_power_expanded(s, config) == pytest.approx(expected, rel=1e-12)
         assert rl.FeedbackChannel(s).power(config) == pytest.approx(expected, rel=1e-12)
+
+
+def _assert_path_table_is_the_reference(s, n_points, seed):
+    """Amplitudes, phases and channel sums of the kernel equal, bit for bit, the
+    generic-geometry expression of `reference_path_table`."""
+    rng = np.random.default_rng(seed)
+    points = cartesian_points(rng.uniform(0.5, 6.0, n_points),
+                              math.pi - rng.uniform(0.0, 1.3, n_points),
+                              rng.uniform(0.0, 2.0 * math.pi, n_points))
+    chunks = list(_weight_chunks(s, points))
+    want_amp, want_phi = reference_path_table(s, points)
+    assert np.array_equal(np.concatenate([amp for _, amp, _ in chunks]), want_amp)
+    assert np.array_equal(np.concatenate([phi for _, _, phi in chunks]), want_phi)
+    configs = [random_surface(rng, s) for _ in range(3)]
+    assert np.array_equal(_channel_sums(s, points, [(c, None) for c in configs]),
+                          reference_channel_sums(s, points, configs))
+    return len(chunks)
+
+
+@given(n_rows=st.integers(1, 9), n_cols=st.integers(1, 9),
+       pitch_x=st.floats(0.01, 0.1), pitch_y=st.floats(0.01, 0.1),
+       tx_q=st.sampled_from([0.0, 1.0, 2.0]), rx_q=st.sampled_from([0.0, 1.0, 2.0]),
+       n_points=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+@example(n_rows=1, n_cols=9, pitch_x=0.05, pitch_y=0.07, tx_q=1.0, rx_q=2.0, n_points=3, seed=0)
+@example(n_rows=9, n_cols=1, pitch_x=0.07, pitch_y=0.05, tx_q=2.0, rx_q=0.0, n_points=3, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_the_path_table_is_the_generic_expression_bit_for_bit(n_rows, n_cols, pitch_x, pitch_y,
+                                                              tx_q, rx_q, n_points, seed):
+    s = rl.chamber_scenario(n_rows=n_rows, n_cols=n_cols, pitch_x_m=pitch_x, pitch_y_m=pitch_y,
+                            tx_zenith_deg=25.0, tx_azimuth_deg=40.0, tx_exponent=tx_q,
+                            rx_exponent=rx_q, phase_jitter_max_deg=10.0, phase_jitter_seed=seed)
+    _assert_path_table_is_the_reference(s, n_points, seed)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
+def test_the_64x64_path_table_is_the_generic_expression_across_chunks(q):
+    s = rl.chamber_scenario(n_rows=64, n_cols=64, pitch_x_m=0.05, tx_zenith_deg=15.0,
+                            tx_exponent=q, rx_exponent=q, phase_jitter_max_deg=10.0)
+    assert _assert_path_table_is_the_reference(s, 6, 5) == 2  # 4 points, then 2

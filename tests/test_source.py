@@ -59,7 +59,7 @@ def test_only_the_link_draws_the_jitter(path):
     assert len(calls) == (1 if os.path.basename(path) == "link.py" else 0)
 
 
-LINE_BUDGET = 1907  # ROADMAP item 4: new features are paid for by deletion
+LINE_BUDGET = 1907  # ROADMAP north-star aim 2: new code is paid for by deletion
 
 
 def test_the_package_stays_within_its_line_budget():
