@@ -157,17 +157,17 @@ def test_ranges_and_cosines_coincident():
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0])
-@pytest.mark.parametrize("n_rows, n_cols", [(5, 7), (1, 6), (6, 1), (4, 4)])
-def test_ranges_and_cosines_match_the_norm_bit_for_bit(side, n_rows, n_cols):
+def test_ranges_and_cosines_match_the_norm_bit_for_bit(side):
     rng = np.random.default_rng(11)
     batch = rng.uniform(-2.0, 2.0, (9, 3))
     batch[:, 2] = side * rng.uniform(0.05, 3.0, 9)
-    lay = ArrayLayout(n_rows, n_cols, 0.05, 0.07)
-    for point in (np.array([0.3, -0.2, side * 1.1]), batch):
-        got = ranges_and_cosines(point, lay)
-        want = reference_ranges_and_cosines(np.asarray(point)[..., None, :], element_grid(lay))
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and np.array_equal(g, w)
+    for lay in (ArrayLayout(5, 7, 0.05, 0.07), ArrayLayout(1, 6, 0.05, 0.07),
+                ArrayLayout(6, 1, 0.05, 0.07), ArrayLayout(4, 4, 0.07, 0.05)):
+        for point in (np.array([0.3, -0.2, side * 1.1]), batch):
+            got = ranges_and_cosines(point, lay)
+            want = reference_ranges_and_cosines(point[..., None, :], element_grid(lay))
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
 
 
 def test_the_reference_norm_sums_x_and_y_then_z_off_the_plane_too():
