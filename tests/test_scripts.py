@@ -1,15 +1,20 @@
 """Smoke runs of scripts/ and of README's quick start: each must run on the current API."""
 
 import argparse
+import dataclasses
 import importlib.util
+import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import time
+import types
 
 import pytest
 
+from rislink import cli
 from rislink.experiments import run_config
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
@@ -21,10 +26,20 @@ def _run(name, *args):
                           capture_output=True, text=True, timeout=300)
 
 
-def test_compare_beamformers_runs():
+def test_compare_beamformers_runs(tmp_path, capsys):
     proc = _run("compare_beamformers.py", "--rx-angle", "20")
     assert proc.returncode == 0, proc.stderr
     assert "continuous power bound" in proc.stdout
+    cfg = tmp_path / "rx20.cfg"
+    cfg.write_text("[scenario]\nrx_zenith_deg = 20\n")
+    rows = [line.split() for line in proc.stdout.splitlines()[-5:]]
+    assert [row[0] for row in rows] == ["none", "quantized", "blind", "greedy", "continuous"]
+    for method, power_dbm, pl_db, _, queries in rows:  # each row reads what beamform prints
+        assert cli.main(["beamform", "--config", str(cfg), "--seed", "0", "--method", method]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert power_dbm == f"{got['received_power_dbm']:.2f}", method
+        assert pl_db == f"{got['path_loss_db']:.2f}", method
+        assert int(queries) == got["feedback_queries"], method
 
 
 def test_reproduce_sweeps_runs(tmp_path):
@@ -77,19 +92,42 @@ def test_beamform_outputs_writes_every_method_and_reruns_identically(tmp_path):
         "step,accepted,power_w\n")
 
 
-def test_beamform_stages_prints_every_stage_per_method():
-    proc = _run("beamform_stages.py", os.path.join(CONFIGS, "angle.cfg"), "--repeat", "2")
+@pytest.mark.parametrize("command, configs, flags, header, rows", [
+    ("run", ["patterns.cfg", "gain.cfg"], ["--seed", "3"],
+     ["config", "parse", "load", "steer", "sums", "sweeps", "rows", "csv", "json", "other", "total"],
+     [["patterns.cfg"], ["gain.cfg"]]),
+    ("beamform", ["angle.cfg"], [],
+     ["config", "method", "parse", "scenario", "oracle", "search", "digest", "sum", "json",
+      "other", "total"],
+     [["angle.cfg", "blind"], ["angle.cfg", "greedy"]]),
+], ids=["run", "beamform"])
+def test_stages_prints_every_stage_per_config(command, configs, flags, header, rows):
+    proc = _run("stages.py", command, *(os.path.join(CONFIGS, c) for c in configs),
+                "--repeat", "2", *flags)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "median CPU ms over 2 calls"
-    assert lines[1].split() == ["config", "method", "parse", "scenario", "oracle", "search",
-                                "digest", "sum", "json", "other", "total"]
-    for line, method in zip(lines[2:], ("blind", "greedy")):
-        name, got, *ms = line.split()
-        assert (name, got) == ("angle.cfg", method)
-        assert len(ms) == 9 and all(float(v) >= 0 for v in ms[:-2])
-        assert float(ms[-1]) > 0
-    assert len(lines) == 4
+    assert lines[1].split() == header
+    assert len(lines) == 2 + len(rows)
+    for line, row in zip(lines[2:], rows):
+        fields = line.split()
+        assert fields[:len(row)] == row
+        ms = fields[len(row):]
+        assert len(ms) == len(header) - len(row)
+        assert all(float(v) >= 0 for v in ms[:-2]) and float(ms[-1]) > 0
+    if command == "run":  # the cuts' sums, and no pose sweep in either config
+        assert float(lines[2].split()[4]) > 0 and float(lines[3].split()[4]) == 0
+        assert float(lines[2].split()[5]) == 0 == float(lines[3].split()[5])
+
+
+@pytest.mark.parametrize("command", ["run", "beamform"])
+def test_stages_rejects_a_repeat_below_one(command):
+    proc = _run("stages.py", command, os.path.join(CONFIGS, "gain.cfg"), "--repeat", "0")
+    assert proc.returncode == 2
+    assert "--repeat must be >= 1" in proc.stderr
+    assert proc.stdout == ""
+
+
 def _load(name):
     spec = importlib.util.spec_from_file_location(name[:-3], os.path.join(SCRIPTS, name))
     module = importlib.util.module_from_spec(spec)
@@ -97,75 +135,82 @@ def _load(name):
     return module
 
 
-def test_beamform_stages_reproduces_the_benchmark_calls(tmp_path):
+def test_timed_stages_charges_each_call_its_own_time():
+    stages = _load("stages.py")
+
+    def busy():
+        t0 = time.process_time()
+        while time.process_time() - t0 < 0.05:
+            pass
+
+    owner = types.SimpleNamespace(inner=busy, outer=lambda: owner.inner())
+    spent = {"outer": 0.0, "inner": 0.0}
+    with stages.timed_stages((("outer", [(owner, "outer")]), ("inner", [(owner, "inner")])), spent):
+        owner.outer()
+    assert spent["inner"] >= 0.05
+    assert spent["outer"] < 0.5 * spent["inner"]  # an inclusive timer charges it the 0.05 s too
+    assert owner.inner is busy
+
+
+def test_stages_reproduces_the_benchmark_calls(tmp_path, monkeypatch):
+    """The argv lists of `bench/workloads.py`'s calls on the inputs that
+    `bench/run.py --workload W --seed 91` generates, here on stand-in configs."""
     cfg = tmp_path / "noisy.cfg"
     cfg.write_text("[scenario]\nn_rows = 3\nn_cols = 5\nnoise_variance_w = 1e-6\n")
-    proc = _run("beamform_stages.py", str(cfg), "--repeat", "1", "--seed", "91",
+    proc = _run("stages.py", "beamform", str(cfg), "--repeat", "1", "--seed", "91",
                 "--passes", "4", "--rounds", "1", "--noiseless")
     assert proc.returncode == 0, proc.stderr
     assert [line.split()[:2] for line in proc.stdout.splitlines()[2:]] == [
         ["noisy.cfg", "blind"], ["noisy.cfg", "greedy"]]
-    stages = _load("beamform_stages.py")
+    stages = _load("stages.py")
     bench = argparse.Namespace(seed=91, passes=4, rounds=1)
     common = ["beamform", "--config", str(cfg), "--seed", "91", "--method"]
-    assert stages.beamform_args(str(cfg), "blind", bench) == common + ["blind", "--passes", "4"]
-    assert stages.beamform_args(str(cfg), "greedy", bench) == common + ["greedy", "--rounds", "1"]
+    assert stages.calls("beamform", str(cfg), bench) == [
+        ("blind", common + ["blind", "--passes", "4"]),
+        ("greedy", common + ["greedy", "--rounds", "1"])]
     defaults = argparse.Namespace(seed=0, passes=None, rounds=None)
-    assert stages.beamform_args(str(cfg), "greedy", defaults)[-3:] == ["0", "--method", "greedy"]
+    assert stages.calls("beamform", str(cfg), defaults)[1][1][-3:] == ["0", "--method", "greedy"]
+    run_cfg = os.path.join(CONFIGS, "gain.cfg")
+    assert stages.calls("run", run_cfg, argparse.Namespace(seed=91)) == [
+        ("", ["run", run_cfg, "--seed", "91"])]
+    given = []
+    monkeypatch.setattr(stages.cli, "main", lambda argv: given.append(argv) or 0)
+    stages.one_run(stages.STAGES["run"], ["run", run_cfg, "--seed", "91"], False)
+    (argv,) = given
+    assert argv[:5] == ["run", run_cfg, "--seed", "91", "--out"] and len(argv) == 6
+    assert not os.path.exists(argv[5])  # the temporary --out is gone
     args = stages.cli._PARSER.parse_args(["beamform", "--config", str(cfg)])
     assert stages.cli._scenario_from_args(args)[0].noise_variance == 1e-6
     with stages.noiseless():
-        assert stages.cli._scenario_from_args(args)[0].noise_variance == 0.0
+        scenario = stages.cli._scenario_from_args(args)[0]
+    assert scenario.noise_variance == 0.0
+    assert scenario == dataclasses.replace(stages.cli._scenario_from_args(args)[0],
+                                           noise_variance=0.0)
     assert stages.cli._scenario_from_args(args)[0].noise_variance == 1e-6
 
 
-@pytest.mark.parametrize("method", ["blind", "greedy"])
-def test_every_beamform_stage_times_a_function_the_command_calls(monkeypatch, capsys, method):
-    stages = _load("beamform_stages.py")
+@pytest.mark.parametrize("command", ["run", "beamform"])
+def test_every_stage_times_a_function_the_command_calls(monkeypatch, capsys, tmp_path, command):
+    stages = _load("stages.py")
     called = set()
-    for stage, targets in stages.STAGES:
+    for stage, targets in stages.STAGES[command]:
         for owner, name in targets:
             def counted(*args, _fn=getattr(owner, name), _stage=stage, **kwargs):
                 called.add(_stage)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
-    cfg = os.path.join(CONFIGS, "angle.cfg")
-    defaults = argparse.Namespace(seed=0, passes=None, rounds=None)
-    assert stages.cli.main(stages.beamform_args(cfg, method, defaults)) == 0
-    assert called == {stage for stage, _ in stages.STAGES}
-
-
-def test_every_run_stage_times_a_function_the_command_calls(monkeypatch, capsys, tmp_path):
-    monkeypatch.syspath_prepend(SCRIPTS)  # run_stages imports beamform_stages as a sibling
-    stages = _load("run_stages.py")
-    called = set()
-    for stage, targets in stages.STAGES:
-        for owner, name in targets:
-            def counted(*args, _fn=getattr(owner, name), _stage=stage, **kwargs):
-                called.add(_stage)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(owner, name, counted)
-    for cfg in ("patterns.cfg", "distance.cfg"):  # the cuts, and a closed-form distance sweep
-        out = tmp_path / cfg
-        assert stages.cli.main(["run", os.path.join(CONFIGS, cfg), "--out", str(out)]) == 0
-    assert called == {stage for stage, _ in stages.STAGES}
-
-
-def test_run_stages_prints_every_stage_per_config():
-    proc = _run("run_stages.py", os.path.join(CONFIGS, "patterns.cfg"),
-                os.path.join(CONFIGS, "gain.cfg"), "--repeat", "2", "--seed", "3")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "median CPU ms over 2 runs"
-    assert lines[1].split() == ["config", "parse", "load", "steer", "sums", "rows", "csv",
-                                "json", "other", "total"]
-    for line, cfg in zip(lines[2:], ("patterns.cfg", "gain.cfg")):
-        name, *ms = line.split()
-        assert name == cfg and len(ms) == 9
-        assert all(float(v) >= 0 for v in ms[:-2]) and float(ms[-1]) > 0
-    assert float(lines[2].split()[4]) > 0 and float(lines[3].split()[4]) == 0  # cuts only
-    assert len(lines) == 4
-
+    if command == "run":  # together: the cuts, and a closed-form distance sweep
+        groups = [[["run", os.path.join(CONFIGS, cfg), "--out", str(tmp_path / cfg)]
+                   for cfg in ("patterns.cfg", "distance.cfg")]]
+    else:  # each of blind and greedy
+        defaults = argparse.Namespace(seed=0, passes=None, rounds=None)
+        groups = [[argv] for _, argv in
+                  stages.calls("beamform", os.path.join(CONFIGS, "angle.cfg"), defaults)]
+    for argvs in groups:
+        called.clear()
+        for argv in argvs:
+            assert stages.cli.main(argv) == 0
+        assert called == {stage for stage, _ in stages.STAGES[command]}, argvs
 
 
 def test_the_readme_quick_start_runs(capsys):
