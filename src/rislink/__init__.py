@@ -14,7 +14,6 @@ from .beamforming import (
     FeedbackChannel,
     SearchTrace,
     blind_rowcol_search,
-    brute_force_optimum,
     greedy_element_search,
     nearest_quantize,
     uniform_configuration,

@@ -1,4 +1,4 @@
-"""Discrete phase-configuration search: blind line search, greedy descent, quantization, brute force.
+"""Discrete phase-configuration search: blind line search, greedy descent, quantization.
 
 Configurations are integer ndarrays of shape (n_rows, n_cols) holding codebook
 indices, row-major consistent with the element ordering in `geometry`.
@@ -14,7 +14,6 @@ rounding cannot accumulate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,29 +21,49 @@ from .link import SIXTEEN_PI_SQ, Scenario, _phase_indices, element_weights
 from .ris import PhaseCodebook
 
 _NOISE_BLOCK = 1024  # noise draws taken from the channel's rng at a time
-_BRUTE_BLOCK = 1024  # configurations brute force sums per gather
 _GALLOP_MIN = 8  # fewest rejections in a row, at a unit boundary, before greedy reads a block
 _GALLOP_WINDOW = 64  # candidates in a block read's first window; each next window doubles
+_SQUARE_SAFE = 1e154  # a magnitude below this squares to a finite float (sqrt(DBL_MAX) ~ 1.34e154)
 
 
-@dataclass
 class SearchTrace:
     """Measurement log of a feedback search; step 0 is the initial configuration.
 
-    One reading and one kept/rejected flag per query, in two flat lists.  A kept
-    reading reaches the running best, so the last kept one is max(powers).
+    One reading and one kept/rejected flag per query, in two lists, but a block
+    read is one entry of each: its readings array, and whether the last of them
+    was kept (every other one was rejected).  `powers` and `accepted` expand the
+    log to one Python float and one flag per query.  A kept reading reaches the
+    running best, so the last kept one is max(powers).
     """
 
-    powers: list[float] = field(default_factory=list)
-    accepted: list[bool] = field(default_factory=list)
+    def __init__(self):
+        self._powers: list = []  # a float per query, or a block's readings array
+        self._accepted: list[bool] = []
+        self._extra = 0  # queries of the block reads past one each
 
     def record(self, accepted: bool, power: float) -> None:
-        self.accepted.append(accepted)
-        self.powers.append(power)
+        self._accepted.append(accepted)
+        self._powers.append(power)
+
+    def record_block(self, readings: np.ndarray, last_kept: bool) -> None:
+        """Log a block read: every reading rejected but the last, kept iff `last_kept`."""
+        self.record(last_kept, readings)
+        self._extra += len(readings) - 1
 
     @property
     def n_queries(self) -> int:
-        return len(self.powers)
+        return len(self._accepted) + self._extra
+
+    @property
+    def powers(self) -> list[float]:
+        return [x for p in self._powers for x in (p.tolist() if isinstance(p, np.ndarray) else (p,))]
+
+    @property
+    def accepted(self) -> list[bool]:
+        flags = []
+        for p, kept in zip(self._powers, self._accepted):
+            flags += [False] * (len(p) - 1) + [kept] if isinstance(p, np.ndarray) else [kept]
+        return flags
 
     def write_csv(self, path) -> None:
         """One row per query: step,accepted (1/0),power_w."""
@@ -63,7 +82,8 @@ class FeedbackChannel:
     prefactor * |sum_n T[n, idx_n]|^2 (`power`).  Readings add Gaussian noise of
     the scenario's `noise_variance` (floored at zero), one draw per query from a
     standalone seeded rng in blocks, and are counted in `queries`.  `measure`
-    reads a grid; the searches read the table's powers by `read` and `read_until`.
+    reads a grid; the searches read the table's powers by `read`, `read_until`
+    and `next_noise`.
     """
 
     def __init__(self, scenario: Scenario, seed=0):
@@ -74,9 +94,7 @@ class FeedbackChannel:
         self.prefactor = scenario.tx_power / SIXTEEN_PI_SQ
         self.noise_variance = scenario.noise_variance
         self._rng = np.random.default_rng(seed)
-        self._noise = np.empty(0)  # drawn noise, unused from _pos on; as floats for `read`
-        self._noise_list: list[float] = []
-        self._pos = 0
+        self._noise, self._pos = np.empty(0), 0  # drawn noise, unused from _pos on
         self.queries = 0
 
     def power(self, configuration) -> float:
@@ -89,26 +107,25 @@ class FeedbackChannel:
 
     def _draws(self, m: int) -> np.ndarray:
         """The next m draws, not yet consumed; a shortfall draws every block it needs at once."""
-        short = self._pos + m - len(self._noise_list)
+        short = self._pos + m - len(self._noise)
         if short > 0:
             sd, n_blocks = math.sqrt(self.noise_variance), -(-short // _NOISE_BLOCK)
             blocks = [self._rng.normal(0.0, sd, _NOISE_BLOCK) for _ in range(n_blocks)]
             self._noise, self._pos = np.concatenate([self._noise[self._pos:], *blocks]), 0
-            self._noise_list = self._noise.tolist()
         return self._noise[self._pos:self._pos + m]
 
     def read(self, power: float) -> float:
         """One reading of a configuration whose noiseless power is `power`."""
         self.queries += 1
         if self.noise_variance > 0.0:
-            if self._pos == len(self._noise_list):
+            if self._pos == len(self._noise):
                 self._draws(1)
-            power = max(0.0, power + self._noise_list[self._pos])
+            power = max(0.0, power + float(self._noise[self._pos]))
             self._pos += 1
         return power
 
-    def read_until(self, powers: np.ndarray, best: float) -> list[float]:
-        """`read` of each noiseless power in turn, up to the first reading above `best`."""
+    def read_until(self, powers: np.ndarray, best: float) -> np.ndarray:
+        """`read` of each noiseless power in turn, up to the first above `best`, as one array."""
         if self.noise_variance > 0.0:
             x = powers + self._draws(len(powers))
             powers = np.where(x > 0.0, x, 0.0)  # max(0.0, x)
@@ -117,7 +134,16 @@ class FeedbackChannel:
         m = first + 1 if above[first] else len(powers)
         self.queries += m
         self._pos += m if self.noise_variance > 0.0 else 0
-        return powers[:m].tolist()
+        return powers[:m]
+
+    def next_noise(self, m: int) -> list[float] | None:
+        """Count the next m queries and hand out their m draws as floats, or None if noiseless."""
+        self.queries += m
+        if not self.noise_variance > 0.0:
+            return None
+        draws = self._draws(m).tolist()
+        self._pos += m
+        return draws
 
 
 def _sum_terms(table: np.ndarray, configuration) -> complex:
@@ -131,9 +157,11 @@ def _powers(prefactor: float, sums: np.ndarray) -> np.ndarray:
     np.hypot is abs(complex), and np.float_power squares through libm pow as `** 2` does.
     Like `** 2`, raises OverflowError where a finite magnitude squares to inf."""
     mags = np.hypot(sums.real, sums.imag)
+    if mags.max(initial=0.0) < _SQUARE_SAFE:
+        return prefactor * np.float_power(mags, 2.0)
     with np.errstate(over="ignore"):
         squares = np.float_power(mags, 2.0)
-    if squares.max(initial=0.0) == math.inf and np.isfinite(mags[squares == math.inf]).any():
+    if squares.max() == math.inf and np.isfinite(mags[squares == math.inf]).any():
         raise OverflowError("channel sum too large to square")
     return prefactor * squares
 
@@ -169,22 +197,20 @@ def blind_rowcol_search(feedback: FeedbackChannel, initial=None,
     # unit (r, c)'s entries start at step[first[r, c]]
     step = (np.roll(table, -1, axis=1) - table).reshape(-1)
     first = np.arange(0, step.size, k).reshape(n_rows, n_cols)
-    # In a one-row or one-column layout one line is the whole array: shifting
-    # it turns every term by one codebook step, so its power ties the current
-    # one up to rounding.  There every candidate is summed from scratch, as
-    # that line costs O(N) anyway, so each reading and >= decision is a full
-    # evaluation's.
+    # In a one-row or one-column layout one line is the whole array, and its
+    # shift ties the current power up to rounding: there every candidate is
+    # summed from scratch (O(N) anyway), so each >= decision is a full evaluation's.
     from_scratch = n_rows == 1 or n_cols == 1
-    read, trace = feedback.read, SearchTrace()
-    powers, accepted = trace.powers, trace.accepted
+    trace = SearchTrace()
     best = feedback.measure(config)
     trace.record(True, best)
+    log_power, log_kept = trace._powers.append, trace._accepted.append  # `record`, inlined
     for _ in range(passes):
         s = _sum_terms(table, config)
         for axis in (0, 1):  # columns, then rows
-            # a line's shift touches only that line, so every delta of this
-            # sweep can be taken from the configuration at its start
+            # a shift touches only its own line: every delta of the sweep comes from its start
             deltas = step.take(first + config).sum(axis=axis).tolist()
+            noise = feedback.next_noise(len(deltas))
             for i, delta in enumerate(deltas):
                 if from_scratch:
                     shifted = config.copy()
@@ -192,13 +218,17 @@ def blind_rowcol_search(feedback: FeedbackChannel, initial=None,
                     cand = _sum_terms(table, shifted)
                 else:
                     cand = s + delta
-                p = read(prefactor * abs(cand) ** 2)
+                p = prefactor * abs(cand) ** 2
+                if noise is not None:  # max(0.0, p + draw), as `read` floors a reading
+                    p += noise[i]
+                    if not p > 0.0:
+                        p = 0.0
                 kept = p >= best
                 if kept:
                     _shift_line(config, axis, i, k)
                     s, best = cand, p
-                powers.append(p)
-                accepted.append(kept)
+                log_power(p)
+                log_kept(kept)
     return config, trace
 
 
@@ -225,10 +255,10 @@ def greedy_element_search(feedback: FeedbackChannel, initial=None,
     config = _start(feedback, initial)
     table, prefactor, k = feedback.table, feedback.prefactor, feedback.scenario.codebook.size
     held = config.reshape(-1)  # the configuration, updated unit by unit
-    read = feedback.read
-    trace = SearchTrace()
+    read, trace = feedback.read, SearchTrace()
     best = feedback.measure(config)
     trace.record(True, best)
+    log_power, log_kept = trace._powers.append, trace._accepted.append  # `record`, inlined
     gallop_after, gained_at = _GALLOP_MIN, feedback.queries  # queries up to the last gain
     for _ in range(max_rounds):
         changed = False
@@ -250,12 +280,12 @@ def greedy_element_search(feedback: FeedbackChannel, initial=None,
                     continue
                 cand = (s - row[cur]) + row[idx]
                 p = read(prefactor * abs(cand) ** 2)
-                if p > best:
+                gain = p > best
+                if gain:
                     s, best, cur = cand, p, idx
                     changed, gained_at = True, feedback.queries
-                    trace.record(True, p)
-                else:
-                    trace.record(False, p)
+                log_power(p)
+                log_kept(gain)
             held[n] = cur
             n, first = n + 1, 0
         if not changed:
@@ -269,20 +299,18 @@ def _gallop(table, held, n, s, best, prefactor, feedback, trace):
     Windows of whole units double from _GALLOP_WINDOW candidates.  Returns the
     gain's (unit, index, sum, reading, whether in the first window), or None.
     """
-    others, window = np.arange(table.shape[1] - 1), _GALLOP_WINDOW
+    k, window = table.shape[1], _GALLOP_WINDOW
     while n < len(held):
-        hi = min(len(held), n + max(1, window // len(others)))
-        cur, at = held[n:hi, None], np.arange(n, hi)[:, None]
-        idx = others + (others >= cur)  # every index but the held one, in order
-        sums = ((s - table[at, cur]) + table[at, idx]).ravel()
+        hi = min(len(held), n + max(1, window // (k - 1)))
+        block, others = table[n:hi], np.arange(k) != held[n:hi, None]  # all but the held index
+        sums = ((s - block[~others])[:, None] + block)[others]
         readings = feedback.read_until(_powers(prefactor, sums), best)
-        gained = readings[-1] > best
-        trace.powers.extend(readings)
-        trace.accepted.extend([False] * (len(readings) - gained) + [True] * gained)
+        last, gained = len(readings) - 1, bool(readings[-1] > best)
+        trace.record_block(readings, gained)
         if gained:
-            u, r = divmod(len(readings) - 1, len(others))
-            at_once = window == _GALLOP_WINDOW
-            return n + u, int(idx[u, r]), complex(sums[len(readings) - 1]), readings[-1], at_once
+            u, r = divmod(last, k - 1)
+            idx = int(r + (r >= held[n + u]))
+            return n + u, idx, complex(sums[last]), float(readings[last]), window == _GALLOP_WINDOW
         n, window = hi, 2 * window
     return None
 
@@ -317,24 +345,3 @@ def nearest_quantize(phases, codebook: PhaseCodebook) -> np.ndarray:
     tied = np.minimum(d_lo, d_hi) + 1e-12
     idx[near] = np.where((d_lo <= tied) & ((d_hi > tied) | (lo < hi)), lo, hi)
     return idx.reshape(shape)
-
-
-def brute_force_optimum(scenario: Scenario) -> tuple[np.ndarray, float]:
-    """Exhaustive search over all codebook configurations, refused above 20 search bits
-    (bits * n_units).  Blocks of configurations in itertools.product order (unit 0 the
-    leading digit) sum the term table by gather; the first strict maximum keeps the
-    lexicographically smallest of tied optima."""
-    n, k = scenario.layout.n_units, scenario.codebook.size
-    if scenario.codebook.bits * n > 20:
-        raise ValueError(f"{scenario.codebook.bits * n} search bits exceed the 20-bit "
-                         "brute-force cap")
-    feedback = FeedbackChannel(scenario)
-    place = k ** np.arange(n - 1, -1, -1)
-    best_cfg, best_p = None, -1.0
-    for lo in range(0, k ** n, _BRUTE_BLOCK):
-        digits = np.arange(lo, min(lo + _BRUTE_BLOCK, k ** n))[:, None] // place % k
-        p = _powers(feedback.prefactor, feedback.table[np.arange(n), digits].sum(axis=1))
-        i = int(p.argmax())
-        if p[i] > best_p:
-            best_cfg, best_p = digits[i].copy(), float(p[i])
-    return best_cfg.reshape(scenario.layout.n_rows, scenario.layout.n_cols), best_p

@@ -122,17 +122,12 @@ def _dumps_indented(out: dict, grid, grids: dict) -> str:
 
     Each of `grids` maps a key to the JSON token of every codebook index; its
     value is the 2-D index `grid` printed in those tokens.  `indent` selects
-    json's pure-Python encoder, slow on a large grid, so list values are laid
-    out around the C encoder's output and grids by `_grid_text`.
+    json's pure-Python encoder, so the top-level object is laid out here: each
+    scalar by the C encoder, each list by `_indented_list`, each grid by `_grid_text`.
     """
-    lists = {k: v for k, v in out.items() if isinstance(v, list)}
-    text = json.dumps({**out, **{k: f"@{k}@" for k in (*lists, *grids)}},
-                      indent=2, sort_keys=True)
-    for key, value in lists.items():
-        text = text.replace(f'"@{key}@"', _indented_list(value))
-    for key, tokens in grids.items():
-        text = text.replace(f'"@{key}@"', _grid_text(grid, tokens))
-    return text
+    values = {k: _indented_list(v) if isinstance(v, list) else json.dumps(v) for k, v in out.items()}
+    values.update((k, _grid_text(grid, tokens)) for k, tokens in grids.items())
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {values[k]}" for k in sorted(values)) + "\n}"
 
 
 def _indented_list(items: list) -> str:

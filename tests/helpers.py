@@ -1,5 +1,5 @@
 """Shared random scenario builders, per-unit and scalar oracles, the expanded
-received-power route, and reference searches and sweeps for the test suite."""
+received-power route, brute force, and reference searches and sweeps for the test suite."""
 
 import itertools
 import math
@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 import rislink as rl
-from rislink.beamforming import wrap_to_pi
+from rislink.beamforming import _powers, wrap_to_pi
 from rislink.channel import area_from_cosine
 from rislink.experiments import SweepResult
 from rislink.geometry import element_grid, ranges_and_cosines, spherical_to_cartesian
@@ -282,6 +282,27 @@ def stepwise_greedy_search(feedback, initial=None, max_rounds=8):
 def reference_powers(prefactor, sums):
     """prefactor * abs(s) ** 2 of each channel sum, one Python complex at a time."""
     return [prefactor * abs(complex(s)) ** 2 for s in sums]
+
+
+def brute_force_optimum(scenario):
+    """Exhaustive search over all codebook configurations, refused above 20 search bits
+    (bits * n_units).  Blocks of 1024 configurations in itertools.product order (unit 0
+    the leading digit) sum the term table by gather; the first strict maximum keeps the
+    lexicographically smallest of tied optima."""
+    n, k = scenario.layout.n_units, scenario.codebook.size
+    if scenario.codebook.bits * n > 20:
+        raise ValueError(f"{scenario.codebook.bits * n} search bits exceed the 20-bit "
+                         "brute-force cap")
+    feedback = rl.FeedbackChannel(scenario)
+    place = k ** np.arange(n - 1, -1, -1)
+    best_cfg, best_p = None, -1.0
+    for lo in range(0, k ** n, 1024):
+        digits = np.arange(lo, min(lo + 1024, k ** n))[:, None] // place % k
+        p = _powers(feedback.prefactor, feedback.table[np.arange(n), digits].sum(axis=1))
+        i = int(p.argmax())
+        if p[i] > best_p:
+            best_cfg, best_p = digits[i].copy(), float(p[i])
+    return best_cfg.reshape(scenario.layout.n_rows, scenario.layout.n_cols), best_p
 
 
 def reference_brute_force_optimum(scenario):

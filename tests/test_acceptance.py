@@ -11,6 +11,7 @@ import numpy as np
 
 import rislink as rl
 from helpers import (
+    brute_force_optimum,
     decode_control,
     make_random_scenario,
     min_path_loss,
@@ -112,7 +113,7 @@ def test_criterion_4_search_chain_blind_greedy_brute():
             ok, detail = False, f"trial {trial}: greedy result not single-change stable"
             break
 
-        _, pbest = rl.brute_force_optimum(sc)
+        _, pbest = brute_force_optimum(sc)
         if pbest < pg * (1.0 - 1e-12):
             ok, detail = False, f"trial {trial}: exhaustive search below greedy"
             break

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rislink as rl
-from rislink.beamforming import _NOISE_BLOCK, _powers, wrap_to_pi
+from rislink.beamforming import _NOISE_BLOCK, _SQUARE_SAFE, _powers, wrap_to_pi
 from helpers import (
+    brute_force_optimum,
     make_random_scenario,
     reference_blind_search,
     reference_brute_force_optimum,
@@ -145,7 +146,7 @@ def test_blind_symmetric_boresight_keeps_uniform():
 def test_blind_single_element_is_trivially_optimal():
     s = small_scenario(4, max_rows=1, max_cols=1)
     _, trace = rl.blind_rowcol_search(rl.FeedbackChannel(s))
-    _, best = rl.brute_force_optimum(s)
+    _, best = brute_force_optimum(s)
     assert max(trace.powers) == pytest.approx(best, rel=1e-12)
 
 
@@ -166,7 +167,7 @@ def test_blind_initial_validation():
 def test_greedy_single_element_exact():
     s = small_scenario(5, max_rows=1, max_cols=1)
     _, trace = rl.greedy_element_search(rl.FeedbackChannel(s))
-    _, best = rl.brute_force_optimum(s)
+    _, best = brute_force_optimum(s)
     assert max(trace.powers) == pytest.approx(best, rel=1e-12)
 
 
@@ -299,6 +300,54 @@ def test_array_powers_equal_python_powers_bit_for_bit():
                 _powers(prefactor, np.array([big]))
 
 
+def test_powers_skip_the_overflow_guard_only_below_the_threshold(monkeypatch):
+    # real and imaginary sums, so each magnitude is exact; sqrt(DBL_MAX) is ~1.3408e154
+    def sums(mags):
+        return np.concatenate([np.array(mags) + 0j, 1j * np.array(mags)])
+
+    below = sums([np.nextafter(_SQUARE_SAFE, 0.0), 0.5 * _SQUARE_SAFE, 1.0, 5e-324, 0.0])
+    above = sums([_SQUARE_SAFE, 1.2e154, 1.34e154, 1.0])  # past the threshold, finite squares
+    over = sums([1.0, 1.35e154])
+    prefactors = (1.0, 1.0 / (16.0 * math.pi ** 2))
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "errstate", None)  # below the threshold no guard is entered
+        for prefactor in prefactors:
+            got = _powers(prefactor, below)
+            assert np.array_equal(_bits(got), _bits(reference_powers(prefactor, below)))
+    for prefactor in prefactors:
+        got = _powers(prefactor, above)
+        assert np.isfinite(got).all()
+        assert np.array_equal(_bits(got), _bits(reference_powers(prefactor, above)))
+        with pytest.raises(OverflowError):
+            reference_powers(prefactor, over)
+        with pytest.raises(OverflowError):
+            _powers(prefactor, over)
+
+
+def test_a_trace_logged_in_blocks_reads_as_one_logged_per_query(tmp_path):
+    rng = np.random.default_rng(5)
+    blocks = [(rng.uniform(0.0, 1.0, m), kept) for m, kept in
+              [(1, True), (5, False), (64, True), (3, True), (1, False)]]
+    one, blocked = rl.SearchTrace(), rl.SearchTrace()
+    for trace in (one, blocked):
+        trace.record(True, 0.5)
+    for readings, kept in blocks:
+        blocked.record_block(readings, kept)
+        blocked.record(False, 0.25)  # one-at-a-time queries between the blocks
+        last = len(readings) - 1
+        for i, p in enumerate(readings.tolist()):
+            one.record(kept and i == last, p)
+        one.record(False, 0.25)
+    assert blocked.n_queries == one.n_queries == 1 + 74 + 5
+    assert all(type(p) is float for p in blocked.powers)
+    assert all(type(a) is bool for a in blocked.accepted)
+    assert np.array_equal(_bits(blocked.powers), _bits(one.powers))
+    assert blocked.accepted == one.accepted
+    one.write_csv(tmp_path / "one.csv")
+    blocked.write_csv(tmp_path / "blocked.csv")
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
 def test_block_reads_take_one_draw_per_reading_across_noise_blocks():
     s = small_scenario(3)
     config = rl.uniform_configuration(s.layout)
@@ -326,7 +375,7 @@ def test_block_reads_take_one_draw_per_reading_across_noise_blocks():
             if want[-1] > best:
                 break
         got = fb.read_until(powers, best)
-        assert all(type(r) is float for r in got)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
         assert np.array_equal(_bits(got), _bits(want))
         queries += 2 + len(want)
         assert fb.queries == queries
@@ -547,13 +596,13 @@ def test_wrap_to_pi_range():
 def test_brute_force_refuses_large_arrays():
     s = rl.chamber_scenario()  # 32 units x 2 bits = 64 search bits
     with pytest.raises(ValueError):
-        rl.brute_force_optimum(s)
+        brute_force_optimum(s)
 
 
 def test_brute_force_dominates_everything():
     for seed in range(6):
         s = small_scenario(seed)
-        _, best = rl.brute_force_optimum(s)
+        _, best = brute_force_optimum(s)
         _, gt = rl.greedy_element_search(rl.FeedbackChannel(s))
         _, bt = rl.blind_rowcol_search(rl.FeedbackChannel(s))
         rng = np.random.default_rng(seed)
@@ -566,7 +615,7 @@ def test_brute_force_dominates_everything():
 def test_brute_force_tie_breaks_lexicographically():
     # single element: all four phases give identical power, so index 0 wins
     s = small_scenario(8, max_rows=1, max_cols=1)
-    config, _ = rl.brute_force_optimum(s)
+    config, _ = brute_force_optimum(s)
     assert config.shape == (1, 1)
     assert config[0, 0] == 0
 
@@ -578,7 +627,7 @@ def test_brute_force_is_the_one_at_a_time_loop_bit_for_bit(seed):
     s = make_random_scenario(rng, max_rows=3, max_cols=4, max_units=12 // bits, bits=bits,
                              random_offset=True)
     s = replace(s, jitter=rl.PhaseJitterModel(math.radians(15.0), seed))
-    got, want = rl.brute_force_optimum(s), reference_brute_force_optimum(s)
+    got, want = brute_force_optimum(s), reference_brute_force_optimum(s)
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
@@ -588,14 +637,14 @@ def test_brute_force_keeps_the_first_of_tied_optima_across_blocks():
     fb = rl.FeedbackChannel(s)
     rotations = [(np.array([[0, 3, 2], [0, 3, 2]]) + k) % 4 for k in range(4)]
     assert len({fb.power(r) for r in rotations}) == 1
-    got, want = rl.brute_force_optimum(s), reference_brute_force_optimum(s)
+    got, want = brute_force_optimum(s), reference_brute_force_optimum(s)
     assert np.array_equal(got[0], rotations[0]) and np.array_equal(want[0], rotations[0])
     assert got[1] == want[1] == fb.power(rotations[0])
 
 
 def test_greedy_through_a_given_feedback_channel():
     s = small_scenario(9)
-    _, best = rl.brute_force_optimum(s)
+    _, best = brute_force_optimum(s)
     fb = rl.FeedbackChannel(s)
     _, trace = rl.greedy_element_search(fb)
     assert trace.n_queries == fb.queries
