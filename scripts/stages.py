@@ -18,10 +18,11 @@ of the wrapped calls inside them, so `other` holds only unwrapped work.
 `feedback_search` ones.  The stages, in the order each command runs them:
 
     run       parse (argument parsing), load (config file to scenario and jobs),
-              steer (apply_beamforming), sums (_channel_sums: the cuts' path
-              tables and sums), sweeps (_pose_sweep: a distance or angle sweep's
-              path table, closed forms, sums and digests), rows (dBm/dB rows,
-              each cut's beamwidth and sidelobe), csv, json (summary.json)
+              steer (_steer: the cuts' steerings, and apply_beamforming), sums
+              (_channel_sums: the cuts' path tables and sums), sweeps
+              (_pose_sweep: a distance or angle sweep's path table, closed
+              forms, sums and digests), rows (dBm/dB rows, each cut's
+              beamwidth and sidelobe), csv, json (summary.json)
     beamform  parse, scenario (config and overrides to a Scenario), oracle (the
               FeedbackChannel build), search (blind or greedy), digest, sum (the
               found configuration's programmed phases and the dBm/dB conversion
@@ -51,7 +52,7 @@ STAGES = {
     "run": (
         ("parse", [(cli._PARSER, "parse_args")]),
         ("load", [(config, "load_run_plan")]),
-        ("steer", [(experiments, "apply_beamforming")]),
+        ("steer", [(experiments, "_steer"), (experiments, "apply_beamforming")]),
         ("sums", [(experiments, "_channel_sums")]),
         ("sweeps", [(experiments, "_pose_sweep")]),
         ("rows", [(experiments, "_link_budget_db"), (experiments, "half_power_beamwidth"),

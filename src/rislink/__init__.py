@@ -37,7 +37,6 @@ from .experiments import (
 from .geometry import (
     ArrayLayout,
     SphericalPose,
-    element_grid,
     spherical_to_cartesian,
 )
 from .link import (

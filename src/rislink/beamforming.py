@@ -331,12 +331,16 @@ def nearest_quantize(phases, codebook: PhaseCodebook) -> np.ndarray:
     shape = np.shape(phases)
     ph = np.asarray(phases, dtype=float).reshape(-1)
     k = codebook.size
-    x = (ph - codebook.offset) / codebook.spacing
+    x = np.subtract(ph, codebook.offset)  # frac then reuses x's buffer
+    x /= codebook.spacing
     floor = np.floor(x)
-    frac = x - floor
-    lo = floor.astype(int) & (k - 1)  # K is a power of two
-    idx = (lo + (frac >= 0.5)) & (k - 1)
-    near = np.abs(frac - 0.5) < 1e-6 + 1e-9 / codebook.spacing
+    frac = np.subtract(x, floor, out=x)
+    lo = floor.astype(int)
+    lo &= k - 1  # K is a power of two
+    idx = np.add(lo, frac >= 0.5)
+    idx &= k - 1
+    frac -= 0.5
+    near = np.abs(frac, out=frac) < 1e-6 + 1e-9 / codebook.spacing
     ph, lo = ph[near], lo[near]
     hi = (lo + 1) & (k - 1)
     entries = codebook.phases()

@@ -118,13 +118,10 @@ def _cmd_beamform(args) -> int:
 
 
 def _dumps_indented(out: dict, grid, grids: dict) -> str:
-    """json.dumps(out, indent=2, sort_keys=True), byte for byte, with `grids` as more keys.
-
-    Each of `grids` maps a key to the JSON token of every codebook index; its
-    value is the 2-D index `grid` printed in those tokens.  `indent` selects
-    json's pure-Python encoder, so the top-level object is laid out here: each
-    scalar by the C encoder, each list by `_indented_list`, each grid by `_grid_text`.
-    """
+    """json.dumps(out, indent=2, sort_keys=True), byte for byte, plus each of `grids`: a key
+    whose value is the index `grid` in the JSON tokens it maps each codebook index to.
+    `indent` selects json's pure-Python encoder, so the object is laid out here: each
+    scalar by the C encoder, each list by `_indented_list`, each grid by `_grid_text`."""
     values = {k: _indented_list(v) if isinstance(v, list) else json.dumps(v) for k, v in out.items()}
     values.update((k, _grid_text(grid, tokens)) for k, tokens in grids.items())
     return "{\n" + ",\n".join(f"  {json.dumps(k)}: {values[k]}" for k in sorted(values)) + "\n}"
@@ -145,16 +142,17 @@ _ENTRY_SEP, _ROW_SEP = ",\n      ", "\n    ],\n    [\n      "
 def _grid_text(grid: np.ndarray, tokens) -> str:
     """The 2-D index `grid` as indent=2 lays out a top-level value, entry k as tokens[k].
 
-    Row k of two byte tables holds token k, NUL-padded to one width (JSON has
-    no raw NUL), and then the entry separator (first table) or the row
-    separator (second table, for the last column); one gather of each by the
-    grid gives every entry's bytes.
-    """
+    Item k of a fixed-width table is token k, NUL-padded to the widest (JSON has no raw
+    NUL; stripped only if widths differ), then the entry separator: one gather by the
+    grid writes each row's bytes, and the row separator overwrites each row's last."""
     pad = max(map(len, tokens))
-    inner, last = (np.frombuffer("".join(t.ljust(pad, "\0") + sep for t in tokens).encode(),
-                                 np.uint8).reshape(len(tokens), -1) for sep in (_ENTRY_SEP, _ROW_SEP))
-    rows = np.concatenate([inner[grid[:, :-1]].reshape(len(grid), -1), last[grid[:, -1]]], axis=1)
-    body = rows.tobytes().translate(None, b"\0").decode()
+    items = np.array([t.ljust(pad, "\0") + _ENTRY_SEP for t in tokens], dtype=bytes)
+    n_rows, n_cols = grid.shape
+    rows = np.empty((n_rows, n_cols * items.itemsize + len(_ROW_SEP) - len(_ENTRY_SEP)), np.uint8)
+    rows[:, :n_cols * items.itemsize].view(items.dtype)[...] = items[grid]
+    rows[:, -len(_ROW_SEP):] = np.frombuffer(_ROW_SEP.encode(), np.uint8)
+    body = rows.tobytes()
+    body = (body if pad == min(map(len, tokens)) else body.translate(None, b"\0")).decode()
     return _GRID_OPEN + body[:-len(_ROW_SEP)] + _GRID_CLOSE
 
 

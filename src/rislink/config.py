@@ -72,11 +72,6 @@ def _parse(key: str, raw: str, line: int, convert, path):
         raise _err(path, line, f"{key}: cannot parse {raw!r}") from None
 
 
-def _reject_unknown(section: dict, name: str, path) -> None:
-    for key, (_, line) in sorted(section.items(), key=lambda kv: kv[1][1]):
-        raise _err(path, line, f"unknown key {key!r} in [{name}]")
-
-
 def _parse_calibration(raw: str) -> tuple[tuple[float, float], ...]:
     pairs = []
     for chunk in raw.split(","):
@@ -177,7 +172,8 @@ def build_jobs(sections: dict, path) -> list[SweepJob]:
         except SweepError as e:
             key = _CONFIG_KEY.get(e.key, e.key)
             raise _err(path, section[key][1] if key in section else section.line, e) from None
-        _reject_unknown(raw, name, path)
+        for key, (_, line) in sorted(raw.items(), key=lambda kv: kv[1][1]):  # the first left
+            raise _err(path, line, f"unknown key {key!r} in [{name}]")
     return jobs
 
 

@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -24,12 +24,13 @@ from .beamforming import (
     nearest_quantize,
 )
 from .channel import AntennaModel
-from .geometry import ArrayLayout, SphericalPose, cartesian_points
+from .geometry import ArrayLayout, SphericalPose, cartesian_points, spherical_to_cartesian
 from .link import (
     Scenario,
     _channel_sums,
     _link_budget_db,
     _own_rx_point,
+    _phasors,
     _weight_chunks,
     from_db,
 )
@@ -47,6 +48,8 @@ SWEEP_DEFAULTS = {"distance": (0.5, 5.0, 0.5), "angle": (0.0, 60.0, 10.0),
 BEAMFORMING_METHODS = ("none", "continuous", "quantized", "blind", "greedy")
 # methods whose configuration is a closed form of the two-hop phases
 _CLOSED_FORM_METHODS = ("none", "continuous", "quantized")
+# fl(2 pi) and its leading 29 significant bits; the rest, fl(2 pi) - _TWO_PI_HI, is exact
+_TWO_PI, _TWO_PI_HI = 2.0 * math.pi, float.fromhex("0x1.921fb54p+2")
 
 
 def _off_normal(angle_deg, azimuth_deg: float = 0.0):
@@ -212,16 +215,30 @@ class BeamformingOutcome:
 
 
 def _closed_form(scenario: Scenario, method: str, phi: np.ndarray) -> np.ndarray:
-    """Configuration of a closed-form method for two-hop phases `phi` (..., n_units).
-
-    Continuous phases in [0, 2 pi) for `continuous`, codebook indices for
-    `none` (all zero) and `quantized` (nearest entry to each continuous
-    phase).
-    """
+    """Configuration of a closed-form method for two-hop phases `phi` (..., n_units):
+    phases in [0, 2 pi) for `continuous`, codebook indices for `none` (all zero) and
+    `quantized` (the entry nearest each continuous phase)."""
     if method == "none":
         return np.zeros(phi.shape, dtype=int)
-    phases = np.mod(phi, 2.0 * math.pi)
+    phases = _mod_2pi(phi)
     return phases if method == "continuous" else nearest_quantize(phases, scenario.codebook)
+
+
+def _mod_2pi(phi: np.ndarray) -> np.ndarray:
+    """np.mod(phi, 2 pi) bit for bit, without its per-element fmod (Cody and Waite).
+
+    For m = floor(phi / 2 pi) in [0, 2^20) both products of m are exact, and so is each
+    subtraction: r = phi - m fl(2 pi) exactly.  A quotient rounded up leaves r in [-2 pi, 0),
+    and adding 2 pi lands exactly on the remainder.  Other m (phases < 0, huge, inf, NaN)
+    take np.mod."""
+    m = np.divide(phi, _TWO_PI)
+    np.floor(m, out=m)
+    if not (m.size and 0 <= m.min() and m.max() < 2 ** 20):  # NaN fails both
+        return np.mod(phi, _TWO_PI)
+    r = np.multiply(m, _TWO_PI_HI)
+    np.subtract(phi, r, out=r)
+    r -= np.multiply(m, _TWO_PI - _TWO_PI_HI, out=m)
+    return np.add(r, _TWO_PI, out=r, where=r < 0)
 
 
 def _config_digest(scenario: Scenario, config: np.ndarray) -> str:
@@ -241,10 +258,9 @@ def apply_beamforming(scenario: Scenario, method: str = "quantized", seed=0,
                       passes: int = 4, max_rounds: int = 8) -> BeamformingOutcome:
     """Run one beamforming method against `scenario` and package the result.
 
-    Every method builds the element weights once, a closed form from the kernel's
-    chunk and a search in its `FeedbackChannel`, and the outcome's channel sum comes
-    from those weights and the phases its program radiates: bit for bit
-    `_channel_sums` of that program at its own pose.
+    Every method builds the element weights once, a closed form from the kernel's chunk
+    and a search in its `FeedbackChannel`; the channel sum of those weights and the
+    phases the program radiates is bit for bit `_channel_sums` of it at its own pose.
     """
     if method not in BEAMFORMING_METHODS:
         raise ValueError(f"unknown beamforming method {method!r}")
@@ -315,32 +331,29 @@ class SweepResult:
 
 
 def _pose_sweep(scenario: Scenario, job: SweepJob, values, r, theta, azimuth, seed) -> SweepResult:
-    """One row per RX pose (r, theta, azimuth), broadcast over the grid, beamformed afresh at each.
-
-    The closed-form methods need only the two-hop path table: each chunk of points
-    gets it once, and the same arrays give every point's phases or indices, digest
-    and channel sum.  `blind` and `greedy` search per `SphericalPose`, each seeded.
-    """
+    """One row per RX pose (r, theta, azimuth), broadcast over the grid, beamformed afresh at
+    each: a closed form from each chunk's one path table, which gives every point's
+    configuration, digest and channel sum; `blind` and `greedy` per pose, each seeded."""
     r, theta, azimuth = np.broadcast_arrays(r, theta, azimuth)
     method = job.method
     sums, digests = [], []
     if method not in _CLOSED_FORM_METHODS:
         poses = zip(r.tolist(), theta.tolist(), azimuth.tolist())
         for pose, s in zip(poses, np.random.SeedSequence(seed).spawn(len(values))):
-            scn = replace(scenario, rx_pose=SphericalPose(*pose))
-            bf = apply_beamforming(scn, method, s)
+            bf = apply_beamforming(replace(scenario, rx_pose=SphericalPose(*pose)), method, s)
             sums.append(bf.channel_sum)
             digests.append(bf.digest)
     else:
-        points = cartesian_points(r, theta, azimuth)
-        for _, amp, phi in _weight_chunks(scenario, points):
+        buf = None  # the first chunk is the largest
+        for _, amp, phi in _weight_chunks(scenario, cartesian_points(r, theta, azimuth)):
             config = _closed_form(scenario, method, phi)
             if method == "continuous":
                 # the programmed phases cancel the path phases: S = sum_n |w_n|
                 sums.extend(amp.sum(axis=-1))
             else:
-                programmed = scenario.programmed_phases(config)
-                sums.extend(np.sum(amp * np.exp(1j * (programmed - phi)), axis=-1))
+                buf = np.empty(amp.shape, dtype=complex) if buf is None else buf
+                phase = np.subtract(scenario.programmed_phases(config), phi)
+                sums.extend(np.sum(_phasors(buf[:len(amp)], amp, phase, 1j), axis=-1))
             digests.extend(_config_digest(scenario, point_config) for point_config in config)
     return SweepResult.from_sums(scenario, SWEEP_KINDS[job.kind], values, sums, digests)
 
@@ -415,22 +428,38 @@ def peak_to_sidelobe(angles_deg, rel_db) -> float:
     return float(r[i0] - np.max(side))
 
 
+def _steer(scenario: Scenario, jobs: Sequence[SweepJob], seed, rx_azimuth_deg: float) -> list:
+    """((configuration, phases), digest) of each job steered toward its `steering_deg`, as
+    `apply_beamforming` posed there gives them; the closed forms read one path table."""
+    poses = [transmission_side_pose(scenario.rx_pose.r, job.steering_deg, rx_azimuth_deg)
+             for job in jobs]
+    closed = [job.method in _CLOSED_FORM_METHODS for job in jobs]
+    points = np.reshape([spherical_to_cartesian(p) for p, c in zip(poses, closed) if c], (-1, 3))
+    phis = (row for _, _, phi in _weight_chunks(scenario, points) for row in phi)
+    steered = []
+    for job, pose, c in zip(jobs, poses, closed):
+        if c:
+            config = _closed_form(scenario, job.method, next(phis))
+            program = (None, config) if job.method == "continuous" else (config, None)
+            steered.append((program, _config_digest(scenario, config)))
+        else:
+            bf = apply_beamforming(replace(scenario, rx_pose=pose), job.method, seed)
+            steered.append(((bf.configuration, bf.phases), bf.digest))
+    return steered
+
+
 def _radiation_patterns(scenario: Scenario, jobs: Sequence[SweepJob], seed,
                         rx_azimuth_deg: float) -> list[PatternResult]:
     """Steer toward each job's `steering_deg`, freeze the configuration, and cut the
-    transmission-side pattern by moving the RX probe along the jobs' one grid.
-
-    All the cuts are one batched link evaluation over one path table.
-    """
+    transmission-side pattern along the jobs' one grid: all the cuts read one path table."""
     r, angles = scenario.rx_pose.r, jobs[0].grid()
-    steered = [apply_beamforming(replace(scenario, rx_pose=transmission_side_pose(
-        r, job.steering_deg, rx_azimuth_deg)), job.method, seed) for job in jobs]
+    steered = _steer(scenario, jobs, seed, rx_azimuth_deg)
     a, phi = _off_normal(angles, rx_azimuth_deg)
     all_sums = _channel_sums(scenario, cartesian_points(r, math.pi - a, phi),
-                             [(bf.configuration, bf.phases) for bf in steered])
+                             [program for program, _ in steered])
     cuts = []
-    for job, bf, sums in zip(jobs, steered, all_sums):
-        cut = SweepResult.from_sums(scenario, "pattern_angle", angles, sums, [bf.digest] * len(sums))
+    for job, (_, digest), sums in zip(jobs, steered, all_sums):
+        cut = SweepResult.from_sums(scenario, "pattern_angle", angles, sums, [digest] * len(sums))
         powers = cut.received_power_dbm
         rel = powers - np.max(powers)
         cuts.append(PatternResult(**vars(cut), steering_deg=float(job.steering_deg),
@@ -473,22 +502,16 @@ def run_sweep(scenario: Scenario, job: SweepJob, seed=0,
 
 
 def _scenario_summary(s: Scenario) -> dict:
-    return {
-        "frequency_hz": s.frequency,
-        "wavelength_m": s.wavelength,
-        "tx_pose": [s.tx_pose.r, s.tx_pose.theta, s.tx_pose.phi],
-        "rx_pose": [s.rx_pose.r, s.rx_pose.theta, s.rx_pose.phi],
-        "layout": [s.layout.n_rows, s.layout.n_cols, s.layout.pitch_x, s.layout.pitch_y],
-        "tx_antenna": [s.tx_antenna.boresight_gain, s.tx_antenna.exponent],
-        "rx_antenna": [s.rx_antenna.boresight_gain, s.rx_antenna.exponent],
-        "codebook": [s.codebook.bits, s.codebook.offset],
-        "amplifier_calibration": [list(p) for p in s.amplifier.calibration],
-        "amplifier_max_current_a": s.amplifier.max_current,
-        "tx_power_w": s.tx_power,
-        "noise_variance_w": s.noise_variance,
-        "phase_jitter": (None if s.jitter is None
-                          else [s.jitter.max_error, s.jitter.seed]),
-    }
+    """summary.json's scenario: each model as the list of its fields, in declared order."""
+    def fields(model):
+        return None if model is None else list(astuple(model))
+    return {"frequency_hz": s.frequency, "wavelength_m": s.wavelength,
+            "tx_pose": fields(s.tx_pose), "rx_pose": fields(s.rx_pose), "layout": fields(s.layout),
+            "tx_antenna": fields(s.tx_antenna), "rx_antenna": fields(s.rx_antenna),
+            "codebook": fields(s.codebook),
+            "amplifier_calibration": [list(p) for p in s.amplifier.calibration],
+            "amplifier_max_current_a": s.amplifier.max_current, "tx_power_w": s.tx_power,
+            "noise_variance_w": s.noise_variance, "phase_jitter": fields(s.jitter)}
 
 
 def run_config(path, out_dir, seed=0) -> dict:

@@ -68,13 +68,8 @@ class ArrayLayout:
 def spherical_to_cartesian(pose: SphericalPose) -> np.ndarray:
     """(r, theta, phi) -> cartesian (x, y, z)."""
     sin_t = math.sin(pose.theta)
-    return np.array(
-        [
-            pose.r * sin_t * math.cos(pose.phi),
-            pose.r * sin_t * math.sin(pose.phi),
-            pose.r * math.cos(pose.theta),
-        ]
-    )
+    return np.array([pose.r * sin_t * math.cos(pose.phi), pose.r * sin_t * math.sin(pose.phi),
+                     pose.r * math.cos(pose.theta)])
 
 
 def cartesian_points(r, theta, phi) -> np.ndarray:
@@ -93,15 +88,9 @@ def _cell_offsets(layout: ArrayLayout) -> tuple[np.ndarray, np.ndarray]:
             ((layout.n_rows + 1) / 2.0 - np.arange(1, layout.n_rows + 1)) * layout.pitch_y)
 
 
-def element_grid(layout: ArrayLayout) -> np.ndarray:
-    """All unit-cell centers, shape (n_units, 3), row-major (row 1 cols 1..N, then row 2, ...)."""
-    xx, yy = np.meshgrid(*_cell_offsets(layout))  # (n_rows, n_cols)
-    return np.stack([xx.ravel(), yy.ravel(), np.zeros(layout.n_units)], axis=1)
-
-
 def ranges_and_cosines(points, layout: ArrayLayout) -> tuple[np.ndarray, np.ndarray]:
     """Range and departure cosine from every unit cell of `layout` to each of `points`
-    (..., 3), each shaped (..., n_units) in `element_grid` order.
+    (..., 3), each shaped (..., n_units) in row-major cell order.
 
     The cells sit at z = 0, so dx varies only by column, dy only by row and dz = p_z
     only by point: r = sqrt((dx^2 + dy^2) + dz^2), np.linalg.norm's own summation

@@ -94,14 +94,10 @@ _CHUNK_ELEMENTS = 2 ** 14
 
 
 def _weight_chunks(scenario: Scenario, rx_points: np.ndarray):
-    """Yield (first point, amplitudes, two-hop phases) per chunk of RX points.
-
-    Both arrays are shaped (chunk, n_units): the `element_weights` expression
-    w[p, n] = amp[p, n] exp(-j phi[p, n]) over a leading pose axis, with
-    gains and apertures from departure cosines and G_u at the top calibrated
-    current.  The TX leg is computed once per call, the RX leg per chunk.  Each
-    point must sit on the other side of the plane from the TX, as `Scenario`
-    requires of its own RX pose.
+    """Yield (first point, amplitudes, two-hop phases) per chunk of RX points, each
+    (chunk, n_units): the path table w = amp exp(-j phi) of `element_weights` over a
+    pose axis, G_u at the top calibrated current.  The TX leg is computed once per
+    call.  Every point must sit across the plane from the TX, as `Scenario` requires.
     """
     p_t = spherical_to_cartesian(scenario.tx_pose)
     if not np.all(p_t[2] * rx_points[:, 2] < 0):
@@ -131,12 +127,9 @@ def _own_rx_point(scenario: Scenario) -> np.ndarray:
 
 def _channel_sums(scenario: Scenario, rx_points, programs) -> np.ndarray:
     """Channel sums S[k, p] = sum_n w[p, n] exp(j phi_kn) of each (configuration, phases)
-    program k toward each of (P, 3) RX points, shape (K, P).
-
-    One evaluation serves both link figures: P_r = P_t / (16 pi^2) |S|^2 and
-    PL = 16 pi^2 / |S|^2.  The programs are resolved once per call; each chunk's
-    path table w = amp exp(-j Phi) is formed once for all K programs, in one complex
-    buffer that every chunk reuses.
+    program k toward each of (P, 3) RX points, shape (K, P): P_r = P_t / (16 pi^2) |S|^2
+    and PL = 16 pi^2 / |S|^2.  Each chunk's path table w = amp exp(-j Phi) is formed
+    once for all K programs, in one complex buffer that every chunk reuses.
     """
     rots = []
     for configuration, phases in programs:  # explicit phases bypass codebook and jitter
@@ -151,20 +144,21 @@ def _channel_sums(scenario: Scenario, rx_points, programs) -> np.ndarray:
     buf = None  # the first chunk is the largest
     for lo, amp, phi in _weight_chunks(scenario, pts):
         buf = np.empty(amp.shape, dtype=complex) if buf is None else buf
-        w = np.multiply(-1j, phi, out=buf[:len(amp)])
-        np.multiply(amp, np.exp(w, out=w), out=w)
+        w = _phasors(buf[:len(amp)], amp, phi)
         sums[:, lo:lo + len(w)] = [np.sum(w * rot, axis=-1) for rot in rots]
     return sums
 
 
-def element_weights(scenario: Scenario) -> np.ndarray:
-    """Complex per-element weights of the scattering-area sum, shape (n_units,).
+def _phasors(out, amp, phase, turn=-1j) -> np.ndarray:
+    """amp * np.exp(turn * phase) bit for bit, each step in place in the complex buffer `out`."""
+    np.exp(np.multiply(turn, phase, out=out), out=out)
+    return np.multiply(amp, out, out=out)
 
-    w_n = sqrt(G_t G_r) / (r_t r_r) * sigma_n * exp(-j Phi_n) with Phi_n the
-    two-hop propagation phase; the received power is then
-    tx_power / (16 pi^2) * |sum_n w_n exp(j phi_n)|^2 over the programmed
-    phases phi_n.
-    """
+
+def element_weights(scenario: Scenario) -> np.ndarray:
+    """Complex per-element weights of the scattering-area sum, shape (n_units):
+    w_n = sqrt(G_t G_r) / (r_t r_r) * sigma_n * exp(-j Phi_n), Phi_n the two-hop phase,
+    so P_r = tx_power / (16 pi^2) * |sum_n w_n exp(j phi_n)|^2 over programmed phi_n."""
     _, amp, phi = next(_weight_chunks(scenario, _own_rx_point(scenario)))
     return amp[0] * np.exp(-1j * phi[0])
 
@@ -184,13 +178,9 @@ def _link_budget_db(scenario: Scenario, sums) -> tuple[np.ndarray, np.ndarray]:
 
 
 def received_power(scenario: Scenario, configuration=None, phases=None) -> float:
-    """Noiseless received power in watts via the scattering-area sum, every unit
-    at the amplifier's top calibrated current.
-
-    `configuration` is the codebook-index grid (flat or (n_rows, n_cols), None
-    for all zeros).  `phases` (radians, any shape matching the layout)
-    overrides the codebook phases exactly — no quantization, no jitter.
-    """
+    """Noiseless received power (W) via the scattering-area sum, every unit at the top
+    calibrated current, of the codebook-index grid `configuration` (flat or (n_rows,
+    n_cols), None for all zeros), or of `phases` (radians): exact, with no jitter."""
     total = _channel_sums(scenario, _own_rx_point(scenario), [(configuration, phases)])[0, 0]
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
 

@@ -67,8 +67,7 @@ class AmplifierModel:
     def __post_init__(self):
         if len(self.calibration) < 1:
             raise ValueError("calibration needs at least one (current, gain) pair")
-        cur = [c for c, _ in self.calibration]
-        db = [g for _, g in self.calibration]
+        cur, db = zip(*self.calibration)
         if not all(math.isfinite(v) for v in cur + db):
             raise ValueError(f"calibration entries must be finite, got {self.calibration!r}")
         if any(c < 0 for c in cur):
@@ -100,9 +99,7 @@ class AmplifierModel:
             raise SupplyBudgetError(
                 f"control current exceeds the {self.max_current} A supply budget"
             )
-        cur = np.array([p[0] for p in self.calibration])
-        db = np.array([p[1] for p in self.calibration])
-        out = np.interp(c, cur, db)
+        out = np.interp(c, *np.array(self.calibration).T)
         return out if out.ndim else float(out)
 
     def gain_linear(self, current):

@@ -11,13 +11,19 @@ import rislink as rl
 from rislink.beamforming import _powers, wrap_to_pi
 from rislink.channel import area_from_cosine
 from rislink.experiments import SweepResult
-from rislink.geometry import element_grid, ranges_and_cosines, spherical_to_cartesian
+from rislink.geometry import _cell_offsets, ranges_and_cosines, spherical_to_cartesian
 from rislink.link import (
     SIXTEEN_PI_SQ,
     _channel_sums,
     _own_rx_point,
     _phase_indices,
 )
+
+
+def element_grid(layout) -> np.ndarray:
+    """All unit-cell centers, shape (n_units, 3), row-major (row 1 cols 1..N, then row 2, ...)."""
+    xx, yy = np.meshgrid(*_cell_offsets(layout))  # (n_rows, n_cols)
+    return np.stack([xx.ravel(), yy.ravel(), np.zeros(layout.n_units)], axis=1)
 
 
 def make_random_scenario(rng, max_rows=4, max_cols=8, max_units=32, bits=2,

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import channel_coefficient, pose_channel_coefficient
+from helpers import channel_coefficient, element_grid, pose_channel_coefficient
 from rislink.channel import SPEED_OF_LIGHT, AntennaModel, area_from_cosine
 from rislink.experiments import chamber_scenario
-from rislink.geometry import ArrayLayout, SphericalPose, element_grid
+from rislink.geometry import ArrayLayout, SphericalPose
 
 # Scenario.wavelength is the one wavelength: c / f at the chamber's 2.6 GHz carrier
 WL = chamber_scenario(frequency_hz=2.6e9).wavelength

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rislink as rl
 import rislink.link as link_module
@@ -20,10 +22,10 @@ from helpers import (
     reference_transmission_side_pose,
 )
 from rislink.experiments import (BEAMFORMING_METHODS, CSV_HEADER, MAX_GRID_POINTS, SweepJob,
-                                 sweep_grid)
+                                 _closed_form, _mod_2pi, _steer, sweep_grid)
 from rislink.cli import main
 from rislink.geometry import cartesian_points
-from rislink.link import _channel_sums, _link_budget_db, _own_rx_point
+from rislink.link import _channel_sums, _link_budget_db, _own_rx_point, _weight_chunks
 
 GOLDEN_16X16 = os.path.join(os.path.dirname(__file__), "data", "golden_16x16.cfg")
 
@@ -452,7 +454,7 @@ def test_cuts_that_share_a_grid_equal_one_job_sweeps_in_config_order(tmp_path):
 def test_cuts_on_one_grid_build_one_path_table(monkeypatch, tmp_path):
     calls = _count_weight_builds(monkeypatch)
     rl.run_config(PATTERNS_CFG, tmp_path)
-    assert len(calls) == 3 + 1  # one per steering plus the three cuts' one table
+    assert len(calls) == 1 + 1  # the three steerings' one table and the three cuts' one
 
 
 def test_cuts_on_one_grid_draw_the_jitter_once_per_table(monkeypatch, tmp_path):
@@ -460,9 +462,9 @@ def test_cuts_on_one_grid_draw_the_jitter_once_per_table(monkeypatch, tmp_path):
     cfg.write_text(_JITTERED_5X7 + "".join(text for text, cut in _SWEEPS if cut))
     calls = _count_draws(monkeypatch)
     rl.run_config(cfg, tmp_path / "out")
-    # the plan's scenario once for both tables, and each steering but the continuous
-    # one, whose phases bypass the jitter
-    assert len(calls) == 1 + 5
+    # the plan's scenario once for both tables, and the scenario of each searched
+    # steering; the closed-form steerings take the plan's path table
+    assert len(calls) == 1 + 2
 
 
 def test_a_run_draws_the_jitter_once_per_scenario(monkeypatch, tmp_path):
@@ -472,8 +474,8 @@ def test_a_run_draws_the_jitter_once_per_scenario(monkeypatch, tmp_path):
     calls = _count_draws(monkeypatch)
     rl.run_config(cfg, tmp_path / "out")
     # the plan's scenario once for the tables, the distance and the gain sweep; then
-    # each steering but the continuous one, and the scenario of each searched pose
-    assert len(calls) == 1 + 5 + 3
+    # the scenario of each searched steering and of each searched pose
+    assert len(calls) == 1 + 2 + 3
 
 
 @pytest.mark.parametrize("kind, method, grid, draws", [
@@ -653,6 +655,96 @@ def test_continuous_pose_sweep_sums_are_the_coherent_weight_sums(monkeypatch):
     assert len(sums) == 2
     for got, w in zip(sums, want):
         np.testing.assert_allclose(got, w, rtol=1e-12)
+
+
+def test_quantized_pose_sweep_sums_are_the_complex_expression_bit_for_bit(monkeypatch):
+    s = _pose_sweep_scenario(64, 64, seed=7)
+    sums = []
+    from_sums = rl.SweepResult.from_sums.__func__
+
+    def spy(cls, scenario, variable, values, got, digests):
+        sums.append(np.asarray(got))
+        return from_sums(cls, scenario, variable, values, got, digests)
+
+    monkeypatch.setattr(rl.SweepResult, "from_sums", classmethod(spy))
+    # 64x64 chunks hold 4 points, so the last of these 6 reuses part of the buffer
+    dist = SweepJob("d", "distance", "quantized", 1.0, 3.5, 0.5)
+    rl.run_sweep(s, dist)
+    pose = s.rx_pose
+    want = []
+    for _, amp, phi in _weight_chunks(s, cartesian_points(dist.grid(), pose.theta, pose.phi)):
+        programmed = s.programmed_phases(_closed_form(s, "quantized", phi))
+        want.extend(np.sum(amp * np.exp(1j * (programmed - phi)), axis=-1))
+    assert len(sums) == 1 and len(want) == 6
+    assert np.array_equal(sums[0].view(np.int64), np.array(want).view(np.int64))
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(5, 7), (64, 64)])
+def test_table_steering_is_beamform_at_the_steering_pose(n_rows, n_cols):
+    s = _pose_sweep_scenario(n_rows, n_cols, seed=2)
+    # 12 steerings: three 64x64 chunks of 4; negative angles turn the 35 deg plane
+    steerings = [(m, a) for m in ("none", "continuous", "quantized") for a in (-52.5, -7.0, 0.0, 33.0)]
+    jobs = [SweepJob(f"c{i}", "pattern", m, steering_deg=a) for i, (m, a) in enumerate(steerings)]
+    for job, ((config, phases), digest) in zip(jobs, _steer(s, jobs, 0, 35.0)):
+        pose = rl.transmission_side_pose(s.rx_pose.r, job.steering_deg, 35.0)
+        bf = rl.apply_beamforming(replace(s, rx_pose=pose), job.method)
+        assert digest == bf.digest, job
+        if job.method == "continuous":
+            assert config is None and np.array_equal(phases.view(np.int64),
+                                                     bf.phases.view(np.int64))
+        else:
+            assert phases is None and config.dtype == bf.configuration.dtype
+            assert np.array_equal(config, bf.configuration.reshape(-1))
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _near_turn(k: int, ulps: int) -> float:
+    """k fl(2 pi), moved by `ulps` units in the last place."""
+    x = k * _TWO_PI
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# phases the reduction takes exactly: 2^-30 up to 2^20 turns, next to whole turns, and zeros
+_IN_RANGE = st.one_of(
+    st.builds(lambda m, e: m * 2.0 ** e, st.floats(1.0, 2.0, exclude_max=True),
+              st.integers(-30, 22)).filter(lambda x: x < 2 ** 20 * _TWO_PI),
+    st.builds(_near_turn, st.integers(1, 2 ** 20 - 1), st.integers(-2, 2)),
+    st.sampled_from([0.0, -0.0, math.pi, _TWO_PI]))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@given(st.lists(_IN_RANGE, min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_mod_2pi_is_np_mod_bit_for_bit(values):
+    x = np.array(values)
+    assert np.array_equal(_bits(_mod_2pi(x)), _bits(np.mod(x, _TWO_PI)))
+
+
+@given(st.lists(_IN_RANGE, max_size=8), st.integers(0, 8), st.one_of(
+    st.sampled_from([-1e-300, -3.0, -_TWO_PI, 2.0 ** 20 * _TWO_PI, math.inf, -math.inf, math.nan]),
+    st.floats(-2.0 ** 60, -1e-300), st.floats(2.0 ** 20 * _TWO_PI, 2.0 ** 60)))
+@settings(max_examples=200, deadline=None)
+def test_mod_2pi_takes_np_mod_outside_its_range(values, at, other):
+    x = np.array(values[:at] + [other] + values[at:])
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(_bits(_mod_2pi(x)), _bits(np.mod(x, _TWO_PI)))
+
+
+def test_mod_2pi_is_np_mod_on_a_path_table_chunk_and_near_every_turn_count():
+    rng = np.random.default_rng(11)
+    chunk = 2.0 ** rng.uniform(-30, 22.6, (4, 4096))
+    turns = rng.integers(1, 2 ** 20, 2 ** 16) * _TWO_PI
+    near = [turns] + [np.nextafter(turns, side) for side in (-np.inf, np.inf)]
+    near += [np.nextafter(x, side) for x, side in zip(near[1:], (-np.inf, np.inf))]
+    for x in [chunk] + near:
+        assert np.array_equal(_bits(_mod_2pi(x)), _bits(np.mod(x, _TWO_PI)))
 
 
 def test_cut_narrower_than_its_main_lobe_has_no_beamwidth():

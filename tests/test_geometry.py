@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     departure_zenith,
     distance,
+    element_grid,
     element_position,
     reference_ranges_and_cosines,
 )
@@ -17,7 +18,6 @@ from rislink.geometry import (
     ArrayLayout,
     SphericalPose,
     cartesian_points,
-    element_grid,
     ranges_and_cosines,
     spherical_to_cartesian,
 )

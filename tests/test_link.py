@@ -27,7 +27,7 @@ from helpers import (
     zenith_gain,
 )
 from rislink.geometry import cartesian_points, spherical_to_cartesian
-from rislink.link import _channel_sums, _weight_chunks
+from rislink.link import _channel_sums, _phasors, _weight_chunks
 
 
 def chamber_1x1():
@@ -505,6 +505,20 @@ def test_the_path_table_is_the_generic_expression_bit_for_bit(n_rows, n_cols, pi
                             tx_zenith_deg=25.0, tx_azimuth_deg=40.0, tx_exponent=tx_q,
                             rx_exponent=rx_q, phase_jitter_max_deg=10.0, phase_jitter_seed=seed)
     _assert_path_table_is_the_reference(s, n_points, seed)
+
+
+def test_the_in_place_path_table_is_the_complex_expression_bit_for_bit():
+    s = rl.chamber_scenario(n_rows=64, n_cols=64, phase_jitter_max_deg=10.0, tx_exponent=1.0)
+    rng = np.random.default_rng(4)
+    points = cartesian_points(rng.uniform(0.5, 6.0, 4), math.pi - rng.uniform(0.0, 1.3, 4),
+                              rng.uniform(0.0, 2.0 * math.pi, 4))
+    _, amp, phi = next(_weight_chunks(s, points))
+    programmed = s.programmed_phases(rng.integers(0, 4, phi.shape))
+    for got, want in ((_phasors(np.empty(amp.shape, complex), amp, phi),
+                       amp * np.exp(-1j * phi)),
+                      (_phasors(np.empty(amp.shape, complex), amp, programmed - phi, 1j),
+                       amp * np.exp(1j * (programmed - phi)))):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
