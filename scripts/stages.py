@@ -120,8 +120,7 @@ def noiseless():
     build = cli._scenario_from_args
 
     def quiet(args):
-        scenario, rx_azimuth_deg = build(args)
-        return dataclasses.replace(scenario, noise_variance=0.0), rx_azimuth_deg
+        return dataclasses.replace(build(args), noise_variance=0.0)
 
     cli._scenario_from_args = quiet
     try:

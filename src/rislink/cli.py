@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ConfigError, RunPlan, _parse_currents, load_run_plan
 from .experiments import SweepJob, apply_beamforming, chamber_scenario, run_config, run_sweep
-from .link import _link_budget_db
+from .link import Scenario, _link_budget_db
 from .ris import SupplyBudgetError, encode_control
 
 SEED_ENV_VAR = "RISLINK_SEED"
@@ -37,8 +37,8 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _scenario_from_args(args):
-    """(scenario, RX azimuth in degrees) from --config or the chamber default, with overrides.
+def _scenario_from_args(args) -> Scenario:
+    """The scenario of --config or the chamber default, with overrides.
 
     An override rebuilds the scenario through `chamber_scenario`, as the config's keys do.
     """
@@ -47,8 +47,8 @@ def _scenario_from_args(args):
                                                ("rx_distance_m", args.rx_distance))
                  if value is not None}
     if overrides:
-        return chamber_scenario(**{**plan.keys, **overrides}), plan.rx_azimuth_deg
-    return plan.scenario, plan.rx_azimuth_deg
+        return chamber_scenario(**{**plan.keys, **overrides})
+    return plan.scenario
 
 
 def _cmd_run(args) -> int:
@@ -72,7 +72,7 @@ def _sweep_report(kind: str, res) -> str:
 
 def _cmd_sweep(args) -> int:
     """A sweep command: one `SweepJob` from the arguments, run as `run` runs a config's jobs."""
-    scenario, rx_azimuth_deg = _scenario_from_args(args)
+    scenario = _scenario_from_args(args)
     grid = {k: v for k, v in vars(args).items()
             if k in ("start", "stop", "step", "steering_deg")}
     if args.kind == "gain":
@@ -81,7 +81,7 @@ def _cmd_sweep(args) -> int:
         except ValueError:
             raise ValueError(f"--currents: cannot parse {args.currents!r}") from None
     job = SweepJob(args.csv_stem, args.kind, args.method, **grid)
-    res = run_sweep(scenario, job, _resolve_seed(args), rx_azimuth_deg)
+    res = run_sweep(scenario, job, _resolve_seed(args))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{job.name}.csv")
     res.write_csv(path)
@@ -90,7 +90,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_beamform(args) -> int:
-    scenario, _ = _scenario_from_args(args)
+    scenario = _scenario_from_args(args)
     bf = apply_beamforming(scenario, args.method, _resolve_seed(args),
                            passes=args.passes, max_rounds=args.rounds)
     if args.trace is not None:

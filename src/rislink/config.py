@@ -125,14 +125,6 @@ class RunPlan:
     jobs: list[SweepJob] = field(default_factory=list)
     keys: dict = field(default_factory=dict)  # the parsed [scenario]/[amplifier] keys
 
-    @property
-    def rx_azimuth_deg(self) -> float:
-        """The configured RX azimuth, in whose plane angle sweeps and cuts turn.
-
-        The RX pose cannot give it back: a negative zenith stores it turned by 180 deg.
-        """
-        return self.keys.get("rx_azimuth_deg", _SCENARIO_KEYS["rx_azimuth_deg"].default)
-
 
 def _parse_currents(raw: str) -> tuple[float, ...]:
     return tuple(float(c) for c in raw.split(","))

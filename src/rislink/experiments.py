@@ -114,6 +114,7 @@ def chamber_scenario(frequency_hz: float = 2.6e9, tx_distance_m: float = 0.6,
         tx_power=tx_power_w,
         noise_variance=noise_variance_w,
         jitter=jitter if jitter.max_error > 0 else None,
+        rx_plane_deg=rx_azimuth_deg,
     )
 
 
@@ -428,11 +429,11 @@ def peak_to_sidelobe(angles_deg, rel_db) -> float:
     return float(r[i0] - np.max(side))
 
 
-def _steer(scenario: Scenario, jobs: Sequence[SweepJob], seed, rx_azimuth_deg: float) -> list:
+def _steer(scenario: Scenario, jobs: Sequence[SweepJob], seed) -> list:
     """((configuration, phases), digest) of each job steered toward its `steering_deg`, as
     `apply_beamforming` posed there gives them; the closed forms read one path table."""
-    poses = [transmission_side_pose(scenario.rx_pose.r, job.steering_deg, rx_azimuth_deg)
-             for job in jobs]
+    plane = scenario.sweep_plane_deg
+    poses = [transmission_side_pose(scenario.rx_pose.r, job.steering_deg, plane) for job in jobs]
     closed = [job.method in _CLOSED_FORM_METHODS for job in jobs]
     points = np.reshape([spherical_to_cartesian(p) for p, c in zip(poses, closed) if c], (-1, 3))
     phis = (row for _, _, phi in _weight_chunks(scenario, points) for row in phi)
@@ -448,13 +449,12 @@ def _steer(scenario: Scenario, jobs: Sequence[SweepJob], seed, rx_azimuth_deg: f
     return steered
 
 
-def _radiation_patterns(scenario: Scenario, jobs: Sequence[SweepJob], seed,
-                        rx_azimuth_deg: float) -> list[PatternResult]:
+def _radiation_patterns(scenario: Scenario, jobs: Sequence[SweepJob], seed) -> list[PatternResult]:
     """Steer toward each job's `steering_deg`, freeze the configuration, and cut the
     transmission-side pattern along the jobs' one grid: all the cuts read one path table."""
     r, angles = scenario.rx_pose.r, jobs[0].grid()
-    steered = _steer(scenario, jobs, seed, rx_azimuth_deg)
-    a, phi = _off_normal(angles, rx_azimuth_deg)
+    steered = _steer(scenario, jobs, seed)
+    a, phi = _off_normal(angles, scenario.sweep_plane_deg)
     all_sums = _channel_sums(scenario, cartesian_points(r, math.pi - a, phi),
                              [program for program, _ in steered])
     cuts = []
@@ -469,23 +469,18 @@ def _radiation_patterns(scenario: Scenario, jobs: Sequence[SweepJob], seed,
     return cuts
 
 
-def run_sweep(scenario: Scenario, job: SweepJob, seed=0,
-              rx_azimuth_deg: float | None = None) -> SweepResult:
+def run_sweep(scenario: Scenario, job: SweepJob, seed=0) -> SweepResult:
     """Run one sweep on `scenario`: a `PatternResult` for a cut, else a `SweepResult`.
 
     Distance and angle sweeps move only the RX range or angle, beamformed afresh
     at each point.  A gain sweep holds the configuration of the calibrated
     operating point; |S|^2 being linear in the uniform unit gain G_u, it scales
     that channel sum by sqrt(G_u(c / n) / G_u(top)) for each array current c split
-    evenly over the n units.  Angle sweeps and cuts turn in the plane of
-    `rx_azimuth_deg`, by default the RX pose's own; negative angles turn it by
-    180 deg, as in `transmission_side_pose`, so a negative-zenith scenario stores
-    its azimuth turned by 180 deg and its caller passes the configured one.
+    evenly over the n units.  Angle sweeps and cuts turn in the scenario's
+    `sweep_plane_deg`, negative angles turned by 180 deg as in `transmission_side_pose`.
     """
-    if rx_azimuth_deg is None:
-        rx_azimuth_deg = math.degrees(scenario.rx_pose.phi)
     if job.kind == "pattern":
-        return _radiation_patterns(scenario, [job], seed, rx_azimuth_deg)[0]
+        return _radiation_patterns(scenario, [job], seed)[0]
     if job.kind == "gain":
         amp, currents = scenario.amplifier, np.asarray(job.currents, dtype=float)
         gain_db = amp.gain_db(currents / scenario.layout.n_units) - amp.gain_db(amp.top_current)
@@ -497,7 +492,7 @@ def run_sweep(scenario: Scenario, job: SweepJob, seed=0,
     if job.kind == "distance":
         pose = scenario.rx_pose
         return _pose_sweep(scenario, job, values, values, pose.theta, pose.phi, seed)
-    a, phi = _off_normal(values, rx_azimuth_deg)
+    a, phi = _off_normal(values, scenario.sweep_plane_deg)
     return _pose_sweep(scenario, job, values, scenario.rx_pose.r, math.pi - a, phi, seed)
 
 
@@ -529,9 +524,9 @@ def run_config(path, out_dir, seed=0) -> dict:
         if job.kind == "pattern":
             cuts.setdefault(job.grid().tobytes(), []).append(job)
     done = {job.name: res for jobs in cuts.values() for job, res in
-            zip(jobs, _radiation_patterns(plan.scenario, jobs, seed, plan.rx_azimuth_deg))}
-    results = [done[job.name] if job.name in done
-               else run_sweep(plan.scenario, job, seed, plan.rx_azimuth_deg) for job in plan.jobs]
+            zip(jobs, _radiation_patterns(plan.scenario, jobs, seed))}
+    results = [done[job.name] if job.name in done else run_sweep(plan.scenario, job, seed)
+               for job in plan.jobs]
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for job, res in zip(plan.jobs, results):

@@ -28,6 +28,10 @@ class Scenario:
     The TX pose must sit on the incidence side of the surface (z > 0) and the
     RX pose on the transmission side (z < 0), or vice versa; the surface only
     forwards power across the plane.
+
+    Angle sweeps and cuts turn the RX in the plane of azimuth `rx_plane_deg` (None: the
+    RX pose's own, turned by 180 deg at a negative zenith).  `replace(scenario, rx_pose=...)`
+    keeps the plane, as the sweeps and steerings that move the RX within it need.
     """
 
     frequency: float
@@ -41,6 +45,7 @@ class Scenario:
     tx_power: float = 1.0
     noise_variance: float = 0.0
     jitter: PhaseJitterModel | None = None
+    rx_plane_deg: float | None = None
 
     def __post_init__(self):
         for name in ("frequency", "tx_power"):  # no power reaches the RX at tx_power 0
@@ -56,6 +61,11 @@ class Scenario:
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.frequency
+
+    @property
+    def sweep_plane_deg(self) -> float:
+        """Azimuth (deg) of the plane angle sweeps and cuts turn in."""
+        return math.degrees(self.rx_pose.phi) if self.rx_plane_deg is None else self.rx_plane_deg
 
     @cached_property
     def phase_errors(self):

@@ -182,16 +182,14 @@ def test_cli_sweep_angle_with_overrides(tmp_path):
 
 def test_cli_angle_and_pattern_use_the_config_azimuth(tmp_path):
     cfg = write(tmp_path, "[scenario]\nn_rows = 2\nn_cols = 8\nrx_azimuth_deg = 90\n")
-    assert load_run_plan(cfg).rx_azimuth_deg == 90.0
+    assert load_run_plan(cfg).scenario.rx_plane_deg == 90.0
     assert main(["sweep-angle", "--config", str(cfg), "--start", "0", "--stop", "40",
                  "--step", "20", "--out", str(tmp_path)]) == 0
     assert main(["pattern", "--config", str(cfg), "--steering", "20", "--step", "5",
                  "--out", str(tmp_path)]) == 0
     s = load_run_plan(cfg).scenario
-    sweep = rl.run_sweep(s, SweepJob("a", "angle", start=0.0, stop=40.0, step=20.0),
-                         rx_azimuth_deg=90.0)
-    cut = rl.run_sweep(s, SweepJob("c", "pattern", step=5.0, steering_deg=20.0),
-                       rx_azimuth_deg=90.0)
+    sweep = rl.run_sweep(s, SweepJob("a", "angle", start=0.0, stop=40.0, step=20.0))
+    cut = rl.run_sweep(s, SweepJob("c", "pattern", step=5.0, steering_deg=20.0))
     assert (tmp_path / "angle_sweep.csv").read_text() == sweep.to_csv()
     assert (tmp_path / "pattern.csv").read_text() == cut.to_csv()
 
@@ -433,7 +431,7 @@ def test_beamform_prints_the_library_path_loss(capsys, cfg, method):
 def test_every_cut_row_reads_the_library_path_loss_at_its_pose(tmp_path, cfg):
     rl.run_config(cfg, tmp_path, seed=3)
     plan = load_run_plan(cfg)
-    s, azimuth = plan.scenario, plan.rx_azimuth_deg
+    s, azimuth = plan.scenario, plan.scenario.rx_plane_deg
     cuts = [job for job in plan.jobs if job.kind == "pattern"]
     assert cuts
     for job in cuts:
@@ -665,7 +663,7 @@ def test_a_distance_override_rebuilds_the_configured_scenario(tmp_path, capsys):
                                tx_distance_m=0.9, rx_distance_m=2.5)
     assert got["config_digest"] == rl.apply_beamforming(want, "quantized").digest
     plan = load_run_plan(cfg)
-    assert plan.rx_azimuth_deg == 200.0
+    assert plan.scenario.rx_plane_deg == 200.0
     assert plan.scenario == rl.chamber_scenario(**plan.keys)
 
 

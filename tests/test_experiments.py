@@ -434,21 +434,30 @@ _SWEEPS = [
 ]
 
 
-def test_cuts_that_share_a_grid_equal_one_job_sweeps_in_config_order(tmp_path):
-    cfg = tmp_path / "cuts.cfg"
-    cfg.write_text(_JITTERED_5X7 + "".join(text for text, _ in _SWEEPS))
+@pytest.mark.parametrize("cfg, seed, n_grids", [(None, 4, 2), (GOLDEN_16X16, 3, 1)],
+                         ids=["jittered_5x7", "golden_16x16"])
+def test_cuts_that_share_a_grid_equal_one_job_sweeps_in_config_order(tmp_path, cfg, seed,
+                                                                     n_grids):
+    # a library run_sweep on the plan's scenario alone equals `run`, also at
+    # golden_16x16's negative zenith, whose pose stores its azimuth turned by 180 deg
+    if cfg is None:
+        cfg = tmp_path / "cuts.cfg"
+        cfg.write_text(_JITTERED_5X7 + "".join(text for text, _ in _SWEEPS))
     out = tmp_path / "out"
-    summary = rl.run_config(cfg, out, seed=4)
+    summary = rl.run_config(cfg, out, seed=seed)
     plan = rl.load_run_plan(cfg)
     grids = {job.grid().tobytes() for job in plan.jobs if job.kind == "pattern"}
-    assert len(grids) == 2 and plan.rx_azimuth_deg == 40.0
+    assert len(grids) == n_grids
     names = [job.name for job in plan.jobs]
     assert [entry["name"] for entry in summary["sweeps"]] == names
     assert json.loads((out / "summary.json").read_text()) == json.loads(json.dumps(summary))
+    differ = []
     for job, entry in zip(plan.jobs, summary["sweeps"]):
-        alone = rl.run_sweep(plan.scenario, job, 4, plan.rx_azimuth_deg)
-        assert (out / entry["csv"]).read_text() == alone.to_csv(), job.name
-        assert json.dumps(entry["metrics"]) == json.dumps(alone.metrics), job.name
+        alone = rl.run_sweep(plan.scenario, job, seed)
+        if ((out / entry["csv"]).read_text() != alone.to_csv()
+                or json.dumps(entry["metrics"]) != json.dumps(alone.metrics)):
+            differ.append(job.name)
+    assert differ == []
 
 
 def test_cuts_on_one_grid_build_one_path_table(monkeypatch, tmp_path):
@@ -492,8 +501,7 @@ def test_a_large_pose_sweep_draws_the_jitter_at_most_once(monkeypatch, kind, met
 
 
 def _azimuth_90_scenario():
-    s = rl.chamber_scenario(n_rows=2, n_cols=8)
-    return replace(s, rx_pose=rl.transmission_side_pose(4.0, 0.0, 90.0))
+    return rl.chamber_scenario(n_rows=2, n_cols=8, rx_azimuth_deg=90.0)
 
 
 def _path_loss_at(scenario, angle, azimuth, steering=None):
@@ -508,8 +516,7 @@ def _path_loss_at(scenario, angle, azimuth, steering=None):
 
 def test_angle_sweep_keeps_rx_azimuth():
     s = _azimuth_90_scenario()
-    res = rl.run_sweep(s, SweepJob("a", "angle", start=0.0, stop=60.0, step=10.0),
-                       rx_azimuth_deg=90.0)
+    res = rl.run_sweep(s, SweepJob("a", "angle", start=0.0, stop=60.0, step=10.0))
     for value, pl in zip(res.values, res.path_loss_db):
         assert pl == pytest.approx(_path_loss_at(s, value, 90.0), rel=1e-12)
     assert res.path_loss_db[2] == pytest.approx(14.0566, abs=1e-4)
@@ -518,7 +525,7 @@ def test_angle_sweep_keeps_rx_azimuth():
 def test_radiation_pattern_keeps_rx_azimuth():
     s = _azimuth_90_scenario()
     res = rl.run_sweep(s, SweepJob("p", "pattern", "quantized", -60.0, 60.0, 7.5,
-                                   steering_deg=30.0), rx_azimuth_deg=90.0)
+                                   steering_deg=30.0))
     for a, pl in zip(res.values, res.path_loss_db):
         assert pl == pytest.approx(_path_loss_at(s, a, 90.0, steering=30.0), rel=1e-12)
 
@@ -543,28 +550,29 @@ def test_run_config_keeps_rx_azimuth(tmp_path):
                 _path_loss_at(s, float(value), 90.0, steering), rel=1e-12)
 
 
-def test_a_sweep_without_an_azimuth_turns_in_the_rx_pose_plane():
-    s = rl.chamber_scenario(n_rows=2, n_cols=8, rx_zenith_deg=10, rx_azimuth_deg=35)
-    angle = rl.run_sweep(s, SweepJob("a", "angle", "none", 0.0, 40.0, 20.0))
-    at_20 = rl.chamber_scenario(n_rows=2, n_cols=8, rx_zenith_deg=20, rx_azimuth_deg=35)
-    assert angle.path_loss_db[1] == pytest.approx(rl.path_loss_db(at_20), rel=1e-12)
-    assert angle.path_loss_db[1] == pytest.approx(20.0476, abs=1e-4)
-    for job in (SweepJob("a", "angle", "quantized", -30.0, 40.0, 10.0),
-                SweepJob("p", "pattern", "quantized", -60.0, 60.0, 7.5, steering_deg=20.0)):
-        assert np.array_equal(rl.run_sweep(s, job).path_loss_db,
-                              rl.run_sweep(s, job, rx_azimuth_deg=35.0).path_loss_db)
+def test_a_negative_zenith_sweep_turns_in_the_configured_plane():
+    # the pose stores the 0 deg plane turned by 180 deg; the sweep's angles and the
+    # cut's steering are still signed in the configured plane, not mirrored
+    s = rl.chamber_scenario(rx_zenith_deg=-30, tx_zenith_deg=20, phase_jitter_max_deg=5)
+    assert s.rx_pose.phi == pytest.approx(math.pi) and s.sweep_plane_deg == 0.0
+    angle = rl.run_sweep(s, SweepJob("a", "angle", "quantized", -40.0, 40.0, 20.0))
+    assert angle.received_power_dbm == pytest.approx(
+        [21.080, 22.030, 22.104, 22.236, 21.309], abs=5e-4)
+    cut = rl.run_sweep(s, SweepJob("c", "pattern", "quantized", -40.0, 40.0, 20.0,
+                                   steering_deg=-30.0))
+    assert cut.received_power_dbm == pytest.approx(
+        [11.878, 17.112, 0.218, 4.823, 3.847], abs=5e-4)
 
 
 # ------------------------------------------------- batched pose sweep vs per point
 
 def _pose_sweep_scenario(n_rows, n_cols, seed):
     """A jittered link whose RX sits at a negative zenith in a non-zero azimuth plane."""
-    s = rl.chamber_scenario(tx_distance_m=0.8, rx_distance_m=3.5, rx_zenith_deg=-15.0,
-                            n_rows=n_rows, n_cols=n_cols, tx_exponent=1.0, rx_exponent=1.0,
-                            noise_variance_w=1e-4, phase_jitter_max_deg=15.0,
-                            phase_jitter_seed=seed)
-    return replace(s, rx_pose=rl.transmission_side_pose(3.5, -15.0, 35.0),
-                   tx_pose=rl.incidence_side_pose(0.8, 10.0, 200.0))
+    return rl.chamber_scenario(tx_distance_m=0.8, tx_zenith_deg=10.0, tx_azimuth_deg=200.0,
+                               rx_distance_m=3.5, rx_zenith_deg=-15.0, rx_azimuth_deg=35.0,
+                               n_rows=n_rows, n_cols=n_cols, tx_exponent=1.0, rx_exponent=1.0,
+                               noise_variance_w=1e-4, phase_jitter_max_deg=15.0,
+                               phase_jitter_seed=seed)
 
 
 def _distance_poses(s, grid):
@@ -597,7 +605,7 @@ def test_pose_sweeps_match_the_per_point_reference(n_rows, n_cols, method):
                                 method, seed=5)
     _assert_rows_match(got, want)
     ang = SweepJob("a", "angle", method, -35.0, 15.0, 10.0)
-    got = rl.run_sweep(s, ang, seed=5, rx_azimuth_deg=35.0)
+    got = rl.run_sweep(s, ang, seed=5)
     want = reference_pose_sweep(s, "rx_zenith", ang.grid(), _angle_poses(s, ang.grid(), 35.0),
                                 method, seed=5)
     _assert_rows_match(got, want)
@@ -614,7 +622,7 @@ def test_closed_form_pose_rows_match_beamform_at_the_same_pose(n_rows, n_cols, m
     ang = SweepJob("a", "angle", method, -35.0, 15.0, 10.0)
     for job, poses in ((dist, _distance_poses(s, dist.grid())),
                        (ang, _angle_poses(s, ang.grid(), 35.0))):
-        got = rl.run_sweep(s, job, rx_azimuth_deg=35.0)
+        got = rl.run_sweep(s, job)
         outcomes = [rl.apply_beamforming(replace(s, rx_pose=pose), method) for pose in poses]
         p_dbm, pl_db = _link_budget_db(s, [bf.channel_sum for bf in outcomes])
         assert got.config_digests == [bf.digest for bf in outcomes]
@@ -647,7 +655,7 @@ def test_continuous_pose_sweep_sums_are_the_coherent_weight_sums(monkeypatch):
     monkeypatch.setattr(rl.SweepResult, "from_sums", classmethod(spy))
     # 32x32 chunks hold 16 points, so the 20-point angle sweep spans two
     ang = SweepJob("a", "angle", "continuous", -45.0, 50.0, 5.0)
-    rl.run_sweep(s, ang, rx_azimuth_deg=35.0)
+    rl.run_sweep(s, ang)
     dist = SweepJob("d", "distance", "continuous", 1.0, 3.5, 0.5)
     rl.run_sweep(s, dist)
     want = ([reference_continuous_sum(s, p) for p in _angle_poses(s, ang.grid(), 35.0)],
@@ -685,7 +693,7 @@ def test_table_steering_is_beamform_at_the_steering_pose(n_rows, n_cols):
     # 12 steerings: three 64x64 chunks of 4; negative angles turn the 35 deg plane
     steerings = [(m, a) for m in ("none", "continuous", "quantized") for a in (-52.5, -7.0, 0.0, 33.0)]
     jobs = [SweepJob(f"c{i}", "pattern", m, steering_deg=a) for i, (m, a) in enumerate(steerings)]
-    for job, ((config, phases), digest) in zip(jobs, _steer(s, jobs, 0, 35.0)):
+    for job, ((config, phases), digest) in zip(jobs, _steer(s, jobs, 0)):
         pose = rl.transmission_side_pose(s.rx_pose.r, job.steering_deg, 35.0)
         bf = rl.apply_beamforming(replace(s, rx_pose=pose), job.method)
         assert digest == bf.digest, job

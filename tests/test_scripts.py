@@ -180,13 +180,13 @@ def test_stages_reproduces_the_benchmark_calls(tmp_path, monkeypatch):
     assert argv[:5] == ["run", run_cfg, "--seed", "91", "--out"] and len(argv) == 6
     assert not os.path.exists(argv[5])  # the temporary --out is gone
     args = stages.cli._PARSER.parse_args(["beamform", "--config", str(cfg)])
-    assert stages.cli._scenario_from_args(args)[0].noise_variance == 1e-6
+    assert stages.cli._scenario_from_args(args).noise_variance == 1e-6
     with stages.noiseless():
-        scenario = stages.cli._scenario_from_args(args)[0]
+        scenario = stages.cli._scenario_from_args(args)
     assert scenario.noise_variance == 0.0
-    assert scenario == dataclasses.replace(stages.cli._scenario_from_args(args)[0],
+    assert scenario == dataclasses.replace(stages.cli._scenario_from_args(args),
                                            noise_variance=0.0)
-    assert stages.cli._scenario_from_args(args)[0].noise_variance == 1e-6
+    assert stages.cli._scenario_from_args(args).noise_variance == 1e-6
 
 
 @pytest.mark.parametrize("command", ["run", "beamform"])
