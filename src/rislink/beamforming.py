@@ -13,6 +13,7 @@ rounding cannot accumulate.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -27,43 +28,33 @@ _SQUARE_SAFE = 1e154  # a magnitude below this squares to a finite float (sqrt(D
 
 
 class SearchTrace:
-    """Measurement log of a feedback search; step 0 is the initial configuration.
+    """Measurement log of a feedback search, and its one count of queries; step 0 is the
+    initial configuration.
 
-    One reading and one kept/rejected flag per query, in two lists, but a block
-    read is one entry of each: its readings array, and whether the last of them
-    was kept (every other one was rejected).  `powers` and `accepted` expand the
-    log to one Python float and one flag per query.  A kept reading reaches the
-    running best, so the last kept one is max(powers).
+    `readings` holds one reading per query, but a block read is one entry: its readings
+    array.  The search's rule fixes which readings it kept, so the log stores none:
+    `accepted` replays the running best, which a kept reading reaches (`keeps_ties`,
+    blind's >=) or beats (greedy's >).  So the last kept reading is max(powers).
     """
 
-    def __init__(self):
-        self._powers: list = []  # a float per query, or a block's readings array
-        self._accepted: list[bool] = []
-        self._extra = 0  # queries of the block reads past one each
-
-    def record(self, accepted: bool, power: float) -> None:
-        self._accepted.append(accepted)
-        self._powers.append(power)
-
-    def record_block(self, readings: np.ndarray, last_kept: bool) -> None:
-        """Log a block read: every reading rejected but the last, kept iff `last_kept`."""
-        self.record(last_kept, readings)
-        self._extra += len(readings) - 1
+    def __init__(self, keeps_ties: bool):
+        self.keeps_ties = keeps_ties
+        self.readings: list = []  # a float per query, or a block's readings array
 
     @property
     def n_queries(self) -> int:
-        return len(self._accepted) + self._extra
+        block = np.ndarray  # a block read's entry; every other entry is one query
+        return len(self.readings) + sum(len(p) - 1 for p in self.readings if type(p) is block)
 
     @property
     def powers(self) -> list[float]:
-        return [x for p in self._powers for x in (p.tolist() if isinstance(p, np.ndarray) else (p,))]
+        return [x for p in self.readings for x in (p.tolist() if isinstance(p, np.ndarray) else (p,))]
 
     @property
     def accepted(self) -> list[bool]:
-        flags = []
-        for p, kept in zip(self._powers, self._accepted):
-            flags += [False] * (len(p) - 1) + [kept] if isinstance(p, np.ndarray) else [kept]
-        return flags
+        powers = self.powers  # under either rule, the best after reading p is max(best, p)
+        best = itertools.accumulate(powers, max, initial=-math.inf)
+        return [p >= b if self.keeps_ties else p > b for p, b in zip(powers, best)]
 
     def write_csv(self, path) -> None:
         """One row per query: step,accepted (1/0),power_w."""
@@ -81,9 +72,9 @@ class FeedbackChannel:
     folded in, so a grid's noiseless power at the top calibrated current is
     prefactor * |sum_n T[n, idx_n]|^2 (`power`).  Readings add Gaussian noise of
     the scenario's `noise_variance` (floored at zero), one draw per query from a
-    standalone seeded rng in blocks, and are counted in `queries`.  `measure`
-    reads a grid; the searches read the table's powers by `read`, `read_until`
-    and `next_noise`.
+    standalone seeded rng in blocks.  `measure` reads a grid; the searches read the
+    table's powers by `read`, `read_until` and `next_noise`, and count them in their
+    own `SearchTrace`.
     """
 
     def __init__(self, scenario: Scenario, seed=0):
@@ -95,7 +86,6 @@ class FeedbackChannel:
         self.noise_variance = scenario.noise_variance
         self._rng = np.random.default_rng(seed)
         self._noise, self._pos = np.empty(0), 0  # drawn noise, unused from _pos on
-        self.queries = 0
 
     def power(self, configuration) -> float:
         """Noiseless received power (W) of a phase-index grid, checked against the scenario."""
@@ -116,7 +106,6 @@ class FeedbackChannel:
 
     def read(self, power: float) -> float:
         """One reading of a configuration whose noiseless power is `power`."""
-        self.queries += 1
         if self.noise_variance > 0.0:
             if self._pos == len(self._noise):
                 self._draws(1)
@@ -132,13 +121,11 @@ class FeedbackChannel:
         above = powers > best
         first = int(above.argmax())  # 0 when nothing is above
         m = first + 1 if above[first] else len(powers)
-        self.queries += m
         self._pos += m if self.noise_variance > 0.0 else 0
         return powers[:m]
 
     def next_noise(self, m: int) -> list[float] | None:
-        """Count the next m queries and hand out their m draws as floats, or None if noiseless."""
-        self.queries += m
+        """Hand out the next m queries' draws as floats, or None if noiseless."""
         if not self.noise_variance > 0.0:
             return None
         draws = self._draws(m).tolist()
@@ -201,10 +188,10 @@ def blind_rowcol_search(feedback: FeedbackChannel, initial=None,
     # shift ties the current power up to rounding: there every candidate is
     # summed from scratch (O(N) anyway), so each >= decision is a full evaluation's.
     from_scratch = n_rows == 1 or n_cols == 1
-    trace = SearchTrace()
+    trace = SearchTrace(keeps_ties=True)
+    log = trace.readings.append
     best = feedback.measure(config)
-    trace.record(True, best)
-    log_power, log_kept = trace._powers.append, trace._accepted.append  # `record`, inlined
+    log(best)
     for _ in range(passes):
         s = _sum_terms(table, config)
         for axis in (0, 1):  # columns, then rows
@@ -223,12 +210,10 @@ def blind_rowcol_search(feedback: FeedbackChannel, initial=None,
                     p += noise[i]
                     if not p > 0.0:
                         p = 0.0
-                kept = p >= best
-                if kept:
+                if p >= best:
                     _shift_line(config, axis, i, k)
                     s, best = cand, p
-                log_power(p)
-                log_kept(kept)
+                log(p)
     return config, trace
 
 
@@ -255,37 +240,36 @@ def greedy_element_search(feedback: FeedbackChannel, initial=None,
     config = _start(feedback, initial)
     table, prefactor, k = feedback.table, feedback.prefactor, feedback.scenario.codebook.size
     held = config.reshape(-1)  # the configuration, updated unit by unit
-    read, trace = feedback.read, SearchTrace()
+    read, trace = feedback.read, SearchTrace(keeps_ties=False)
+    log = trace.readings.append
     best = feedback.measure(config)
-    trace.record(True, best)
-    log_power, log_kept = trace._powers.append, trace._accepted.append  # `record`, inlined
-    gallop_after, gained_at = _GALLOP_MIN, feedback.queries  # queries up to the last gain
+    log(best)
+    gallop_after, rejected = _GALLOP_MIN, 0  # candidates read one at a time since the last gain
     for _ in range(max_rounds):
         changed = False
         s = _sum_terms(table, held)
         n, first = 0, 0
         while n < len(held):
             cur = int(held[n])
-            if first == 0 and feedback.queries - gained_at >= gallop_after:
-                gain = _gallop(table, held, n, s, best, prefactor, feedback, trace)
+            if first == 0 and rejected >= gallop_after:
+                gain = _gallop(table, held, n, s, best, prefactor, feedback, log)
                 at_once = gain is not None and gain[-1]
                 gallop_after = 2 * gallop_after if at_once else max(_GALLOP_MIN, gallop_after // 2)
-                if gain is None:  # no gain in the rest of the round
+                if gain is None:  # no gain in the rest of the round; the next opens with a gallop
                     break
                 n, cur, s, best, _ = gain
-                first, gained_at, changed = cur + 1, feedback.queries, True
+                first, rejected, changed = cur + 1, 0, True
             row = table[n].tolist()
             for idx in range(first, k):
                 if idx == cur:
                     continue
                 cand = (s - row[cur]) + row[idx]
                 p = read(prefactor * abs(cand) ** 2)
-                gain = p > best
-                if gain:
-                    s, best, cur = cand, p, idx
-                    changed, gained_at = True, feedback.queries
-                log_power(p)
-                log_kept(gain)
+                if p > best:
+                    s, best, cur, changed, rejected = cand, p, idx, True, 0
+                else:
+                    rejected += 1
+                log(p)
             held[n] = cur
             n, first = n + 1, 0
         if not changed:
@@ -293,11 +277,12 @@ def greedy_element_search(feedback: FeedbackChannel, initial=None,
     return held.reshape(config.shape), trace
 
 
-def _gallop(table, held, n, s, best, prefactor, feedback, trace):
+def _gallop(table, held, n, s, best, prefactor, feedback, log):
     """Read greedy's candidates (s - T[u, held_u]) + T[u, idx] from unit n on, up to a gain.
 
-    Windows of whole units double from _GALLOP_WINDOW candidates.  Returns the
-    gain's (unit, index, sum, reading, whether in the first window), or None.
+    Windows of whole units double from _GALLOP_WINDOW candidates; `log` takes each
+    window's readings array.  Returns the gain's (unit, index, sum, reading, whether
+    in the first window), or None.
     """
     k, window = table.shape[1], _GALLOP_WINDOW
     while n < len(held):
@@ -305,9 +290,9 @@ def _gallop(table, held, n, s, best, prefactor, feedback, trace):
         block, others = table[n:hi], np.arange(k) != held[n:hi, None]  # all but the held index
         sums = ((s - block[~others])[:, None] + block)[others]
         readings = feedback.read_until(_powers(prefactor, sums), best)
-        last, gained = len(readings) - 1, bool(readings[-1] > best)
-        trace.record_block(readings, gained)
-        if gained:
+        log(readings)
+        last = len(readings) - 1
+        if readings[last] > best:
             u, r = divmod(last, k - 1)
             idx = int(r + (r >= held[n + u]))
             return n + u, idx, complex(sums[last]), float(readings[last]), window == _GALLOP_WINDOW

@@ -81,7 +81,10 @@ def _cmd_sweep(args) -> int:
         except ValueError:
             raise ValueError(f"--currents: cannot parse {args.currents!r}") from None
     job = SweepJob(args.csv_stem, args.kind, args.method, **grid)
-    res = run_sweep(scenario, job, _resolve_seed(args))
+    try:
+        res = run_sweep(scenario, job, _resolve_seed(args))
+    except SupplyBudgetError as e:  # only a gain sweep's currents can exceed the budget
+        raise SupplyBudgetError(f"--currents: {e}") from None
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{job.name}.csv")
     res.write_csv(path)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .experiments import SweepError, SweepJob, chamber_scenario
 from .link import Scenario
+from .ris import SupplyBudgetError
 
 
 class ConfigError(Exception):
@@ -139,7 +140,7 @@ _SWEEP_KEYS = {"method": ("method", str, (*_GRID, "gain")), "start": ("start", f
 _CONFIG_KEY = {"kind": "type", "currents": "currents_a"}
 
 
-def build_jobs(sections: dict, path) -> list[SweepJob]:
+def build_jobs(sections: dict, path, scenario: Scenario) -> list[SweepJob]:
     """One `SweepJob` per [sweep NAME] section; a job's error names its key's line."""
     jobs, taken = [], {}
     for name, section in sections.items():
@@ -161,9 +162,13 @@ def build_jobs(sections: dict, path) -> list[SweepJob]:
             raise _err(path, section.line, f"[{name}] of type gain needs currents_a")
         try:
             jobs.append(SweepJob(job_name, kind, **fields))
+            if kind == "gain":  # each current, split evenly over the units, within the budget
+                scenario.amplifier.gain_db([c / scenario.layout.n_units for c in jobs[-1].currents])
         except SweepError as e:
             key = _CONFIG_KEY.get(e.key, e.key)
             raise _err(path, section[key][1] if key in section else section.line, e) from None
+        except SupplyBudgetError as e:
+            raise _err(path, section["currents_a"][1], f"currents_a: {e}") from None
         for key, (_, line) in sorted(raw.items(), key=lambda kv: kv[1][1]):  # the first left
             raise _err(path, line, f"unknown key {key!r} in [{name}]")
     return jobs
@@ -177,4 +182,4 @@ def load_run_plan(path) -> RunPlan:
         if name not in known and not name.startswith("sweep"):
             raise _err(path, sections[name].line, f"unknown section [{name}]")
     scenario, keys = build_scenario(sections, path)
-    return RunPlan(scenario, build_jobs(sections, path), keys)
+    return RunPlan(scenario, build_jobs(sections, path, scenario), keys)

@@ -107,7 +107,8 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray):
     """Yield (first point, amplitudes, two-hop phases) per chunk of RX points, each
     (chunk, n_units): the path table w = amp exp(-j phi) of `element_weights` over a
     pose axis, G_u at the top calibrated current.  The TX leg is computed once per
-    call.  Every point must sit across the plane from the TX, as `Scenario` requires.
+    call.  Every point must sit across the plane from the TX, as `Scenario` requires, and
+    its continuous bound P_t / (16 pi^2) (sum_n amp_n)^2 in mW must be a finite float.
     """
     p_t = spherical_to_cartesian(scenario.tx_pose)
     if not np.all(p_t[2] * rx_points[:, 2] < 0):
@@ -122,12 +123,16 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray):
         r_r, c_r = ranges_and_cosines(rx_points[lo:lo + step], layout)
         # sqrt(g_t g_r) / (r_t r_r) * sigma and 2 pi (r_t + r_r) / lambda, in place
         amp = scenario.rx_antenna.gain_from_cosine(c_r)
-        np.sqrt(np.multiply(g_t, amp, out=amp), out=amp)
         sigma = np.sqrt(np.multiply(gain_area_t, area_from_cosine(area, c_r), out=c_r), out=c_r)
         phi = r_t + r_r
         np.divide(np.multiply(2.0 * math.pi, phi, out=phi), scenario.wavelength, out=phi)
-        np.divide(amp, np.multiply(r_t, r_r, out=r_r), out=amp)
-        yield lo, np.multiply(amp, sigma, out=amp), phi
+        with np.errstate(all="ignore"):  # an amplitude that overflows (or is NaN) fails below
+            np.sqrt(np.multiply(g_t, amp, out=amp), out=amp)
+            np.divide(amp, np.multiply(r_t, r_r, out=r_r), out=amp)
+            top = float(np.multiply(amp, sigma, out=amp).sum(axis=-1).max())
+        if not scenario.tx_power / SIXTEEN_PI_SQ * (top * top) * 1e3 < math.inf:
+            raise ValueError("received power overflows a float")
+        yield lo, amp, phi
 
 
 def _own_rx_point(scenario: Scenario) -> np.ndarray:

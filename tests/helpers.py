@@ -146,6 +146,22 @@ def unit_rcs(state, amplifier, incidence_zenith, departure_zenith, geometric_are
     return math.sqrt(amplifier.gain_linear(state.current) * a_in * a_out)
 
 
+class SearchLog:
+    """A reference search's own log: each reading beside the kept flag that the search
+    decided as it ran, so a `SearchTrace`'s replayed flags have something to match."""
+
+    def __init__(self):
+        self.powers, self.accepted = [], []
+
+    def record(self, kept: bool, power: float) -> None:
+        self.accepted.append(kept)
+        self.powers.append(power)
+
+    @property
+    def n_queries(self) -> int:
+        return len(self.powers)
+
+
 def _reference_start(feedback, initial):
     layout = feedback.scenario.layout
     config = (rl.uniform_configuration(layout) if initial is None
@@ -159,7 +175,7 @@ def reference_blind_search(feedback, initial=None, passes=4):
     """From-scratch blind row/column search: one full `measure` per candidate."""
     scenario, config = _reference_start(feedback, initial)
     k = scenario.codebook.size
-    trace = rl.SearchTrace()
+    trace = SearchLog()
     best = feedback.measure(config)
     trace.record(True, best)
     for _ in range(passes):
@@ -188,7 +204,7 @@ def reference_greedy_search(feedback, initial=None, max_rounds=8):
     """From-scratch greedy element search: one full `measure` per candidate."""
     scenario, config = _reference_start(feedback, initial)
     k = scenario.codebook.size
-    trace = rl.SearchTrace()
+    trace = SearchLog()
     best = feedback.measure(config)
     trace.record(True, best)
     for _ in range(max_rounds):
@@ -226,7 +242,7 @@ def stepwise_blind_search(feedback, initial=None, passes=4):
     step = (np.roll(table, -1, axis=1) - table).reshape(n_rows, n_cols, k)
     units = (np.arange(n_rows)[:, None], np.arange(n_cols)[None, :])
     from_scratch = n_rows == 1 or n_cols == 1
-    trace = rl.SearchTrace()
+    trace = SearchLog()
     best = feedback.measure(config)
     trace.record(True, best)
     for _ in range(passes):
@@ -262,7 +278,7 @@ def stepwise_greedy_search(feedback, initial=None, max_rounds=8):
     table, prefactor = feedback.table, feedback.prefactor
     terms = table.tolist()
     held = config.reshape(-1).tolist()
-    trace = rl.SearchTrace()
+    trace = SearchLog()
     best = feedback.measure(config)
     trace.record(True, best)
     for _ in range(max_rounds):

@@ -47,8 +47,17 @@ def test_channel_power_includes_jitter():
         rl.received_power(s, config), rel=1e-12)
 
 
+def _assert_draws_taken(fb, seed, n):
+    """`fb`, seeded `seed`, has taken n noise draws: its next reading adds draw n of a
+    fresh rng of that seed."""
+    rng, sd = np.random.default_rng(seed), math.sqrt(fb.noise_variance)
+    rng.normal(0.0, sd, n)
+    assert fb.read(1.0) == max(0.0, 1.0 + float(rng.normal(0.0, sd)))
+
+
 def test_channel_power_checks_the_grid_against_its_scenario():
-    fb = rl.FeedbackChannel(rl.chamber_scenario(n_rows=2, n_cols=3))
+    s = replace(rl.chamber_scenario(n_rows=2, n_cols=3), noise_variance=1e-6)
+    fb = rl.FeedbackChannel(s, seed=4)
     for config, message in ((np.zeros((3, 3), dtype=int), "9 entries for 6 units"),
                             (np.full((2, 3), 4), "outside 4-entry codebook"),
                             (np.full((2, 3), -1), ">= 0")):
@@ -56,16 +65,15 @@ def test_channel_power_checks_the_grid_against_its_scenario():
             fb.power(config)
         with pytest.raises(ValueError, match=message):
             fb.measure(config)
-    assert fb.queries == 0
+    _assert_draws_taken(fb, 4, 0)  # a refused grid takes no draw
 
 
-def test_feedback_channel_noiseless_and_counting():
+def test_a_noiseless_channel_reads_the_power_it_computes():
     s = small_scenario(0)
     fb = rl.FeedbackChannel(s)
     config = rl.uniform_configuration(s.layout)
     assert fb.measure(config) == fb.power(config)
     assert fb.measure(config) == fb.power(config)
-    assert fb.queries == 2
 
 
 @pytest.mark.parametrize("variance", [math.nan, math.inf, -1e-9])
@@ -110,14 +118,14 @@ def test_a_search_result_fits_its_own_channel(n_rows, n_cols, bits, noisy, unifo
     for fb, (config, trace) in zip((blind, greedy), found):
         assert config.shape == (n_rows, n_cols)
         assert np.all((config >= 0) & (config < k))
-        assert trace.n_queries == fb.queries
-    assert blind.queries == 1 + passes * (n_rows + n_cols)
+        _assert_draws_taken(fb, seed, trace.n_queries)
+    assert found[0][1].n_queries == 1 + passes * (n_rows + n_cols)
     # a unit tries every index but the one it holds, and that one too once a
     # gain has moved it lower: at most one more query per gain
-    gains = sum(found[1][1].accepted) - 1
-    assert greedy.queries <= 1 + rounds * (k - 1) * n + gains
+    greedy_queries, gains = found[1][1].n_queries, sum(found[1][1].accepted) - 1
+    assert greedy_queries <= 1 + rounds * (k - 1) * n + gains
     if uniform and rounds == 1:  # from index 0 a unit only moves up
-        assert greedy.queries == 1 + (k - 1) * n
+        assert greedy_queries == 1 + (k - 1) * n
 
 
 def test_blind_trace_monotone_and_valid():
@@ -224,6 +232,8 @@ def _noisy(s, noise):
 
 
 def _assert_same_search(fast, reference, rel_floor):
+    """A search's configuration, replayed kept flags, count and readings against a
+    reference search's, whose `SearchLog` holds the flags it decided."""
     (config, trace), (ref_config, ref_trace) = fast, reference
     assert np.array_equal(config, ref_config)
     assert trace.accepted == ref_trace.accepted
@@ -245,11 +255,12 @@ def test_incremental_searches_match_full_evaluations(n_rows, n_cols, bits, noise
     fast = rl.FeedbackChannel(s, seed)
     ref = rl.FeedbackChannel(s, seed)
     # one channel per side serves greedy, then blind: the noise stream carries over
-    _assert_same_search(rl.greedy_element_search(fast, initial, rounds),
-                        reference_greedy_search(ref, initial, rounds), bound)
-    _assert_same_search(rl.blind_rowcol_search(fast, initial, passes),
-                        reference_blind_search(ref, initial, passes), bound)
-    assert fast.queries == ref.queries
+    greedy = rl.greedy_element_search(fast, initial, rounds)
+    _assert_same_search(greedy, reference_greedy_search(ref, initial, rounds), bound)
+    blind = rl.blind_rowcol_search(fast, initial, passes)
+    _assert_same_search(blind, reference_blind_search(ref, initial, passes), bound)
+    for fb in (fast, ref):
+        _assert_draws_taken(fb, seed, greedy[1].n_queries + blind[1].n_queries)
 
 
 def test_multi_round_greedy_retries_the_original_index():
@@ -272,7 +283,6 @@ def test_feedback_channel_reads_like_one_draw_per_query():
     for i in range(2500):
         p = fb.measure(config) if i % 2 else fb.read(fb.power(config))
         assert p == max(0.0, fb.power(config) + float(rng.normal(0.0, math.sqrt(1e-6))))
-    assert fb.queries == 2500
 
 
 def _bits(values):
@@ -324,28 +334,22 @@ def test_powers_skip_the_overflow_guard_only_below_the_threshold(monkeypatch):
             _powers(prefactor, over)
 
 
-def test_a_trace_logged_in_blocks_reads_as_one_logged_per_query(tmp_path):
-    rng = np.random.default_rng(5)
-    blocks = [(rng.uniform(0.0, 1.0, m), kept) for m, kept in
-              [(1, True), (5, False), (64, True), (3, True), (1, False)]]
-    one, blocked = rl.SearchTrace(), rl.SearchTrace()
-    for trace in (one, blocked):
-        trace.record(True, 0.5)
-    for readings, kept in blocks:
-        blocked.record_block(readings, kept)
-        blocked.record(False, 0.25)  # one-at-a-time queries between the blocks
-        last = len(readings) - 1
-        for i, p in enumerate(readings.tolist()):
-            one.record(kept and i == last, p)
-        one.record(False, 0.25)
-    assert blocked.n_queries == one.n_queries == 1 + 74 + 5
-    assert all(type(p) is float for p in blocked.powers)
-    assert all(type(a) is bool for a in blocked.accepted)
-    assert np.array_equal(_bits(blocked.powers), _bits(one.powers))
-    assert blocked.accepted == one.accepted
-    one.write_csv(tmp_path / "one.csv")
-    blocked.write_csv(tmp_path / "blocked.csv")
-    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+def test_a_trace_replays_its_kept_flags_from_its_readings(tmp_path):
+    # ties with the running best, a block entry, and a drop after the top reading
+    readings = [0.5, 0.5, 0.25, np.array([0.25, 0.5, 0.75]), 0.75, 1.0, np.array([0.5])]
+    powers = [0.5, 0.5, 0.25, 0.25, 0.5, 0.75, 0.75, 1.0, 0.5]
+    kept = {True: [1, 1, 0, 0, 1, 1, 1, 1, 0],  # blind: a reading that reaches the best
+            False: [1, 0, 0, 0, 0, 1, 0, 1, 0]}  # greedy: only one that beats it
+    for keeps_ties, flags in kept.items():
+        trace = rl.SearchTrace(keeps_ties)
+        trace.readings.extend(readings)
+        assert trace.n_queries == 9
+        assert all(type(p) is float for p in trace.powers) and trace.powers == powers
+        assert trace.accepted == [bool(f) for f in flags]
+        trace.write_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_text() == "step,accepted,power_w\n" + "".join(
+            f"{i},{f},{p!r}\n" for i, (f, p) in enumerate(zip(flags, powers)))
+    assert rl.SearchTrace(False).accepted == [] and rl.SearchTrace(True).n_queries == 0
 
 
 def test_block_reads_take_one_draw_per_reading_across_noise_blocks():
@@ -378,7 +382,7 @@ def test_block_reads_take_one_draw_per_reading_across_noise_blocks():
         assert isinstance(got, np.ndarray) and got.dtype == np.float64
         assert np.array_equal(_bits(got), _bits(want))
         queries += 2 + len(want)
-        assert fb.queries == queries
+    assert fb.read(p0) == expected(p0)  # the last block read took one draw per reading
     assert queries > 6 * _NOISE_BLOCK
 
 
@@ -393,31 +397,34 @@ def test_noise_top_ups_take_every_block_a_shortfall_needs_at_once(monkeypatch):
     quiet = rl.FeedbackChannel(s)
     aligned = quiet.prefactor * float(np.abs(quiet.table[:, 0]).sum()) ** 2
     fb = rl.FeedbackChannel(replace(s, noise_variance=(0.02 * aligned) ** 2), 3)
-    concatenate, top_ups = np.concatenate, []
+    concatenate, top_ups, drawn = np.concatenate, [], [0]
 
     def spy(arrays, *args, **kwargs):
-        top_ups.append((fb.queries, sum(len(a) for a in arrays)))
+        # the draws taken so far: all drawn before this top-up, less the unused ones
+        top_ups.append((drawn[0] - len(arrays[0]), sum(len(a) for a in arrays)))
+        drawn[0] += sum(len(a) for a in arrays[1:])
         return concatenate(arrays, *args, **kwargs)
 
     monkeypatch.setattr(np, "concatenate", spy)
-    rl.greedy_element_search(fb, None, 3)
+    _, trace = rl.greedy_element_search(fb, None, 3)
     monkeypatch.undo()
     at, floats = zip(*top_ups)
-    assert fb.queries > 13 * _NOISE_BLOCK
+    queries = trace.n_queries
+    assert queries > 13 * _NOISE_BLOCK
+    _assert_draws_taken(fb, 3, queries)
     # every shortfall comes with at least one query read since the last one
     assert len(set(at)) == len(at)
-    assert sum(floats) <= fb.queries + _NOISE_BLOCK * len(at)
+    assert sum(floats) <= queries + _NOISE_BLOCK * len(at)
 
 
 def _count_block_reads(monkeypatch):
-    """Log (queries before, candidates, readings) of every `read_until` call."""
+    """Log (candidates, readings) of every `read_until` call."""
     log = []
     read_until = rl.FeedbackChannel.read_until
 
     def spy(self, powers, best):
-        before = self.queries
         readings = read_until(self, powers, best)
-        log.append((before, len(powers), len(readings)))
+        log.append((len(powers), len(readings)))
         return readings
 
     monkeypatch.setattr(rl.FeedbackChannel, "read_until", spy)
@@ -445,7 +452,8 @@ def test_galloping_greedy_matches_full_evaluations(monkeypatch, n_rows, n_cols, 
     assert np.array_equal(fast[0], stepwise[0])
     assert fast[1].accepted == stepwise[1].accepted
     assert np.array_equal(_bits(fast[1].powers), _bits(stepwise[1].powers))
-    assert channels[0].queries == channels[1].queries == channels[2].queries
+    for fb in channels:
+        _assert_draws_taken(fb, seed, fast[1].n_queries)
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [(16, 16), (9, 20), (1, 9), (9, 1)])
@@ -466,7 +474,9 @@ def test_lean_blind_loop_matches_one_read_per_line(n_rows, n_cols, bits, noise, 
     assert np.array_equal(fast[0], stepwise[0])
     assert fast[1].accepted == stepwise[1].accepted
     assert np.array_equal(_bits(fast[1].powers), _bits(stepwise[1].powers))
-    assert channels[0].queries == channels[1].queries == 1 + passes * (n_rows + n_cols)
+    assert fast[1].n_queries == stepwise[1].n_queries == 1 + passes * (n_rows + n_cols)
+    for fb in channels:
+        _assert_draws_taken(fb, seed, fast[1].n_queries)
 
 
 def _one_gain_link(unit, index, n_units=40):
@@ -496,14 +506,18 @@ def _one_gain_link(unit, index, n_units=40):
     (10, 2, [(10, 63, 23), (49, 63, 63), (112, 9, 9), (121, 63, 63), (184, 57, 57)], 32),
 ])
 def test_gallop_resumes_after_its_gain(monkeypatch, unit, index, blocks, gain_step):
-    fb = _one_gain_link(unit, index)
     log = _count_block_reads(monkeypatch)
-    config, trace = rl.greedy_element_search(fb, max_rounds=3)
-    assert log == blocks
+    config, trace = rl.greedy_element_search(_one_gain_link(unit, index), max_rounds=3)
+    assert log == [(m, n) for _, m, n in blocks]
+    # each block read is one trace entry, which starts at the query count before it
+    sizes = [len(p) if isinstance(p, np.ndarray) else 1 for p in trace.readings]
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    assert [(at, n) for at, p, n in zip(starts, trace.readings, sizes)
+            if isinstance(p, np.ndarray)] == [(at, n) for at, _, n in blocks]
     want = np.zeros((1, 40), dtype=int)
     want[0, unit] = index
     assert np.array_equal(config, want)
-    assert trace.n_queries == fb.queries == 241
+    assert trace.n_queries == 241
     assert [i for i, a in enumerate(trace.accepted) if a] == [0, gain_step]
     _assert_same_search((config, trace), reference_greedy_search(_one_gain_link(unit, index),
                                                                  None, 3), 0.0)
@@ -647,5 +661,4 @@ def test_greedy_through_a_given_feedback_channel():
     _, best = brute_force_optimum(s)
     fb = rl.FeedbackChannel(s)
     _, trace = rl.greedy_element_search(fb)
-    assert trace.n_queries == fb.queries
     assert best >= max(trace.powers) * (1 - 1e-12)

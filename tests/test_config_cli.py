@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import rislink as rl
 from rislink.cli import build_parser, main
 from rislink.config import ConfigError, _parse_currents, load_run_plan, parse_sections
-from rislink.experiments import SweepJob
+from rislink.experiments import BEAMFORMING_METHODS, SweepJob
 
 
 def write(tmp_path, text, name="case.cfg"):
@@ -668,11 +668,59 @@ def test_a_distance_override_rebuilds_the_configured_scenario(tmp_path, capsys):
 
 
 def test_a_sweep_that_fails_at_run_time_writes_nothing(tmp_path, capsys):
-    cfg = write(tmp_path, "[scenario]\n\n[sweep a]\ntype = distance\n\n"
-                          "[sweep b]\ntype = gain\ncurrents_a = 0.01, 10\n")
+    # sweep a is fine; sweep b brings the RX so near that its power overflows a float
+    cfg = write(tmp_path, "[scenario]\ntx_gain_dbi = 1530\nrx_gain_dbi = 1530\n"
+                          "tx_distance_m = 0.3\n\n[sweep a]\ntype = distance\n\n"
+                          "[sweep b]\ntype = distance\nstart = 0.05\nstop = 0.1\nstep = 0.05\n")
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: control current exceeds the 0.12 A supply budget\n"
+    assert capsys.readouterr().err == "error: received power overflows a float\n"
+    assert not out.exists()
+
+
+# gains whose product overflows while the weights are built, and finite weights
+# whose coherent sum squares past DBL_MAX
+_OVERFLOWING_LINKS = {
+    "gain-product": "[scenario]\ntx_gain_dbi = 3000\nrx_gain_dbi = 3000\n",
+    "near-sum": "[scenario]\ntx_gain_dbi = 1540\nrx_gain_dbi = 1540\n"
+                "tx_distance_m = 0.3\nrx_distance_m = 0.3\n",
+}
+
+
+@pytest.mark.parametrize("command", ["run", *BEAMFORMING_METHODS])
+@pytest.mark.parametrize("link", _OVERFLOWING_LINKS)
+def test_a_link_whose_power_overflows_a_float_fails_cleanly(tmp_path, capsys, link, command):
+    cfg = write(tmp_path, _OVERFLOWING_LINKS[link]
+                + "\n[sweep d]\ntype = distance\nstart = 0.3\nstop = 0.6\nstep = 0.3\n")
+    out, trace = tmp_path / "run", tmp_path / "trace.csv"
+    argv = (["run", str(cfg), "--out", str(out)] if command == "run" else
+            ["beamform", "--config", str(cfg), "--method", command]
+            + (["--trace", str(trace)] if command in ("blind", "greedy") else []))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: received power overflows a float\n")
+    assert not out.exists() and not trace.exists()
+
+
+@pytest.mark.parametrize("grid, currents, line", [
+    ("", "0.5, 99", 8), ("n_rows = 2\nn_cols = 2\n", "0.01, 1.4", 10)], ids=["4x8", "2x2"])
+def test_an_over_budget_current_names_its_config_line_or_flag(tmp_path, capsys, grid, currents,
+                                                              line):
+    budget = "control current exceeds the 0.12 A supply budget"
+    cfg = write(tmp_path, f"[scenario]\n{grid}\n[sweep a]\ntype = distance\n\n"
+                          f"[sweep g]\ntype = gain\ncurrents_a = {currents}\n")
+    with pytest.raises(ConfigError) as exc:
+        load_run_plan(cfg)
+    assert str(exc.value) == f"{cfg}:{line}: currents_a: {budget}"
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:{line}: currents_a: {budget}\n"
+    argv = ["sweep-gain", "--currents", currents.replace(" ", ""), "--out", str(out)]
+    if grid:
+        argv += ["--config", str(write(tmp_path, f"[scenario]\n{grid}", "small.cfg"))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --currents: {budget}\n"
     assert not out.exists()
 
 

@@ -59,6 +59,27 @@ def test_only_the_link_draws_the_jitter(path):
     assert len(calls) == (1 if os.path.basename(path) == "link.py" else 0)
 
 
+def foreign_private_reads(source: str) -> list[str]:
+    """`line: expression` of every `_private` attribute read off an object other than
+    `self` or `cls`: another class's or module's internals (dunders are not private)."""
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+
+
+def test_the_check_sees_a_foreign_private_read():
+    source = ("class A:\n    def f(self, other):\n        self._x = other._y.append\n"
+              "        return cls._z, other.__class__, mod.sub._w()\n")
+    assert foreign_private_reads(source) == ["3: other._y", "4: mod.sub._w"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_source_id)
+def test_no_module_reads_another_objects_internals(path):
+    with open(path) as fh:
+        assert foreign_private_reads(fh.read()) == []
+
+
 LINE_BUDGET = 1907  # ROADMAP north-star aim 2: new code is paid for by deletion
 
 
