@@ -10,10 +10,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, RunPlan, _parse_currents, load_run_plan
+from .config import ConfigError, _parse_currents, load_run_plan
 from .experiments import SweepJob, apply_beamforming, chamber_scenario, run_config, run_sweep
 from .link import Scenario, _link_budget_db
 from .ris import SupplyBudgetError, encode_control
@@ -38,17 +39,12 @@ def _resolve_seed(args) -> int:
 
 
 def _scenario_from_args(args) -> Scenario:
-    """The scenario of --config or the chamber default, with overrides.
-
-    An override rebuilds the scenario through `chamber_scenario`, as the config's keys do.
-    """
-    plan = load_run_plan(args.config) if args.config else RunPlan(chamber_scenario())
-    overrides = {key: value for key, value in (("tx_distance_m", args.tx_distance),
-                                               ("rx_distance_m", args.rx_distance))
-                 if value is not None}
-    if overrides:
-        return chamber_scenario(**{**plan.keys, **overrides})
-    return plan.scenario
+    """The scenario of --config or the chamber default, each given distance moving its pose."""
+    scenario = load_run_plan(args.config).scenario if args.config else chamber_scenario()
+    for pose, distance in (("tx_pose", args.tx_distance), ("rx_pose", args.rx_distance)):
+        if distance is not None:
+            scenario = replace(scenario, **{pose: replace(getattr(scenario, pose), r=distance)})
+    return scenario
 
 
 def _cmd_run(args) -> int:
@@ -172,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="scenario config file (defaults to the chamber setup)")
     common.add_argument("--tx-distance", type=float, default=None,
                         help="override feed distance in meters")
-    common.add_argument("--rx-distance", type=float, default=None,
-                        help="override probe distance in meters")
+    rx_moved = argparse.ArgumentParser(add_help=False)  # not sweep-distance: RX range is its grid
+    rx_moved.add_argument("--rx-distance", type=float, default=None,
+                          help="override probe distance in meters")
     written = argparse.ArgumentParser(add_help=False)  # commands that write files
     written.add_argument("--out", default=".", help="output directory")
 
@@ -188,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("angle", "sweep-angle", "path loss vs probe angle"),
             ("gain", "sweep-gain", "received power vs array supply current"),
             ("pattern", "pattern", "radiation cut at a fixed steering angle")):
-        p = sub.add_parser(command, parents=[common, written], help=help_text)
+        moved = [] if kind == "distance" else [rx_moved]
+        p = sub.add_parser(command, parents=[common, *moved, written], help=help_text)
         if kind == "gain":
             p.add_argument("--currents", default="0.01,0.2,0.4,0.6,0.8,1.0,1.2,1.4",
                            help="comma list of array-level currents in amperes")
@@ -199,10 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
             for flag in ("--start", "--stop", "--step"):
                 p.add_argument(flag, type=float)
         p.add_argument("--method", default="quantized")
-        p.set_defaults(func=_cmd_sweep, kind=kind,
+        p.set_defaults(func=_cmd_sweep, kind=kind, rx_distance=None,
                        csv_stem="pattern" if kind == "pattern" else f"{kind}_sweep")
 
-    p = sub.add_parser("beamform", parents=[common],
+    p = sub.add_parser("beamform", parents=[common, rx_moved],
                        help="optimize one configuration and print it as JSON")
     p.add_argument("--method", default="blind")
     p.add_argument("--passes", type=int, default=4, help="blind search passes")

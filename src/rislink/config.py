@@ -7,7 +7,7 @@ diagnostic carries `path:line:` so a bad config fails loudly and precisely.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .experiments import SweepError, SweepJob, chamber_scenario
 from .link import Scenario
@@ -86,8 +86,8 @@ _SCENARIO_KEYS = inspect.signature(chamber_scenario).parameters
 _AMPLIFIER_KEYS = ("calibration", "max_current_a")
 
 
-def build_scenario(sections: dict, path) -> tuple[Scenario, dict]:
-    """The [scenario]/[amplifier] link from `chamber_scenario`, plus its parsed keys.
+def build_scenario(sections: dict, path) -> Scenario:
+    """The [scenario]/[amplifier] link from `chamber_scenario`.
 
     A key is parsed by the type of the builder's default.  The builder checks every
     value; its error names the line of the first key, in file order, with which the
@@ -102,7 +102,7 @@ def build_scenario(sections: dict, path) -> tuple[Scenario, dict]:
         convert = _parse_calibration if key == "calibration" else type(_SCENARIO_KEYS[key].default)
         keys[key], lines[key] = _parse(key, raw, line, convert, path), line
     try:
-        return chamber_scenario(**keys), keys
+        return chamber_scenario(**keys)
     except ValueError as e:
         raise _err(path, lines[_blame(keys, e)], e) from None
 
@@ -123,8 +123,7 @@ def _blame(keys: dict, error: ValueError) -> str:
 @dataclass
 class RunPlan:
     scenario: Scenario
-    jobs: list[SweepJob] = field(default_factory=list)
-    keys: dict = field(default_factory=dict)  # the parsed [scenario]/[amplifier] keys
+    jobs: list[SweepJob]
 
 
 def _parse_currents(raw: str) -> tuple[float, ...]:
@@ -181,5 +180,5 @@ def load_run_plan(path) -> RunPlan:
     for name in sections:
         if name not in known and not name.startswith("sweep"):
             raise _err(path, sections[name].line, f"unknown section [{name}]")
-    scenario, keys = build_scenario(sections, path)
-    return RunPlan(scenario, build_jobs(sections, path, scenario), keys)
+    scenario = build_scenario(sections, path)
+    return RunPlan(scenario, build_jobs(sections, path, scenario))

@@ -504,7 +504,7 @@ def test_cli_main_calls_do_not_share_parsed_values(tmp_path, capsys, monkeypatch
     assert main(plain) == 0
     first = capsys.readouterr().out
     assert main(["sweep-distance", "--start", "1", "--stop", "2", "--step", "0.5",
-                 "--seed", "4", "--rx-distance", "6", "--out", str(tmp_path)]) == 0
+                 "--seed", "4", "--tx-distance", "0.9", "--out", str(tmp_path)]) == 0
     assert main(plain + ["--method", "greedy", "--rounds", "1", "--seed", "7",
                          "--tx-distance", "1.0"]) == 0
     capsys.readouterr()
@@ -652,19 +652,35 @@ def test_a_scenario_value_is_rejected_in_the_same_words_everywhere(tmp_path, cap
         assert not out.exists()
 
 
-def test_a_distance_override_rebuilds_the_configured_scenario(tmp_path, capsys):
+def test_a_distance_override_moves_the_configured_pose(tmp_path, capsys):
     cfg = write(tmp_path, "[scenario]\nn_rows = 2\ntx_zenith_deg = -12\ntx_azimuth_deg = 30\n"
-                          "rx_zenith_deg = 20\nrx_azimuth_deg = 200\n")
+                          "rx_zenith_deg = 20\nrx_azimuth_deg = 200\nphase_jitter_max_deg = 15\n"
+                          "phase_jitter_seed = 3\n")
     assert main(["beamform", "--config", str(cfg), "--method", "quantized",
                  "--tx-distance", "0.9", "--rx-distance", "2.5"]) == 0
     got = json.loads(capsys.readouterr().out)
     want = rl.chamber_scenario(n_rows=2, tx_zenith_deg=-12.0, tx_azimuth_deg=30.0,
                                rx_zenith_deg=20.0, rx_azimuth_deg=200.0,
+                               phase_jitter_max_deg=15.0, phase_jitter_seed=3,
                                tx_distance_m=0.9, rx_distance_m=2.5)
     assert got["config_digest"] == rl.apply_beamforming(want, "quantized").digest
-    plan = load_run_plan(cfg)
-    assert plan.scenario.rx_plane_deg == 200.0
-    assert plan.scenario == rl.chamber_scenario(**plan.keys)
+    s = load_run_plan(cfg).scenario
+    assert s.rx_plane_deg == 200.0
+    # moving each pose's range gives the link that the config with those ranges builds
+    assert replace(s, tx_pose=replace(s.tx_pose, r=0.9), rx_pose=replace(s.rx_pose, r=2.5)) == want
+
+
+def test_sweep_distance_rejects_the_rx_distance_its_grid_replaces(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-distance", "--rx-distance", "2.7", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rx-distance 2.7" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sweep-distance", "--tx-distance", "1.2", "--out", str(out)]) == 0
+    s = rl.chamber_scenario(tx_distance_m=1.2)
+    assert (out / "distance_sweep.csv").read_text() == rl.run_sweep(
+        s, SweepJob("distance_sweep", "distance")).to_csv()
 
 
 def test_a_sweep_that_fails_at_run_time_writes_nothing(tmp_path, capsys):
@@ -759,9 +775,15 @@ def test_the_readme_lists_every_scenario_key_with_its_default(tmp_path):
     parameters = inspect.signature(rl.chamber_scenario).parameters
     assert [key for key, _, _ in rows] == list(parameters)
     for key, section, default in rows:
-        plan = load_run_plan(write(tmp_path, f"[{section}]\n{key} = {default}\n"))
-        assert plan.keys == {key: parameters[key].default}
-        assert plan.scenario == rl.chamber_scenario()
+        # a jitter-free Scenario holds no jitter seed, so the seed is read with jitter on
+        jitter = {"phase_jitter_max_deg": 1.0} if key == "phase_jitter_seed" else {}
+        text = "".join(f"{k} = {v}\n" for k, v in (*jitter.items(), (key, default)))
+        plan = load_run_plan(write(tmp_path, f"[{section}]\n{text}"))
+        assert plan.scenario == rl.chamber_scenario(**jitter)
+        # and the Scenario holds the key, so that equality is not vacuous
+        other = (((0.0003125, 1.0), (0.04375, 11.9)) if key == "calibration"
+                 else parameters[key].default + 1)
+        assert plan.scenario != rl.chamber_scenario(**{**jitter, key: other})
 
 
 # a calibration whose gain underflows to 0 at zero current: that row's field is an exact null

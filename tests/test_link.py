@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rislink as rl
@@ -526,3 +526,45 @@ def test_the_64x64_path_table_is_the_generic_expression_across_chunks(q):
     s = rl.chamber_scenario(n_rows=64, n_cols=64, pitch_x_m=0.05, tx_zenith_deg=15.0,
                             tx_exponent=q, rx_exponent=q, phase_jitter_max_deg=10.0)
     assert _assert_path_table_is_the_reference(s, 6, 5) == 2  # 4 points, then 2
+
+
+def _horn_dbi(q: float) -> float:
+    """Boresight gain of a cos^q horn that radiates all its power: its directivity 2(q+1)."""
+    return 10.0 * math.log10(2.0 * (q + 1.0))
+
+
+@given(n_rows=st.integers(1, 64), n_cols=st.integers(1, 64), f_ghz=st.floats(1.0, 30.0),
+       pitch=st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0)),
+       ranges=st.tuples(st.floats(0.05, 10.0), st.floats(0.05, 10.0)),
+       angles=st.tuples(st.floats(-70.0, 70.0), st.floats(-70.0, 70.0)),
+       azimuths=st.tuples(st.floats(0.0, 360.0, exclude_max=True),
+                          st.floats(0.0, 360.0, exclude_max=True)),
+       q=st.tuples(st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 1.0, 2.0])),
+       jitter_deg=st.floats(0.0, 20.0), seed=st.integers(0, 2 ** 31))
+# at the edge of the domain: each horn two cell diagonals above a cell corner, q = 2
+@example(n_rows=64, n_cols=64, f_ghz=1.0, pitch=(0.8, 0.8), ranges=(0.68, 0.68),
+         angles=(0.0, 0.0), azimuths=(0.0, 0.0), q=(2.0, 2.0), jitter_deg=0.0, seed=0)
+@settings(max_examples=100, deadline=None)
+def test_an_amplifying_surface_delivers_at_most_its_gain_times_the_transmit_power(
+        n_rows, n_cols, f_ghz, pitch, ranges, angles, azimuths, q, jitter_deg, seed):
+    """Energy conservation: with horns whose gain is their cos^q directivity, the cells
+    capture at most P_t and radiate at most G_u(top) times that, so no configuration
+    delivers more than P_t G_u(top).  Each cell is scored at its centre, in its own far
+    field, so the cells' sum keeps this only while each horn sits at least two cell
+    diagonals off the surface plane; nearer, the per-cell sum over-counts (CHANGES.md)."""
+    lam = rl.SPEED_OF_LIGHT / (f_ghz * 1e9)
+    diagonal = math.hypot(*pitch) * lam
+    assume(all(r * math.cos(math.radians(a)) >= 2.0 * diagonal for r, a in zip(ranges, angles)))
+    s = rl.chamber_scenario(
+        frequency_hz=f_ghz * 1e9, n_rows=n_rows, n_cols=n_cols,
+        pitch_x_m=pitch[0] * lam, pitch_y_m=pitch[1] * lam,
+        tx_distance_m=ranges[0], tx_zenith_deg=angles[0], tx_azimuth_deg=azimuths[0],
+        rx_distance_m=ranges[1], rx_zenith_deg=angles[1], rx_azimuth_deg=azimuths[1],
+        tx_gain_dbi=_horn_dbi(q[0]), tx_exponent=q[0],
+        rx_gain_dbi=_horn_dbi(q[1]), rx_exponent=q[1],
+        phase_jitter_max_deg=jitter_deg, phase_jitter_seed=seed)
+    cap = s.tx_power * s.amplifier.gain_linear(s.amplifier.top_current)
+    assert rl.max_received_power(s) <= cap
+    for method in ("none", "continuous", "quantized"):
+        bf = rl.apply_beamforming(s, method)
+        assert s.tx_power / rl.link.SIXTEEN_PI_SQ * abs(bf.channel_sum) ** 2 <= cap

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -224,3 +225,16 @@ def test_the_readme_quick_start_runs(capsys):
     assert optimum - low_current == pytest.approx(11.9, abs=1e-9)  # the paper's swing
     queries, best = search.split()
     assert int(queries) > 0 and float(best) <= bound
+
+
+def test_the_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    block = re.search(r"Command line:\n+```bash\n(.*?)```\n", readme, re.S).group(1)
+    shutil.copytree(CONFIGS, tmp_path / "configs")  # its paths are the repository root's
+    monkeypatch.chdir(tmp_path)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) >= 5 and all(argv[0] == "rislink" for argv in lines)
+    for argv in lines:
+        assert cli.main(argv[1:]) == 0, argv
+    assert (tmp_path / "trace.csv").exists() and (tmp_path / "results" / "angle").is_dir()
