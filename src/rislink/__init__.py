@@ -16,7 +16,6 @@ from .beamforming import (
     blind_rowcol_search,
     greedy_element_search,
     nearest_quantize,
-    uniform_configuration,
 )
 from .channel import SPEED_OF_LIGHT, AntennaModel
 from .config import ConfigError, load_run_plan

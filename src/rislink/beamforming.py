@@ -153,17 +153,10 @@ def _powers(prefactor: float, sums: np.ndarray) -> np.ndarray:
     return prefactor * squares
 
 
-def uniform_configuration(layout, phase_index: int = 0) -> np.ndarray:
-    return np.full((layout.n_rows, layout.n_cols), phase_index, dtype=int)
-
-
 def _start(feedback: FeedbackChannel, initial) -> np.ndarray:
-    """A search's starting configuration: `initial`, or all zeros, on the channel's layout."""
+    """A search's own copy of `initial` (None: all zeros) as a (n_rows, n_cols) grid."""
     layout = feedback.scenario.layout
-    config = uniform_configuration(layout) if initial is None else np.array(initial)
-    if config.shape != (layout.n_rows, layout.n_cols):
-        raise ValueError("initial configuration does not match the layout")
-    return config
+    return _phase_indices(feedback.scenario, initial).reshape(layout.n_rows, layout.n_cols).copy()
 
 
 def blind_rowcol_search(feedback: FeedbackChannel, initial=None,

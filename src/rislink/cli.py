@@ -1,7 +1,6 @@
 """Command-line front end: run config files or fire one-off sweeps and searches.
 
 Exit codes: 0 on success, 2 on bad input (config errors, invalid values).
-Seeds resolve as --seed flag > RISLINK_SEED environment variable > 0.
 """
 
 from __future__ import annotations
@@ -19,23 +18,8 @@ from .experiments import SweepJob, apply_beamforming, chamber_scenario, run_conf
 from .link import Scenario, _link_budget_db
 from .ris import SupplyBudgetError, encode_control
 
-SEED_ENV_VAR = "RISLINK_SEED"
-
 # SP4T switch word of each 2-bit phase index as `beamform` prints it: a JSON string
 _CONTROL_WORD_TOKENS = tuple(json.dumps(str(encode_control(k))) for k in range(4))
-
-
-def _resolve_seed(args) -> int:
-    source, seed = "--seed", args.seed
-    if seed is None:
-        source, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    if seed < 0:
-        raise ValueError(f"{source} must be >= 0, got {seed}")
-    return seed
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -48,7 +32,7 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _cmd_run(args) -> int:
-    summary = run_config(args.config_path, args.out, _resolve_seed(args))
+    summary = run_config(args.config_path, args.out, args.seed)
     for entry in summary["sweeps"]:
         print(f"wrote {os.path.join(args.out, entry['csv'])} ({entry['rows']} rows)")
     print(f"wrote {os.path.join(args.out, 'summary.json')}")
@@ -78,7 +62,7 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"--currents: cannot parse {args.currents!r}") from None
     job = SweepJob(args.csv_stem, args.kind, args.method, **grid)
     try:
-        res = run_sweep(scenario, job, _resolve_seed(args))
+        res = run_sweep(scenario, job, args.seed)
     except SupplyBudgetError as e:  # only a gain sweep's currents can exceed the budget
         raise SupplyBudgetError(f"--currents: {e}") from None
     os.makedirs(args.out, exist_ok=True)
@@ -90,7 +74,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_beamform(args) -> int:
     scenario = _scenario_from_args(args)
-    bf = apply_beamforming(scenario, args.method, _resolve_seed(args),
+    bf = apply_beamforming(scenario, args.method, args.seed,
                            passes=args.passes, max_rounds=args.rounds)
     if args.trace is not None:
         if bf.trace is None:
@@ -162,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "transmissive reconfigurable surface.",
     )
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     common.add_argument("--config", help="scenario config file (defaults to the chamber setup)")
     common.add_argument("--tx-distance", type=float, default=None,
@@ -218,6 +201,8 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        if args.seed < 0:  # every command takes --seed
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ConfigError, SupplyBudgetError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import astuple, dataclass, replace
 from typing import Sequence
@@ -461,7 +462,8 @@ def _radiation_patterns(scenario: Scenario, jobs: Sequence[SweepJob], seed) -> l
     for job, (_, digest), sums in zip(jobs, steered, all_sums):
         cut = SweepResult.from_sums(scenario, "pattern_angle", angles, sums, [digest] * len(sums))
         powers = cut.received_power_dbm
-        rel = powers - np.max(powers)
+        with np.errstate(invalid="ignore"):  # an all-null cut: -inf - -inf, every rel NaN
+            rel = powers - np.max(powers)
         cuts.append(PatternResult(**vars(cut), steering_deg=float(job.steering_deg),
                                   peak_angle_deg=float(angles[int(np.argmax(powers))]),
                                   hpbw_deg=half_power_beamwidth(angles, rel),
@@ -518,7 +520,7 @@ def run_config(path, out_dir, seed=0) -> dict:
     """
     from .config import load_run_plan  # local import; config builds on this module
 
-    plan = load_run_plan(path)
+    seed, plan = operator.index(seed), load_run_plan(path)
     cuts = {}  # the pattern jobs on each grid, cut in one kernel call
     for job in plan.jobs:
         if job.kind == "pattern":
@@ -537,7 +539,7 @@ def run_config(path, out_dir, seed=0) -> dict:
                         "metrics": res.metrics})
     summary = {
         "config": os.path.basename(str(path)),
-        "seed": seed if isinstance(seed, int) else str(seed),
+        "seed": seed,
         "scenario": _scenario_summary(plan.scenario),
         "sweeps": entries,
     }

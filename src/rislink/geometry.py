@@ -23,8 +23,8 @@ class SphericalPose:
     phi: float
 
     def __post_init__(self):
-        if not 0 < self.r < math.inf:
-            raise ValueError(f"range must be positive and finite, got {self.r!r}")
+        if not (0 < self.r and self.r * self.r < math.inf):  # NaN fails 0 < r too
+            raise ValueError(f"range must be positive with a finite square, got {self.r!r}")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"zenith must lie in [0, pi], got {self.theta!r}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
@@ -96,13 +96,16 @@ def ranges_and_cosines(points, layout: ArrayLayout) -> tuple[np.ndarray, np.ndar
     only by point: r = sqrt((dx^2 + dy^2) + dz^2), np.linalg.norm's own summation
     order, is one broadcast (..., rows, cols) sum.  The cosine is taken against the
     cell's normal on the point's side of the plane, |p_z| / r clipped to 1, so it lies
-    in [0, 1].  Raises ValueError on a coincident point.
+    in [0, 1].  Raises ValueError on a coincident point or an overflowing squared range.
     """
     p = np.asarray(points, dtype=float)[..., None, None, :]
-    off_x, off_y = _cell_offsets(layout)
-    dx, dy, dz = p[..., 0] - off_x, p[..., 1] - off_y[:, None], p[..., 2]
-    r = dx * dx + dy * dy
-    r = np.sqrt(np.add(r, dz * dz, out=r), out=r)
+    with np.errstate(over="ignore"):  # an overflowing square reads inf, and fails below
+        off_x, off_y = _cell_offsets(layout)
+        dx, dy, dz = p[..., 0] - off_x, p[..., 1] - off_y[:, None], p[..., 2]
+        r = dx * dx + dy * dy
+        r = np.sqrt(np.add(r, dz * dz, out=r), out=r)
+    if not r.max(initial=0.0) < math.inf:
+        raise ValueError("range to an element overflows a float")
     if not r.all():
         raise ValueError("point coincides with an element")
     cos = np.abs(dz) / r

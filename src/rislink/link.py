@@ -55,7 +55,7 @@ class Scenario:
             raise ValueError(f"noise_variance must be finite and >= 0, got {self.noise_variance!r}")
         z_t = spherical_to_cartesian(self.tx_pose)[2]
         z_r = spherical_to_cartesian(self.rx_pose)[2]
-        if not z_t * z_r < 0:
+        if not z_t * z_r < 0:  # each |z| <= r, whose square is finite: so is the product
             raise ValueError("TX and RX must sit strictly on opposite sides of the array plane")
 
     @property
@@ -79,17 +79,23 @@ class Scenario:
         return self.codebook.phases()[idx] + self.phase_errors
 
 
+def _per_unit(scenario: Scenario, values, what: str) -> np.ndarray:
+    """`values` flattened, one entry per unit: flat (n_units,) or (n_rows, n_cols), row-major."""
+    a, grid = np.asarray(values), (scenario.layout.n_rows, scenario.layout.n_cols)
+    if a.size != scenario.layout.n_units:
+        raise ValueError(f"{what} has {a.size} entries for {scenario.layout.n_units} units")
+    if a.ndim != 1 and a.shape != grid:
+        raise ValueError(f"{what} has shape {a.shape}, not ({a.size},) or {grid}")
+    return a.reshape(-1)
+
+
 def _phase_indices(scenario: Scenario, configuration) -> np.ndarray:
-    """Flat codebook indices of a phase-index grid (flat or (n_rows, n_cols), row-major),
-    checked against the layout and codebook; None is every unit at index 0."""
-    n = scenario.layout.n_units
+    """Flat codebook indices of a grid in `_per_unit`'s shapes, checked; None: all zeros."""
     if configuration is None:
-        return np.zeros(n, dtype=int)
-    idx = np.asarray(configuration).reshape(-1)
+        return np.zeros(scenario.layout.n_units, dtype=int)
+    idx = _per_unit(scenario, configuration, "configuration")
     if idx.dtype.kind not in "iu":
         raise ValueError(f"phase_index must hold integers, got dtype {idx.dtype}")
-    if idx.size != n:
-        raise ValueError(f"configuration has {idx.size} entries for {n} units")
     if (idx < 0).any():
         raise ValueError("phase_index must be >= 0")
     if (idx >= scenario.codebook.size).any():
@@ -108,30 +114,32 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray):
     (chunk, n_units): the path table w = amp exp(-j phi) of `element_weights` over a
     pose axis, G_u at the top calibrated current.  The TX leg is computed once per
     call.  Every point must sit across the plane from the TX, as `Scenario` requires, and
-    its continuous bound P_t / (16 pi^2) (sum_n amp_n)^2 in mW must be a finite float.
+    its continuous bound P_t / (16 pi^2) (sum_n amp_n)^2 in mW, and each phase, a finite float.
     """
     p_t = spherical_to_cartesian(scenario.tx_pose)
-    if not np.all(p_t[2] * rx_points[:, 2] < 0):
+    if not np.all(np.sign(p_t[2]) * rx_points[:, 2] < 0):  # a sign: no product overflows
         raise ValueError("TX and RX must sit strictly on opposite sides of the array plane")
     layout, area = scenario.layout, scenario.layout.element_area
     r_t, c_t = ranges_and_cosines(p_t, layout)
     g_t = scenario.tx_antenna.gain_from_cosine(c_t)
     amplifier = scenario.amplifier
-    gain_area_t = amplifier.gain_linear(amplifier.top_current) * area_from_cosine(area, c_t)
+    with np.errstate(all="ignore"):  # an overflow (or NaN) fails below, in each chunk's check
+        gain_area_t = amplifier.gain_linear(amplifier.top_current) * area_from_cosine(area, c_t)
     step = max(1, _CHUNK_ELEMENTS // layout.n_units)
     for lo in range(0, len(rx_points), step):
         r_r, c_r = ranges_and_cosines(rx_points[lo:lo + step], layout)
         # sqrt(g_t g_r) / (r_t r_r) * sigma and 2 pi (r_t + r_r) / lambda, in place
-        amp = scenario.rx_antenna.gain_from_cosine(c_r)
-        sigma = np.sqrt(np.multiply(gain_area_t, area_from_cosine(area, c_r), out=c_r), out=c_r)
-        phi = r_t + r_r
-        np.divide(np.multiply(2.0 * math.pi, phi, out=phi), scenario.wavelength, out=phi)
-        with np.errstate(all="ignore"):  # an amplitude that overflows (or is NaN) fails below
+        amp, phi = scenario.rx_antenna.gain_from_cosine(c_r), r_t + r_r
+        with np.errstate(all="ignore"):  # a phase or amplitude that overflows (or NaN) fails below
+            sigma = np.sqrt(np.multiply(gain_area_t, area_from_cosine(area, c_r), out=c_r), out=c_r)
+            np.divide(np.multiply(2.0 * math.pi, phi, out=phi), scenario.wavelength, out=phi)
             np.sqrt(np.multiply(g_t, amp, out=amp), out=amp)
             np.divide(amp, np.multiply(r_t, r_r, out=r_r), out=amp)
             top = float(np.multiply(amp, sigma, out=amp).sum(axis=-1).max())
         if not scenario.tx_power / SIXTEEN_PI_SQ * (top * top) * 1e3 < math.inf:
             raise ValueError("received power overflows a float")
+        if not phi.max() < math.inf:
+            raise ValueError("two-hop phase overflows a float")
         yield lo, amp, phi
 
 
@@ -150,9 +158,7 @@ def _channel_sums(scenario: Scenario, rx_points, programs) -> np.ndarray:
     for configuration, phases in programs:  # explicit phases bypass codebook and jitter
         idx = _phase_indices(scenario, configuration)
         ph = (scenario.programmed_phases(idx) if phases is None
-              else np.asarray(phases, dtype=float).reshape(-1))
-        if ph.size != scenario.layout.n_units:
-            raise ValueError(f"{ph.size} phases for {scenario.layout.n_units} units")
+              else _per_unit(scenario, np.asarray(phases, dtype=float), "phase array"))
         rots.append(np.exp(1j * ph))
     pts = np.asarray(rx_points, dtype=float).reshape(-1, 3)
     sums = np.empty((len(rots), len(pts)), dtype=complex)
@@ -183,12 +189,12 @@ def _link_budget_db(scenario: Scenario, sums) -> tuple[np.ndarray, np.ndarray]:
 
     dBm takes math.log10 per value as watts_to_dbm does (numpy's log10 is an ulp off
     on ~2% of inputs), dB np.log10 of 16 pi^2 / |S|^2; an exact null reads -inf dBm
-    and inf dB.
+    and inf dB, and a loss ratio past a float (|S|^2 below ~9e-307) inf dB.
     """
     ssq = np.abs(np.asarray(sums)) ** 2
     p_mw = scenario.tx_power / SIXTEEN_PI_SQ * ssq * 1e3
     dbm = np.array([-math.inf if p == 0 else 10.0 * math.log10(p) for p in p_mw.tolist()])
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return dbm, 10.0 * np.log10(SIXTEEN_PI_SQ / ssq)
 
 

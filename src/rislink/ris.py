@@ -103,8 +103,9 @@ class AmplifierModel:
         return out if out.ndim else float(out)
 
     def gain_linear(self, current):
-        """Linear power gain G_u at `current` (scalar or ndarray)."""
-        return 10.0 ** (self.gain_db(current) / 10.0)
+        """Linear power gain G_u at `current` (scalar or ndarray); a gain past a float reads
+        inf (numpy's overflow warning, which the link silences, then fails by its power check)."""
+        return np.float64(10.0) ** (self.gain_db(current) / 10.0)
 
     @classmethod
     def passive(cls) -> "AmplifierModel":

@@ -20,6 +20,11 @@ from rislink.link import (
 )
 
 
+def uniform_configuration(layout, phase_index: int = 0) -> np.ndarray:
+    """Every unit of `layout` at `phase_index`, as a (n_rows, n_cols) grid."""
+    return np.full((layout.n_rows, layout.n_cols), phase_index, dtype=int)
+
+
 def element_grid(layout) -> np.ndarray:
     """All unit-cell centers, shape (n_units, 3), row-major (row 1 cols 1..N, then row 2, ...)."""
     xx, yy = np.meshgrid(*_cell_offsets(layout))  # (n_rows, n_cols)
@@ -163,12 +168,11 @@ class SearchLog:
 
 
 def _reference_start(feedback, initial):
+    """The scenario and a copy of `initial` (None: all zeros) as a grid, checked as the
+    package checks every grid."""
     layout = feedback.scenario.layout
-    config = (rl.uniform_configuration(layout) if initial is None
-              else np.array(initial, dtype=int))
-    if config.shape != (layout.n_rows, layout.n_cols):
-        raise ValueError("initial configuration does not match the layout")
-    return feedback.scenario, config
+    config = _phase_indices(feedback.scenario, initial).reshape(layout.n_rows, layout.n_cols)
+    return feedback.scenario, config.copy()
 
 
 def reference_blind_search(feedback, initial=None, passes=4):

@@ -20,6 +20,7 @@ from helpers import (
     reference_powers,
     stepwise_blind_search,
     stepwise_greedy_search,
+    uniform_configuration,
 )
 
 
@@ -41,7 +42,7 @@ def test_channel_power_matches_received_power():
 def test_channel_power_includes_jitter():
     s = rl.chamber_scenario(phase_jitter_max_deg=8.0, phase_jitter_seed=2)
     quiet = rl.chamber_scenario()
-    config = rl.uniform_configuration(s.layout, 1)
+    config = uniform_configuration(s.layout, 1)
     assert rl.FeedbackChannel(s).power(config) != rl.FeedbackChannel(quiet).power(config)
     assert rl.FeedbackChannel(s).power(config) == pytest.approx(
         rl.received_power(s, config), rel=1e-12)
@@ -71,7 +72,7 @@ def test_channel_power_checks_the_grid_against_its_scenario():
 def test_a_noiseless_channel_reads_the_power_it_computes():
     s = small_scenario(0)
     fb = rl.FeedbackChannel(s)
-    config = rl.uniform_configuration(s.layout)
+    config = uniform_configuration(s.layout)
     assert fb.measure(config) == fb.power(config)
     assert fb.measure(config) == fb.power(config)
 
@@ -88,7 +89,7 @@ def test_a_channel_takes_its_noise_variance_from_the_scenario_that_checks_it(var
 
 def test_feedback_channel_noise_is_seeded():
     s = replace(small_scenario(1), noise_variance=1e-6)
-    config = rl.uniform_configuration(s.layout)
+    config = uniform_configuration(s.layout)
     a = rl.FeedbackChannel(s, seed=5)
     b = rl.FeedbackChannel(s, seed=5)
     readings_a = [a.measure(config) for _ in range(10)]
@@ -146,7 +147,7 @@ def test_blind_symmetric_boresight_keeps_uniform():
     # perfectly symmetric 2x2 boresight link: any line shift breaks coherence
     s = rl.chamber_scenario(n_rows=2, n_cols=2)
     config, trace = rl.blind_rowcol_search(rl.FeedbackChannel(s))
-    assert np.array_equal(config, rl.uniform_configuration(s.layout))
+    assert np.array_equal(config, uniform_configuration(s.layout))
     assert trace.accepted[1:] == [False] * (trace.n_queries - 1)
     assert max(trace.powers) == trace.powers[0]
 
@@ -170,6 +171,20 @@ def test_blind_initial_validation():
             search(rl.FeedbackChannel(s), outside)
         with pytest.raises(ValueError, match="must hold integers, got dtype float64"):
             search(rl.FeedbackChannel(s), outside - 1.5)
+
+
+@pytest.mark.parametrize("search", [rl.blind_rowcol_search, rl.greedy_element_search],
+                         ids=["blind", "greedy"])
+def test_a_flat_initial_searches_as_its_grid(search):
+    s = replace(rl.chamber_scenario(rx_zenith_deg=25.0, phase_jitter_max_deg=10.0),
+                noise_variance=1e-8)
+    grid = np.random.default_rng(3).integers(0, s.codebook.size, (4, 8))
+    kept = grid.copy()
+    flat_config, flat_trace = search(rl.FeedbackChannel(s, seed=2), grid.reshape(-1))
+    config, trace = search(rl.FeedbackChannel(s, seed=2), grid)
+    assert flat_config.shape == config.shape == (4, 8)
+    assert np.array_equal(flat_config, config) and flat_trace.powers == trace.powers
+    assert np.array_equal(grid, kept)  # each search edits its own copy
 
 
 def test_greedy_single_element_exact():
@@ -226,7 +241,7 @@ def _noisy(s, noise):
     some readings at 0), and its continuous-phase bound: a reading near 0 has no relative
     precision, so powers also pass within 1e-12 of that bound."""
     quiet = rl.FeedbackChannel(s)
-    noise_variance = (noise * quiet.power(rl.uniform_configuration(s.layout))) ** 2
+    noise_variance = (noise * quiet.power(uniform_configuration(s.layout))) ** 2
     bound = quiet.prefactor * float(np.abs(quiet.table[:, 0]).sum()) ** 2
     return replace(s, noise_variance=noise_variance), bound
 
@@ -276,7 +291,7 @@ def test_multi_round_greedy_retries_the_original_index():
 
 def test_feedback_channel_reads_like_one_draw_per_query():
     s = replace(small_scenario(3), noise_variance=1e-6)
-    config = rl.uniform_configuration(s.layout)
+    config = uniform_configuration(s.layout)
     fb = rl.FeedbackChannel(s, seed=7)
     rng = np.random.default_rng(7)
     # past the first noise block, alternating measure and read
@@ -354,7 +369,7 @@ def test_a_trace_replays_its_kept_flags_from_its_readings(tmp_path):
 
 def test_block_reads_take_one_draw_per_reading_across_noise_blocks():
     s = small_scenario(3)
-    config = rl.uniform_configuration(s.layout)
+    config = uniform_configuration(s.layout)
     p0 = rl.FeedbackChannel(s).power(config)
     fb = rl.FeedbackChannel(replace(s, noise_variance=(0.05 * p0) ** 2), seed=7)
     draws = np.random.default_rng(7)

@@ -468,37 +468,23 @@ def test_grid_printer_is_json_indent_of_the_lists(bits, n_rows, n_cols, data):
 
 
 def test_cli_seed_resolution(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RISLINK_SEED", "9")  # the environment sets no seed: only --seed does
     cfg = write(tmp_path, "[scenario]\nnoise_variance_w = 1e-4\n\n"
                           "[sweep s]\ntype = angle\nstart = 0\nstop = 10\nstep = 10\nmethod = blind\n")
-    out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    monkeypatch.delenv("RISLINK_SEED", raising=False)
-    main(["run", str(cfg), "--out", str(out1), "--seed", "9"])
-    monkeypatch.setenv("RISLINK_SEED", "9")
-    main(["run", str(cfg), "--out", str(out2)])
-    monkeypatch.setenv("RISLINK_SEED", "10")
-    main(["run", str(cfg), "--out", str(out3)])
-    a = (out1 / "s.csv").read_bytes()
-    assert a == (out2 / "s.csv").read_bytes()
-    assert a != (out3 / "s.csv").read_bytes()
-    # the flag must win over the environment
-    out4 = tmp_path / "d"
-    monkeypatch.setenv("RISLINK_SEED", "10")
-    main(["run", str(cfg), "--out", str(out4), "--seed", "9"])
-    assert a == (out4 / "s.csv").read_bytes()
-
-
-def test_cli_invalid_env_seed(monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv("RISLINK_SEED", "not-a-number")
-    assert main(["pattern", "--step", "5", "--out", str(tmp_path)]) == 2
-    assert "RISLINK_SEED" in capsys.readouterr().err
+    outs = [tmp_path / name for name in "abcd"]
+    for out, seed in zip(outs, (["--seed", "9"], ["--seed", "9"], ["--seed", "10"], [])):
+        assert main(["run", str(cfg), "--out", str(out), *seed]) == 0
+    a, b, c, d = ((out / "s.csv").read_bytes() for out in outs)
+    assert a == b and a != c
+    plan = rl.load_run_plan(cfg)  # no flag is seed 0
+    assert d == rl.run_sweep(plan.scenario, plan.jobs[0], 0).to_csv().encode()
 
 
 def test_cli_rejects_bad_method(tmp_path, capsys):
     assert main(["sweep-distance", "--method", "magic", "--out", str(tmp_path)]) == 2
 
 
-def test_cli_main_calls_do_not_share_parsed_values(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("RISLINK_SEED", raising=False)
+def test_cli_main_calls_do_not_share_parsed_values(tmp_path, capsys):
     cfg = write(tmp_path, "[scenario]\nn_rows = 2\nn_cols = 3\nnoise_variance_w = 1e-8\n")
     plain = ["beamform", "--config", str(cfg)]
     assert main(plain) == 0
@@ -719,6 +705,71 @@ def test_a_link_whose_power_overflows_a_float_fails_cleanly(tmp_path, capsys, li
     assert not out.exists() and not trace.exists()
 
 
+_FAR = "range to an element overflows a float"
+_HUGE = "range must be positive with a finite square, got 1e+200"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("[scenario]\ntx_distance_m = 1e200\n\n[sweep d]\ntype = distance\n", 2, _HUGE),
+    ("[scenario]\nn_rows = 2\nrx_distance_m = 1e200\n\n[sweep a]\ntype = angle\n", 3, _HUGE),
+    # the grid's last point, 1 + 10 * 1e199, is the farthest RX pose
+    ("[sweep d]\ntype = distance\nstart = 1\nstop = 1e200\nstep = 1e199\n", 4,
+     _HUGE.replace("1e+200", repr(1 + 10 * 1e199))),
+], ids=["tx-distance", "rx-distance", "distance-stop"])
+def test_a_range_whose_square_overflows_names_its_config_line(tmp_path, capsys, text, line,
+                                                              message):
+    cfg, out = write(tmp_path, text), tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {cfg}:{line}: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ("", ["beamform", "--tx-distance", "1e200"], _HUGE),
+    ("", ["beamform", "--method", "greedy", "--rx-distance", "1e200"], _HUGE),
+    ("", ["pattern", "--rx-distance", "1e200"], _HUGE),
+    # points that are no pose: a distance grid's, and any beside a huge surface
+    ("", ["sweep-distance", "--stop", "1e200", "--step", "1e196"], _FAR),
+    ("[scenario]\npitch_x_m = 1e200\n", ["sweep-angle"], _FAR),
+    ("[scenario]\npitch_y_m = 1e200\n", ["beamform", "--method", "blind"], _FAR),
+    # two keys, neither at fault alone: the phase 2 pi (r_t + r_r) / lambda passes DBL_MAX
+    ("[scenario]\nfrequency_hz = 1e308\ntx_distance_m = 1e10\n", ["beamform"],
+     "two-hop phase overflows a float"),
+    ("[scenario]\nfrequency_hz = 1e308\n",
+     ["sweep-distance", "--start", "1e10", "--stop", "2e10", "--step", "1e10"],
+     "two-hop phase overflows a float"),
+    # an amplifier gain past a float in linear scale reads inf: the power check fails
+    ("[amplifier]\ncalibration = 0:4000\n", ["beamform", "--method", "none"],
+     "received power overflows a float"),
+], ids=["beamform-tx", "greedy-rx", "pattern-rx", "sweep-distance-stop", "pitch-x", "pitch-y",
+        "phase-beamform", "phase-sweep", "amplifier-gain"])
+def test_an_overflowing_link_fails_cleanly_from_every_command(tmp_path, capsys, config, argv,
+                                                              message):
+    out = tmp_path / "out"
+    if config:
+        argv = [*argv, "--config", str(write(tmp_path, config))]
+    if argv[0] != "beamform":  # beamform only prints
+        argv = [*argv, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_an_integer_seed_is_recorded_as_an_integer(tmp_path, capsys):
+    lib, cli = tmp_path / "lib", tmp_path / "cli"
+    summary = rl.run_config(_ANGLE_CFG, lib, np.int64(3))
+    assert main(["run", _ANGLE_CFG, "--out", str(cli), "--seed", "3"]) == 0
+    assert summary["seed"] == 3 and type(summary["seed"]) is int
+    assert (lib / "summary.json").read_bytes() == (cli / "summary.json").read_bytes()
+    with pytest.raises(TypeError):  # not an integer: refused before anything is written
+        rl.run_config(_ANGLE_CFG, tmp_path / "float", 3.0)
+    assert not (tmp_path / "float").exists()
+
+
 @pytest.mark.parametrize("grid, currents, line", [
     ("", "0.5, 99", 8), ("n_rows = 2\nn_cols = 2\n", "0.01, 1.4", 10)], ids=["4x8", "2x2"])
 def test_an_over_budget_current_names_its_config_line_or_flag(tmp_path, capsys, grid, currents,
@@ -747,20 +798,11 @@ _ANGLE_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "angle.cfg
                                   ["beamform", "--method", "quantized"],
                                   ["sweep-angle", "--method", "greedy", "--step", "30"]],
                          ids=["run", "beamform-blind", "beamform-quantized", "sweep-greedy"])
-@pytest.mark.parametrize("source", ["flag", "environment"])
-def test_a_negative_seed_is_rejected_before_anything_is_written(tmp_path, capsys, monkeypatch,
-                                                                argv, source):
-    monkeypatch.delenv("RISLINK_SEED", raising=False)
-    if source == "flag":
-        argv = [*argv, "--seed=-1"]
-        message = "--seed must be >= 0, got -1"
-    else:
-        monkeypatch.setenv("RISLINK_SEED", "-3")
-        message = "RISLINK_SEED must be >= 0, got -3"
+def test_a_negative_seed_is_rejected_before_anything_is_written(tmp_path, capsys, argv):
     out = tmp_path / "out"
     writes = [] if argv[0] == "beamform" else ["--out", str(out)]  # beamform only prints
-    assert main([*argv, *writes]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main([*argv, "--seed=-1", *writes]) == 2
+    assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
     assert not out.exists()
 
 

@@ -20,6 +20,7 @@ from helpers import (
     reference_pose_sweep,
     reference_transmission_side_points,
     reference_transmission_side_pose,
+    uniform_configuration,
 )
 from rislink.experiments import (BEAMFORMING_METHODS, CSV_HEADER, MAX_GRID_POINTS, SweepJob,
                                  _closed_form, _mod_2pi, _steer, sweep_grid)
@@ -141,7 +142,7 @@ def test_integer_fields_reject_whole_floats_and_accept_numpy_integers():
 def test_apply_beamforming_methods_disjoint_fields():
     s = rl.chamber_scenario()
     bf_none = rl.apply_beamforming(s, "none")
-    assert np.array_equal(bf_none.configuration, rl.uniform_configuration(s.layout))
+    assert np.array_equal(bf_none.configuration, uniform_configuration(s.layout))
     bf_cont = rl.apply_beamforming(s, "continuous")
     assert bf_cont.configuration is None and bf_cont.phases is not None
     bf_q = rl.apply_beamforming(s, "quantized")

@@ -1,6 +1,7 @@
 """Full-link evaluation: received signal/power, path loss, and the aligned-phase bounds."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -188,6 +189,18 @@ def test_a_null_configuration_reads_infinite_path_loss():
     assert rl.watts_to_dbm(rl.received_power(s)) == -math.inf
     assert rl.path_loss_db(s) == math.inf
     assert min_path_loss(s) == math.inf
+
+
+def test_a_dark_surface_cuts_an_all_null_pattern_quietly():
+    # every row is an exact null: the peak falls on the first angle, and a width and a
+    # sidelobe ratio read NaN, with no numpy warning on the way
+    s = rl.chamber_scenario(calibration=((0.0, -4000.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cut = rl.run_sweep(s, rl.SweepJob("cut", "pattern", "quantized", -20.0, 20.0, 5.0))
+    assert cut.received_power_dbm.tolist() == [-math.inf] * 9
+    assert cut.path_loss_db.tolist() == [math.inf] * 9
+    assert cut.peak_angle_deg == -20.0 and math.isnan(cut.hpbw_deg) and math.isnan(cut.pslr_db)
 
 
 def test_state_validation():
@@ -418,18 +431,48 @@ _SURFACE_ERRORS = [
      (ValueError, "phase_index must be >= 0")),
     ("fractional index", np.full(32, 1.5),
      (ValueError, "phase_index must hold integers, got dtype float64")),
+    # right-sized, but not the documented (n_units,) or (n_rows, n_cols)
+    ("transposed grid", np.zeros((8, 4), dtype=int),
+     (ValueError, "configuration has shape (8, 4), not (32,) or (4, 8)")),
+    ("two rows of sixteen", np.zeros((2, 16), dtype=int),
+     (ValueError, "configuration has shape (2, 16), not (32,) or (4, 8)")),
 ]
 
 
 @pytest.mark.parametrize("configuration, expected",
                          [case[1:] for case in _SURFACE_ERRORS],
                          ids=[case[0] for case in _SURFACE_ERRORS])
-def test_state_errors_match_between_received_power_and_the_kernel(configuration, expected):
+def test_a_surface_error_reads_the_same_on_every_route(configuration, expected):
     s = rl.chamber_scenario()
     cut = _cut_points(s, [-10.0, 0.0, 10.0])
-    via_power = _raised(lambda: rl.received_power(s, configuration))
-    via_kernel = _raised(lambda: rl.link._channel_sums(s, cut, [(configuration, None)]))
-    assert via_power == via_kernel == expected
+    routes = {
+        "received_power": lambda: rl.received_power(s, configuration),
+        "path_loss_db": lambda: rl.path_loss_db(s, configuration),
+        "kernel": lambda: rl.link._channel_sums(s, cut, [(configuration, None)]),
+        "channel power": lambda: rl.FeedbackChannel(s).power(configuration),
+        "blind initial": lambda: rl.blind_rowcol_search(rl.FeedbackChannel(s), configuration),
+        "greedy initial": lambda: rl.greedy_element_search(rl.FeedbackChannel(s), configuration),
+    }
+    assert {name: _raised(route) for name, route in routes.items()} == dict.fromkeys(routes,
+                                                                                   expected)
+
+
+def test_a_transposed_grid_cannot_scramble_the_optimum():
+    # the quantized optimum toward 25 deg, given flat, as its grid, and transposed
+    s = rl.chamber_scenario(rx_zenith_deg=25.0)
+    grid = rl.apply_beamforming(s, "quantized").configuration
+    assert grid.shape == (4, 8) and rl.received_power(s, grid.reshape(-1)) == rl.received_power(
+        s, grid)
+    assert rl.watts_to_dbm(rl.received_power(s, grid)) == pytest.approx(21.85, abs=0.01)
+    with pytest.raises(ValueError, match=r"^configuration has shape \(8, 4\), not"):
+        rl.received_power(s, grid.T)
+    # explicit phases follow the same shapes
+    phases = rl.apply_beamforming(s, "continuous").phases
+    assert rl.received_power(s, None, phases.reshape(4, 8)) == rl.received_power(s, None, phases)
+    for bad, message in ((phases.reshape(8, 4), "has shape (8, 4), not (32,) or (4, 8)"),
+                         (phases[:31], "has 31 entries for 32 units")):
+        for route in (rl.received_power, rl.path_loss_db):
+            assert _raised(route, s, None, bad) == (ValueError, f"phase array {message}")
 
 
 def _per_unit_power(scenario, configuration):

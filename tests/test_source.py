@@ -80,6 +80,36 @@ def test_no_module_reads_another_objects_internals(path):
         assert foreign_private_reads(fh.read()) == []
 
 
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """`line: expression` of every read of the process environment through `os`."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            hits.append(f"{node.lineno}: {ast.unparse(node)}")
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and _ENVIRONMENT & {alias.name for alias in node.names}):
+            hits.append(f"{node.lineno}: {ast.unparse(node)}")
+    return hits
+
+
+def test_the_check_sees_an_environment_read():
+    source = ("import os\nfrom os import getenv\n\n"
+              "seed = os.environ.get('SEED', os.getenv('S'))\npath = os.path.join('a')\n")
+    assert environment_reads(source) == ["2: from os import getenv", "4: os.environ",
+                                         "4: os.getenv"]
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "*.py"))), ids=_source_id)
+def test_no_module_reads_the_environment(path):
+    """Every input comes from the command line, a config file or an argument."""
+    with open(path) as fh:
+        assert environment_reads(fh.read()) == []
+
+
 LINE_BUDGET = 1907  # ROADMAP north-star aim 2: new code is paid for by deletion
 
 
