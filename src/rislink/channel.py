@@ -1,4 +1,4 @@
-"""The speed of light and the cos^q antenna/aperture model of the link's legs."""
+"""The speed of light and the cos^q antenna model of the link's legs."""
 
 from __future__ import annotations
 
@@ -32,10 +32,3 @@ class AntennaModel:
     def gain_from_cosine(self, cos_zenith):
         """Linear gain toward a direction with cos(zenith) = `cos_zenith` in [0, 1]: G * c^q."""
         return self.boresight_gain * cos_zenith ** self.exponent
-
-
-def area_from_cosine(geometric_area: float, cos_zenith):
-    """Projected aperture of a unit cell seen at cos(zenith) = `cos_zenith`: A * c."""
-    if geometric_area <= 0:
-        raise ValueError("geometric area must be positive")
-    return geometric_area * cos_zenith

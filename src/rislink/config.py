@@ -7,7 +7,7 @@ diagnostic carries `path:line:` so a bad config fails loudly and precisely.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .experiments import SweepError, SweepJob, chamber_scenario
 from .link import Scenario
@@ -163,8 +163,6 @@ def build_jobs(sections: dict, path, scenario: Scenario) -> list[SweepJob]:
             jobs.append(SweepJob(job_name, kind, **fields))
             if kind == "gain":  # each current, split evenly over the units, within the budget
                 scenario.amplifier.gain_db([c / scenario.layout.n_units for c in jobs[-1].currents])
-            if kind == "distance":  # the grid's farthest point, as an RX pose
-                replace(scenario.rx_pose, r=float(jobs[-1].grid()[-1]))
         except SupplyBudgetError as e:
             raise _err(path, section["currents_a"][1], f"currents_a: {e}") from None
         except ValueError as e:  # a SweepError names its field; else the farthest range failed

@@ -133,7 +133,8 @@ class SweepJob:
 
     Distance grids are in meters; angle grids, and the `steering_deg` a pattern cut
     is frozen at, in degrees off the normal; gain `currents` in array-level amperes.
-    A grid left None takes `SWEEP_DEFAULTS[kind]`; a bad value raises `SweepError`.
+    A grid left None takes `SWEEP_DEFAULTS[kind]`; a bad value raises `SweepError`, but a
+    distance grid's farthest point past a pose's range raises `SphericalPose`'s error.
     """
 
     name: str
@@ -164,8 +165,10 @@ class SweepJob:
             if getattr(self, key) is None:
                 object.__setattr__(self, key, default)
         grid = self.grid()
-        if self.kind == "distance" and not self.start > 0:
-            raise SweepError("start", f"start must be positive, got {self.start!r}")
+        if self.kind == "distance":
+            if not self.start > 0:
+                raise SweepError("start", f"start must be positive, got {self.start!r}")
+            SphericalPose(float(grid[-1]), 0.0, 0.0)  # the farthest point's range, as a pose's
         # a grid that starts inside (-90, 90) deg can leave it only at the top: blame stop
         angles = {} if self.kind == "distance" else {"start": self.start, "stop": grid}
         if self.kind == "pattern":

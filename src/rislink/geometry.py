@@ -54,6 +54,11 @@ class ArrayLayout:
         for pitch in (self.pitch_x, self.pitch_y):
             if not 0 < pitch < math.inf:
                 raise ValueError(f"element pitch must be positive and finite, got {pitch!r}")
+        if not 0 < self.element_area < math.inf:
+            raise ValueError(f"cell area must be positive and finite, got {self.element_area!r}")
+        half = max((self.n_cols - 1) * self.pitch_x, (self.n_rows - 1) * self.pitch_y) / 2
+        if not half * half < math.inf:  # half ** 2 would raise OverflowError
+            raise ValueError(f"array half-width must have a finite square, got {half!r}")
 
     @property
     def n_units(self) -> int:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import AntennaModel, SPEED_OF_LIGHT, area_from_cosine
+from .channel import AntennaModel, SPEED_OF_LIGHT
 from .geometry import ArrayLayout, SphericalPose, ranges_and_cosines, spherical_to_cartesian
 from .ris import AmplifierModel, PhaseCodebook, PhaseJitterModel
 
@@ -124,14 +124,15 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray):
     g_t = scenario.tx_antenna.gain_from_cosine(c_t)
     amplifier = scenario.amplifier
     with np.errstate(all="ignore"):  # an overflow (or NaN) fails below, in each chunk's check
-        gain_area_t = amplifier.gain_linear(amplifier.top_current) * area_from_cosine(area, c_t)
+        gain_area_t = from_db(amplifier.gain_db(amplifier.top_current)) * (area * c_t)
     step = max(1, _CHUNK_ELEMENTS // layout.n_units)
     for lo in range(0, len(rx_points), step):
         r_r, c_r = ranges_and_cosines(rx_points[lo:lo + step], layout)
         # sqrt(g_t g_r) / (r_t r_r) * sigma and 2 pi (r_t + r_r) / lambda, in place
         amp, phi = scenario.rx_antenna.gain_from_cosine(c_r), r_t + r_r
         with np.errstate(all="ignore"):  # a phase or amplitude that overflows (or NaN) fails below
-            sigma = np.sqrt(np.multiply(gain_area_t, area_from_cosine(area, c_r), out=c_r), out=c_r)
+            np.multiply(area, c_r, out=c_r)  # the RX leg's aperture A c_r
+            sigma = np.sqrt(np.multiply(gain_area_t, c_r, out=c_r), out=c_r)
             np.divide(np.multiply(2.0 * math.pi, phi, out=phi), scenario.wavelength, out=phi)
             np.sqrt(np.multiply(g_t, amp, out=amp), out=amp)
             np.divide(amp, np.multiply(r_t, r_r, out=r_r), out=amp)
@@ -188,14 +189,17 @@ def _link_budget_db(scenario: Scenario, sums) -> tuple[np.ndarray, np.ndarray]:
     """dBm and path-loss dB arrays of the channel sums `sums`, from |S|^2 = np.abs(S) ** 2.
 
     dBm takes math.log10 per value as watts_to_dbm does (numpy's log10 is an ulp off
-    on ~2% of inputs), dB np.log10 of 16 pi^2 / |S|^2; an exact null reads -inf dBm
-    and inf dB, and a loss ratio past a float (|S|^2 below ~9e-307) inf dB.
+    on ~2% of inputs), dB np.log10 of 16 pi^2 / |S|^2, or 10 log10(16 pi^2) - 10 log10 |S|^2
+    where that ratio passes a float (|S|^2 below ~9e-307); an exact null reads -inf dBm, inf dB.
     """
     ssq = np.abs(np.asarray(sums)) ** 2
     p_mw = scenario.tx_power / SIXTEEN_PI_SQ * ssq * 1e3
     dbm = np.array([-math.inf if p == 0 else 10.0 * math.log10(p) for p in p_mw.tolist()])
     with np.errstate(divide="ignore", over="ignore"):
-        return dbm, 10.0 * np.log10(SIXTEEN_PI_SQ / ssq)
+        db = 10.0 * np.log10(SIXTEEN_PI_SQ / ssq)
+        tiny = np.isinf(db) & (ssq > 0)
+        db[tiny] = 10.0 * math.log10(SIXTEEN_PI_SQ) - 10.0 * np.log10(ssq[tiny])
+    return dbm, db
 
 
 def received_power(scenario: Scenario, configuration=None, phases=None) -> float:

@@ -102,11 +102,6 @@ class AmplifierModel:
         out = np.interp(c, *np.array(self.calibration).T)
         return out if out.ndim else float(out)
 
-    def gain_linear(self, current):
-        """Linear power gain G_u at `current` (scalar or ndarray); a gain past a float reads
-        inf (numpy's overflow warning, which the link silences, then fails by its power check)."""
-        return np.float64(10.0) ** (self.gain_db(current) / 10.0)
-
     @classmethod
     def passive(cls) -> "AmplifierModel":
         """Unity-gain surface (0 dB at any admissible current)."""

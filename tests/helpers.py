@@ -9,7 +9,6 @@ import numpy as np
 
 import rislink as rl
 from rislink.beamforming import _powers, wrap_to_pi
-from rislink.channel import area_from_cosine
 from rislink.experiments import SweepResult
 from rislink.geometry import _cell_offsets, ranges_and_cosines, spherical_to_cartesian
 from rislink.link import (
@@ -120,7 +119,7 @@ def unit_transmission_coefficient(state, codebook, amplifier, jitter=None, rng=N
         )
     if jitter is not None and rng is None:
         raise ValueError("unit_transmission_coefficient needs an rng to draw the unit's jitter")
-    mag = math.sqrt(amplifier.gain_linear(state.current))
+    mag = math.sqrt(rl.from_db(amplifier.gain_db(state.current)))
     phase = float(codebook.phases()[state.phase_index])
     if jitter is not None:
         phase += float(rng.uniform(-jitter.max_error, jitter.max_error))
@@ -148,7 +147,7 @@ def unit_rcs(state, amplifier, incidence_zenith, departure_zenith, geometric_are
     """
     a_in = zenith_area(geometric_area, incidence_zenith)
     a_out = zenith_area(geometric_area, departure_zenith)
-    return math.sqrt(amplifier.gain_linear(state.current) * a_in * a_out)
+    return math.sqrt(rl.from_db(amplifier.gain_db(state.current)) * a_in * a_out)
 
 
 class SearchLog:
@@ -357,7 +356,7 @@ def zenith_gain(antenna, zenith):
 
 def zenith_area(geometric_area, zenith):
     """Projected aperture of a unit cell seen at `zenith` in [0, pi/2]: A cos(zenith)."""
-    a = area_from_cosine(geometric_area, np.cos(zenith))
+    a = geometric_area * np.cos(zenith)
     return a if isinstance(a, np.ndarray) else float(a)
 
 
@@ -371,8 +370,8 @@ def received_power_expanded(scenario, configuration=None, phases=None, current=N
     top calibrated current, where the link kernel runs).
     """
     amplifier = scenario.amplifier
-    unit_gains = amplifier.gain_linear(
-        np.full(scenario.layout.n_units, amplifier.top_current if current is None else current))
+    unit_gains = rl.from_db(amplifier.gain_db(
+        np.full(scenario.layout.n_units, amplifier.top_current if current is None else current)))
     idx = _phase_indices(scenario, configuration)
     r_t, c_t = ranges_and_cosines(spherical_to_cartesian(scenario.tx_pose), scenario.layout)
     r_r, c_r = ranges_and_cosines(spherical_to_cartesian(scenario.rx_pose), scenario.layout)
@@ -510,8 +509,8 @@ def reference_path_table(scenario, rx_points):
     g_t = scenario.tx_antenna.gain_from_cosine(c_t)
     g_r = scenario.rx_antenna.gain_from_cosine(c_r)
     amplifier = scenario.amplifier
-    gain_area_t = amplifier.gain_linear(amplifier.top_current) * area_from_cosine(area, c_t)
-    sigma = np.sqrt(gain_area_t * area_from_cosine(area, c_r))
+    gain_area_t = rl.from_db(amplifier.gain_db(amplifier.top_current)) * (area * c_t)
+    sigma = np.sqrt(gain_area_t * (area * c_r))
     phi = 2.0 * math.pi * (r_t + r_r) / scenario.wavelength
     return np.sqrt(g_t * g_r) / (r_t * r_r) * sigma, phi
 

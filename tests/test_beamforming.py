@@ -159,6 +159,17 @@ def test_blind_single_element_is_trivially_optimal():
     assert max(trace.powers) == pytest.approx(best, rel=1e-12)
 
 
+@pytest.mark.parametrize("search, budget, message", [
+    ("blind_rowcol_search", {"passes": 0}, "passes must be >= 1"),
+    ("greedy_element_search", {"max_rounds": 0}, "max_rounds must be >= 1"),
+])
+def test_a_direct_search_call_checks_its_own_budget(search, budget, message):
+    """`apply_beamforming` checks the budget for every method, closed forms included,
+    but a library caller may call a search directly: each search checks its own."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        getattr(rl, search)(rl.FeedbackChannel(small_scenario(2)), **budget)
+
+
 def test_blind_initial_validation():
     s = small_scenario(2)
     with pytest.raises(ValueError):

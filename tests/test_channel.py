@@ -1,4 +1,4 @@
-"""Antenna pattern, projected aperture, and per-element channel coefficients."""
+"""Antenna pattern and per-element channel coefficients."""
 
 import cmath
 import math
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import channel_coefficient, element_grid, pose_channel_coefficient
-from rislink.channel import SPEED_OF_LIGHT, AntennaModel, area_from_cosine
+from rislink.channel import SPEED_OF_LIGHT, AntennaModel
 from rislink.experiments import chamber_scenario
 from rislink.geometry import ArrayLayout, SphericalPose
 
@@ -65,18 +65,6 @@ def test_antenna_monotone_toward_grazing(g0, q, z, dz):
     ant = AntennaModel(g0, q)
     toward_grazing = math.cos(min(z + dz, math.pi / 2))
     assert ant.gain_from_cosine(toward_grazing) <= ant.gain_from_cosine(math.cos(z)) + 1e-15
-
-
-def test_projected_area_values():
-    assert area_from_cosine(0.0036, 1.0) == 0.0036
-    assert area_from_cosine(0.0036, math.cos(math.pi / 3)) == pytest.approx(0.0018, rel=1e-12)
-    assert area_from_cosine(0.0036, 0.0) == 0.0
-    assert np.array_equal(area_from_cosine(0.5, np.array([1.0, 0.5, 0.0])), [0.5, 0.25, 0.0])
-
-
-def test_projected_area_validation():
-    with pytest.raises(ValueError):
-        area_from_cosine(0.0, 0.5)
 
 
 def test_channel_coefficient_boresight_example():

@@ -127,8 +127,9 @@ def test_a_run_succeeds_or_fails_with_one_error_line(text):
     if code == 0:
         assert err == "" and rows is not None
         for row in rows:  # an exact null reads -inf dBm and inf dB; never NaN
-            for column in ("received_power_dBm", "path_loss_dB"):
-                assert not math.isnan(float(row[column])), (text, row)
+            dbm, db = float(row["received_power_dBm"]), float(row["path_loss_dB"])
+            assert not (math.isnan(dbm) or math.isnan(db)), (text, row)
+            assert not (math.isfinite(dbm) and math.isinf(db)), (text, row)
     else:
         assert code == 2, text
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err

@@ -308,8 +308,9 @@ _PARSE = {"method": str, "currents_a": _parse_currents}
     ("pattern", {"steering_deg": "95"}, "steering_deg"),
     ("distance", {"method": "magic"}, "method"),
     ("gain", {"currents_a": "nan"}, "currents_a"),
+    ("distance", {"start": "1", "stop": "1e200", "step": "1e199"}, "stop"),
 ], ids=["stop-inf", "stop-below-start", "tiny-step", "angle-start", "steering", "method",
-        "nan-current"])
+        "nan-current", "stop-past-a-pose"])
 def test_a_sweep_value_is_rejected_in_the_same_words_everywhere(tmp_path, capsys, kind, keys,
                                                                 blamed):
     fields = {_FIELDS.get(k, k): _PARSE.get(k, float)(v) for k, v in keys.items()}
@@ -707,6 +708,7 @@ def test_a_link_whose_power_overflows_a_float_fails_cleanly(tmp_path, capsys, li
 
 _FAR = "range to an element overflows a float"
 _HUGE = "range must be positive with a finite square, got 1e+200"
+_WIDE = "array half-width must have a finite square, got "
 
 
 @pytest.mark.parametrize("text, line, message", [
@@ -730,10 +732,13 @@ def test_a_range_whose_square_overflows_names_its_config_line(tmp_path, capsys, 
     ("", ["beamform", "--tx-distance", "1e200"], _HUGE),
     ("", ["beamform", "--method", "greedy", "--rx-distance", "1e200"], _HUGE),
     ("", ["pattern", "--rx-distance", "1e200"], _HUGE),
-    # points that are no pose: a distance grid's, and any beside a huge surface
-    ("", ["sweep-distance", "--stop", "1e200", "--step", "1e196"], _FAR),
-    ("[scenario]\npitch_x_m = 1e200\n", ["sweep-angle"], _FAR),
-    ("[scenario]\npitch_y_m = 1e200\n", ["beamform", "--method", "blind"], _FAR),
+    ("", ["sweep-distance", "--stop", "1e200", "--step", "1e196"], _HUGE),
+    # a surface whose half-width squares past a float names its line; a pose whose range
+    # squares within one can still sit too far from the edge of a wide surface
+    ("[scenario]\npitch_x_m = 1e200\n", ["sweep-angle"], f"{{cfg}}:2: {_WIDE}3.5e+200"),
+    ("[scenario]\npitch_y_m = 1e200\n", ["beamform", "--method", "blind"],
+     f"{{cfg}}:2: {_WIDE}1.5e+200"),
+    ("[scenario]\npitch_x_m = 1e153\nrx_distance_m = 1.3e154\n", ["beamform"], _FAR),
     # two keys, neither at fault alone: the phase 2 pi (r_t + r_r) / lambda passes DBL_MAX
     ("[scenario]\nfrequency_hz = 1e308\ntx_distance_m = 1e10\n", ["beamform"],
      "two-hop phase overflows a float"),
@@ -744,18 +749,18 @@ def test_a_range_whose_square_overflows_names_its_config_line(tmp_path, capsys, 
     ("[amplifier]\ncalibration = 0:4000\n", ["beamform", "--method", "none"],
      "received power overflows a float"),
 ], ids=["beamform-tx", "greedy-rx", "pattern-rx", "sweep-distance-stop", "pitch-x", "pitch-y",
-        "phase-beamform", "phase-sweep", "amplifier-gain"])
+        "far-beside-a-wide-surface", "phase-beamform", "phase-sweep", "amplifier-gain"])
 def test_an_overflowing_link_fails_cleanly_from_every_command(tmp_path, capsys, config, argv,
                                                               message):
-    out = tmp_path / "out"
+    out, cfg = tmp_path / "out", write(tmp_path, config)
     if config:
-        argv = [*argv, "--config", str(write(tmp_path, config))]
+        argv = [*argv, "--config", str(cfg)]
     if argv[0] != "beamform":  # beamform only prints
         argv = [*argv, "--out", str(out)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: {message.format(cfg=cfg)}\n")
     assert not out.exists()
 
 
@@ -857,6 +862,24 @@ def test_the_link_budget_of_a_null_sum_is_infinite_without_a_warning():
     lone_dbm, lone_db = rl.link._link_budget_db(s, sums[1:])
     assert dbm.tolist() == [-math.inf, lone_dbm[0]]
     assert db.tolist() == [math.inf, lone_db[0]]
+
+
+def test_a_tiny_channel_sum_keeps_the_link_budget_identity(tmp_path, capsys):
+    """|S|^2 below ~9e-307 puts 16 pi^2 / |S|^2 past a float, yet P_r is finite: the
+    path loss is still P_t / P_r, so dBm plus dB is the TX power in dBm on every row."""
+    cfg = write(tmp_path, "[scenario]\ntx_distance_m = 1e154\ntx_power_w = 2.0\n\n"
+                          "[sweep far]\ntype = distance\nmethod = none\nstart = 1\nstop = 3\n"
+                          "step = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run" / "far.csv", newline="") as fh:
+        rows = [(float(row["received_power_dBm"]), float(row["path_loss_dB"]))
+                for row in csv.DictReader(fh)]
+    assert len(rows) == 3
+    for dbm, db in rows:
+        assert math.isfinite(dbm) and math.isfinite(db)
+        assert dbm + db == pytest.approx(10.0 * math.log10(2.0 / 1e-3), abs=1e-9)
 
 
 @pytest.mark.parametrize("flag", [["--config", _ANGLE_CFG], ["--tx-distance", "3"],

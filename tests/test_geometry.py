@@ -1,6 +1,7 @@
 """Poses, element placement, and path-length helpers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from helpers import (
     element_position,
     reference_ranges_and_cosines,
 )
+from rislink.config import ConfigError, load_run_plan
+from rislink.experiments import chamber_scenario
 from rislink.geometry import (
     ArrayLayout,
     SphericalPose,
@@ -56,6 +59,29 @@ def test_layout_validation():
         ArrayLayout(0, 8)
     with pytest.raises(ValueError):
         ArrayLayout(4, 8, -0.06, 0.06)
+
+
+@pytest.mark.parametrize("keys, line, message", [
+    ({"pitch_x_m": 1e-200, "pitch_y_m": 1e-200}, 3,
+     "cell area must be positive and finite, got 0.0"),
+    ({"n_rows": 1, "n_cols": 1, "pitch_x_m": 1e160, "pitch_y_m": 1e160}, 5,
+     "cell area must be positive and finite, got inf"),
+    # 7 columns of 1e200 m: a half-width of 3.5e200 m, whose square is past a float
+    ({"pitch_x_m": 1e200}, 2, "array half-width must have a finite square, got 3.5e+200"),
+], ids=["zero-area", "infinite-area", "wide"])
+def test_a_layout_past_a_float_fails_where_it_is_built(tmp_path, keys, line, message):
+    """Each pitch is positive and finite, but the cell area or the half-width is not: the
+    layout refuses it, so the builder does and a config names the key that tipped it."""
+    grid = {"n_rows": 4, "n_cols": 8, "pitch_x_m": 0.06, "pitch_y_m": 0.06, **keys}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ArrayLayout(*grid.values())
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        chamber_scenario(**keys)
+    cfg = tmp_path / "layout.cfg"
+    cfg.write_text("[scenario]\n" + "".join(f"{k} = {v!r}\n" for k, v in keys.items()))
+    with pytest.raises(ConfigError) as exc:
+        load_run_plan(cfg)
+    assert str(exc.value) == f"{cfg}:{line}: {message}"
 
 
 def test_layout_derived():

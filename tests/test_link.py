@@ -384,6 +384,15 @@ def test_kernel_keeps_the_per_point_errors():
         rl.received_power, s, None, np.zeros(31))
 
 
+def test_a_scenario_checks_its_own_poses_sides():
+    """`Scenario` refuses its own poses on one side or in the plane; `_weight_chunks` checks
+    the points a sweep or cut moves the RX to, which no `Scenario` is built for."""
+    s = rl.chamber_scenario()
+    for rx_pose in (s.tx_pose, rl.SphericalPose(4.0, math.pi / 2, 0.0)):
+        with pytest.raises(ValueError, match="^TX and RX must sit strictly on opposite sides"):
+            replace(s, rx_pose=rx_pose)
+
+
 def test_pattern_cut_keeps_the_per_point_errors():
     s = rl.chamber_scenario()
     # TX on the transmission side: every cut point shares its half-space
@@ -606,7 +615,7 @@ def test_an_amplifying_surface_delivers_at_most_its_gain_times_the_transmit_powe
         tx_gain_dbi=_horn_dbi(q[0]), tx_exponent=q[0],
         rx_gain_dbi=_horn_dbi(q[1]), rx_exponent=q[1],
         phase_jitter_max_deg=jitter_deg, phase_jitter_seed=seed)
-    cap = s.tx_power * s.amplifier.gain_linear(s.amplifier.top_current)
+    cap = s.tx_power * rl.from_db(s.amplifier.gain_db(s.amplifier.top_current))
     assert rl.max_received_power(s) <= cap
     for method in ("none", "continuous", "quantized"):
         bf = rl.apply_beamforming(s, method)

@@ -17,6 +17,7 @@ from rislink.ris import (
     SupplyBudgetError,
     encode_control,
 )
+from rislink.link import from_db
 
 
 def test_codebook_default_two_bit():
@@ -69,7 +70,7 @@ def test_amplifier_default_anchors():
 def test_amplifier_interpolates_in_db():
     amp = AmplifierModel(((0.01, 0.0), (0.03, 10.0)))
     assert amp.gain_db(0.02) == pytest.approx(5.0, rel=1e-12)
-    assert amp.gain_linear(0.02) == pytest.approx(10 ** 0.5, rel=1e-12)
+    assert from_db(amp.gain_db(0.02)) == pytest.approx(10 ** 0.5, rel=1e-12)
 
 
 def test_amplifier_clamps_outside_anchors():
@@ -91,13 +92,13 @@ def test_amplifier_budget():
 
 def test_amplifier_sixteen_db_point():
     amp = AmplifierModel(((0.0, 16.0),))
-    assert math.sqrt(amp.gain_linear(0.05)) == pytest.approx(6.309573444801933, rel=1e-14)
+    assert math.sqrt(from_db(amp.gain_db(0.05))) == pytest.approx(6.309573444801933, rel=1e-14)
 
 
 def test_amplifier_passive():
     amp = AmplifierModel.passive()
-    assert amp.gain_linear(0.0) == 1.0
-    assert amp.gain_linear(0.12) == 1.0
+    assert from_db(amp.gain_db(0.0)) == 1.0
+    assert from_db(amp.gain_db(0.12)) == 1.0
 
 
 def test_amplifier_validation():

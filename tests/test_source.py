@@ -80,6 +80,40 @@ def test_no_module_reads_another_objects_internals(path):
         assert foreign_private_reads(fh.read()) == []
 
 
+def powers_of_ten(source: str) -> list[str]:
+    """`line: expression` of every power of ten: `10 ** x`, also with the 10 wrapped in a
+    one-argument call such as `np.float64(10.0)`, or `pow`/`math.pow`/`np.power(10, x)`."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base = node.left
+        elif (isinstance(node, ast.Call) and node.args
+              and ast.unparse(node.func) in ("pow", "math.pow", "np.power", "numpy.power")):
+            base = node.args[0]
+        else:
+            continue
+        while isinstance(base, ast.Call) and len(base.args) == 1:
+            base = base.args[0]
+        if isinstance(base, ast.Constant) and base.value == 10:
+            hits.append(f"{node.lineno}: {ast.unparse(node)}")
+    return hits
+
+
+def test_the_check_sees_a_power_of_ten():
+    source = ("a = 10.0 ** (db / 10.0)\nb = np.float64(10) ** x + 2 ** bits\n"
+              "c = np.power(10, x), math.pow(10.0, y), 10 * x ** 2\n")
+    assert powers_of_ten(source) == ["1: 10.0 ** (db / 10.0)", "2: np.float64(10) ** x",
+                                     "3: np.power(10, x)", "3: math.pow(10.0, y)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_source_id)
+def test_only_the_link_turns_db_into_linear(path):
+    """`link.from_db` is the one dB-to-linear rule: no other module raises 10 to a power."""
+    with open(path) as fh:
+        hits = powers_of_ten(fh.read())
+    assert len(hits) == (1 if os.path.basename(path) == "link.py" else 0), hits
+
+
 _ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
