@@ -8,6 +8,8 @@ count and the variable, value and config_digest columns must match exactly;
 the dB columns must match within 1e-12 relative, with a 1e-12 dB absolute
 floor near 0 dB.  Every number in a summary.json follows the dB rule and
 everything else in it must be equal; any other file must match byte for byte.
+A row of NEW whose dBm is -inf beside a finite dB is a mismatch on its own: only
+an exact null reads -inf dBm, and its path loss is inf.
 
 Prints the worst gap of each dB column (and of the summary.json numbers),
 relative to REFERENCE, with where it occurs; then every mismatch.  Exits 1
@@ -53,6 +55,7 @@ class Comparison:
             self.problems.append(f"{name}: {len(got) - 1} rows vs {len(want) - 1}")
             return
         header = want[0]
+        dbm_db = [header.index(c) for c in DB_COLUMNS] if set(DB_COLUMNS) <= set(header) else None
         for i, (g_row, w_row) in enumerate(zip(got[1:], want[1:])):
             where = f"{name} row {i}"
             for column, g, w in zip(header, g_row, w_row):
@@ -60,6 +63,10 @@ class Comparison:
                     self.number(column, where, float(g), float(w))
                 elif g != w:
                     self.problems.append(f"{where} {column}: {g} vs {w}")
+            if dbm_db:  # a CSV with both dB columns (a search trace has neither)
+                dbm, db = (float(g_row[j]) for j in dbm_db)
+                if dbm == -math.inf and math.isfinite(db):
+                    self.problems.append(f"{where}: -inf dBm beside a finite {db!r} dB")
 
     def json_value(self, where: str, got, want) -> None:
         if type(got) is not type(want):

@@ -103,18 +103,15 @@ def _cmd_beamform(args) -> int:
 def _dumps_indented(out: dict, grid, grids: dict) -> str:
     """json.dumps(out, indent=2, sort_keys=True), byte for byte, plus each of `grids`: a key
     whose value is the index `grid` in the JSON tokens it maps each codebook index to.
-    `indent` selects json's pure-Python encoder, so the object is laid out here: each
-    scalar by the C encoder, each list by `_indented_list`, each grid by `_grid_text`."""
-    values = {k: _indented_list(v) if isinstance(v, list) else json.dumps(v) for k, v in out.items()}
-    values.update((k, _grid_text(grid, tokens)) for k, tokens in grids.items())
-    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {values[k]}" for k in sorted(values)) + "\n}"
-
-
-def _indented_list(items: list) -> str:
-    """A list of scalars as indent=2 lays it out as a top-level value."""
-    if not items:
-        return "[]"
-    return "[\n    " + json.dumps(items, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+    `indent` walks lists in pure Python, so each grid (`_grid_text`) and non-empty list (the C
+    encoder) goes over its key's `"key": 0` placeholder; json escapes quotes inside a value."""
+    texts = {k: _grid_text(grid, tokens) for k, tokens in grids.items()}
+    texts.update((k, "[\n    " + json.dumps(v, separators=(",\n    ", ": "))[1:-1] + "\n  ]")
+                 for k, v in out.items() if isinstance(v, list) and v)
+    text = json.dumps({**out, **dict.fromkeys(texts, 0)}, indent=2, sort_keys=True)
+    for key, value in texts.items():
+        text = text.replace(f'"{key}": 0', f'"{key}": {value}', 1)
+    return text
 
 
 # How indent=2 lays out a top-level grid around its entries

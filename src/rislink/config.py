@@ -157,8 +157,6 @@ def build_jobs(sections: dict, path, scenario: Scenario) -> list[SweepJob]:
         fields = {attr: _parse(key, *raw.pop(key), convert, path)
                   for key, (attr, convert, kinds) in _SWEEP_KEYS.items()
                   if key in raw and kind in kinds}
-        if kind == "gain" and "currents" not in fields:
-            raise _err(path, section.line, f"[{name}] of type gain needs currents_a")
         try:
             jobs.append(SweepJob(job_name, kind, **fields))
             if kind == "gain":  # each current, split evenly over the units, within the budget

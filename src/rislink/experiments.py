@@ -156,7 +156,7 @@ class SweepJob:
             raise SweepError("method", f"unknown beamforming method {self.method!r}")
         if self.kind == "gain":
             if len(self.currents) == 0:
-                raise SweepError("currents", "need at least one supply current")
+                raise SweepError("currents", "a gain sweep needs at least one supply current")
             bad = [c for c in self.currents if not c >= 0]  # NaN fails c >= 0 too
             if bad:
                 raise SweepError("currents", f"currents must be >= 0, got {bad[0]!r}")

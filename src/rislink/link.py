@@ -191,6 +191,7 @@ def _link_budget_db(scenario: Scenario, sums) -> tuple[np.ndarray, np.ndarray]:
     dBm takes math.log10 per value as watts_to_dbm does (numpy's log10 is an ulp off
     on ~2% of inputs), dB np.log10 of 16 pi^2 / |S|^2, or 10 log10(16 pi^2) - 10 log10 |S|^2
     where that ratio passes a float (|S|^2 below ~9e-307); an exact null reads -inf dBm, inf dB.
+    Where P_r in mW underflows a normal float while |S|^2 > 0, dBm is 10 log10(P_t / 1 mW) - dB.
     """
     ssq = np.abs(np.asarray(sums)) ** 2
     p_mw = scenario.tx_power / SIXTEEN_PI_SQ * ssq * 1e3
@@ -199,6 +200,8 @@ def _link_budget_db(scenario: Scenario, sums) -> tuple[np.ndarray, np.ndarray]:
         db = 10.0 * np.log10(SIXTEEN_PI_SQ / ssq)
         tiny = np.isinf(db) & (ssq > 0)
         db[tiny] = 10.0 * math.log10(SIXTEEN_PI_SQ) - 10.0 * np.log10(ssq[tiny])
+    lost = (p_mw < np.finfo(float).tiny) & (ssq > 0)
+    dbm[lost] = watts_to_dbm(scenario.tx_power) - db[lost]
     return dbm, db
 
 

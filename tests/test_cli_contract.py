@@ -112,7 +112,8 @@ def test_the_fuzz_draws_every_scenario_key():
 # one config of each class that once ran on into NaN rows, warnings or a traceback: a
 # range whose square overflows a float (a key, a pitch or a distance grid's stop), a
 # two-hop phase past a float, a dark surface's all-null cut, an amplifier gain past a
-# float in linear scale, and a path-loss ratio past a float
+# float in linear scale, a path-loss ratio past a float, and a received power in mW that
+# underflows a float while the path loss stays finite
 @example("[scenario]\ntx_distance_m = 1e200\n[sweep s0]\ntype = distance\n")
 @example("[scenario]\npitch_x_m = 1e200\n[sweep s0]\ntype = angle\n")
 @example("[sweep s0]\ntype = distance\nstart = 0.5\nstop = 1e200\nstep = 1e199\n")
@@ -120,16 +121,18 @@ def test_the_fuzz_draws_every_scenario_key():
 @example("[amplifier]\ncalibration = 0:-4000\n[sweep s0]\ntype = pattern\n")
 @example("[amplifier]\ncalibration = 0:4000\n[sweep s0]\ntype = gain\ncurrents_a = 0.01\n")
 @example("[scenario]\ntx_distance_m = 1e154\n[sweep s0]\ntype = distance\nmethod = none\n")
+@example("[scenario]\ntx_distance_m = 1e154\ntx_power_w = 1e-30\n[sweep s0]\ntype = distance\n"
+         "method = none\n")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(config_text())
 def test_a_run_succeeds_or_fails_with_one_error_line(text):
     code, err, rows = _run(text)
     if code == 0:
         assert err == "" and rows is not None
-        for row in rows:  # an exact null reads -inf dBm and inf dB; never NaN
+        for row in rows:  # an exact null reads -inf dBm and inf dB, and only it; never NaN
             dbm, db = float(row["received_power_dBm"]), float(row["path_loss_dB"])
             assert not (math.isnan(dbm) or math.isnan(db)), (text, row)
-            assert not (math.isfinite(dbm) and math.isinf(db)), (text, row)
+            assert math.isinf(dbm) == math.isinf(db), (text, row)
     else:
         assert code == 2, text
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err

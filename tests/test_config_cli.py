@@ -102,11 +102,11 @@ max_current_a = 0.05
     ("[bogus]\nx = 1\n", "unknown section"),
     ("[sweep s]\nstart = 1\n", "needs a 'type'"),
     ("[sweep s]\ntype = magic\n", ":2:"),
-    ("[sweep s]\ntype = gain\n", "currents_a"),
+    ("[sweep s]\ntype = gain\n", ":1: a gain sweep needs at least one supply current"),
     ("[sweep s]\ntype = angle\nstop = 90\n", ":3:"),
     # section-level errors point at the section's header line
     ("[scenario]\n\n[bogus]\nx = 1\n", ":3: unknown section [bogus]"),
-    ("[scenario]\n[sweep s]\ntype = gain\n", ":2: [sweep s] of type gain needs currents_a"),
+    ("[scenario]\n[sweep s]\ntype = gain\n", ":2: a gain sweep needs at least one supply current"),
     ("[scenario]\n[sweep s]\n", ":2: [sweep s] needs a 'type' key"),
     ("[scenario]\n\n[amplifier]\nmax_current_a = 0.01\n", ":4: calibration exceeds the supply budget"),
 ])
@@ -115,6 +115,15 @@ def test_load_run_plan_diagnostics(tmp_path, text, line_token):
     with pytest.raises(ConfigError) as exc:
         load_run_plan(p)
     assert line_token in str(exc.value)
+
+
+def test_an_empty_gain_sweep_reads_as_the_library_refuses_it(tmp_path):
+    with pytest.raises(ValueError) as lib:
+        rl.SweepJob("s", "gain")
+    p = write(tmp_path, "[scenario]\n[sweep s]\ntype = gain\n")
+    with pytest.raises(ConfigError) as exc:
+        load_run_plan(p)
+    assert str(exc.value) == f"{p}:2: {lib.value}"
 
 
 def test_load_run_plan_jobs(tmp_path):
@@ -449,16 +458,22 @@ def test_every_cut_row_reads_the_library_path_loss_at_its_pose(tmp_path, cfg):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 12), st.integers(1, 12), st.data())
-def test_grid_printer_is_json_indent_of_the_lists(bits, n_rows, n_cols, data):
+@given(st.integers(1, 5), st.integers(1, 12), st.integers(1, 12), st.booleans(), st.data())
+def test_grid_printer_is_json_indent_of_the_lists(bits, n_rows, n_cols, gridded, data):
     k = 2 ** bits
     grid = np.array(data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=n_cols,
                                                 max_size=n_cols),
                                        min_size=n_rows, max_size=n_rows)))
+    # a string that spells a grid's or a list's placeholder must stay a string
     scalar = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.floats(allow_nan=False),
-                       st.text(max_size=8))
+                       st.text(max_size=8),
+                       st.just('"phase_indices": 0, "control_words": 0, "phases_rad": 0'))
+    value = st.one_of(scalar, st.lists(st.floats(allow_nan=False), max_size=6))  # phases_rad
     # keys sorting before, between and after the grids' keys
-    out = {key: data.draw(scalar) for key in ("a", "config_digest", "method", "zz")}
+    out = {key: data.draw(value) for key in ("a", "config_digest", "method", "phases_rad", "zz")}
+    if not gridded:  # a continuous method prints no grid
+        assert rl.cli._dumps_indented(out, None, {}) == json.dumps(out, indent=2, sort_keys=True)
+        return
     grids = {"phase_indices": [str(i) for i in range(k)]}
     words = {}
     if bits == 2:

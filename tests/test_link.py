@@ -191,6 +191,18 @@ def test_a_null_configuration_reads_infinite_path_loss():
     assert min_path_loss(s) == math.inf
 
 
+def test_an_underflowing_received_power_reads_tx_power_less_path_loss():
+    # P_t / (16 pi^2) |S|^2 in mW underflows to 0 (1e-150) or a subnormal (1e-145) while
+    # |S|^2 > 0: the row reads P_t - PL in dBm, not an exact null's -inf
+    s = replace(rl.chamber_scenario(), tx_power=1e-30)
+    sums = [1e-150, 1e-145, 1e-130, 0.0]
+    dbm, db = rl.link._link_budget_db(s, sums)
+    assert np.all(np.isfinite(dbm[:3])) and np.all(np.isfinite(db[:3]))
+    np.testing.assert_allclose(dbm[:3] + db[:3], rl.watts_to_dbm(s.tx_power), rtol=1e-15)
+    assert dbm[2] == 10.0 * math.log10(1e-30 / (16 * math.pi ** 2) * 1e-260 * 1e3)
+    assert (dbm[3], db[3]) == (-math.inf, math.inf)  # an exact null stays one
+
+
 def test_a_dark_surface_cuts_an_all_null_pattern_quietly():
     # every row is an exact null: the peak falls on the first angle, and a width and a
     # sidelobe ratio read NaN, with no numpy warning on the way

@@ -88,7 +88,35 @@ def _check_sweep(link: M.Link, sw, rows, entry) -> int:
         peak = entry["metrics"]["peak_angle_deg"]
         (i,) = np.flatnonzero(values == peak)
         assert ex.power_w[i] >= ex.power_w.max() * (1.0 - 1e-9), where
+        got = [entry["metrics"][key] for key in ("hpbw_deg", "pslr_db")]
+        np.testing.assert_allclose(got, _cut_metrics(ex.values, ex.power_w), rtol=0,
+                                   atol=1e-9, err_msg=where)  # NaN only where NaN
     return int(null.sum())
+
+
+def _cut_metrics(angles, power_w) -> tuple[float, float]:
+    """Half-power beamwidth (deg) and peak-to-sidelobe ratio (dB) of a cut's model powers.
+
+    The width runs between the first samples below -3 dB on either side of the peak,
+    each crossing interpolated in dB; the main lobe runs down to the first sample on
+    either side that is not below its inner neighbour.  NaN where a crossing or a
+    sidelobe is off the grid."""
+    rel = 10.0 * np.log10(power_w / power_w.max())
+    i0, n = int(np.argmax(rel)), len(rel)
+    below = np.flatnonzero(rel < -3.0)
+    left, right = below[below < i0], below[below > i0]
+
+    def crossing(out, inner):  # where rel passes -3 dB between two neighbouring samples
+        return angles[inner] + (angles[out] - angles[inner]) * (rel[inner] + 3.0) / (
+            rel[inner] - rel[out])
+
+    hpbw = (crossing(right[0], right[0] - 1) - crossing(left[-1], left[-1] + 1)
+            if left.size and right.size else math.nan)
+    steps = np.diff(rel)
+    lo = max([m + 1 for m in range(i0) if not steps[m] > 0], default=0)
+    hi = min([m for m in range(i0, n - 1) if not steps[m] < 0], default=n - 1)
+    side = np.concatenate([rel[:lo], rel[hi + 1:]])
+    return hpbw, -float(side.max()) if side.size else math.nan
 
 
 @pytest.mark.parametrize("size", SIZES, ids=lambda s: f"{s[0]}x{s[1]}")

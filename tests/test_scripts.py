@@ -77,6 +77,22 @@ def test_diff_outputs_passes_on_itself_and_catches_a_digest(tmp_path):
     assert "MISMATCH angle/angle.csv row 1 config_digest" in proc.stdout
 
 
+def test_diff_outputs_refuses_an_underflow_read_as_a_null(tmp_path):
+    tree = tmp_path / "tree"
+    run_config(os.path.join(CONFIGS, "angle.cfg"), tree / "angle")
+    csv_path = tree / "angle" / "angle.csv"
+    lines = csv_path.read_text().splitlines()
+    null, underflow = lines[1].split(","), lines[2].split(",")
+    null[2:4] = ["-inf", "inf"]  # an exact null passes
+    underflow[2] = "-inf"  # beside its finite path loss
+    lines[1:3] = [",".join(null), ",".join(underflow)]
+    csv_path.write_text("\n".join(lines) + "\n")
+    proc = _run("diff_outputs.py", str(tree), str(tree))  # a tree against itself
+    assert proc.returncode == 1
+    assert proc.stdout.endswith(f"MISMATCH angle/angle.csv row 1: -inf dBm beside a finite "
+                                f"{float(underflow[3])!r} dB\n1 mismatches\n"), proc.stdout
+
+
 def test_beamform_outputs_writes_every_method_and_reruns_identically(tmp_path):
     cfg = os.path.join(CONFIGS, "angle.cfg")
     for out in ("a", "b"):
