@@ -6,9 +6,11 @@
 For each config and seed 0-2 it writes DIR/<config stem>/<run>.json with the
 command's stdout, where <run> is the method plus its seed (greedy once per
 round count in ROUNDS), and <run>.csv with the `--trace` CSV of blind and
-greedy.  Run it from each of two trees (copy it into the other one's
-scripts/) and compare the two DIRs with `diff -r`: the outputs are
-deterministic, so any difference is a change of behaviour.
+greedy.  The methods are the package's `BEAMFORMING_METHODS`, so a method one
+tree adds shows up as files only in its DIR.  Run it from each of two trees
+(copy it into the other one's scripts/) and compare the two DIRs with
+`diff -r`: the outputs are deterministic, so any difference is a change of
+behaviour.
 """
 
 import argparse
@@ -20,15 +22,15 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rislink.cli import main as rislink  # noqa: E402
+from rislink.experiments import BEAMFORMING_METHODS  # noqa: E402
 
-METHODS = ("none", "continuous", "quantized", "blind", "greedy")
 SEEDS = (0, 1, 2)
 ROUNDS = (1, 3, 8)  # greedy --rounds values; 8 is the default
 
 
 def runs(seed: int):
     """(run name, extra beamform arguments, whether it has a trace) per method."""
-    for method in METHODS:
+    for method in BEAMFORMING_METHODS:
         if method == "greedy":
             for r in ROUNDS:
                 yield f"greedy_rounds{r}_seed{seed}", ["--rounds", str(r)], True

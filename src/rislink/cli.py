@@ -14,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, _parse_currents, load_run_plan
-from .experiments import SweepJob, apply_beamforming, chamber_scenario, run_config, run_sweep
+from .experiments import (SWEEP_KINDS, SweepJob, apply_beamforming, chamber_scenario, run_config,
+                          run_sweep)
 from .link import Scenario, _link_budget_db
 from .ris import SupplyBudgetError, encode_control
 
@@ -53,14 +54,13 @@ def _sweep_report(kind: str, res) -> str:
 def _cmd_sweep(args) -> int:
     """A sweep command: one `SweepJob` from the arguments, run as `run` runs a config's jobs."""
     scenario = _scenario_from_args(args)
-    grid = {k: v for k, v in vars(args).items()
-            if k in ("start", "stop", "step", "steering_deg")}
-    if args.kind == "gain":
+    fields = {key: getattr(args, key) for key in SWEEP_KINDS[args.kind][1]}
+    if "currents" in fields:
         try:
-            grid["currents"] = _parse_currents(args.currents)
+            fields["currents"] = _parse_currents(args.currents)
         except ValueError:
             raise ValueError(f"--currents: cannot parse {args.currents!r}") from None
-    job = SweepJob(args.csv_stem, args.kind, args.method, **grid)
+    job = SweepJob(args.csv_stem, args.kind, args.method, **fields)
     try:
         res = run_sweep(scenario, job, args.seed)
     except SupplyBudgetError as e:  # only a gain sweep's currents can exceed the budget
@@ -172,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma list of array-level currents in amperes")
         else:
             if kind == "pattern":
-                p.add_argument("--steering", type=float, default=0.0, dest="steering_deg",
-                               metavar="STEERING")
+                p.add_argument("--steering", type=float, dest="steering_deg", metavar="STEERING")
             for flag in ("--start", "--stop", "--step"):
                 p.add_argument(flag, type=float)
         p.add_argument("--method", default="quantized")

@@ -130,13 +130,11 @@ def _parse_currents(raw: str) -> tuple[float, ...]:
     return tuple(float(c) for c in raw.split(","))
 
 
-_GRID = ("distance", "angle", "pattern")
-# [sweep NAME] key -> (the SweepJob field it sets, its parser, the kinds that take it)
-_SWEEP_KEYS = {"method": ("method", str, (*_GRID, "gain")), "start": ("start", float, _GRID),
-               "stop": ("stop", float, _GRID), "step": ("step", float, _GRID),
-               "steering_deg": ("steering_deg", float, ("pattern",)),
-               "currents_a": ("currents", _parse_currents, ("gain",))}
-_CONFIG_KEY = {"kind": "type", "currents": "currents_a"}
+# [sweep NAME] key -> (the SweepJob field it sets, its parser); its kind reads or refuses it
+_SWEEP_KEYS = {"type": ("kind", str), "method": ("method", str), "start": ("start", float),
+               "stop": ("stop", float), "step": ("step", float),
+               "steering_deg": ("steering_deg", float), "currents_a": ("currents", _parse_currents)}
+_CONFIG_KEY = {field: key for key, (field, _) in _SWEEP_KEYS.items()}
 
 
 def build_jobs(sections: dict, path, scenario: Scenario) -> list[SweepJob]:
@@ -152,22 +150,19 @@ def build_jobs(sections: dict, path, scenario: Scenario) -> list[SweepJob]:
         taken[job_name] = name
         if "type" not in section:
             raise _err(path, section.line, f"[{name}] needs a 'type' key")
-        raw = dict(section)
-        kind = raw.pop("type")[0]
-        fields = {attr: _parse(key, *raw.pop(key), convert, path)
-                  for key, (attr, convert, kinds) in _SWEEP_KEYS.items()
-                  if key in raw and kind in kinds}
+        fields = {attr: _parse(key, *section[key], convert, path)
+                  for key, (attr, convert) in _SWEEP_KEYS.items() if key in section}
         try:
-            jobs.append(SweepJob(job_name, kind, **fields))
-            if kind == "gain":  # each current, split evenly over the units, within the budget
+            jobs.append(SweepJob(job_name, **fields))
+            if jobs[-1].currents is not None:  # split evenly over the units, within the budget
                 scenario.amplifier.gain_db([c / scenario.layout.n_units for c in jobs[-1].currents])
         except SupplyBudgetError as e:
             raise _err(path, section["currents_a"][1], f"currents_a: {e}") from None
         except ValueError as e:  # a SweepError names its field; else the farthest range failed
             key = _CONFIG_KEY.get(e.key, e.key) if isinstance(e, SweepError) else "stop"
             raise _err(path, section[key][1] if key in section else section.line, e) from None
-        for key, (_, line) in sorted(raw.items(), key=lambda kv: kv[1][1]):  # the first left
-            raise _err(path, line, f"unknown key {key!r} in [{name}]")
+        for key in (key for key in section if key not in _SWEEP_KEYS):  # the first, by line
+            raise _err(path, section[key][1], f"unknown key {key!r} in [{name}]")
     return jobs
 
 

@@ -12,7 +12,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -40,12 +40,12 @@ from .ris import DEFAULT_CALIBRATION, AmplifierModel, PhaseCodebook, PhaseJitter
 CSV_HEADER = "variable,value,received_power_dBm,path_loss_dB,config_digest"
 MAX_GRID_POINTS = 100_000  # a 64x64 cut this long takes ~40 s: a longer grid is a typo
 
-# sweep kind -> the variable its CSV rows carry
-SWEEP_KINDS = {"distance": "rx_distance", "angle": "rx_zenith",
-               "gain": "amplifier_current", "pattern": "pattern_angle"}
-# (start, stop, step) of a kind's grid when the job leaves it out
-SWEEP_DEFAULTS = {"distance": (0.5, 5.0, 0.5), "angle": (0.0, 60.0, 10.0),
-                  "pattern": (-85.0, 85.0, 0.5)}
+# sweep kind -> (the variable its CSV rows carry, {optional SweepJob field it reads: default})
+SWEEP_KINDS = {"distance": ("rx_distance", {"start": 0.5, "stop": 5.0, "step": 0.5}),
+               "angle": ("rx_zenith", {"start": 0.0, "stop": 60.0, "step": 10.0}),
+               "gain": ("amplifier_current", {"currents": ()}),
+               "pattern": ("pattern_angle",
+                           {"start": -85.0, "stop": 85.0, "step": 0.5, "steering_deg": 0.0})}
 BEAMFORMING_METHODS = ("none", "continuous", "quantized", "blind", "greedy")
 # methods whose configuration is a closed form of the two-hop phases
 _CLOSED_FORM_METHODS = ("none", "continuous", "quantized")
@@ -133,8 +133,9 @@ class SweepJob:
 
     Distance grids are in meters; angle grids, and the `steering_deg` a pattern cut
     is frozen at, in degrees off the normal; gain `currents` in array-level amperes.
-    A grid left None takes `SWEEP_DEFAULTS[kind]`; a bad value raises `SweepError`, but a
-    distance grid's farthest point past a pose's range raises `SphericalPose`'s error.
+    An optional field its kind reads takes its `SWEEP_KINDS` default when left None, any
+    other must be left None; a bad value raises `SweepError`, but a distance grid's
+    farthest point past a pose's range raises `SphericalPose`'s error.
     """
 
     name: str
@@ -143,8 +144,8 @@ class SweepJob:
     start: float | None = None
     stop: float | None = None
     step: float | None = None
-    currents: Sequence[float] = ()
-    steering_deg: float = 0.0
+    currents: Sequence[float] | None = None
+    steering_deg: float | None = None
 
     def __post_init__(self):
         if not self.name or any(sep and sep in self.name for sep in (os.sep, os.altsep)):
@@ -154,16 +155,19 @@ class SweepJob:
             raise SweepError("kind", f"unknown sweep kind {self.kind!r}")
         if self.method not in BEAMFORMING_METHODS:
             raise SweepError("method", f"unknown beamforming method {self.method!r}")
-        if self.kind == "gain":
+        reads = SWEEP_KINDS[self.kind][1]
+        for key in (f.name for f in fields(self) if f.default is None):  # the optional fields
+            if key in reads and getattr(self, key) is None:
+                object.__setattr__(self, key, reads[key])
+            elif key not in reads and getattr(self, key) is not None:
+                raise SweepError(key, f"{self.kind} sweeps take no {key}")
+        if self.currents is not None:
             if len(self.currents) == 0:
                 raise SweepError("currents", "a gain sweep needs at least one supply current")
             bad = [c for c in self.currents if not c >= 0]  # NaN fails c >= 0 too
             if bad:
                 raise SweepError("currents", f"currents must be >= 0, got {bad[0]!r}")
             return
-        for key, default in zip(("start", "stop", "step"), SWEEP_DEFAULTS[self.kind]):
-            if getattr(self, key) is None:
-                object.__setattr__(self, key, default)
         grid = self.grid()
         if self.kind == "distance":
             if not self.start > 0:
@@ -171,7 +175,7 @@ class SweepJob:
             SphericalPose(float(grid[-1]), 0.0, 0.0)  # the farthest point's range, as a pose's
         # a grid that starts inside (-90, 90) deg can leave it only at the top: blame stop
         angles = {} if self.kind == "distance" else {"start": self.start, "stop": grid}
-        if self.kind == "pattern":
+        if self.steering_deg is not None:
             angles["steering_deg"] = self.steering_deg
         for key, angle in angles.items():
             try:
@@ -360,7 +364,7 @@ def _pose_sweep(scenario: Scenario, job: SweepJob, values, r, theta, azimuth, se
                 phase = np.subtract(scenario.programmed_phases(config), phi)
                 sums.extend(np.sum(_phasors(buf[:len(amp)], amp, phase, 1j), axis=-1))
             digests.extend(_config_digest(scenario, point_config) for point_config in config)
-    return SweepResult.from_sums(scenario, SWEEP_KINDS[job.kind], values, sums, digests)
+    return SweepResult.from_sums(scenario, SWEEP_KINDS[job.kind][0], values, sums, digests)
 
 
 @dataclass
@@ -463,7 +467,8 @@ def _radiation_patterns(scenario: Scenario, jobs: Sequence[SweepJob], seed) -> l
                              [program for program, _ in steered])
     cuts = []
     for job, (_, digest), sums in zip(jobs, steered, all_sums):
-        cut = SweepResult.from_sums(scenario, "pattern_angle", angles, sums, [digest] * len(sums))
+        cut = SweepResult.from_sums(scenario, SWEEP_KINDS[job.kind][0], angles, sums,
+                                    [digest] * len(sums))
         powers = cut.received_power_dbm
         with np.errstate(invalid="ignore"):  # an all-null cut: -inf - -inf, every rel NaN
             rel = powers - np.max(powers)
@@ -491,7 +496,7 @@ def run_sweep(scenario: Scenario, job: SweepJob, seed=0) -> SweepResult:
         gain_db = amp.gain_db(currents / scenario.layout.n_units) - amp.gain_db(amp.top_current)
         bf = apply_beamforming(scenario, job.method, seed)
         sums = bf.channel_sum * np.sqrt(from_db(gain_db))
-        return SweepResult.from_sums(scenario, "amplifier_current", currents, sums,
+        return SweepResult.from_sums(scenario, SWEEP_KINDS[job.kind][0], currents, sums,
                                      [bf.digest] * len(sums))
     values = job.grid()
     if job.kind == "distance":
@@ -503,15 +508,15 @@ def run_sweep(scenario: Scenario, job: SweepJob, seed=0) -> SweepResult:
 
 def _scenario_summary(s: Scenario) -> dict:
     """summary.json's scenario: each model as the list of its fields, in declared order."""
-    def fields(model):
+    def listed(model):
         return None if model is None else list(astuple(model))
     return {"frequency_hz": s.frequency, "wavelength_m": s.wavelength,
-            "tx_pose": fields(s.tx_pose), "rx_pose": fields(s.rx_pose), "layout": fields(s.layout),
-            "tx_antenna": fields(s.tx_antenna), "rx_antenna": fields(s.rx_antenna),
-            "codebook": fields(s.codebook),
+            "tx_pose": listed(s.tx_pose), "rx_pose": listed(s.rx_pose), "layout": listed(s.layout),
+            "tx_antenna": listed(s.tx_antenna), "rx_antenna": listed(s.rx_antenna),
+            "codebook": listed(s.codebook),
             "amplifier_calibration": [list(p) for p in s.amplifier.calibration],
             "amplifier_max_current_a": s.amplifier.max_current, "tx_power_w": s.tx_power,
-            "noise_variance_w": s.noise_variance, "phase_jitter": fields(s.jitter)}
+            "noise_variance_w": s.noise_variance, "phase_jitter": listed(s.jitter)}
 
 
 def run_config(path, out_dir, seed=0) -> dict:

@@ -338,6 +338,25 @@ def test_a_sweep_value_is_rejected_in_the_same_words_everywhere(tmp_path, capsys
     assert str(exc.value) == f"{cfg}:{5 + list(keys).index(blamed)}: {message}"
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("angle", "steering_deg", "30"), ("distance", "currents_a", "0.5"), ("gain", "start", "1"),
+    ("gain", "steering_deg", "0"), ("pattern", "currents_a", "0.5"),
+], ids=["angle-steering", "distance-currents", "gain-start", "gain-steering-at-its-default",
+        "pattern-currents"])
+def test_a_key_its_kind_does_not_read_is_refused_in_the_same_words(tmp_path, kind, key, value):
+    base = {"currents_a": "0.5"} if kind == "gain" else {}  # otherwise a valid job
+    keys = {**base, key: value}
+    fields = {_FIELDS.get(k, k): _PARSE.get(k, float)(v) for k, v in keys.items()}
+    with pytest.raises(ValueError) as exc:
+        SweepJob("s", kind, **fields)
+    assert str(exc.value) == f"{kind} sweeps take no {_FIELDS.get(key, key)}"
+    cfg = write(tmp_path, f"[scenario]\n\n[sweep s]\ntype = {kind}\n"
+                + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    with pytest.raises(ConfigError) as cfg_exc:
+        load_run_plan(cfg)
+    assert str(cfg_exc.value) == f"{cfg}:{5 + len(base)}: {exc.value}"
+
+
 @pytest.mark.parametrize("second", ["[sweepa]", "[sweep  a]"])
 def test_two_sweeps_cannot_share_a_name(tmp_path, capsys, second):
     cfg = write(tmp_path, "[scenario]\n\n[sweep a]\ntype = distance\n\n"

@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+from rislink.experiments import SWEEP_KINDS
+
 TESTS = os.path.dirname(__file__)
 SRC = os.path.join(TESTS, "..", "src", "rislink")
 # __init__.py imports are the package's public surface, read by its users
@@ -142,6 +144,25 @@ def test_no_module_reads_the_environment(path):
     """Every input comes from the command line, a config file or an argument."""
     with open(path) as fh:
         assert environment_reads(fh.read()) == []
+
+
+def string_constants(source: str) -> list[str]:
+    """`line: value` of every string constant in `source`, docstrings included."""
+    return [f"{node.lineno}: {node.value}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def test_the_check_sees_a_string_constant():
+    source = '"""Doc."""\nif job.kind == "gain" and n > 2:\n    f(b"raw", key="x")\n'
+    assert string_constants(source) == ["1: Doc.", "2: gain", "3: x"]
+
+
+def test_config_spells_no_sweep_kind():
+    """`experiments.SWEEP_KINDS` is the kinds' vocabulary: config turns text into jobs and
+    leaves each kind's fields to `SweepJob`, so it never names a kind."""
+    with open(os.path.join(SRC, "config.py")) as fh:
+        constants = string_constants(fh.read())
+    assert [c for c in constants if c.split(": ", 1)[1] in SWEEP_KINDS] == []
 
 
 LINE_BUDGET = 1907  # ROADMAP north-star aim 2: new code is paid for by deletion
