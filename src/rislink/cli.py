@@ -200,7 +200,7 @@ def main(argv=None) -> int:
         if args.seed < 0:  # every command takes --seed
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except (ConfigError, SupplyBudgetError, ValueError, OSError) as e:
+    except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -154,8 +154,8 @@ def build_jobs(sections: dict, path, scenario: Scenario) -> list[SweepJob]:
                   for key, (attr, convert) in _SWEEP_KEYS.items() if key in section}
         try:
             jobs.append(SweepJob(job_name, **fields))
-            if jobs[-1].currents is not None:  # split evenly over the units, within the budget
-                scenario.amplifier.gain_db([c / scenario.layout.n_units for c in jobs[-1].currents])
+            if jobs[-1].currents is not None:  # within the supply budget
+                scenario.unit_gain_db(jobs[-1].currents)
         except SupplyBudgetError as e:
             raise _err(path, section["currents_a"][1], f"currents_a: {e}") from None
         except ValueError as e:  # a SweepError names its field; else the farthest range failed

@@ -485,18 +485,17 @@ def run_sweep(scenario: Scenario, job: SweepJob, seed=0) -> SweepResult:
     Distance and angle sweeps move only the RX range or angle, beamformed afresh
     at each point.  A gain sweep holds the configuration of the calibrated
     operating point; |S|^2 being linear in the uniform unit gain G_u, it scales
-    that channel sum by sqrt(G_u(c / n) / G_u(top)) for each array current c split
-    evenly over the n units.  Angle sweeps and cuts turn in the scenario's
-    `sweep_plane_deg`, negative angles turned by 180 deg as in `transmission_side_pose`.
+    that channel sum by the amplitude ratio of `Scenario.unit_gain_db` at each array
+    current.  Angle sweeps and cuts turn in the scenario's `sweep_plane_deg`, negative
+    angles turned by 180 deg as in `transmission_side_pose`.
     """
     if job.kind == "pattern":
         return _radiation_patterns(scenario, [job], seed)[0]
     if job.kind == "gain":
-        amp, currents = scenario.amplifier, np.asarray(job.currents, dtype=float)
-        gain_db = amp.gain_db(currents / scenario.layout.n_units) - amp.gain_db(amp.top_current)
+        gain_db = scenario.unit_gain_db(job.currents)
         bf = apply_beamforming(scenario, job.method, seed)
         sums = bf.channel_sum * np.sqrt(from_db(gain_db))
-        return SweepResult.from_sums(scenario, SWEEP_KINDS[job.kind][0], currents, sums,
+        return SweepResult.from_sums(scenario, SWEEP_KINDS[job.kind][0], job.currents, sums,
                                      [bf.digest] * len(sums))
     values = job.grid()
     if job.kind == "distance":

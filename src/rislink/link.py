@@ -78,6 +78,12 @@ class Scenario:
         unit's codebook entry plus its own fixed error."""
         return self.codebook.phases()[idx] + self.phase_errors
 
+    def unit_gain_db(self, currents):
+        """Unit gain G_u(c / n) / G_u(top) in dB of each array current c, split evenly over
+        the n units (top: the link's current); raises as `AmplifierModel.gain_db` does."""
+        split = np.asarray(currents, dtype=float) / self.layout.n_units
+        return self.amplifier.gain_db(split) - self.amplifier.gain_db(self.amplifier.top_current)
+
 
 def _per_unit(scenario: Scenario, values, what: str) -> np.ndarray:
     """`values` flattened, one entry per unit: flat (n_units,) or (n_rows, n_cols), row-major."""
@@ -206,9 +212,9 @@ def _link_budget_db(scenario: Scenario, sums) -> tuple[np.ndarray, np.ndarray]:
 
 
 def received_power(scenario: Scenario, configuration=None, phases=None) -> float:
-    """Noiseless received power (W) via the scattering-area sum, every unit at the top
-    calibrated current, of the codebook-index grid `configuration` (flat or (n_rows,
-    n_cols), None for all zeros), or of `phases` (radians): exact, with no jitter."""
+    """Noiseless received power (W), every unit at the top calibrated current, of the
+    codebook-index grid `configuration` (flat or (n_rows, n_cols), None: all zeros) or of
+    `phases` (radians), with no jitter; 0.0 where it underflows a float though |S|^2 > 0."""
     total = _channel_sums(scenario, _own_rx_point(scenario), [(configuration, phases)])[0, 0]
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.abs(total)) ** 2
 
@@ -221,8 +227,8 @@ def path_loss_db(scenario: Scenario, configuration=None, phases=None) -> float:
 
 
 def max_received_power(scenario: Scenario) -> float:
-    """Received power under perfectly aligned (continuous) phases: the coherent
-    amplitude sum, sum_n |w_n|, as the continuous sweep rows take it."""
+    """Received power (W) at perfectly aligned phases, sum_n |w_n| as continuous sweep rows
+    take it; 0.0 where it underflows a float while the sum is > 0, as `received_power`."""
     _, amp, _ = next(_weight_chunks(scenario, _own_rx_point(scenario)))
     return scenario.tx_power / SIXTEEN_PI_SQ * float(np.sum(amp[0])) ** 2
 
@@ -237,7 +243,7 @@ def from_db(db):
 
 
 def watts_to_dbm(p: float) -> float:
-    """Watts to dBm; 0 W (an exact null) reads -inf dBm, as in a sweep row."""
+    """Watts to dBm; 0 W reads -inf dBm: an exact null, or a power that underflowed in watts."""
     if not p >= 0:  # NaN fails p >= 0 too
         raise ValueError(f"power must be >= 0 to express in dBm, got {p!r}")
     return 10.0 * math.log10(p * 1e3) if p else -math.inf

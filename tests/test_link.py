@@ -119,6 +119,24 @@ def test_received_power_scales_with_amplifier_gain():
         10 ** 0.7 * rl.received_power(s), rel=1e-12)
 
 
+def test_unit_gain_splits_an_array_current_evenly_over_the_units():
+    s = rl.chamber_scenario()  # 4x8 under the default calibration
+    assert s.unit_gain_db([0.01, 1.4]).tolist() == [-11.9, 0.0]
+    assert s.unit_gain_db(1.4) == 0.0
+    budget = s.amplifier.max_current * 32
+    assert s.unit_gain_db(budget) == 0.0  # the budget itself is admissible
+    with pytest.raises(rl.SupplyBudgetError):
+        s.unit_gain_db([0.01, math.nextafter(budget, math.inf)])
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="control current must be >= 0") as e:
+            s.unit_gain_db([0.01, bad])
+        assert e.type is ValueError
+    small, currents = rl.chamber_scenario(n_rows=3, n_cols=4), [0.0, 0.01, 0.5, 1.4]
+    amp = small.amplifier
+    want = [amp.gain_db(c / 12) - amp.gain_db(amp.top_current) for c in currents]
+    assert small.unit_gain_db(currents).tolist() == want
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.0, 2 * math.pi))
 def test_common_phase_constant_is_immaterial(seed, const):

@@ -165,6 +165,43 @@ def test_config_spells_no_sweep_kind():
     assert [c for c in constants if c.split(": ", 1)[1] in SWEEP_KINDS] == []
 
 
+def unit_splits(source: str) -> list[str]:
+    """`function: expression` of every true division (`/`, not `//`) whose divisor names
+    `n_units`, by the class and function it sits in."""
+    hits = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                divisor = child.right if isinstance(child, ast.BinOp) else child.value
+                if any(getattr(n, "id", getattr(n, "attr", None)) == "n_units"
+                       for n in ast.walk(divisor)):
+                    hits.append(f"{where}: {ast.unparse(child)}")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{where}.{child.name}".lstrip(".") if named else where)
+
+    visit(ast.parse(source), "")
+    return hits
+
+
+def test_the_check_sees_a_split_over_the_units():
+    source = ("def f(c, n_units):\n    return c / n_units, c // n_units, n_units / c\n\n"
+              "class A:\n    def g(self, c):\n        c /= self.layout.n_units\n"
+              "        return [x / (2 * n_units) for x in c], c / self.n_rows\n")
+    assert unit_splits(source) == ["f: c / n_units", "A.g: c /= self.layout.n_units",
+                                   "A.g: x / (2 * n_units)"]
+
+
+def test_one_method_splits_an_array_current_over_the_units():
+    """`Scenario.unit_gain_db` is the one place an array current is split evenly over
+    the units, so a change to what a current means has one home."""
+    hits = []
+    for path in MODULES:
+        with open(path) as fh:
+            hits += [f"{_source_id(path)}: {hit}" for hit in unit_splits(fh.read())]
+    assert [hit.split(": ")[:2] for hit in hits] == [["link.py", "Scenario.unit_gain_db"]], hits
+
+
 LINE_BUDGET = 1907  # ROADMAP north-star aim 2: new code is paid for by deletion
 
 
