@@ -67,7 +67,7 @@ def _off_normal(angle_deg, azimuth_deg: float = 0.0):
     if not math.isfinite(azimuth_deg):
         raise ValueError(f"azimuth must be finite, got {azimuth_deg!r}")
     phi = np.mod(np.radians(azimuth_deg) + np.where(a < 0, math.pi, 0.0), 2.0 * math.pi)
-    return np.radians(np.abs(a)), phi
+    return np.radians(np.abs(a)), np.where(phi < 2.0 * math.pi, phi, 0.0)  # np.mod(-tiny) is 2 pi
 
 
 def transmission_side_pose(r: float, angle_deg: float, azimuth_deg: float = 0.0) -> SphericalPose:
@@ -148,9 +148,9 @@ class SweepJob:
     steering_deg: float | None = None
 
     def __post_init__(self):
-        if not self.name or any(sep and sep in self.name for sep in (os.sep, os.altsep)):
-            raise SweepError("name", f"sweep name must be non-empty without a path separator, "
-                                     f"got {self.name!r}")
+        if not self.name or any(sep and sep in self.name for sep in (os.sep, os.altsep, "\0")):
+            raise SweepError("name", f"sweep name must be non-empty without a path separator "
+                                     f"or NUL byte, got {self.name!r}")
         if self.kind not in SWEEP_KINDS:
             raise SweepError("kind", f"unknown sweep kind {self.kind!r}")
         if self.method not in BEAMFORMING_METHODS:
@@ -440,7 +440,7 @@ def peak_to_sidelobe(angles_deg, rel_db) -> float:
 def _steer(scenario: Scenario, jobs: Sequence[SweepJob], seed) -> list:
     """((configuration, phases), digest) of each job steered toward its `steering_deg`, as
     `apply_beamforming` posed there gives them; the closed forms read one path table."""
-    plane = scenario.sweep_plane_deg
+    plane = scenario.rx_plane_deg
     poses = [transmission_side_pose(scenario.rx_pose.r, job.steering_deg, plane) for job in jobs]
     closed = [job.method in _CLOSED_FORM_METHODS for job in jobs]
     points = np.reshape([spherical_to_cartesian(p) for p, c in zip(poses, closed) if c], (-1, 3))
@@ -462,7 +462,7 @@ def _radiation_patterns(scenario: Scenario, jobs: Sequence[SweepJob], seed) -> l
     transmission-side pattern along the jobs' one grid: all the cuts read one path table."""
     r, angles = scenario.rx_pose.r, jobs[0].grid()
     steered = _steer(scenario, jobs, seed)
-    a, phi = _off_normal(angles, scenario.sweep_plane_deg)
+    a, phi = _off_normal(angles, scenario.rx_plane_deg)
     all_sums = _channel_sums(scenario, cartesian_points(r, math.pi - a, phi),
                              [program for program, _ in steered])
     cuts = []
@@ -486,7 +486,7 @@ def run_sweep(scenario: Scenario, job: SweepJob, seed=0) -> SweepResult:
     at each point.  A gain sweep holds the configuration of the calibrated
     operating point; |S|^2 being linear in the uniform unit gain G_u, it scales
     that channel sum by the amplitude ratio of `Scenario.unit_gain_db` at each array
-    current.  Angle sweeps and cuts turn in the scenario's `sweep_plane_deg`, negative
+    current.  Angle sweeps and cuts turn in the scenario's `rx_plane_deg`, negative
     angles turned by 180 deg as in `transmission_side_pose`.
     """
     if job.kind == "pattern":
@@ -501,7 +501,7 @@ def run_sweep(scenario: Scenario, job: SweepJob, seed=0) -> SweepResult:
     if job.kind == "distance":
         pose = scenario.rx_pose
         return _pose_sweep(scenario, job, values, values, pose.theta, pose.phi, seed)
-    a, phi = _off_normal(values, scenario.sweep_plane_deg)
+    a, phi = _off_normal(values, scenario.rx_plane_deg)
     return _pose_sweep(scenario, job, values, scenario.rx_pose.r, math.pi - a, phi, seed)
 
 

@@ -29,9 +29,9 @@ class Scenario:
     RX pose on the transmission side (z < 0), or vice versa; the surface only
     forwards power across the plane.
 
-    Angle sweeps and cuts turn the RX in the plane of azimuth `rx_plane_deg` (None: the
-    RX pose's own, turned by 180 deg at a negative zenith).  `replace(scenario, rx_pose=...)`
-    keeps the plane, as the sweeps and steerings that move the RX within it need.
+    Angle sweeps and cuts turn the RX in the plane of azimuth `rx_plane_deg`, fixed when the
+    scenario is built (None: the RX pose's own azimuth), so `replace(scenario, rx_pose=...)`
+    keeps it, as the sweeps and steerings that move the RX within it need.
     """
 
     frequency: float
@@ -53,19 +53,15 @@ class Scenario:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         if not 0 <= self.noise_variance < math.inf:
             raise ValueError(f"noise_variance must be finite and >= 0, got {self.noise_variance!r}")
-        z_t = spherical_to_cartesian(self.tx_pose)[2]
-        z_r = spherical_to_cartesian(self.rx_pose)[2]
-        if not z_t * z_r < 0:  # each |z| <= r, whose square is finite: so is the product
+        z_t, z_r = (spherical_to_cartesian(pose)[2] for pose in (self.tx_pose, self.rx_pose))
+        if not np.sign(z_t) * z_r < 0:  # as the kernel: z_t * z_r underflows at tiny ranges
             raise ValueError("TX and RX must sit strictly on opposite sides of the array plane")
+        if self.rx_plane_deg is None:
+            object.__setattr__(self, "rx_plane_deg", math.degrees(self.rx_pose.phi))
 
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.frequency
-
-    @property
-    def sweep_plane_deg(self) -> float:
-        """Azimuth (deg) of the plane angle sweeps and cuts turn in."""
-        return math.degrees(self.rx_pose.phi) if self.rx_plane_deg is None else self.rx_plane_deg
 
     @cached_property
     def phase_errors(self):
@@ -123,7 +119,7 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray):
     its continuous bound P_t / (16 pi^2) (sum_n amp_n)^2 in mW, and each phase, a finite float.
     """
     p_t = spherical_to_cartesian(scenario.tx_pose)
-    if not np.all(np.sign(p_t[2]) * rx_points[:, 2] < 0):  # a sign: no product overflows
+    if not np.all(np.sign(p_t[2]) * rx_points[:, 2] < 0):  # a sign: no product over- or underflows
         raise ValueError("TX and RX must sit strictly on opposite sides of the array plane")
     layout, area = scenario.layout, scenario.layout.element_area
     r_t, c_t = ranges_and_cosines(p_t, layout)

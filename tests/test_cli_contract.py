@@ -46,7 +46,7 @@ _SANE = {
     "max_current_a": ("0.12", "0.05"),
 }
 _ANGLES = ("tx_zenith_deg", "tx_azimuth_deg", "rx_zenith_deg", "rx_azimuth_deg")
-_SANE.update({key: ("0", "20", "-35", "60") for key in _ANGLES})
+_SANE.update({key: ("0", "20", "-35", "60", "-1e-14") for key in _ANGLES})  # np.mod(-1e-14) is 2 pi
 _INTEGER_EDGES = ("0", "-1", "9", "2.5")  # sizes, bits and seeds: no huge surface either
 _SWEEP_VALUES = {
     "start": ("0", "0.5", "-30", "10", "-89.9", "1e200", "-1e200", "nan", "inf"),
@@ -113,7 +113,8 @@ def test_the_fuzz_draws_every_scenario_key():
 # range whose square overflows a float (a key, a pitch or a distance grid's stop), a
 # two-hop phase past a float, a dark surface's all-null cut, an amplifier gain past a
 # float in linear scale, a path-loss ratio past a float, and a received power in mW that
-# underflows a float while the path loss stays finite
+# underflows a float while the path loss stays finite; and a sweep name no file can take,
+# once refused only when its CSV was written, after the sweeps before it
 @example("[scenario]\ntx_distance_m = 1e200\n[sweep s0]\ntype = distance\n")
 @example("[scenario]\npitch_x_m = 1e200\n[sweep s0]\ntype = angle\n")
 @example("[sweep s0]\ntype = distance\nstart = 0.5\nstop = 1e200\nstep = 1e199\n")
@@ -123,6 +124,7 @@ def test_the_fuzz_draws_every_scenario_key():
 @example("[scenario]\ntx_distance_m = 1e154\n[sweep s0]\ntype = distance\nmethod = none\n")
 @example("[scenario]\ntx_distance_m = 1e154\ntx_power_w = 1e-30\n[sweep s0]\ntype = distance\n"
          "method = none\n")
+@example("[sweep a]\ntype = distance\n[sweep b\0c]\ntype = distance\n")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(config_text())
 def test_a_run_succeeds_or_fails_with_one_error_line(text):

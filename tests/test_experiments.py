@@ -86,6 +86,9 @@ def test_transmission_side_pose():
     for bad in (90.0, -90.0, 120.0):
         with pytest.raises(ValueError):
             rl.transmission_side_pose(4.0, bad)
+    # a tiny negative azimuth is just below 2 pi, which rounds to it: it reads 0
+    for azimuth in (-1e-14, -1e-20):
+        assert rl.transmission_side_pose(4.0, 10.0, azimuth).phi == 0.0
 
 
 def test_incidence_side_pose():
@@ -93,6 +96,9 @@ def test_incidence_side_pose():
     p = rl.incidence_side_pose(0.6, 25.0, 40.0)
     assert spherical_to_cartesian(p)[2] > 0
     assert rl.incidence_side_pose(0.6, 0.0).theta == 0.0
+    for azimuth in (-1e-14, -1e-20):  # np.mod rounds these up to 2 pi
+        s = rl.chamber_scenario(tx_azimuth_deg=azimuth, rx_azimuth_deg=azimuth)
+        assert s.tx_pose.phi == s.rx_pose.phi == 0.0
 
 
 def test_chamber_scenario_defaults():
@@ -521,6 +527,13 @@ def test_angle_sweep_keeps_rx_azimuth():
     for value, pl in zip(res.values, res.path_loss_db):
         assert pl == pytest.approx(_path_loss_at(s, value, 90.0), rel=1e-12)
     assert res.path_loss_db[2] == pytest.approx(14.0566, abs=1e-4)
+    # a directly built scenario fixes its plane too: moving its RX pose keeps the sweep
+    direct = rl.Scenario(s.frequency, s.tx_pose, rl.transmission_side_pose(4.0, 0.0, 30.0),
+                         s.layout)
+    moved = replace(direct, rx_pose=rl.transmission_side_pose(4.0, 0.0, 120.0))
+    assert moved.rx_plane_deg == direct.rx_plane_deg == pytest.approx(30.0)
+    job = SweepJob("a", "angle", start=-40.0, stop=40.0, step=20.0)
+    assert rl.run_sweep(moved, job).to_csv() == rl.run_sweep(direct, job).to_csv()
 
 
 def test_radiation_pattern_keeps_rx_azimuth():
@@ -555,7 +568,7 @@ def test_a_negative_zenith_sweep_turns_in_the_configured_plane():
     # the pose stores the 0 deg plane turned by 180 deg; the sweep's angles and the
     # cut's steering are still signed in the configured plane, not mirrored
     s = rl.chamber_scenario(rx_zenith_deg=-30, tx_zenith_deg=20, phase_jitter_max_deg=5)
-    assert s.rx_pose.phi == pytest.approx(math.pi) and s.sweep_plane_deg == 0.0
+    assert s.rx_pose.phi == pytest.approx(math.pi) and s.rx_plane_deg == 0.0
     angle = rl.run_sweep(s, SweepJob("a", "angle", "quantized", -40.0, 40.0, 20.0))
     assert angle.received_power_dbm == pytest.approx(
         [21.080, 22.030, 22.104, 22.236, 21.309], abs=5e-4)

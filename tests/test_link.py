@@ -418,9 +418,39 @@ def test_a_scenario_checks_its_own_poses_sides():
     """`Scenario` refuses its own poses on one side or in the plane; `_weight_chunks` checks
     the points a sweep or cut moves the RX to, which no `Scenario` is built for."""
     s = rl.chamber_scenario()
-    for rx_pose in (s.tx_pose, rl.SphericalPose(4.0, math.pi / 2, 0.0)):
+    # at 1e-170 m the product of the two heights underflows to -0.0: only its sign tells
+    tiny = rl.chamber_scenario(tx_distance_m=1e-170, rx_distance_m=1e-170)
+    for base, rx_pose in ((s, s.tx_pose), (s, rl.SphericalPose(4.0, math.pi / 2, 0.0)),
+                          (tiny, tiny.tx_pose)):
         with pytest.raises(ValueError, match="^TX and RX must sit strictly on opposite sides"):
-            replace(s, rx_pose=rx_pose)
+            replace(base, rx_pose=rx_pose)
+
+
+def _refuses_the_sides(build) -> bool:
+    try:
+        build()
+    except ValueError as e:
+        return "opposite sides" in str(e)
+    return False
+
+
+_POSES = st.builds(rl.SphericalPose, st.floats(-300.0, 150.0).map(lambda e: 10.0 ** e),
+                   st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+
+
+@given(tx=_POSES, rx=_POSES)
+@example(tx=rl.SphericalPose(1e-170, 0.0, 0.0), rx=rl.SphericalPose(1e-170, math.pi, 0.0))
+@settings(max_examples=200, deadline=None)
+def test_a_scenario_and_the_kernel_refuse_the_same_sides(tx, rx):
+    """`Scenario` refuses a TX/RX pose pair for its sides exactly when `_channel_sums`
+    refuses the RX point, TX on either side, at ranges from 1e-300 m to 1e150 m."""
+    layout = rl.ArrayLayout(1, 1)
+    # the drawn TX with an RX straight across the plane from it (|z_t| >= r 6e-17 > 0)
+    across = rl.SphericalPose(1.0, math.pi if spherical_to_cartesian(tx)[2] > 0 else 0.0, 0.0)
+    carrier = rl.Scenario(2.6e9, tx, across, layout)
+    point = spherical_to_cartesian(rx)[None]
+    assert _refuses_the_sides(lambda: rl.Scenario(2.6e9, tx, rx, layout)) == _refuses_the_sides(
+        lambda: _channel_sums(carrier, point, [(None, None)]))
 
 
 def test_pattern_cut_keeps_the_per_point_errors():
