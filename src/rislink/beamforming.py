@@ -24,7 +24,6 @@ from .ris import PhaseCodebook
 _NOISE_BLOCK = 1024  # noise draws taken from the channel's rng at a time
 _GALLOP_MIN = 8  # fewest rejections in a row, at a unit boundary, before greedy reads a block
 _GALLOP_WINDOW = 64  # candidates in a block read's first window; each next window doubles
-_SQUARE_SAFE = 1e154  # a magnitude below this squares to a finite float (sqrt(DBL_MAX) ~ 1.34e154)
 
 
 class SearchTrace:
@@ -99,9 +98,9 @@ class FeedbackChannel:
         """The next m draws, not yet consumed; a shortfall draws every block it needs at once."""
         short = self._pos + m - len(self._noise)
         if short > 0:
-            sd, n_blocks = math.sqrt(self.noise_variance), -(-short // _NOISE_BLOCK)
-            blocks = [self._rng.normal(0.0, sd, _NOISE_BLOCK) for _ in range(n_blocks)]
-            self._noise, self._pos = np.concatenate([self._noise[self._pos:], *blocks]), 0
+            sd, n = math.sqrt(self.noise_variance), -(-short // _NOISE_BLOCK) * _NOISE_BLOCK
+            drawn = self._rng.normal(0.0, sd, n)  # the stream of n // _NOISE_BLOCK block calls
+            self._noise, self._pos = np.concatenate([self._noise[self._pos:], drawn]), 0
         return self._noise[self._pos:self._pos + m]
 
     def read(self, power: float) -> float:
@@ -142,15 +141,8 @@ def _sum_terms(table: np.ndarray, configuration) -> complex:
 def _powers(prefactor: float, sums: np.ndarray) -> np.ndarray:
     """prefactor * abs(s) ** 2 of every channel sum s, bit for bit as Python computes it:
     np.hypot is abs(complex), and np.float_power squares through libm pow as `** 2` does.
-    Like `** 2`, raises OverflowError where a finite magnitude squares to inf."""
-    mags = np.hypot(sums.real, sums.imag)
-    if mags.max(initial=0.0) < _SQUARE_SAFE:
-        return prefactor * np.float_power(mags, 2.0)
-    with np.errstate(over="ignore"):
-        squares = np.float_power(mags, 2.0)
-    if squares.max() == math.inf and np.isfinite(mags[squares == math.inf]).any():
-        raise OverflowError("channel sum too large to square")
-    return prefactor * squares
+    Every square is finite: `link._weight_chunks` bounds each sum a search forms."""
+    return prefactor * np.float_power(np.hypot(sums.real, sums.imag), 2.0)
 
 
 def _start(feedback: FeedbackChannel, initial) -> np.ndarray:
@@ -305,6 +297,7 @@ def nearest_quantize(phases, codebook: PhaseCodebook) -> np.ndarray:
     Within 1e-6 of a step (plus 1e-9 rad for fine codebooks) of a midpoint, the two
     entries around x are compared by wrapped distance with the tolerance-padded rule
     of an argmin over the whole codebook: within 1e-12 of the nearest counts as tied.
+    A phase that is not finite, or whose floor(x) passes int64, raises ValueError.
     """
     shape = np.shape(phases)
     ph = np.asarray(phases, dtype=float).reshape(-1)
@@ -312,6 +305,9 @@ def nearest_quantize(phases, codebook: PhaseCodebook) -> np.ndarray:
     x = np.subtract(ph, codebook.offset)  # frac then reuses x's buffer
     x /= codebook.spacing
     floor = np.floor(x)
+    fits = (-2.0 ** 63 <= floor) & (floor < 2.0 ** 63)  # False at NaN, inf, or past int64
+    if not fits.all():
+        raise ValueError(f"phase {float(ph[fits.argmin()])!r} has no step index in int64")
     frac = np.subtract(x, floor, out=x)
     lo = floor.astype(int)
     lo &= k - 1  # K is a power of two

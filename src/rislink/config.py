@@ -148,6 +148,8 @@ def build_jobs(sections: dict, path, scenario: Scenario) -> list[SweepJob]:
             raise _err(path, section.line,
                        f"[{name}] names sweep {job_name!r}, already taken by [{taken[job_name]}]")
         taken[job_name] = name
+        for key in (key for key in section if key not in _SWEEP_KEYS):  # the first, by line
+            raise _err(path, section[key][1], f"unknown key {key!r} in [{name}]")
         if "type" not in section:
             raise _err(path, section.line, f"[{name}] needs a 'type' key")
         fields = {attr: _parse(key, *section[key], convert, path)
@@ -161,8 +163,6 @@ def build_jobs(sections: dict, path, scenario: Scenario) -> list[SweepJob]:
         except ValueError as e:  # a SweepError names its field; else the farthest range failed
             key = _CONFIG_KEY.get(e.key, e.key) if isinstance(e, SweepError) else "stop"
             raise _err(path, section[key][1] if key in section else section.line, e) from None
-        for key in (key for key in section if key not in _SWEEP_KEYS):  # the first, by line
-            raise _err(path, section[key][1], f"unknown key {key!r} in [{name}]")
     return jobs
 
 

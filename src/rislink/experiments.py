@@ -12,7 +12,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -508,7 +508,7 @@ def run_sweep(scenario: Scenario, job: SweepJob, seed=0) -> SweepResult:
 def _scenario_summary(s: Scenario) -> dict:
     """summary.json's scenario: each model as the list of its fields, in declared order."""
     def listed(model):
-        return None if model is None else list(astuple(model))
+        return None if model is None else [getattr(model, f.name) for f in fields(model)]
     return {"frequency_hz": s.frequency, "wavelength_m": s.wavelength,
             "tx_pose": listed(s.tx_pose), "rx_pose": listed(s.rx_pose), "layout": listed(s.layout),
             "tx_antenna": listed(s.tx_antenna), "rx_antenna": listed(s.rx_antenna),

@@ -115,8 +115,10 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray):
     """Yield (first point, amplitudes, two-hop phases) per chunk of RX points, each
     (chunk, n_units): the path table w = amp exp(-j phi) of `element_weights` over a
     pose axis, G_u at the top calibrated current.  The TX leg is computed once per
-    call.  Every point must sit across the plane from the TX, as `Scenario` requires, and
-    its continuous bound P_t / (16 pi^2) (sum_n amp_n)^2 in mW, and each phase, a finite float.
+    call.  Every point must sit across the plane from the TX, as `Scenario` requires, and each
+    phase and P_t / (16 pi^2) B^2 in mW be finite floats, B = sum_n amp_n (1 + N K 2^-49): any
+    channel sum a kernel call, table or search forms, and float sum_n amp_n, are together under
+    16 N K roundings of <= 2^-53 B from exact (greedy's running sum takes 2 N (K - 1) a round).
     """
     p_t = spherical_to_cartesian(scenario.tx_pose)
     if not np.all(np.sign(p_t[2]) * rx_points[:, 2] < 0):  # a sign: no product over- or underflows
@@ -128,6 +130,7 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray):
     with np.errstate(all="ignore"):  # an overflow (or NaN) fails below, in each chunk's check
         gain_area_t = from_db(amplifier.gain_db(amplifier.top_current)) * (area * c_t)
     step = max(1, _CHUNK_ELEMENTS // layout.n_units)
+    margin = 1.0 + layout.n_units * scenario.codebook.size * 2.0 ** -49
     for lo in range(0, len(rx_points), step):
         r_r, c_r = ranges_and_cosines(rx_points[lo:lo + step], layout)
         # sqrt(g_t g_r) / (r_t r_r) * sigma and 2 pi (r_t + r_r) / lambda, in place
@@ -138,7 +141,7 @@ def _weight_chunks(scenario: Scenario, rx_points: np.ndarray):
             np.divide(np.multiply(2.0 * math.pi, phi, out=phi), scenario.wavelength, out=phi)
             np.sqrt(np.multiply(g_t, amp, out=amp), out=amp)
             np.divide(amp, np.multiply(r_t, r_r, out=r_r), out=amp)
-            top = float(np.multiply(amp, sigma, out=amp).sum(axis=-1).max())
+            top = float(np.multiply(amp, sigma, out=amp).sum(axis=-1).max()) * margin
         if not scenario.tx_power / SIXTEEN_PI_SQ * (top * top) * 1e3 < math.inf:
             raise ValueError("received power overflows a float")
         if not phi.max() < math.inf:

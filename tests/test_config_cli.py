@@ -109,6 +109,12 @@ max_current_a = 0.05
     ("[scenario]\n[sweep s]\ntype = gain\n", ":2: a gain sweep needs at least one supply current"),
     ("[scenario]\n[sweep s]\n", ":2: [sweep s] needs a 'type' key"),
     ("[scenario]\n\n[amplifier]\nmax_current_a = 0.01\n", ":4: calibration exceeds the supply budget"),
+    ("[amplifier]\ncalibration = -0.01:0, 0.1:10\n", ":2: calibration currents must be >= 0"),
+    ("[ ]\nx = 1\n", ":1: empty section name"),
+    ("[scenario]\n = 3\n", ":2: empty key"),
+    # a typo'd key is named before the job's own checks read the keys it does set
+    ("[scenario]\n\n[sweep a]\ntype = distance\nstart = 6\nstpo = 8\n",
+     ":6: unknown key 'stpo' in [sweep a]"),
 ])
 def test_load_run_plan_diagnostics(tmp_path, text, line_token):
     p = write(tmp_path, text)

@@ -1,6 +1,7 @@
 """Full-link evaluation: received signal/power, path loss, and the aligned-phase bounds."""
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from helpers import (
     unit_transmission_coefficient,
     zenith_gain,
 )
+from rislink.beamforming import _powers
 from rislink.geometry import cartesian_points, spherical_to_cartesian
 from rislink.link import _channel_sums, _phasors, _weight_chunks
 
@@ -219,6 +221,33 @@ def test_an_underflowing_received_power_reads_tx_power_less_path_loss():
     np.testing.assert_allclose(dbm[:3] + db[:3], rl.watts_to_dbm(s.tx_power), rtol=1e-15)
     assert dbm[2] == 10.0 * math.log10(1e-30 / (16 * math.pi ** 2) * 1e-260 * 1e3)
     assert (dbm[3], db[3]) == (-math.inf, math.inf)  # an exact null stays one
+
+
+def test_the_power_check_bounds_every_channel_sum_a_search_can_square():
+    # one unit whose sum |w| is one ulp below sqrt(DBL_MAX): its aligned |S|^2 is finite,
+    # but a channel sum that rounds up by a few ulps is not, so the link is refused
+    edge = dict(tx_power_w=1e-30, tx_distance_m=9.282014019548336e-77, rx_distance_m=1e-76,
+                n_rows=1, n_cols=1, pitch_x_m=1.0, pitch_y_m=1.0)
+    s = rl.chamber_scenario(**edge)
+    for route in (rl.FeedbackChannel, rl.received_power, rl.path_loss_db, rl.max_received_power):
+        with pytest.raises(ValueError, match="^received power overflows a float$"):
+            route(s)
+    # sum |w| a factor 1 - 2^-10 below sqrt(DBL_MAX) is admitted, and every reading is finite
+    s = rl.chamber_scenario(**{**edge, "tx_distance_m": edge["tx_distance_m"] / (1 - 2 ** -10)})
+    _, amp, _ = next(_weight_chunks(s, spherical_to_cartesian(s.rx_pose)[None]))
+    assert float(amp.sum()) == pytest.approx(math.sqrt(sys.float_info.max) * (1 - 2 ** -10),
+                                             rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow on the way
+        for jitter in (0.0, 30.0):
+            link = replace(s, jitter=rl.PhaseJitterModel(math.radians(jitter), 3))
+            fb = rl.FeedbackChannel(link)
+            assert np.isfinite(_powers(fb.prefactor, fb.table[0])).all()
+            for search in (rl.blind_rowcol_search, rl.greedy_element_search):
+                assert np.isfinite(search(fb)[1].powers).all()
+            programs = [(None, None), ([1], None), ([2], None), ([3], None), (None, [0.0])]
+            sums = _channel_sums(link, spherical_to_cartesian(link.rx_pose)[None], programs)
+            assert all(np.isfinite(v).all() for v in rl.link._link_budget_db(link, sums[:, 0]))
 
 
 def test_a_dark_surface_cuts_an_all_null_pattern_quietly():
